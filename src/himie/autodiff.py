@@ -489,35 +489,67 @@ def avg_pool_to(x, T: int) -> Tensor:
 
 
 def multi_head_attention(q, k, v, heads: int, params) -> Tensor:
-    """Scaled dot-product attention with per-head projections.
+    """Scaled dot-product attention with per-head projections, as one tape node.
 
-    q: [Lq, d], k/v: [Lk, d]. Per-head q/k/v projections are bias-free; the
-    output projection carries the only bias. Scores scale by 1/sqrt(d/heads).
-    `params` maps {"wq","wk","wv","wo","bo"} to Tensors.
+    q: [..., Lq, d], k/v: [..., Lk, d] with the same leading batch axes; each
+    batch entry attends only within itself. Per-head q/k/v projections are
+    bias-free; the output projection carries the only bias. Scores scale by
+    1/sqrt(d/heads). `params` maps {"wq","wk","wv","wo","bo"} to Tensors.
+
+    The backward pass is derived by hand. As in FlashAttention (Dao et al.
+    2022) it recomputes the attention weights from the saved row max and row
+    sum, and gets the softmax term from rowsum(dC * C) per query.
     """
     q, k, v = _t(q), _t(k), _t(v)
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise ShapeError(f"attention expects 2-D q/k/v, got {q.data.shape}, {k.data.shape}, {v.data.shape}")
-    d = q.data.shape[1]
-    if k.data.shape[1] != d or v.data.shape[1] != d:
+    if q.data.ndim < 2 or k.data.ndim != q.data.ndim or v.data.ndim != q.data.ndim:
+        raise ShapeError(f"attention expects q/k/v of equal rank >= 2, got {q.data.shape}, {k.data.shape}, {v.data.shape}")
+    d = q.data.shape[-1]
+    if k.data.shape[-1] != d or v.data.shape[-1] != d:
         raise ShapeError(f"attention width mismatch: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
-    if k.data.shape[0] != v.data.shape[0]:
+    if k.data.shape != v.data.shape:
         raise ShapeError(f"k and v row counts differ: {k.data.shape} vs {v.data.shape}")
+    if k.data.shape[:-2] != q.data.shape[:-2]:
+        raise ShapeError(f"attention batch axes differ: q {q.data.shape}, k {k.data.shape}")
     if d % heads != 0:
         raise ConfigError(f"model width {d} not divisible by heads {heads}")
+    wq, wk, wv, wo, bo = (_t(params[n]) for n in ("wq", "wk", "wv", "wo", "bo"))
     dh = d // heads
-    Lq, Lk = q.data.shape[0], k.data.shape[0]
-    Q = matmul(q, params["wq"])
-    K = matmul(k, params["wk"])
-    V = matmul(v, params["wv"])
-    Qh = transpose(reshape(Q, (Lq, heads, dh)), (1, 0, 2))
-    Kh = transpose(reshape(K, (Lk, heads, dh)), (1, 0, 2))
-    Vh = transpose(reshape(V, (Lk, heads, dh)), (1, 0, 2))
-    scores = mul(matmul(Qh, transpose(Kh, (0, 2, 1))), 1.0 / math.sqrt(dh))
-    attn = softmax(scores, axis=-1)
-    ctx = matmul(attn, Vh)  # [heads, Lq, dh]
-    merged = reshape(transpose(ctx, (1, 0, 2)), (Lq, d))
-    return add(matmul(merged, params["wo"]), params["bo"])
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(x):  # [..., L, d] -> [..., heads, L, dh]
+        return np.swapaxes(x.reshape(x.shape[:-1] + (heads, dh)), -2, -3)
+
+    def merge(x):  # [..., heads, L, dh] -> [..., L, d]
+        x = np.swapaxes(x, -2, -3)
+        return x.reshape(x.shape[:-2] + (d,))
+
+    Qh, Kh, Vh = split(q.data @ wq.data), split(k.data @ wk.data), split(v.data @ wv.data)
+    KhT = np.swapaxes(Kh, -1, -2)
+    scores = (Qh @ KhT) * scale
+    row_max = scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores - row_max)
+    row_sum = e.sum(axis=-1, keepdims=True)
+    ctx = (e / row_sum) @ Vh  # [..., heads, Lq, dh]
+    merged = merge(ctx)
+    out = merged @ wo.data + bo.data
+
+    def vjp(g):
+        attn = np.exp((Qh @ KhT) * scale - row_max) / row_sum
+        g2 = g.reshape(-1, d)
+        dwo = merged.reshape(-1, d).T @ g2
+        dbo = g2.sum(axis=0)
+        dctx = split(g @ wo.data.T)
+        dattn = dctx @ np.swapaxes(Vh, -1, -2)
+        dvh = np.swapaxes(attn, -1, -2) @ dctx
+        dscores = attn * (dattn - (dctx * ctx).sum(axis=-1, keepdims=True)) * scale
+        dQ, dK, dV = merge(dscores @ Kh), merge(np.swapaxes(dscores, -1, -2) @ Qh), merge(dvh)
+        return (dQ @ wq.data.T, dK @ wk.data.T, dV @ wv.data.T,
+                q.data.reshape(-1, d).T @ dQ.reshape(-1, d),
+                k.data.reshape(-1, d).T @ dK.reshape(-1, d),
+                v.data.reshape(-1, d).T @ dV.reshape(-1, d),
+                dwo, dbo)
+
+    return Tensor._result(out, (q, k, v, wq, wk, wv, wo, bo), vjp)
 
 
 # -- parameter containers ------------------------------------------------

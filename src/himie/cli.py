@@ -17,7 +17,8 @@ from .data import (ParseError, ValidationError, assign_modality_regime,
 from .evaluate import evaluate, report_bytes, save_report
 from .model import forward, init_params
 from .sweep import AXES, save_sweep_csv, sweep
-from .trainer import load_checkpoint, save_checkpoint, save_step_log, train
+from .trainer import (CheckpointError, load_checkpoint, save_checkpoint, save_step_log,
+                      train)
 from . import synth
 
 
@@ -212,7 +213,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValidationError, ParseError, FileNotFoundError) as e:
+    except (ConfigError, ValidationError, ParseError, CheckpointError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except NumericError as e:

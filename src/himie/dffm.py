@@ -21,9 +21,7 @@ import numpy as np
 from .autodiff import (ConfigError, Tensor, add, gelu, matmul,
                        multi_head_attention, reshape, texp, tmean)
 from .config import ModelConfig
-from .encoders import LevelFeatures
-
-LEVELS = ("low", "mid", "high")
+from .encoders import LEVELS, LevelFeatures
 
 
 @dataclass

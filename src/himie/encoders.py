@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (ConfigError, ShapeError, Tensor, add, gelu, index_rows,
-                       layer_norm, matmul, multi_head_attention, stack)
+                       layer_norm, matmul, multi_head_attention)
 from .config import ModelConfig
 
 
@@ -36,8 +36,8 @@ class LevelFeatures:
     high: Tensor
     base: Tensor
 
-    def levels(self) -> tuple[Tensor, Tensor, Tensor]:
-        return (self.low, self.mid, self.high)
+
+LEVELS = ("low", "mid", "high")  # field names of LevelFeatures, in depth order
 
 
 def bucket_levels(per_layer: list[Tensor]) -> LevelFeatures:
@@ -127,22 +127,22 @@ def encode_text(tokens: list[str], scope, cfg: ModelConfig) -> list[Tensor]:
 
 
 def encode_frames(frames: list[np.ndarray], scope, cfg: ModelConfig) -> list[Tensor]:
-    """Per-block outputs [n_g, n_p, d_h]; attention stays within each frame."""
+    """Per-block outputs [n_g, n_p, d_h] for a document's frames.
+
+    All frames go through the projection and every block as one
+    [n_g, n_p, d_h] batch; attention runs per frame over the leading axis,
+    so no frame attends to another.
+    """
     if not frames:
         raise ShapeError("encode_frames needs at least one frame")
     for i, fr in enumerate(frames):
         arr = np.asarray(fr)
         if arr.shape != (cfg.n_p, cfg.d_in):
             raise ShapeError(f"frame {i} has patch grid {arr.shape}, expected ({cfg.n_p}, {cfg.d_in})")
-    per_frame_layers: list[list[Tensor]] = []
-    pos = scope["pos_emb"]
-    for fr in frames:
-        x = add(add(matmul(Tensor(np.asarray(fr, dtype=np.float64)), scope["proj.w"]),
-                    scope["proj.b"]), pos)
-        layers = []
-        for i in range(cfg.n_l):
-            x = run_block(x, scope.scoped(f"block{i}"), cfg.heads)
-            layers.append(x)
-        per_frame_layers.append(layers)
-    return [stack([per_frame_layers[g][i] for g in range(len(frames))], axis=0)
-            for i in range(cfg.n_l)]
+    x = add(add(matmul(Tensor(np.stack(frames)), scope["proj.w"]), scope["proj.b"]),
+            scope["pos_emb"])
+    outs = []
+    for i in range(cfg.n_l):
+        x = run_block(x, scope.scoped(f"block{i}"), cfg.heads)
+        outs.append(x)
+    return outs

@@ -228,12 +228,6 @@ def chain_reprs(ent_reprs: Tensor, chains) -> Tensor:
                   for c in chains], axis=0)
 
 
-def coref_logits(h_text: Tensor, a: Entity, b: Entity, scope) -> Tensor:
-    """Pair logits [2]; index 1 = same chain."""
-    feat = span_repr(h_text, a) * span_repr(h_text, b)
-    return add(matmul(reshape(feat, (1, -1)), scope["w"]), scope["b"])[0]
-
-
 def pair_logit_matrix(ent_reprs: Tensor, pairs, scope) -> Tensor:
     ai = np.array([p[0] for p in pairs], dtype=np.intp)
     bi = np.array([p[1] for p in pairs], dtype=np.intp)
@@ -266,12 +260,6 @@ def relation_logit_matrix(ch_reprs: Tensor, pairs, scope) -> Tensor:
     bi = np.array([p[1] for p in pairs], dtype=np.intp)
     feats = index_rows(ch_reprs, ai) * index_rows(ch_reprs, bi)
     return add(matmul(feats, scope["w"]), scope["b"])
-
-
-def relation_logits(h_text: Tensor, doc: Document, sub: int, obj: int, scope) -> Tensor:
-    reprs = entity_reprs(h_text, doc.entities)
-    ch = chain_reprs(reprs, [doc.chains[sub], doc.chains[obj]])
-    return relation_logit_matrix(ch, [(0, 1)], scope)[0]
 
 
 def grounding_logits(h_frames: Tensor, scope) -> tuple[Tensor, Tensor]:

@@ -208,10 +208,6 @@ def relation_counts(gold: list, pred: list) -> tuple[int, int, int]:
     return tp, len(pred) - tp, len(gold) - tp
 
 
-def relation_f1(gold: list, pred: list) -> PRF:
-    return prf_from_counts(*relation_counts(gold, pred))
-
-
 # -- grounding ----------------------------------------------------------------
 
 
@@ -263,10 +259,6 @@ def grounding_counts(gold: list[Region], pred: list[Region]) -> tuple[int, int, 
             used_g.add(gi)
             tp += 1
     return tp, len(pred) - tp, len(gold) - tp
-
-
-def grounding_f1(gold: list[Region], pred: list[Region]) -> PRF:
-    return prf_from_counts(*grounding_counts(gold, pred))
 
 
 # -- error taxonomy -----------------------------------------------------------

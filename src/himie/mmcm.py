@@ -15,9 +15,8 @@ import numpy as np
 
 from .autodiff import Tensor, avg_pool_to, concat, conv1d_seq, relu, reshape
 from .config import ModelConfig
-from .encoders import LevelFeatures
+from .encoders import LEVELS, LevelFeatures
 
-LEVELS = ("low", "mid", "high")
 CONV_W = 3
 
 

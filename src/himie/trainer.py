@@ -11,6 +11,8 @@ little-endian row-major payload in manifest order.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -119,27 +121,58 @@ def save_checkpoint(path: str, params: ParamTree, cfg: RunConfig, step: int,
             f.write(arr.tobytes())
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file is malformed: bad header, manifest or payload size."""
+
+
+def _read_header(f, path: str, size: int) -> dict:
+    raw = f.read(8)
+    if len(raw) != 8:
+        raise CheckpointError(f"truncated checkpoint header in {path}")
+    (hlen,) = struct.unpack("<Q", raw)
+    if hlen > size - 8:
+        raise CheckpointError(f"checkpoint header length {hlen} exceeds the "
+                              f"{size - 8} bytes after it in {path}")
+    try:
+        header = json.loads(f.read(hlen).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"checkpoint header in {path} is not UTF-8 JSON: {e}") from e
+    if not isinstance(header, dict):
+        raise CheckpointError(f"checkpoint header in {path} is not a JSON object")
+    missing = [key for key in ("manifest", "config", "step") if key not in header]
+    if missing:
+        raise CheckpointError(f"checkpoint header in {path} lacks {', '.join(missing)}")
+    if not isinstance(header["manifest"], list) or type(header["step"]) is not int:
+        raise CheckpointError(f"checkpoint header in {path} has a bad manifest or step")
+    for entry in header["manifest"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in entry["shape"])
+                and isinstance(entry.get("trainable"), bool)):
+            raise CheckpointError(f"bad manifest entry {entry!r:.80} in {path}")
+    return header
+
+
 def load_checkpoint(path: str) -> tuple[ParamTree, RunConfig, int, dict | None]:
     with open(path, "rb") as f:
-        raw = f.read(8)
-        if len(raw) != 8:
-            raise ValueError(f"truncated checkpoint header in {path}")
-        (hlen,) = struct.unpack("<Q", raw)
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        size = os.fstat(f.fileno()).st_size
+        header = _read_header(f, path, size)
+        payload = size - f.tell()
+        need = 8 * sum(math.prod(e["shape"]) for e in header["manifest"])
+        if payload < need:
+            raise CheckpointError(f"truncated payload in {path}: "
+                                  f"{payload} bytes for {need} expected")
+        if payload > need:
+            raise CheckpointError(f"unexpected trailing bytes in {path}: "
+                                  f"{payload} bytes for {need} expected")
         params = ParamTree()
         for entry in header["manifest"]:
             shape = tuple(entry["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            buf = f.read(n * 8)
-            if len(buf) != n * 8:
-                raise ValueError(f"truncated payload for {entry['name']} in {path}")
+            buf = f.read(8 * math.prod(shape))
             arr = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
             params.add(entry["name"], arr, trainable=entry["trainable"])
-        trailing = f.read(1)
-        if trailing:
-            raise ValueError(f"unexpected trailing bytes in {path}")
     cfg = config_from_dict(header["config"])
-    return params, cfg, int(header["step"]), header["rng_state"]
+    return params, cfg, header["step"], header.get("rng_state")
 
 
 def save_step_log(path: str, log: list[StepRecord]) -> None:

@@ -156,6 +156,38 @@ def test_attention_head_mismatch_is_config_error():
         multi_head_attention(x, x, x, 4, p)
 
 
+def test_attention_batched_matches_each_slice():
+    rng = np.random.default_rng(8)
+    d = 8
+    p = _mha_params(d, rng)
+    q = rng.normal(size=(3, 5, d))
+    k = rng.normal(size=(3, 7, d))
+    v = rng.normal(size=(3, 7, d))
+    out = multi_head_attention(Tensor(q), Tensor(k), Tensor(v), 2, p).data
+    assert out.shape == (3, 5, d)
+    for b in range(3):
+        want = multi_head_attention(Tensor(q[b]), Tensor(k[b]), Tensor(v[b]), 2, p).data
+        assert np.max(np.abs(out[b] - want)) < 1e-12
+
+
+def test_attention_is_one_tape_node():
+    rng = np.random.default_rng(9)
+    p = _mha_params(4, rng)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    out = multi_head_attention(x, x, x, 2, p)
+    assert out._parents == (x, x, x, p["wq"], p["wk"], p["wv"], p["wo"], p["bo"])
+
+
+def test_attention_batch_axes_must_agree():
+    p = _mha_params(4, np.random.default_rng(10))
+    q = Tensor(np.zeros((2, 3, 4)))
+    kv = Tensor(np.zeros((3, 5, 4)))
+    with pytest.raises(ShapeError, match="batch axes"):
+        multi_head_attention(q, kv, kv, 2, p)
+    with pytest.raises(ShapeError, match="rank"):
+        multi_head_attention(q, Tensor(np.zeros((5, 4))), Tensor(np.zeros((5, 4))), 2, p)
+
+
 def test_param_tree_order_and_duplicates():
     p = ParamTree()
     p.add("b.x", np.zeros(2))
@@ -247,6 +279,12 @@ OPS = {
         a["q"], a["k"], a["v"], 2,
         {"wq": a["wq"], "wk": a["wk"], "wv": a["wv"], "wo": a["wo"], "bo": a["bo"]}),
         [("q", (3, 4), "any"), ("k", (5, 4), "any"), ("v", (5, 4), "any"),
+         ("wq", (4, 4), "any"), ("wk", (4, 4), "any"), ("wv", (4, 4), "any"),
+         ("wo", (4, 4), "any"), ("bo", (4,), "any")]),
+    "attention_batched": (lambda a: multi_head_attention(
+        a["q"], a["k"], a["v"], 2,
+        {"wq": a["wq"], "wk": a["wk"], "wv": a["wv"], "wo": a["wo"], "bo": a["bo"]}),
+        [("q", (2, 3, 4), "any"), ("k", (2, 5, 4), "any"), ("v", (2, 5, 4), "any"),
          ("wq", (4, 4), "any"), ("wk", (4, 4), "any"), ("wv", (4, 4), "any"),
          ("wo", (4, 4), "any"), ("bo", (4,), "any")]),
 }

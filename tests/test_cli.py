@@ -1,10 +1,15 @@
 """End-to-end command-line flows through main() with tiny configs."""
 import csv
 import json
+import struct
+
+import numpy as np
+import pytest
 
 from himie.cli import main
 from himie.config import GenConfig, ModelConfig, RunConfig, save_config
-from himie.trainer import load_checkpoint
+from himie.model import init_params
+from himie.trainer import load_checkpoint, save_checkpoint
 
 SMALL = ModelConfig(d_h=8, n_l=6, heads=2, n_p=4, d_in=3, d_vae=4, prompt_len=3,
                     vocab=64, max_len=64)
@@ -132,3 +137,38 @@ class TestExitCodes:
         assert main(["train", "--config", cfg, "--corpus", str(corpus),
                      "--out", str(tmp_path / "m.ckpt")]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestMalformedCheckpoint:
+    """Each malformed checkpoint leaves `eval` with exit 1 and one error line."""
+
+    def _eval_error(self, path, capsys):
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        return err
+
+    def test_random_bytes(self, tmp_path, capsys):
+        data = np.random.default_rng(0).bytes(200)
+        # the leading length field claims far more bytes than the file holds
+        assert struct.unpack("<Q", data[:8])[0] > len(data)
+        path = tmp_path / "random.ckpt"
+        path.write_bytes(data)
+        assert "header length" in self._eval_error(path, capsys)
+
+    @pytest.mark.parametrize("keep,message", [(3, "truncated checkpoint header"),
+                                              (100, "header length"),
+                                              (-8, "truncated payload")])
+    def test_truncated_file(self, tmp_path, capsys, keep, message):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_params(SMALL, 0), RunConfig(model=SMALL), 0)
+        path.write_bytes(path.read_bytes()[:keep])
+        assert message in self._eval_error(path, capsys)
+
+    def test_header_without_config(self, tmp_path, capsys):
+        blob = json.dumps({"manifest": [], "step": 0}).encode("utf-8")
+        path = tmp_path / "noconfig.ckpt"
+        path.write_bytes(struct.pack("<Q", len(blob)) + blob)
+        assert "lacks config" in self._eval_error(path, capsys)

@@ -134,6 +134,15 @@ class TestFrameEncoder:
         b = encode_frames(f2, s, CFG)[-1].data[0]
         assert np.array_equal(a, b)
 
+    def test_batch_matches_one_frame_at_a_time(self, frame_params):
+        s = frame_params.scoped("encoder.frames")
+        f = self._frames(3, seed=4)
+        batched = encode_frames(f, s, CFG)
+        for g in range(3):
+            single = encode_frames([f[g]], s, CFG)
+            for i in range(CFG.n_l):
+                assert np.max(np.abs(batched[i].data[g] - single[i].data[0])) < 1e-12
+
     def test_no_frames_rejected(self, frame_params):
         with pytest.raises(ShapeError, match="at least one frame"):
             encode_frames([], frame_params.scoped("encoder.frames"), CFG)

@@ -1,5 +1,6 @@
 """Optimizer hand examples, training determinism, checkpoint round trips."""
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from himie.data import assign_modality_regime
 from himie.model import init_params
 from himie.synth import generate
 from himie.trainer import (
+    CheckpointError,
     adam_step,
     group_lr,
     init_adam,
@@ -210,6 +212,24 @@ class TestCheckpoint:
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match="trailing"):
+            load_checkpoint(str(bad))
+
+    @pytest.mark.parametrize("header", [
+        b"\xff\xfe not utf-8",
+        b"{not json",
+        b"[1, 2]",
+        b'{"manifest": [], "config": {}}',
+        b'{"manifest": {}, "config": {}, "step": 0}',
+        b'{"manifest": [{"name": "w", "shape": [-1], "trainable": true}], "config": {}, "step": 0}',
+        b'{"manifest": [{"name": "w", "shape": [2.5], "trainable": true}], "config": {}, "step": 0}',
+        b'{"manifest": [{"shape": [2], "trainable": true}], "config": {}, "step": 0}',
+        b'{"manifest": [{"name": "w", "shape": [1099511627776], "trainable": true}],'
+        b' "config": {}, "step": 0}',
+    ])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(struct.pack("<Q", len(header)) + header)
+        with pytest.raises(CheckpointError):
             load_checkpoint(str(bad))
 
     def test_step_log_jsonl(self, tmp_path):
