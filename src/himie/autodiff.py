@@ -67,9 +67,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable leaf."""
         if self.data.size != 1:
@@ -120,12 +117,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return div(self, other)
         return mul(self, 1.0 / float(other))
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -143,11 +135,6 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'yes' if self.requires_grad else 'no'})"
@@ -202,28 +189,6 @@ def mul(a, b) -> Tensor:
     return Tensor._result(out, (a, b), vjp)
 
 
-def div(a, b) -> Tensor:
-    a, b = _t(a), _t(b)
-    out = a.data / b.data
-
-    def vjp(g):
-        return (_unbroadcast(g / b.data, a.data.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return Tensor._result(out, (a, b), vjp)
-
-
-def power(a, p) -> Tensor:
-    a = _t(a)
-    p = float(p)
-    out = a.data ** p
-
-    def vjp(g):
-        return (g * p * a.data ** (p - 1.0),)
-
-    return Tensor._result(out, (a,), vjp)
-
-
 def matmul(a, b) -> Tensor:
     a, b = _t(a), _t(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
@@ -252,12 +217,6 @@ def texp(a) -> Tensor:
 def tlog(a) -> Tensor:
     a = _t(a)
     return Tensor._result(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def tanh(a) -> Tensor:
-    a = _t(a)
-    out = np.tanh(a.data)
-    return Tensor._result(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def sigmoid(a) -> Tensor:
@@ -329,12 +288,6 @@ def reshape(a, shape) -> Tensor:
     return Tensor._result(out, (a,), lambda g: (g.reshape(a.data.shape),))
 
 
-def transpose(a, axes) -> Tensor:
-    a = _t(a)
-    inv = tuple(np.argsort(axes))
-    return Tensor._result(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
-
-
 def concat(parts, axis=0) -> Tensor:
     parts = [_t(p) for p in parts]
     out = np.concatenate([p.data for p in parts], axis=axis)
@@ -343,16 +296,6 @@ def concat(parts, axis=0) -> Tensor:
 
     def vjp(g):
         return tuple(np.array(piece) for piece in np.split(g, splits, axis=axis))
-
-    return Tensor._result(out, tuple(parts), vjp)
-
-
-def stack(parts, axis=0) -> Tensor:
-    parts = [_t(p) for p in parts]
-    out = np.stack([p.data for p in parts], axis=axis)
-
-    def vjp(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(parts)))
 
     return Tensor._result(out, tuple(parts), vjp)
 
@@ -375,20 +318,6 @@ def index_rows(a, idx) -> Tensor:
 
 
 # -- fused numeric kernels ----------------------------------------------
-
-
-def softmax(a, axis=-1) -> Tensor:
-    """Shift-invariant softmax along `axis`."""
-    a = _t(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return Tensor._result(out, (a,), vjp)
 
 
 def logsumexp(a, axis=-1, keepdims=False) -> Tensor:
@@ -470,22 +399,18 @@ def pool_windows(L: int, T: int) -> list[tuple[int, int]]:
     return [((t * L) // T, -((-(t + 1) * L) // T)) for t in range(T)]
 
 
-def avg_pool_to(x, T: int) -> Tensor:
-    """Average-pool the first axis of x down (or up) to length T."""
-    x = _t(x)
-    L = x.data.shape[0]
+def pool_matrix(L: int, T: int) -> np.ndarray:
+    """[T, L] weights that average-pool L rows down (or up) to T rows.
+
+    Row t averages window t of `pool_windows(L, T)`, so `pool_matrix(L, T) @ x`
+    is the adaptive average pool of x along its first axis.
+    """
     if L < 1 or T < 1:
-        raise ShapeError(f"avg_pool_to needs L >= 1 and T >= 1, got L={L}, T={T}")
-    wins = pool_windows(L, T)
-    out = np.stack([x.data[s:e].mean(axis=0) for s, e in wins])
-
-    def vjp(g):
-        dx = np.zeros_like(x.data)
-        for t, (s, e) in enumerate(wins):
-            dx[s:e] += g[t] / (e - s)
-        return (dx,)
-
-    return Tensor._result(out, (x,), vjp)
+        raise ShapeError(f"pool_matrix needs L >= 1 and T >= 1, got L={L}, T={T}")
+    start, end = np.array(pool_windows(L, T)).T
+    rows = np.arange(L)
+    inside = (rows >= start[:, None]) & (rows < end[:, None])
+    return inside / (end - start)[:, None]
 
 
 def multi_head_attention(q, k, v, heads: int, params) -> Tensor:

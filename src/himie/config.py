@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -156,8 +157,8 @@ class RunConfig:
             raise ConfigError(f"eval_mode must be 'gold-pairs' or 'predicted-pairs', got {self.eval_mode!r}")
 
 
-_TUPLE_FIELDS = {"entity_types", "relation_types", "grounding_types",
-                 "tokens_per_doc", "frames_per_doc", "regime_fractions"}
+# JSON value types each scalar field type accepts; bool is not an int here.
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
 
 
 def _to_plain(obj):
@@ -172,27 +173,35 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return _to_plain(cfg)
 
 
+def _from_value(val, hint, where: str):
+    """`val` as a value of the field type `hint`; lists become tuples."""
+    if dataclasses.is_dataclass(hint):
+        return _from_dict(hint, val, where)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(val, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {val!r}")
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(val)
+        elif len(val) != len(args):
+            raise ConfigError(f"{where} must have {len(args)} items, got {len(val)}")
+        return tuple(_from_value(v, t, f"{where}[{i}]") for i, (v, t) in enumerate(zip(val, args)))
+    if type(None) in args:
+        return None if val is None else _from_value(val, args[0], where)
+    if type(val) not in _JSON_TYPES[hint]:
+        raise ConfigError(f"{where} must be {hint.__name__}, got {val!r}")
+    return val
+
+
 def _from_dict(cls, d: dict, where: str):
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be an object, got {type(d).__name__}")
-    names = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(d) - set(names)
+    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-    kwargs = {}
-    for name, f in names.items():
-        if name not in d:
-            continue
-        val = d[name]
-        sub = {"model": ModelConfig, "gen": GenConfig, "optim": OptimConfig,
-               "loss": LossConfig}.get(name)
-        if sub is not None:
-            kwargs[name] = _from_dict(sub, val, f"{where}.{name}")
-        elif name in _TUPLE_FIELDS and isinstance(val, list):
-            kwargs[name] = tuple(val)
-        else:
-            kwargs[name] = val
-    return cls(**kwargs)
+    hints = typing.get_type_hints(cls)
+    return cls(**{name: _from_value(val, hints[name], f"{where}.{name}")
+                  for name, val in d.items()})
 
 
 def config_from_dict(d: dict) -> RunConfig:

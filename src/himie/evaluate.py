@@ -11,14 +11,14 @@ import json
 from dataclasses import dataclass
 
 from .autodiff import ConfigError, ParamTree
-from .config import ModelConfig, RunConfig
-from .data import Corpus, Document, derive_label_sets
+from .config import RunConfig
+from .data import Corpus, Document
 from .metrics import (ChainCounts, TaskOutputs, add_taxonomy, chain_counts,
                       chain_score_prf, empty_taxonomy, entity_counts,
                       error_breakdown, error_rates, grounding_counts,
                       mention_key, muc_prf, b_cubed_prf, ceaf_e_prf,
                       prf_from_counts, relation_counts)
-from .model import Prediction, predict
+from .model import Prediction, check_compatible, predict
 
 REGIMES = ("full", "no_text", "no_video")
 
@@ -122,16 +122,9 @@ def reduce_stats(stats: list[DocStats], mode: str) -> dict:
 def evaluate(params: ParamTree, cfg: RunConfig, corpus: Corpus) -> dict:
     if not corpus.documents:
         raise ConfigError("cannot evaluate an empty corpus")
-    have = derive_label_sets(corpus.documents)
-    m: ModelConfig = cfg.model
-    for kind, known, found in (("entity", m.entity_types, have.entity_types),
-                               ("relation", m.relation_types, have.relation_types),
-                               ("grounding", m.grounding_types, have.grounding_types)):
-        extra = set(found) - set(known)
-        if extra:
-            raise ConfigError(f"corpus uses {kind} labels unknown to the model: {sorted(extra)}")
+    check_compatible(corpus, cfg.model)
     pair_mode = "gold" if cfg.eval_mode == "gold-pairs" else "predicted"
-    stats = [score_document(doc, predict(doc, params, m, pair_mode=pair_mode))
+    stats = [score_document(doc, predict(doc, params, cfg.model, pair_mode=pair_mode))
              for doc in corpus.documents]
     return reduce_stats(stats, cfg.eval_mode)
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (Tensor, add, index_rows, logsumexp, matmul,
-                       reshape, sigmoid, stack, tabs, tmean, tsum)
+                       reshape, sigmoid, tabs, tmean, tsum)
 from .config import LossConfig, ModelConfig
-from .data import Document, Entity, Region, Relation
+from .data import Document, Entity, Region
 
 
 # -- BIO tag set ----------------------------------------------------------
@@ -141,15 +141,11 @@ def init_heads(scope, cfg: ModelConfig, rng) -> None:
 # -- CRF --------------------------------------------------------------------
 
 
-def crf_scores(h_text: Tensor, scope) -> Tensor:
-    return matmul(h_text, scope["emission"])
-
-
 def crf_nll(h_text: Tensor, gold_ids, scope, tagset: TagSet) -> Tensor:
     """Sequence negative log-likelihood: log Z - score(gold)."""
     gold_ids = np.asarray(gold_ids, dtype=np.intp)
     check_bio(gold_ids, tagset)
-    emis = crf_scores(h_text, scope)
+    emis = matmul(h_text, scope["emission"])
     L = emis.data.shape[0]
     trans, start, end = scope["trans"], scope["start"], scope["end"]
 
@@ -213,25 +209,30 @@ def crf_decode(h_text, scope, tagset: TagSet) -> list[int]:
 # -- pair heads ---------------------------------------------------------------
 
 
-def span_repr(h_text: Tensor, entity: Entity) -> Tensor:
-    return tmean(h_text[entity.start:entity.end], axis=0)
+def _mean_matrix(groups, n: int) -> np.ndarray:
+    """[len(groups), n] weights; row i averages the rows listed in groups[i]."""
+    w = np.zeros((len(groups), n))
+    for i, rows in enumerate(groups):
+        w[i, rows] = 1.0 / len(rows)
+    return w
 
 
 def entity_reprs(h_text: Tensor, entities) -> Tensor:
-    if not entities:
-        return Tensor(np.zeros((0, h_text.data.shape[1])))
-    return stack([span_repr(h_text, e) for e in entities], axis=0)
+    """Token mean of each entity span, [n_e, d_h], as one matmul."""
+    spans = [range(e.start, e.end) for e in entities]
+    return matmul(Tensor(_mean_matrix(spans, h_text.data.shape[0])), h_text)
 
 
 def chain_reprs(ent_reprs: Tensor, chains) -> Tensor:
-    return stack([tmean(index_rows(ent_reprs, np.asarray(c, dtype=np.intp)), axis=0)
-                  for c in chains], axis=0)
+    """Mean of each chain's member representations, [n_c, d_h], as one matmul."""
+    return matmul(Tensor(_mean_matrix(chains, ent_reprs.data.shape[0])), ent_reprs)
 
 
-def pair_logit_matrix(ent_reprs: Tensor, pairs, scope) -> Tensor:
+def pair_logit_matrix(reprs: Tensor, pairs, scope) -> Tensor:
+    """Logits for each (a, b) pair from the Hadamard product of rows a and b."""
     ai = np.array([p[0] for p in pairs], dtype=np.intp)
     bi = np.array([p[1] for p in pairs], dtype=np.intp)
-    feats = index_rows(ent_reprs, ai) * index_rows(ent_reprs, bi)
+    feats = index_rows(reprs, ai) * index_rows(reprs, bi)
     return add(matmul(feats, scope["w"]), scope["b"])
 
 
@@ -253,13 +254,6 @@ def decode_chains(n_entities: int, positive_pairs) -> list[list[int]]:
     for i in range(n_entities):
         groups.setdefault(find(i), []).append(i)
     return [sorted(groups[r]) for r in sorted(groups)]
-
-
-def relation_logit_matrix(ch_reprs: Tensor, pairs, scope) -> Tensor:
-    ai = np.array([p[0] for p in pairs], dtype=np.intp)
-    bi = np.array([p[1] for p in pairs], dtype=np.intp)
-    feats = index_rows(ch_reprs, ai) * index_rows(ch_reprs, bi)
-    return add(matmul(feats, scope["w"]), scope["b"])
 
 
 def grounding_logits(h_frames: Tensor, scope) -> tuple[Tensor, Tensor]:
@@ -317,14 +311,13 @@ def compute_losses(doc: Document, h_text: Tensor, h_frames: Tensor | None,
     # coreference over all unordered gold entity pairs
     n_e = len(doc.entities)
     pairs = [(i, j) for i in range(n_e) for j in range(i + 1, n_e)]
+    reprs = entity_reprs(h_text, doc.entities)
     if pairs:
-        reprs = entity_reprs(h_text, doc.entities)
         chain_of = doc.chain_of()
         labels = [1 if chain_of[a] == chain_of[b] else 0 for a, b in pairs]
         logits = pair_logit_matrix(reprs, pairs, scope.scoped("coref"))
         cha = (cross_entropy_mean(logits, labels), len(pairs))
     else:
-        reprs = entity_reprs(h_text, doc.entities)
         cha = (None, 0)
 
     # relations over all ordered gold chain pairs (NULL = 0)
@@ -342,7 +335,7 @@ def compute_losses(doc: Document, h_text: Tensor, h_frames: Tensor | None,
             for t in golds:
                 sample_pairs.append(p)
                 targets.append(t)
-        logits = relation_logit_matrix(ch, sample_pairs, scope.scoped("rel"))
+        logits = pair_logit_matrix(ch, sample_pairs, scope.scoped("rel"))
         rel = (cross_entropy_mean(logits, targets), len(sample_pairs))
     else:
         rel = (None, 0)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, avg_pool_to, concat, conv1d_seq, relu, reshape
+from .autodiff import Tensor, concat, conv1d_seq, matmul, pool_matrix, relu, reshape
 from .config import ModelConfig
 from .encoders import LEVELS, LevelFeatures
 
@@ -38,7 +38,7 @@ def _construct(present: Tensor, scope, target_len: int) -> list[Tensor]:
     for lvl in LEVELS:
         s = concat([scope[f"{lvl}.prompt"], c], axis=0)
         o = relu(conv1d_seq(s, scope[f"{lvl}.conv.k"], scope[f"{lvl}.conv.b"]))
-        outs.append(avg_pool_to(o, target_len))
+        outs.append(matmul(Tensor(pool_matrix(o.data.shape[0], target_len)), o))
     return outs
 
 

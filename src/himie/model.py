@@ -15,16 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParamTree, Tensor, matmul
+from .autodiff import ConfigError, ParamTree, Tensor, matmul
 from .config import LossConfig, ModelConfig
-from .data import Document, Entity, Region, Relation
+from .data import Corpus, Document, Entity, Region, Relation, derive_label_sets
 from .dffm import fuse_g_to_x, fuse_x_to_g, init_dffm, pooled_base_frames
 from .encoders import (LevelFeatures, bucket_levels, encode_frames,
                        encode_text, init_frame_encoder, init_text_encoder)
 from .heads import (LossParts, TagSet, chain_reprs, compute_losses, crf_decode,
                     decode_chains, entity_reprs, grounding_predict, init_heads,
-                    pair_logit_matrix, relation_logit_matrix, spans_from_tags,
-                    total_loss)
+                    pair_logit_matrix, spans_from_tags, total_loss)
 from .mmcm import (blank_image, blank_text, construct_image_from_text,
                    construct_text_from_image, init_mmcm)
 
@@ -39,6 +38,32 @@ def init_params(cfg: ModelConfig, seed: int) -> ParamTree:
     init_mmcm(params.scoped("mmcm"), cfg, rng)
     init_heads(params.scoped("heads"), cfg, rng)
     return params
+
+
+def check_compatible(corpus: Corpus, cfg: ModelConfig) -> None:
+    """Raise ConfigError unless a model built from `cfg` can run every document.
+
+    Train and eval call this before their first step, so an incompatible corpus
+    fails up front instead of at the first document that exercises the misfit.
+    """
+    have = derive_label_sets(corpus.documents)
+    for kind, known, found in (("entity", cfg.entity_types, have.entity_types),
+                               ("relation", cfg.relation_types, have.relation_types),
+                               ("grounding", cfg.grounding_types, have.grounding_types)):
+        extra = set(found) - set(known)
+        if extra:
+            raise ConfigError(f"corpus uses {kind} labels unknown to the model: {sorted(extra)}")
+    for doc in corpus.documents:
+        if doc.n_tokens > cfg.max_len:
+            raise ConfigError(f"document {doc.id}: {doc.n_tokens} tokens exceed "
+                              f"model.max_len={cfg.max_len}")
+        if doc.n_frames > cfg.max_frames:
+            raise ConfigError(f"document {doc.id}: {doc.n_frames} frames exceed "
+                              f"model.max_frames={cfg.max_frames}")
+        for i, frame in enumerate(doc.frames):
+            if np.shape(frame) != (cfg.n_p, cfg.d_in):
+                raise ConfigError(f"document {doc.id}: frames[{i}] has shape {np.shape(frame)}, "
+                                  f"model.(n_p, d_in) is ({cfg.n_p}, {cfg.d_in})")
 
 
 def compute_features(doc: Document, params: ParamTree, cfg: ModelConfig, *,
@@ -139,9 +164,9 @@ def predict(doc: Document, params: ParamTree, cfg: ModelConfig, *,
 
     pair_entities = list(doc.entities) if pair_mode == "gold" else decoded_entities
     pairs = [(i, j) for i in range(len(pair_entities)) for j in range(i + 1, len(pair_entities))]
+    reprs = entity_reprs(h_text, pair_entities)
     positive: list[tuple[int, int]] = []
     if pairs:
-        reprs = entity_reprs(h_text, pair_entities)
         logits = pair_logit_matrix(reprs, pairs, heads.scoped("coref")).data
         positive = [p for p, row in zip(pairs, logits) if int(np.argmax(row)) == 1]
     chains = decode_chains(len(pair_entities), positive)
@@ -150,9 +175,8 @@ def predict(doc: Document, params: ParamTree, cfg: ModelConfig, *,
     relations: list[Relation] = []
     cpairs = [(i, j) for i in range(len(rel_chains)) for j in range(len(rel_chains)) if i != j]
     if cpairs:
-        reprs = entity_reprs(h_text, pair_entities)
         ch = chain_reprs(reprs, rel_chains)
-        logits = relation_logit_matrix(ch, cpairs, heads.scoped("rel")).data
+        logits = pair_logit_matrix(ch, cpairs, heads.scoped("rel")).data
         for (i, j), row in zip(cpairs, logits):
             k = int(np.argmax(row))
             if k != 0:

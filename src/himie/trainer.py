@@ -21,7 +21,7 @@ import numpy as np
 from .autodiff import NumericError, ParamTree
 from .config import RunConfig, config_from_dict, config_to_dict
 from .data import Corpus
-from .model import forward, init_params
+from .model import check_compatible, forward, init_params
 
 
 @dataclass
@@ -77,6 +77,7 @@ class TrainResult:
 def train(cfg: RunConfig, corpus: Corpus,
           params: ParamTree | None = None) -> TrainResult:
     cfg.validate()
+    check_compatible(corpus, cfg.model)
     if params is None:
         params = init_params(cfg.model, cfg.seed)
     state = init_adam(params)

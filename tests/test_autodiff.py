@@ -1,7 +1,6 @@
 """Numeric core: frozen examples, per-op gradchecks, algebra properties."""
 from __future__ import annotations
 
-import math
 import zlib
 
 import numpy as np
@@ -11,9 +10,9 @@ from hypothesis import strategies as st
 
 from himie import autodiff as ad
 from himie.autodiff import (ConfigError, ParamTree, ShapeError, Tensor,
-                            avg_pool_to, conv1d_seq, gradcheck, layer_norm,
-                            logsumexp, matmul, multi_head_attention,
-                            pool_windows, softmax)
+                            conv1d_seq, gradcheck, layer_norm, logsumexp,
+                            matmul, multi_head_attention, pool_matrix,
+                            pool_windows)
 
 
 def test_matmul_examples():
@@ -27,24 +26,6 @@ def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError) as exc:
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
     assert "(2, 3)" in str(exc.value)
-
-
-def test_softmax_examples():
-    out = softmax(Tensor([0.0, math.log(3.0)]))
-    assert np.allclose(out.data, [0.25, 0.75], atol=1e-15)
-    big = softmax(Tensor([1000.0, 1000.0]))
-    assert np.allclose(big.data, [0.5, 0.5])
-    assert np.all(np.isfinite(big.data))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(-50, 50), min_size=1, max_size=8),
-       st.floats(-30, 30))
-def test_softmax_shift_invariance(xs, c):
-    a = softmax(Tensor(xs)).data
-    b = softmax(Tensor([x + c for x in xs])).data
-    assert np.allclose(a, b, atol=1e-12)
-    assert abs(a.sum() - 1.0) < 1e-12
 
 
 def test_conv1d_example():
@@ -64,14 +45,14 @@ def test_pool_windows_examples():
     assert pool_windows(3, 2) == [(0, 2), (1, 3)]
     assert pool_windows(4, 2) == [(0, 2), (2, 4)]
     x = np.random.default_rng(0).normal(size=(3, 4))
-    out = avg_pool_to(Tensor(x), 2).data
+    out = pool_matrix(3, 2) @ x
     assert np.allclose(out[0], (x[0] + x[1]) / 2)
     assert np.allclose(out[1], (x[1] + x[2]) / 2)
 
 
 def test_pool_identity_when_lengths_match():
     x = np.random.default_rng(1).normal(size=(5, 3))
-    assert np.array_equal(avg_pool_to(Tensor(x), 5).data, x)
+    assert np.array_equal(pool_matrix(5, 5) @ x, x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,7 +71,7 @@ def test_pool_covers_every_row(L, T):
 def test_pool_preserves_mean_on_exact_division(blocks, T):
     L = blocks * T
     x = np.random.default_rng(blocks * 31 + T).normal(size=(L, 3))
-    out = avg_pool_to(Tensor(x), T).data
+    out = pool_matrix(L, T) @ x
     assert np.allclose(out.mean(axis=0), x.mean(axis=0), atol=1e-12)
 
 
@@ -214,8 +195,8 @@ def test_backward_accumulates_shared_input():
 def test_determinism_bitwise():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(5, 5))
-    a = softmax(Tensor(x)).data
-    b = softmax(Tensor(x.copy())).data
+    a = logsumexp(Tensor(x), axis=-1).data
+    b = logsumexp(Tensor(x.copy()), axis=-1).data
     assert a.tobytes() == b.tobytes()
 
 
@@ -248,13 +229,10 @@ OPS = {
     "add": (lambda a: a["x"] + a["y"], [("x", (3, 4), "any"), ("y", (3, 4), "any")]),
     "add_broadcast": (lambda a: a["x"] + a["y"], [("x", (3, 4), "any"), ("y", (1, 4), "any")]),
     "mul": (lambda a: a["x"] * a["y"], [("x", (3, 4), "any"), ("y", (3, 4), "any")]),
-    "div": (lambda a: ad.div(a["x"], a["y"]), [("x", (3, 4), "any"), ("y", (3, 4), "pos")]),
     "matmul": (lambda a: a["x"] @ a["y"], [("x", (3, 4), "any"), ("y", (4, 2), "any")]),
     "matmul_batched": (lambda a: a["x"] @ a["y"], [("x", (2, 3, 4), "any"), ("y", (2, 4, 2), "any")]),
-    "power": (lambda a: ad.power(a["x"], 3.0), [("x", (3, 3), "any")]),
     "exp": (lambda a: ad.texp(a["x"]), [("x", (3, 3), "any")]),
     "log": (lambda a: ad.tlog(a["x"]), [("x", (3, 3), "pos")]),
-    "tanh": (lambda a: ad.tanh(a["x"]), [("x", (3, 3), "any")]),
     "sigmoid": (lambda a: ad.sigmoid(a["x"]), [("x", (3, 3), "any")]),
     "relu": (lambda a: ad.relu(a["x"]), [("x", (4, 4), "nokink")]),
     "gelu": (lambda a: ad.gelu(a["x"]), [("x", (4, 4), "any")]),
@@ -262,19 +240,16 @@ OPS = {
     "sum_axis": (lambda a: a["x"].sum(axis=0), [("x", (3, 4), "any")]),
     "mean_keepdims": (lambda a: a["x"].mean(axis=1, keepdims=True), [("x", (3, 4), "any")]),
     "reshape": (lambda a: a["x"].reshape(2, 6), [("x", (3, 4), "any")]),
-    "transpose": (lambda a: a["x"].transpose(1, 0), [("x", (3, 4), "any")]),
     "concat": (lambda a: ad.concat([a["x"], a["y"]], axis=0), [("x", (2, 4), "any"), ("y", (3, 4), "any")]),
-    "stack": (lambda a: ad.stack([a["x"], a["y"]], axis=0), [("x", (3, 4), "any"), ("y", (3, 4), "any")]),
     "getitem_slice": (lambda a: a["x"][1:3, :2], [("x", (4, 4), "any")]),
     "index_rows": (lambda a: ad.index_rows(a["x"], np.array([0, 2, 2, 1])), [("x", (4, 3), "any")]),
-    "softmax": (lambda a: softmax(a["x"], axis=-1), [("x", (3, 5), "any")]),
     "logsumexp": (lambda a: logsumexp(a["x"], axis=-1), [("x", (3, 5), "any")]),
     "layer_norm": (lambda a: layer_norm(a["x"], a["g"], a["b"]),
                    [("x", (4, 6), "any"), ("g", (6,), "any"), ("b", (6,), "any")]),
     "conv1d_seq": (lambda a: conv1d_seq(a["x"], a["k"], a["b"]),
                    [("x", (5, 3), "any"), ("k", (3, 3, 2), "any"), ("b", (2,), "any")]),
-    "avg_pool_down": (lambda a: avg_pool_to(a["x"], 3), [("x", (7, 4), "any")]),
-    "avg_pool_up": (lambda a: avg_pool_to(a["x"], 9), [("x", (4, 4), "any")]),
+    "avg_pool_down": (lambda a: Tensor(pool_matrix(7, 3)) @ a["x"], [("x", (7, 4), "any")]),
+    "avg_pool_up": (lambda a: Tensor(pool_matrix(4, 9)) @ a["x"], [("x", (4, 4), "any")]),
     "attention": (lambda a: multi_head_attention(
         a["q"], a["k"], a["v"], 2,
         {"wq": a["wq"], "wk": a["wk"], "wv": a["wv"], "wo": a["wo"], "bo": a["bo"]}),

@@ -1,5 +1,6 @@
 """End-to-end command-line flows through main() with tiny configs."""
 import csv
+import dataclasses
 import json
 import struct
 
@@ -137,6 +138,59 @@ class TestExitCodes:
         assert main(["train", "--config", cfg, "--corpus", str(corpus),
                      "--out", str(tmp_path / "m.ckpt")]) == 1
         assert "error" in capsys.readouterr().err
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+BAD_CONFIGS = [({"model": {"d_h": "x"}}, "model.d_h"), ({"epochs": "3"}, "epochs"),
+               ({"optim": {"lr_other": None}}, "optim.lr_other"),
+               ({"model": {"entity_types": "PER"}}, "model.entity_types")]
+
+
+class TestBadInput:
+    """Bad configs and incompatible corpora leave with exit 1 and one error line."""
+
+    @pytest.mark.parametrize("bad,field", BAD_CONFIGS)
+    def test_train_config_value_type(self, tmp_path, capsys, bad, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert main(["train", "--config", str(path), "--corpus", str(tmp_path / "c.jsonl"),
+                     "--out", str(tmp_path / "m.ckpt")]) == 1
+        assert f"{field} must be" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("bad,field", BAD_CONFIGS)
+    def test_eval_checkpoint_config_value_type(self, tmp_path, capsys, bad, field):
+        blob = json.dumps({"manifest": [], "config": bad, "step": 0}).encode("utf-8")
+        path = tmp_path / "badconfig.ckpt"
+        path.write_bytes(struct.pack("<Q", len(blob)) + blob)
+        assert main(["eval", "--checkpoint", str(path)]) == 1
+        assert f"{field} must be" in _one_error_line(capsys)
+
+    def _mismatched(self, tmp_path):
+        """A corpus of 4x3 patch grids and a config whose model expects 16x8."""
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["gen", "--config", write_cfg(tmp_path), "--out", str(corpus)]) == 0
+        wide = dataclasses.replace(SMALL, n_p=16, d_in=8)
+        return corpus, write_cfg(tmp_path, model=wide), wide
+
+    def test_train_incompatible_corpus(self, tmp_path, capsys):
+        corpus, cfg, _ = self._mismatched(tmp_path)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--corpus", str(corpus),
+                     "--out", str(tmp_path / "m.ckpt")]) == 1
+        assert "frames[0] has shape (4, 3)" in _one_error_line(capsys)
+
+    def test_eval_incompatible_corpus(self, tmp_path, capsys):
+        corpus, _, wide = self._mismatched(tmp_path)
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(str(ckpt), init_params(wide, 0), RunConfig(model=wide), 0)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus)]) == 1
+        assert "frames[0] has shape (4, 3)" in _one_error_line(capsys)
 
 
 class TestMalformedCheckpoint:

@@ -1,5 +1,6 @@
 """Config validation, strict key handling and JSON round trips."""
 import dataclasses
+import json
 
 import pytest
 
@@ -127,6 +128,26 @@ def test_invalid_json_file(tmp_path):
     path.write_text("{nope")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(path)
+
+
+@pytest.mark.parametrize("bad,fragment", [
+    ({"model": {"d_h": "x"}}, "model.d_h must be int"),
+    ({"epochs": "3"}, "epochs must be int"),
+    ({"optim": {"lr_other": None}}, "optim.lr_other must be float"),
+    ({"model": {"entity_types": "PER"}}, "model.entity_types must be a list"),
+    ({"model": {"mmcm_enabled": 1}}, "model.mmcm_enabled must be bool"),
+    ({"gen": {"tokens_per_doc": [8, 12, 16]}}, "gen.tokens_per_doc must have 2 items"),
+])
+def test_value_types_checked(tmp_path, bad, fragment):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(ConfigError, match=fragment):
+        load_config(path)
+
+
+def test_int_accepted_where_float_expected():
+    cfg = config_from_dict({"optim": {"lr_other": 1}, "corpus_path": None})
+    assert cfg.optim.lr_other == 1 and cfg.corpus_path is None
 
 
 def test_loaded_config_is_validated(tmp_path):

@@ -22,7 +22,6 @@ from himie.heads import (
     pair_logit_matrix,
     repair_bio,
     spans_from_tags,
-    span_repr,
     total_loss,
 )
 
@@ -188,8 +187,18 @@ class TestPairHeads:
     def test_span_repr_is_token_mean(self):
         rng = np.random.default_rng(0)
         h = Tensor(rng.normal(size=(5, CFG.d_h)))
-        r = span_repr(h, Entity(1, 4, "PER"))
-        assert np.allclose(r.data, h.data[1:4].mean(axis=0), atol=1e-12)
+        r = entity_reprs(h, [Entity(1, 4, "PER")]).data[0]
+        assert np.allclose(r, h.data[1:4].mean(axis=0), atol=1e-12)
+
+    def test_span_and_chain_pooling_are_one_matmul_node(self):
+        p = ParamTree()
+        h = p.add("h", np.random.default_rng(3).normal(size=(6, CFG.d_h)))
+        er = entity_reprs(h, [Entity(0, 2, "PER"), Entity(3, 6, "LOC"), Entity(2, 3, "ORG")])
+        cr = chain_reprs(er, [[0, 2], [1]])
+        for out, parent in ((er, h), (cr, er)):
+            assert out._vjp.__qualname__.startswith("matmul.")
+            tensor_parents = [q for q in out._parents if q.requires_grad]
+            assert tensor_parents == [parent]
 
     def test_entity_reprs_empty(self):
         h = Tensor(np.zeros((3, CFG.d_h)))

@@ -1,11 +1,13 @@
 """Optimizer hand examples, training determinism, checkpoint round trips."""
+import dataclasses
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from himie.autodiff import NumericError, ParamTree
+from himie import trainer
+from himie.autodiff import ConfigError, NumericError, ParamTree
 from himie.config import GenConfig, ModelConfig, OptimConfig, RunConfig
 from himie.data import assign_modality_regime
 from himie.model import init_params
@@ -149,6 +151,41 @@ class TestTrain:
         first = train(cfg, corpus)
         resumed = train(cfg, corpus, params=first.params)
         assert resumed.step == len(corpus)  # counts only its own steps
+
+
+class TestCompatibility:
+    """A corpus the model cannot run is refused before the first step."""
+
+    def _refused(self, monkeypatch, cfg, corpus, match):
+        calls = []
+        monkeypatch.setattr(trainer, "forward", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigError, match=match):
+            train(cfg, corpus)
+        assert calls == []
+
+    @pytest.mark.parametrize("fractions", [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)])
+    def test_frame_shape_mismatch(self, monkeypatch, fractions):
+        # a 4x3 patch grid against the default 16x8 model, all full or all no_video
+        gen = GenConfig(docs=3, n_p=4, d_in=3, seed=0)
+        corpus = assign_modality_regime(generate(gen), fractions, 0)
+        self._refused(monkeypatch, RunConfig(gen=gen), corpus,
+                      r"document \S+: frames\[0\] has shape \(4, 3\), model.\(n_p, d_in\) is \(16, 8\)")
+
+    def test_too_many_tokens(self, monkeypatch):
+        cfg = small_run(model=dataclasses.replace(SMALL, max_len=7))
+        self._refused(monkeypatch, cfg, generate(cfg.gen),
+                      r"document \S+: \d+ tokens exceed model.max_len=7")
+
+    def test_too_many_frames(self, monkeypatch):
+        cfg = small_run(model=dataclasses.replace(SMALL, max_frames=1))
+        cfg.gen = dataclasses.replace(cfg.gen, frames_per_doc=(2, 2))
+        self._refused(monkeypatch, cfg, generate(cfg.gen),
+                      r"document \S+: 2 frames exceed model.max_frames=1")
+
+    def test_unknown_labels(self, monkeypatch):
+        cfg = small_run(model=dataclasses.replace(SMALL, entity_types=("PER",),
+                                                  grounding_types=("PER",)))
+        self._refused(monkeypatch, cfg, generate(cfg.gen), "entity labels unknown")
 
 
 class TestCheckpoint:
