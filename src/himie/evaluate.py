@@ -18,7 +18,7 @@ from .metrics import (ChainCounts, TaskOutputs, add_taxonomy, chain_counts,
                       error_breakdown, error_rates, grounding_counts,
                       mention_key, muc_prf, b_cubed_prf, ceaf_e_prf,
                       prf_from_counts, relation_counts)
-from .model import Prediction, check_compatible, predict
+from .model import Prediction, check_compatible, check_params, predict
 
 REGIMES = ("full", "no_text", "no_video")
 
@@ -123,6 +123,7 @@ def evaluate(params: ParamTree, cfg: RunConfig, corpus: Corpus) -> dict:
     if not corpus.documents:
         raise ConfigError("cannot evaluate an empty corpus")
     check_compatible(corpus, cfg.model)
+    check_params(params, cfg.model)
     pair_mode = "gold" if cfg.eval_mode == "gold-pairs" else "predicted"
     stats = [score_document(doc, predict(doc, params, cfg.model, pair_mode=pair_mode))
              for doc in corpus.documents]

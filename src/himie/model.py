@@ -66,6 +66,27 @@ def check_compatible(corpus: Corpus, cfg: ModelConfig) -> None:
                                   f"model.(n_p, d_in) is ({cfg.n_p}, {cfg.d_in})")
 
 
+def check_params(params: ParamTree, cfg: ModelConfig) -> None:
+    """Raise ConfigError unless `params` has the names, shapes and trainability
+    that `init_params(cfg)` builds, naming the first parameter that differs.
+
+    A checkpoint's manifest is checked only for its own consistency on load;
+    this is what ties it to the model config before train or eval runs it.
+    """
+    want = init_params(cfg, 0)
+    for name in sorted(set(want.names()) | set(params.names())):
+        if name not in params:
+            raise ConfigError(f"parameter {name} is missing; the model config needs it")
+        if name not in want:
+            raise ConfigError(f"parameter {name} is not part of the model config")
+        if params[name].shape != want[name].shape:
+            raise ConfigError(f"parameter {name} has shape {params[name].shape}, "
+                              f"the model config needs {want[name].shape}")
+        if params.is_trainable(name) != want.is_trainable(name):
+            state = "trainable" if params.is_trainable(name) else "frozen"
+            raise ConfigError(f"parameter {name} is {state}, unlike in the model config")
+
+
 def compute_features(doc: Document, params: ParamTree, cfg: ModelConfig, *,
                      vae_mode: str | None = None, rng=None,
                      kl_acc: list | None = None) -> tuple[Tensor, Tensor | None]:

@@ -3,6 +3,16 @@
 One document per optimizer step, seeded shuffled visit order, deterministic
 end to end: the same config and corpus produce bitwise-identical checkpoints.
 
+Optimizer memory: `init_adam` copies every trainable parameter into one flat
+float64 buffer, in lexicographic name order, and rebinds each tensor's `data`
+to its reshaped view of that buffer; Adam's `m` and `v` are two more buffers of
+the same layout, exposed as one view per name. Each step gathers the tensors'
+gradients into a fourth buffer and updates all three in place with
+whole-buffer ufuncs, so `train(params=p)` updates the tensors of `p` itself.
+An array taken from `p[name].data` before `train` is not the one it updates.
+All `encoder.*` names sort together, so each learning-rate group is a
+contiguous run of the buffer.
+
 Checkpoint layout: 8-byte little-endian header length, then a UTF-8 JSON
 header {manifest, config, step, rng_state} where the manifest lists (name,
 shape, trainable) in lexicographic name order, then the raw float64
@@ -10,6 +20,7 @@ little-endian row-major payload in manifest order.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -18,44 +29,97 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import NumericError, ParamTree
+from .autodiff import NumericError, ParamTree, Tensor
 from .config import RunConfig, config_from_dict, config_to_dict
 from .data import Corpus
-from .model import check_compatible, forward, init_params
+from .model import check_compatible, check_params, forward, init_params
 
 
 @dataclass
 class AdamState:
+    """Adam over the trainable parameters packed by `init_adam` (layout above).
+
+    `grad` and `scratch` are the step's working buffers.
+    """
+    values: np.ndarray
+    m_flat: np.ndarray
+    v_flat: np.ndarray
+    grad: np.ndarray
+    scratch: np.ndarray
+    # name, tensor, its view of `grad`
+    slots: list[tuple[str, Tensor, np.ndarray]] = field(default_factory=list)
+    # contiguous learning-rate runs: slice, OptimConfig field
+    groups: list[tuple[slice, str]] = field(default_factory=list)
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
 
 
-def init_adam(params: ParamTree) -> AdamState:
-    state = AdamState()
-    for name in params.trainable_names():
-        state.m[name] = np.zeros_like(params[name].data)
-        state.v[name] = np.zeros_like(params[name].data)
-    return state
+def _lr_field(name: str) -> str:
+    return "lr_encoder" if name.startswith("encoder.") else "lr_other"
 
 
 def group_lr(name: str, optim) -> float:
-    return optim.lr_encoder if name.startswith("encoder.") else optim.lr_other
+    return getattr(optim, _lr_field(name))
 
 
-def adam_step(params: ParamTree, grads: dict[str, np.ndarray], state: AdamState,
-              optim) -> None:
+def init_adam(params: ParamTree) -> AdamState:
+    """Pack the trainable parameters into one buffer and zero the moments."""
+    names = params.trainable_names()
+    n = sum(params[name].data.size for name in names)
+    state = AdamState(values=np.empty(n), m_flat=np.zeros(n), v_flat=np.zeros(n),
+                      grad=np.empty(n), scratch=np.empty(n))
+    start = 0
+    for key, run in itertools.groupby(names, _lr_field):
+        first = start
+        for name in run:
+            t = params[name]
+            stop = start + t.data.size
+            view = state.values[start:stop].reshape(t.data.shape)
+            view[...] = t.data
+            t.data = view
+            state.m[name] = state.m_flat[start:stop].reshape(view.shape)
+            state.v[name] = state.v_flat[start:stop].reshape(view.shape)
+            state.slots.append((name, t, state.grad[start:stop].reshape(view.shape)))
+            start = stop
+        state.groups.append((slice(first, start), key))
+    return state
+
+
+def adam_step(state: AdamState, optim) -> None:
+    """One Adam update of the packed parameters from the gradients on their tensors.
+
+    A tensor without a gradient counts as a zero gradient. Each term is one
+    in-place ufunc over the whole buffer, written as the per-parameter formula,
+    so the result is the same to the bit.
+    """
+    g, s = state.grad, state.scratch
+    for _name, t, view in state.slots:
+        if t.grad is None:
+            view.fill(0.0)
+        else:
+            view[...] = t.grad
+    if not np.isfinite(g).all():
+        name = next(name for name, _t, view in state.slots if not np.isfinite(view).all())
+        raise NumericError(f"non-finite gradient in parameter {name}")
     state.t += 1
     b1, b2, eps = optim.beta1, optim.beta2, optim.eps
-    for name in params.trainable_names():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in parameter {name}")
-        m = state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        v = state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** state.t)
-        v_hat = v / (1.0 - b2 ** state.t)
-        params[name].data -= group_lr(name, optim) * m_hat / (np.sqrt(v_hat) + eps)
+    m, v = state.m_flat, state.v_flat
+    np.multiply(b1, m, out=m)  # m = b1*m + (1-b1)*g
+    np.multiply(1.0 - b1, g, out=s)
+    np.add(m, s, out=m)
+    np.multiply(b2, v, out=v)  # v = b2*v + ((1-b2)*g)*g
+    np.multiply(1.0 - b2, g, out=s)
+    np.multiply(s, g, out=s)
+    np.add(v, s, out=v)
+    np.divide(m, 1.0 - b1 ** state.t, out=g)  # g = m_hat
+    np.divide(v, 1.0 - b2 ** state.t, out=s)  # s = sqrt(v_hat) + eps
+    np.sqrt(s, out=s)
+    np.add(s, eps, out=s)
+    for run, lr_field in state.groups:
+        np.multiply(getattr(optim, lr_field), g[run], out=g[run])
+    np.divide(g, s, out=g)
+    np.subtract(state.values, g, out=state.values)
 
 
 @dataclass
@@ -80,6 +144,8 @@ def train(cfg: RunConfig, corpus: Corpus,
     check_compatible(corpus, cfg.model)
     if params is None:
         params = init_params(cfg.model, cfg.seed)
+    else:
+        check_params(params, cfg.model)
     state = init_adam(params)
     order_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 7)))
     sample_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 11)))
@@ -96,7 +162,7 @@ def train(cfg: RunConfig, corpus: Corpus,
                 raise NumericError(f"non-finite loss at step {step} on document {doc.id}")
             params.zero_grad()
             res.loss.backward()
-            adam_step(params, params.grads(), state, cfg.optim)
+            adam_step(state, cfg.optim)
             comps = {name: (float(v.data) if v is not None else 0.0)
                      for name, (v, _cnt) in res.parts.named().items()}
             log.append(StepRecord(step, doc.id, total, comps))

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from himie.autodiff import ParamTree
 from himie.cli import main
 from himie.config import GenConfig, ModelConfig, RunConfig, save_config
 from himie.model import init_params
@@ -191,6 +192,31 @@ class TestBadInput:
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus)]) == 1
         assert "frames[0] has shape (4, 3)" in _one_error_line(capsys)
+
+
+class TestCheckpointParams:
+    """A checkpoint whose parameters do not fit its model config: exit 1, one line."""
+
+    @pytest.mark.parametrize("edit,message", [
+        ("missing", "parameter heads.crf.trans is missing"),
+        ("shape", "parameter heads.crf.trans has shape"),
+    ])
+    def test_eval_refuses(self, tmp_path, capsys, edit, message):
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["gen", "--config", write_cfg(tmp_path), "--out", str(corpus)]) == 0
+        ref, params = init_params(SMALL, 0), ParamTree()
+        for name, t in ref.items():
+            value = t.data
+            if name == "heads.crf.trans":
+                if edit == "missing":
+                    continue
+                value = value[:, :-1]
+            params.add(name, value, trainable=ref.is_trainable(name))
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(str(ckpt), params, RunConfig(model=SMALL), 0)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus)]) == 1
+        assert message in _one_error_line(capsys)
 
 
 class TestMalformedCheckpoint:

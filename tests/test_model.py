@@ -5,10 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from himie.autodiff import gradcheck
+from himie.autodiff import ConfigError, ParamTree, gradcheck
 from himie.config import GenConfig, LossConfig, ModelConfig
 from himie.data import Document, Entity, Region, Relation
-from himie.model import compute_features, forward, init_params, predict
+from himie.model import check_params, compute_features, forward, init_params, predict
 from himie.synth import generate
 
 CFG = ModelConfig(d_h=8, n_l=6, heads=2, n_p=4, d_in=3, d_vae=4, prompt_len=3,
@@ -53,6 +53,40 @@ class TestInit:
         names = init_params(CFG, seed=0).names()
         for prefix in ("encoder.text.", "encoder.frames.", "dffm.", "mmcm.", "heads."):
             assert any(n.startswith(prefix) for n in names), prefix
+
+
+def damaged(edit: str) -> ParamTree:
+    """init_params(CFG) with one parameter removed, added, reshaped or frozen."""
+    ref = init_params(CFG, 0)
+    out = ParamTree()
+    for name, t in ref.items():
+        if edit == "missing" and name == "heads.crf.trans":
+            continue
+        value = t.data[:-1] if edit == "shape" and name == "heads.crf.trans" else t.data
+        frozen = edit == "frozen" and name == "heads.crf.trans"
+        out.add(name, value, trainable=ref.is_trainable(name) and not frozen)
+    if edit == "extra":
+        out.add("heads.crf.extra", np.zeros(2))
+    return out
+
+
+class TestCheckParams:
+    def test_init_params_pass(self):
+        check_params(init_params(CFG, 5), CFG)
+
+    @pytest.mark.parametrize("edit,message", [
+        ("missing", "parameter heads.crf.trans is missing"),
+        ("extra", "parameter heads.crf.extra is not part of the model config"),
+        ("shape", r"parameter heads.crf.trans has shape \(\d+, \d+\), the model config"),
+        ("frozen", "parameter heads.crf.trans is frozen"),
+    ])
+    def test_first_difference_named(self, edit, message):
+        with pytest.raises(ConfigError, match=message):
+            check_params(damaged(edit), CFG)
+
+    def test_other_config_rejected(self):
+        with pytest.raises(ConfigError, match="has shape"):
+            check_params(init_params(dataclasses.replace(CFG, d_h=12), 0), CFG)
 
 
 class TestRouting:

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from himie import trainer
-from himie.autodiff import ConfigError, NumericError, ParamTree
+from himie.autodiff import ConfigError, NumericError, ParamTree, gradcheck
 from himie.config import GenConfig, ModelConfig, OptimConfig, RunConfig
 from himie.data import assign_modality_regime
-from himie.model import init_params
+from himie.model import forward, init_params
 from himie.synth import generate
 from himie.trainer import (
     CheckpointError,
@@ -37,6 +37,26 @@ def small_run(**over) -> RunConfig:
     return RunConfig(**base)
 
 
+def reference_adam_step(params, grads, m, v, t, optim):
+    """The per-parameter Adam loop the packed `adam_step` must equal bit for bit."""
+    b1, b2, eps = optim.beta1, optim.beta2, optim.eps
+    for name in params.trainable_names():
+        g = grads[name]
+        m[name] = b1 * m[name] + (1.0 - b1) * g
+        v[name] = b2 * v[name] + (1.0 - b2) * g * g
+        m_hat = m[name] / (1.0 - b1 ** t)
+        v_hat = v[name] / (1.0 - b2 ** t)
+        params[name].data -= group_lr(name, optim) * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def step(params, state, grads, optim):
+    """Put `grads` on the tensors, as backward() does, then take one Adam step."""
+    params.zero_grad()
+    for name, g in grads.items():
+        params[name].grad = g
+    adam_step(state, optim)
+
+
 class TestAdam:
     def _one_param(self, value):
         p = ParamTree()
@@ -48,13 +68,13 @@ class TestAdam:
         # step moves by exactly lr (up to eps)
         p = self._one_param(1.0)
         state = init_adam(p)
-        adam_step(p, {"w": np.array([1.0])}, state, OptimConfig(lr_other=1e-3))
+        step(p, state, {"w": np.array([1.0])}, OptimConfig(lr_other=1e-3))
         assert abs(p["w"].data[0] - 0.999) < 1e-6
 
     def test_zero_gradient_fixed_point(self):
         p = self._one_param(2.5)
         state = init_adam(p)
-        adam_step(p, {"w": np.array([0.0])}, state, OptimConfig())
+        step(p, state, {"w": np.array([0.0])}, OptimConfig())
         assert p["w"].data[0] == 2.5
         assert not np.any(state.m["w"]) and not np.any(state.v["w"])
 
@@ -62,7 +82,25 @@ class TestAdam:
         p = self._one_param(1.0)
         state = init_adam(p)
         with pytest.raises(NumericError, match="non-finite gradient.*w"):
-            adam_step(p, {"w": np.array([np.nan])}, state, OptimConfig())
+            step(p, state, {"w": np.array([np.nan])}, OptimConfig())
+
+    def test_non_finite_gradient_names_first_and_changes_nothing(self):
+        p = ParamTree()
+        for name in ("a", "b", "c", "d"):
+            p.add(name, np.arange(3.0))
+        state = init_adam(p)
+        optim = OptimConfig()
+        step(p, state, {n: np.ones(3) for n in p.names()}, optim)
+        before = ({n: p[n].data.copy() for n in p.names()},
+                  {n: a.copy() for n, a in state.m.items()},
+                  {n: a.copy() for n, a in state.v.items()}, state.t)
+        with pytest.raises(NumericError, match="non-finite gradient in parameter b$"):
+            step(p, state, {"a": np.ones(3), "b": np.array([1.0, np.inf, 1.0]),
+                            "d": np.array([np.nan, 1.0, 1.0])}, optim)
+        after = ({n: p[n].data for n in p.names()}, state.m, state.v, state.t)
+        for old, new in zip(before[:3], after[:3]):
+            assert all(np.array_equal(old[n], new[n]) for n in old)
+        assert after[3] == before[3] == 1
 
     def test_frozen_params_excluded(self):
         p = ParamTree()
@@ -70,7 +108,7 @@ class TestAdam:
         p.add("c", np.ones(2), trainable=False)
         state = init_adam(p)
         assert "c" not in state.m
-        adam_step(p, {"w": np.ones(2)}, state, OptimConfig())
+        step(p, state, {"w": np.ones(2), "c": np.ones(2)}, OptimConfig())
         assert np.array_equal(p["c"].data, np.ones(2))
 
     def test_group_assignment(self):
@@ -94,10 +132,67 @@ class TestAdam:
         p.add("heads.w", np.array([1.0]))
         state = init_adam(p)
         optim = OptimConfig(lr_encoder=1e-4, lr_other=1e-2)
-        adam_step(p, {"encoder.w": np.array([1.0]), "heads.w": np.array([1.0])},
-                  state, optim)
+        step(p, state, {"encoder.w": np.array([1.0]), "heads.w": np.array([1.0])}, optim)
         assert abs(p["encoder.w"].data[0] - (1 - 1e-4)) < 1e-7
         assert abs(p["heads.w"].data[0] - (1 - 1e-2)) < 1e-5
+
+    def test_packed_step_equals_per_parameter_loop(self):
+        # both learning-rate groups with a run on each side of `encoder.*`, a
+        # frozen parameter, a one-element and a 0-d parameter, an all-zero
+        # gradient and a parameter no gradient reaches; values start near zero
+        # so that an update differing in its last bit shows in the parameters
+        shapes = {"dffm.w": (3, 4), "encoder.a": (5,), "encoder.one": (1,),
+                  "encoder.z": (2, 2), "heads.b": (4, 3), "heads.frozen": (2,),
+                  "heads.none": (3,), "mmcm.s": ()}
+        rng = np.random.default_rng(0)
+        packed, loop = ParamTree(), ParamTree()
+        for name, shape in shapes.items():
+            value = 1e-6 * rng.normal(size=shape)
+            packed.add(name, value.copy(), trainable=name != "heads.frozen")
+            loop.add(name, value.copy(), trainable=name != "heads.frozen")
+        optim = OptimConfig(lr_encoder=3e-4, lr_other=1e-2)
+        state = init_adam(packed)
+        m = {n: np.zeros(shapes[n]) for n in loop.trainable_names()}
+        v = {n: np.zeros(shapes[n]) for n in loop.trainable_names()}
+        for t in (1, 2, 3):
+            grads = {n: rng.normal(size=shapes[n]) for n in shapes if n != "heads.none"}
+            grads["encoder.z"] = np.zeros((2, 2))
+            step(packed, state, grads, optim)
+            grads["heads.none"] = np.zeros(3)
+            reference_adam_step(loop, grads, m, v, t, optim)
+        assert state.t == 3
+        for name in shapes:
+            assert packed[name].data.tobytes() == loop[name].data.tobytes(), name
+        assert state.m.keys() == m.keys() and state.v.keys() == v.keys()
+        for name in m:
+            assert state.m[name].tobytes() == m[name].tobytes(), name
+            assert state.v[name].tobytes() == v[name].tobytes(), name
+
+    def test_packing_keeps_values_and_shares_memory(self):
+        p = init_params(SMALL, 0)
+        ref = init_params(SMALL, 0)
+        state = init_adam(p)
+        for name in p.trainable_names():
+            assert np.array_equal(p[name].data, ref[name].data), name
+            assert np.shares_memory(p[name].data, state.values), name
+        # a write through a tensor shows in the buffer and the other way round
+        name = p.trainable_names()[0]
+        p[name].data.reshape(-1)[0] = 7.0
+        assert state.values[0] == 7.0
+        state.values[0] = 8.0
+        assert p[name].data.reshape(-1)[0] == 8.0
+
+    def test_gradcheck_on_packed_tree(self):
+        cfg = small_run()
+        doc = assign_modality_regime(generate(cfg.gen), (1.0, 0.0, 0.0), 0).documents[0]
+        params = init_params(cfg.model, 0)
+        init_adam(params)
+        before = {n: params[n].data.copy() for n in params.names()}
+        report = gradcheck(lambda: forward(doc, params, cfg.model, cfg.loss).loss,
+                           params, samples=20, seed=0)
+        assert report.ok(), report.worst()
+        for name, value in before.items():
+            assert np.array_equal(params[name].data, value), name
 
 
 class TestTrain:
@@ -152,6 +247,33 @@ class TestTrain:
         resumed = train(cfg, corpus, params=first.params)
         assert resumed.step == len(corpus)  # counts only its own steps
 
+    def test_given_params_updated_in_place(self):
+        cfg = small_run(epochs=1)
+        corpus = generate(cfg.gen)
+        params = init_params(cfg.model, cfg.seed)
+        tensors = dict(params.items())
+        out = train(cfg, corpus, params=params)
+        assert out.params is params
+        assert all(params[n] is t for n, t in tensors.items())
+        fresh = train(cfg, corpus)
+        for n in params.names():
+            assert params[n].data.tobytes() == fresh.params[n].data.tobytes(), n
+        assert not np.array_equal(params["heads.crf.trans"].data,
+                                  init_params(cfg.model, cfg.seed)["heads.crf.trans"].data)
+
+    def test_second_train_repacks_trained_params(self):
+        # training an already packed tree equals training an unpacked copy of it
+        cfg = small_run(epochs=1)
+        corpus = generate(cfg.gen)
+        first = train(cfg, corpus)
+        copy = ParamTree()
+        for n, t in first.params.items():
+            copy.add(n, t.data.copy(), trainable=first.params.is_trainable(n))
+        again = train(cfg, corpus, params=first.params)
+        ref = train(cfg, corpus, params=copy)
+        for n in ref.params.names():
+            assert again.params[n].data.tobytes() == ref.params[n].data.tobytes(), n
+
 
 class TestCompatibility:
     """A corpus the model cannot run is refused before the first step."""
@@ -186,6 +308,15 @@ class TestCompatibility:
         cfg = small_run(model=dataclasses.replace(SMALL, entity_types=("PER",),
                                                   grounding_types=("PER",)))
         self._refused(monkeypatch, cfg, generate(cfg.gen), "entity labels unknown")
+
+    def test_given_params_mismatch(self, monkeypatch):
+        cfg = small_run()
+        params = init_params(dataclasses.replace(SMALL, d_h=12), 0)
+        calls = []
+        monkeypatch.setattr(trainer, "forward", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigError, match=r"parameter \S+ has shape"):
+            train(cfg, generate(cfg.gen), params=params)
+        assert calls == []
 
 
 class TestCheckpoint:
