@@ -50,11 +50,11 @@ def cmd_train(args) -> int:
     corpus_path = args.corpus or cfg.corpus_path
     if not corpus_path:
         raise ConfigError("train needs --corpus or corpus_path in the config")
-    corpus = load_corpus(corpus_path)
-    result = train(cfg, corpus)
     out = args.out or cfg.checkpoint_path
     if not out:
         raise ConfigError("train needs --out or checkpoint_path in the config")
+    corpus = load_corpus(corpus_path)
+    result = train(cfg, corpus)
     save_checkpoint(out, result.params, cfg, result.step, result.rng_state)
     if args.log:
         save_step_log(args.log, result.log)
@@ -100,24 +100,28 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
+def _sweep_values(axis: str, text: str) -> list:
+    parse = {"prompt_len": int, "missing_ratio": float}.get(axis, str)
+    values = []
+    for tok in text.split(","):
+        tok = tok.strip()
+        try:
+            values.append(parse(tok))
+        except ValueError:
+            raise ConfigError(f"sweep --values: {tok!r} is not a valid {axis} value") from None
+    return values
+
+
 def cmd_sweep(args) -> int:
     cfg = _cfg(args)
+    if not args.out:
+        raise ConfigError("sweep needs --out for the CSV table")
+    values = _sweep_values(args.axis, args.values)
     if args.corpus or cfg.corpus_path:
         corpus = load_corpus(args.corpus or cfg.corpus_path)
     else:
         corpus = synth.generate(cfg.gen)
-    values: list = []
-    for tok in args.values.split(","):
-        tok = tok.strip()
-        if args.axis == "prompt_len":
-            values.append(int(tok))
-        elif args.axis == "missing_ratio":
-            values.append(float(tok))
-        else:
-            values.append(tok)
     rows = sweep(cfg, corpus, args.axis, values)
-    if not args.out:
-        raise ConfigError("sweep needs --out for the CSV table")
     save_sweep_csv(args.out, rows)
     print(f"swept {args.axis} over {values}; table written to {args.out}")
     return 0
@@ -141,23 +145,30 @@ def _fmt_section(name: str, sec: dict) -> list[str]:
 
 
 def cmd_report(args) -> int:
-    with open(args.report, "r", encoding="utf-8") as f:
-        rep = json.load(f)
-    lines = _fmt_section("overall", rep)
-    for regime, sec in rep.get("regimes", {}).items():
-        if sec["n_documents"]:
-            lines.extend(_fmt_section(regime, sec))
+    # render everything before writing anything, so a file that is not a
+    # report fails with one error line
+    try:
+        with open(args.report, "r", encoding="utf-8") as f:
+            rep = json.load(f)
+        sections = [("overall", rep)] + list(rep.get("regimes", {}).items())
+        lines, rows = [], []
+        for name, sec in sections:
+            if name == "overall" or sec["n_documents"]:
+                lines.extend(_fmt_section(name, sec))
+            for task in ("ent", "cha", "rel", "gro"):
+                s = sec[task]
+                rows.append([name, task, s["precision"], s["recall"], s["f1"]])
+            rows.append([name, "avg", "", "", sec["avg"]])
+    except KeyError as e:
+        raise ConfigError(f"{args.report} is not a report: missing field {e}") from None
+    except (ValueError, TypeError, AttributeError) as e:
+        raise ConfigError(f"{args.report} is not a report: {e}") from None
     print("\n".join(lines))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as f:
             w = csv.writer(f)
             w.writerow(["section", "task", "precision", "recall", "f1"])
-            sections = [("overall", rep)] + list(rep.get("regimes", {}).items())
-            for name, sec in sections:
-                for task in ("ent", "cha", "rel", "gro"):
-                    s = sec[task]
-                    w.writerow([name, task, s["precision"], s["recall"], s["f1"]])
-                w.writerow([name, "avg", "", "", sec["avg"]])
+            w.writerows(rows)
         print(f"plot data written to {args.out}")
     return 0
 
@@ -213,7 +224,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValidationError, ParseError, CheckpointError, FileNotFoundError) as e:
+    except (ConfigError, ValidationError, ParseError, CheckpointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except NumericError as e:

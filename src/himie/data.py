@@ -330,7 +330,12 @@ def parse_corpus(source: str | Path, *, is_path: bool | None = None) -> Corpus:
     if is_path is None:
         is_path = isinstance(source, Path)
     if is_path:
-        text = Path(source).read_text(encoding="utf-8")
+        data = Path(source).read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(data.count(b"\n", 0, e.start) + 1,
+                             f"invalid UTF-8: {e.reason}") from None
         prov = {"source": "file", "path": str(source)}
     else:
         text = str(source)
@@ -345,7 +350,7 @@ def parse_corpus(source: str | Path, *, is_path: bool | None = None) -> Corpus:
             raise ParseError(ln, f"invalid JSON: {e.msg}") from e
         try:
             doc = document_from_obj(obj)
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ParseError(ln, str(e)) from e
         bad = validate(doc)
         if bad:

@@ -1,8 +1,10 @@
 """Task heads over the fused features and the training loss assembly.
 
 Entity head: linear emissions into a linear-chain CRF (transition matrix plus
-start/end scores, log-space forward algorithm, Viterbi decode with lowest-
-index tie-break, BIO repair on the decoded tags).
+start/end scores). The loss is one tape node: a log-space forward pass in
+numpy, and a hand-derived backward pass by the alpha adjoint, which yields the
+forward-backward marginals. Decoding is Viterbi with lowest-index tie-break,
+then BIO repair on the decoded tags.
 
 Coreference: a binary classifier on the Hadamard product of the two mentions'
 mean-pooled span representations; chains are the union-find closure of the
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, add, index_rows, logsumexp, matmul,
-                       reshape, sigmoid, tabs, tmean, tsum)
+from .autodiff import (Tensor, add, index_rows, logsumexp, matmul, sigmoid,
+                       tabs, tmean)
 from .config import LossConfig, ModelConfig
 from .data import Document, Entity, Region
 
@@ -142,23 +144,54 @@ def init_heads(scope, cfg: ModelConfig, rng) -> None:
 
 
 def crf_nll(h_text: Tensor, gold_ids, scope, tagset: TagSet) -> Tensor:
-    """Sequence negative log-likelihood: log Z - score(gold)."""
+    """Sequence negative log-likelihood log Z - score(gold), as one tape node.
+
+    The forward pass runs the log-space alpha recursion and keeps alpha
+    [L, K]. The backward pass is derived by hand: w[t-1][i, j] is the
+    softmax weight of i in the log-sum-exp that gives alpha[t][j], and the
+    alpha adjoints G[t-1] = w[t-1] @ G[t] from G[L-1] = softmax(alpha[L-1] +
+    end) are the unary marginals. Gradients are the expected minus the gold
+    counts (Lafferty et al. 2001).
+    """
     gold_ids = np.asarray(gold_ids, dtype=np.intp)
     check_bio(gold_ids, tagset)
     emis = matmul(h_text, scope["emission"])
-    L = emis.data.shape[0]
     trans, start, end = scope["trans"], scope["start"], scope["end"]
+    e, tr = emis.data, trans.data
+    L, K = e.shape
+    steps = np.arange(L)
 
-    score = tsum(emis[np.arange(L), gold_ids]) + start[int(gold_ids[0])] + end[int(gold_ids[-1])]
+    score = e[steps, gold_ids].sum() + start.data[gold_ids[0]] + end.data[gold_ids[-1]]
     if L > 1:
-        score = score + tsum(trans[gold_ids[:-1], gold_ids[1:]])
+        score = score + tr[gold_ids[:-1], gold_ids[1:]].sum()
 
-    alpha = add(emis[0], start)
+    alpha = np.empty((L, K))
+    alpha[0] = e[0] + start.data
     for t in range(1, L):
-        prev = reshape(alpha, (len(tagset.tags), 1))
-        alpha = add(logsumexp(add(prev, trans), axis=0), emis[t])
-    log_z = logsumexp(add(alpha, end), axis=0)
-    return log_z - score
+        a = alpha[t - 1][:, None] + tr
+        m = a.max(axis=0)
+        alpha[t] = (np.log(np.exp(a - m).sum(axis=0)) + m) + e[t]
+    a = alpha[L - 1] + end.data
+    m = a.max()
+    p_last = np.exp(a - m)
+    s = p_last.sum()
+    log_z = np.log(s) + m
+
+    def vjp(g):
+        w = np.exp(alpha[:-1, :, None] + tr - (alpha[1:] - e[1:])[:, None, :])
+        G = np.empty((L, K))
+        G[L - 1] = p_last / s
+        for t in range(L - 1, 0, -1):
+            G[t - 1] = w[t - 1] @ G[t]
+        d_emis = G.copy()
+        d_emis[steps, gold_ids] -= 1.0
+        d_end = G[L - 1].copy()
+        d_end[gold_ids[-1]] -= 1.0
+        d_trans = np.einsum("tij,tj->ij", w, G[1:])
+        np.add.at(d_trans, (gold_ids[:-1], gold_ids[1:]), -1.0)
+        return g * d_emis, g * d_trans, g * d_emis[0], g * d_end
+
+    return Tensor._result(log_z - score, (emis, trans, start, end), vjp)
 
 
 def crf_log_z_bruteforce(emis: np.ndarray, trans: np.ndarray, start: np.ndarray,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import NumericError, ParamTree, Tensor
+from .autodiff import ConfigError, NumericError, ParamTree, Tensor
 from .config import RunConfig, config_from_dict, config_to_dict
 from .data import Corpus
 from .model import check_compatible, check_params, forward, init_params
@@ -217,6 +217,9 @@ def _read_header(f, path: str, size: int) -> dict:
                 and all(type(n) is int and n >= 0 for n in entry["shape"])
                 and isinstance(entry.get("trainable"), bool)):
             raise CheckpointError(f"bad manifest entry {entry!r:.80} in {path}")
+    names = [entry["name"] for entry in header["manifest"]]
+    if len(set(names)) != len(names):
+        raise CheckpointError(f"duplicate parameter names in the manifest of {path}")
     return header
 
 
@@ -238,7 +241,10 @@ def load_checkpoint(path: str) -> tuple[ParamTree, RunConfig, int, dict | None]:
             buf = f.read(8 * math.prod(shape))
             arr = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
             params.add(entry["name"], arr, trainable=entry["trainable"])
-    cfg = config_from_dict(header["config"])
+    try:
+        cfg = config_from_dict(header["config"])
+    except ConfigError as e:
+        raise CheckpointError(f"checkpoint config in {path}: {e}") from None
     return params, cfg, header["step"], header.get("rng_state")
 
 

@@ -171,6 +171,39 @@ class TestBadInput:
         assert main(["eval", "--checkpoint", str(path)]) == 1
         assert f"{field} must be" in _one_error_line(capsys)
 
+    @staticmethod
+    def _bad_input(tmp_path, kind):
+        """argv for `kind` of bad input, and a fragment of the error line it gives."""
+        cfg = write_cfg(tmp_path)
+        corpus = tmp_path / "corpus.jsonl"
+        report = tmp_path / "report.json"
+        if kind == "corpus_is_directory":
+            return ["train", "--config", cfg, "--corpus", str(tmp_path),
+                    "--out", str(tmp_path / "m.ckpt")], "Is a directory"
+        if kind == "corpus_not_utf8":
+            corpus.write_bytes(b"\n\xff\xfe{}\n")
+            return ["train", "--config", cfg, "--corpus", str(corpus),
+                    "--out", str(tmp_path / "m.ckpt")], "line 2: invalid UTF-8"
+        if kind == "report_not_json":
+            report.write_text("not json\n")
+            return ["report", "--report", str(report)], "is not a report: Expecting value"
+        if kind == "report_empty_object":
+            report.write_text("{}\n")
+            return ["report", "--report", str(report)], "missing field 'n_documents'"
+        if kind == "sweep_bad_value":
+            return ["sweep", "--config", cfg, "--axis", "prompt_len", "--values", "2,x",
+                    "--out", str(tmp_path / "s.csv")], "'x' is not a valid prompt_len value"
+        raise AssertionError(kind)
+
+    @pytest.mark.parametrize("kind", ["corpus_is_directory", "corpus_not_utf8",
+                                      "report_not_json", "report_empty_object",
+                                      "sweep_bad_value"])
+    def test_loader_error(self, tmp_path, capsys, kind):
+        argv, fragment = self._bad_input(tmp_path, kind)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert fragment in _one_error_line(capsys)
+
     def _mismatched(self, tmp_path):
         """A corpus of 4x3 patch grids and a config whose model expects 16x8."""
         corpus = tmp_path / "corpus.jsonl"
@@ -192,6 +225,29 @@ class TestBadInput:
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus)]) == 1
         assert "frames[0] has shape (4, 3)" in _one_error_line(capsys)
+
+
+class TestOutputPathFirst:
+    """Without an output path, train and sweep refuse before any training."""
+
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        raise AssertionError("trained without an output path")
+
+    def test_train_without_out(self, tmp_path, capsys, monkeypatch):
+        cfg = write_cfg(tmp_path)
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["gen", "--config", cfg, "--out", str(corpus)]) == 0
+        monkeypatch.setattr("himie.cli.train", self._refuse)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--corpus", str(corpus)]) == 1
+        assert "train needs --out" in _one_error_line(capsys)
+
+    def test_sweep_without_out(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("himie.cli.sweep", self._refuse)
+        assert main(["sweep", "--config", write_cfg(tmp_path), "--axis", "prompt_len",
+                     "--values", "2,3"]) == 1
+        assert "sweep needs --out" in _one_error_line(capsys)
 
 
 class TestCheckpointParams:
@@ -246,6 +302,14 @@ class TestMalformedCheckpoint:
         save_checkpoint(str(path), init_params(SMALL, 0), RunConfig(model=SMALL), 0)
         path.write_bytes(path.read_bytes()[:keep])
         assert message in self._eval_error(path, capsys)
+
+    def test_duplicate_parameter_names(self, tmp_path, capsys):
+        entry = {"name": "w", "shape": [1], "trainable": True}
+        blob = json.dumps({"manifest": [entry, entry], "config": {},
+                           "step": 0}).encode("utf-8")
+        path = tmp_path / "duplicate.ckpt"
+        path.write_bytes(struct.pack("<Q", len(blob)) + blob + bytes(16))
+        assert "duplicate parameter names" in self._eval_error(path, capsys)
 
     def test_header_without_config(self, tmp_path, capsys):
         blob = json.dumps({"manifest": [], "step": 0}).encode("utf-8")

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from himie.autodiff import ParamTree, Tensor, gradcheck
+from himie.autodiff import (ParamTree, Tensor, add, gradcheck, logsumexp, matmul,
+                            reshape, tsum)
 from himie.config import LossConfig, ModelConfig
 from himie.data import Document, Entity, Region, Relation
 from himie.heads import (
@@ -43,6 +44,40 @@ def zero_crf(n_tags: int, d: int) -> ParamTree:
     c.add("start", np.zeros(n_tags))
     c.add("end", np.zeros(n_tags))
     return p
+
+
+def reference_crf_nll(h_text, gold_ids, scope, tagset):
+    """The CRF loss as a per-token tape recursion: the oracle for the fused node."""
+    gold_ids = np.asarray(gold_ids, dtype=np.intp)
+    emis = matmul(h_text, scope["emission"])
+    L = emis.data.shape[0]
+    trans, start, end = scope["trans"], scope["start"], scope["end"]
+
+    score = tsum(emis[np.arange(L), gold_ids]) + start[int(gold_ids[0])] + end[int(gold_ids[-1])]
+    if L > 1:
+        score = score + tsum(trans[gold_ids[:-1], gold_ids[1:]])
+
+    alpha = add(emis[0], start)
+    for t in range(1, L):
+        prev = reshape(alpha, (len(tagset.tags), 1))
+        alpha = add(logsumexp(add(prev, trans), axis=0), emis[t])
+    log_z = logsumexp(add(alpha, end), axis=0)
+    return log_z - score
+
+
+def random_crf(L: int, seed: int, scale: float = 1.0) -> tuple[ParamTree, np.ndarray]:
+    """A trainable `h` [L, d_h] and a `crf` scope with random transitions and
+    boundary scores, plus a random valid BIO gold sequence."""
+    rng = np.random.default_rng(seed)
+    K = len(TAGS)
+    p = ParamTree()
+    p.add("h", rng.normal(size=(L, CFG.d_h)))
+    c = p.scoped("crf")
+    c.add("emission", rng.normal(size=(CFG.d_h, K)) * scale / np.sqrt(CFG.d_h))
+    c.add("trans", rng.normal(size=(K, K)))
+    c.add("start", rng.normal(size=K))
+    c.add("end", rng.normal(size=K))
+    return p, np.asarray(repair_bio(rng.integers(0, K, size=L), TAGS))
 
 
 def make_doc(**over) -> Document:
@@ -180,6 +215,63 @@ class TestCrf:
                                      chains=[[0]], relations=[], regions=[]), TAGS)
         report = gradcheck(lambda: crf_nll(h, gold, p.scoped("heads.crf"), TAGS),
                            p, samples=40, seed=2)
+        assert report.ok(1e-4), report.worst()
+
+
+class TestFusedCrf:
+    """`crf_nll` is one tape node; the per-token tape recursion is its oracle."""
+
+    @staticmethod
+    def value_and_grads(fn, p, gold):
+        """The loss and the gradients of 0.37 * loss (a non-unit upstream gradient)."""
+        p.zero_grad()
+        loss = fn(p["h"], gold, p.scoped("crf"), TAGS)
+        (loss * 0.37).backward()
+        return float(loss.data), {n: g.copy() for n, g in p.grads().items()}
+
+    @pytest.mark.parametrize("L", [1, 2, 7, 200])
+    def test_matches_tape_recursion(self, L):
+        p, gold = random_crf(L, seed=L)
+        value, grads = self.value_and_grads(crf_nll, p, gold)
+        ref_value, ref_grads = self.value_and_grads(reference_crf_nll, p, gold)
+        assert abs(value - ref_value) <= 1e-10 * max(1.0, abs(ref_value))
+        assert sorted(grads) == ["crf.emission", "crf.end", "crf.start", "crf.trans", "h"]
+        for name, ref in ref_grads.items():
+            np.testing.assert_allclose(grads[name], ref, rtol=1e-10, atol=1e-10,
+                                       err_msg=name)
+
+    def test_one_node_over_emissions_and_scores(self, monkeypatch):
+        p, gold = random_crf(7, seed=1)
+        made = []
+        make_result = Tensor._result
+
+        def counted(data, parents, vjp):
+            made.append(vjp.__qualname__.split(".", 1)[0])
+            return make_result(data, parents, vjp)
+
+        monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
+        loss = crf_nll(p["h"], gold, p.scoped("crf"), TAGS)
+        monkeypatch.undo()
+        assert made == ["matmul", "crf_nll"]
+        emis, trans, start, end = loss._parents
+        assert (trans, start, end) == (p["crf.trans"], p["crf.start"], p["crf.end"])
+        assert emis._parents == (p["h"], p["crf.emission"])
+
+    def test_large_emissions_stay_finite(self):
+        p, gold = random_crf(50, seed=3, scale=1e3)
+        emis = p["h"].data @ p["crf.emission"].data
+        assert 300.0 < np.abs(emis).max() < 1e4
+        value, grads = self.value_and_grads(crf_nll, p, gold)
+        assert np.isfinite(value) and value >= 0.0
+        for name, g in grads.items():
+            assert np.isfinite(g).all(), name
+
+    def test_gradcheck_single_token_with_trainable_text(self):
+        p, gold = random_crf(1, seed=4)
+        report = gradcheck(lambda: crf_nll(p["h"], gold, p.scoped("crf"), TAGS),
+                           p, samples=40, seed=0)
+        assert {e.name for e in report.entries} >= {"h", "crf.emission", "crf.start",
+                                                     "crf.end"}
         assert report.ok(1e-4), report.worst()
 
 
