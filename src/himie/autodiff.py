@@ -597,6 +597,10 @@ def gradcheck(loss_fn, params: ParamTree, *, eps: float = 1e-4, samples: int = 5
     over scalars, or round-robin across `prefixes` groups when given) and
     reports per-sample relative errors |a - n| / max(1e-8, |a| + |n|).
     """
+    if samples < 1:
+        raise ConfigError(f"gradcheck: samples must be >= 1, got {samples}")
+    if not eps > 0:
+        raise ConfigError(f"gradcheck: eps must be > 0, got {eps}")
     loss = loss_fn()
     base = float(loss.data)
     if not math.isfinite(base):

@@ -33,7 +33,7 @@ def _cfg(args) -> RunConfig:
 
 def cmd_gen(args) -> int:
     cfg = _cfg(args)
-    corpus = synth.generate(cfg.gen)
+    corpus = synth.generate(cfg.gen, cfg.model)
     corpus = assign_modality_regime(corpus, cfg.regime_fractions, cfg.seed)
     out = args.out or cfg.corpus_path
     if not out:
@@ -86,7 +86,7 @@ def cmd_gradcheck(args) -> int:
     cfg = _cfg(args)
     gen = dataclasses.replace(cfg.gen, docs=1, tokens_per_doc=(12, 16),
                               frames_per_doc=(2, 2))
-    doc = synth.generate(gen).documents[0]
+    doc = synth.generate(gen, cfg.model).documents[0]
     params = init_params(cfg.model, cfg.seed)
     report = gradcheck(lambda: forward(doc, params, cfg.model, cfg.loss).loss,
                        params, samples=args.samples, eps=args.eps, seed=cfg.seed)
@@ -120,7 +120,7 @@ def cmd_sweep(args) -> int:
     if args.corpus or cfg.corpus_path:
         corpus = load_corpus(args.corpus or cfg.corpus_path)
     else:
-        corpus = synth.generate(cfg.gen)
+        corpus = synth.generate(cfg.gen, cfg.model)
     rows = sweep(cfg, corpus, args.axis, values)
     save_sweep_csv(args.out, rows)
     print(f"swept {args.axis} over {values}; table written to {args.out}")

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,14 +58,10 @@ class GenConfig:
     docs: int = 16
     tokens_per_doc: tuple[int, int] = (24, 48)
     frames_per_doc: tuple[int, int] = (2, 4)
-    n_p: int = 16
-    d_in: int = 8
-    vocab: int = 256
     entity_rate: float = 0.2
     chain_merge_prob: float = 0.5
     relation_rate: float = 0.3
     grounding_rate: float = 0.6
-    relation_labels: int = 4
     seed: int = 0
 
     def validate(self) -> None:
@@ -80,21 +75,8 @@ class GenConfig:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ConfigError(f"gen.{name} must be in [0, 1], got {v}")
-        if self.relation_labels < 1:
-            raise ConfigError(f"gen.relation_labels must be >= 1, got {self.relation_labels}")
-        if self.vocab < 32:
-            raise ConfigError(f"gen.vocab must be >= 32, got {self.vocab}")
-        if self.n_p < 1 or self.d_in < 1:
-            raise ConfigError("gen.n_p and gen.d_in must be >= 1")
-        if self.grounding_rate > 0.0:
-            g = math.isqrt(self.n_p)
-            if g * g != self.n_p:
-                raise ConfigError(f"gen.n_p={self.n_p} must be a perfect square when grounding is on")
-            if g & (g - 1) != 0:
-                # power-of-two grid => box coordinates are exact dyadic floats
-                raise ConfigError(f"gen.n_p grid side {g} must be a power of two when grounding is on")
-            if self.d_in < 3:
-                raise ConfigError(f"gen.d_in={self.d_in} must be >= 3 for type direction planting")
+        if self.seed < 0:
+            raise ConfigError(f"gen.seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -149,6 +131,8 @@ class RunConfig:
         self.loss.validate()
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if len(self.regime_fractions) != 3 or min(self.regime_fractions) < 0 \
                 or abs(sum(self.regime_fractions) - 1.0) > 1e-9:
             raise ConfigError(f"regime_fractions must be 3 non-negative values summing to 1, "

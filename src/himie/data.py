@@ -279,10 +279,19 @@ _DOC_KEYS = {"id", "tokens", "frames", "entities", "chains", "relations",
 def _req(obj, key, types, where):
     if key not in obj:
         raise KeyError(f"missing key {key!r} in {where}")
-    val = obj[key]
-    if not isinstance(val, types):
-        raise TypeError(f"{where}.{key} has type {type(val).__name__}")
+    return _typed(obj[key], types, f"{where}.{key}")
+
+
+def _typed(val, types, where):
+    # exact JSON types: true is not an int, and 1.9 is not an index to truncate
+    if type(val) not in types:
+        raise TypeError(f"{where} has type {type(val).__name__}")
     return val
+
+
+def _items(obj, key, doc_id):
+    """(path, item) for each item of the document's list `key`."""
+    return [(f"{doc_id}.{key}[{i}]", v) for i, v in enumerate(_req(obj, key, (list,), doc_id))]
 
 
 def document_from_obj(obj: dict) -> Document:
@@ -294,21 +303,20 @@ def document_from_obj(obj: dict) -> Document:
     missing = _DOC_KEYS - set(obj)
     if missing:
         raise KeyError(f"missing document keys {sorted(missing)}")
-    doc_id = _req(obj, "id", str, "document")
-    tokens = [str(t) for t in _req(obj, "tokens", list, doc_id)]
-    frames = []
-    for i, fr in enumerate(_req(obj, "frames", list, doc_id)):
-        patches = _req(fr, "patches", list, f"{doc_id}.frames[{i}]")
-        frames.append(np.asarray(patches, dtype=np.float64))
-    entities = [Entity(int(e["start"]), int(e["end"]), str(e["type"]))
-                for e in _req(obj, "entities", list, doc_id)]
-    chains = [[int(m) for m in c] for c in _req(obj, "chains", list, doc_id)]
-    relations = [Relation(int(r["sub"]), int(r["obj"]), str(r["type"]))
-                 for r in _req(obj, "relations", list, doc_id)]
-    regions = [Region(int(g["frame"]), str(g["type"]), float(g["cx"]), float(g["cy"]),
-                      float(g["w"]), float(g["h"]))
-               for g in _req(obj, "regions", list, doc_id)]
-    mask = _req(obj, "modality_mask", str, doc_id)
+    doc_id = _req(obj, "id", (str,), "document")
+    tokens = [str(t) for t in _req(obj, "tokens", (list,), doc_id)]
+    frames = [np.asarray(_req(fr, "patches", (list,), w), dtype=np.float64)
+              for w, fr in _items(obj, "frames", doc_id)]
+    idx, num = (int,), (int, float)
+    entities = [Entity(_req(e, "start", idx, w), _req(e, "end", idx, w), str(e["type"]))
+                for w, e in _items(obj, "entities", doc_id)]
+    chains = [[_typed(m, idx, w) for m in c] for w, c in _items(obj, "chains", doc_id)]
+    relations = [Relation(_req(r, "sub", idx, w), _req(r, "obj", idx, w), str(r["type"]))
+                 for w, r in _items(obj, "relations", doc_id)]
+    regions = [Region(_req(g, "frame", idx, w), str(g["type"]),
+                      *(float(_req(g, k, num, w)) for k in ("cx", "cy", "w", "h")))
+               for w, g in _items(obj, "regions", doc_id)]
+    mask = _req(obj, "modality_mask", (str,), doc_id)
     return Document(doc_id, tokens, frames, entities, chains, relations, regions, mask)
 
 

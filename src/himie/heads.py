@@ -194,29 +194,6 @@ def crf_nll(h_text: Tensor, gold_ids, scope, tagset: TagSet) -> Tensor:
     return Tensor._result(log_z - score, (emis, trans, start, end), vjp)
 
 
-def crf_log_z_bruteforce(emis: np.ndarray, trans: np.ndarray, start: np.ndarray,
-                         end: np.ndarray) -> float:
-    """Enumeration reference for small instances (used by tests and tools)."""
-    L, K = emis.shape
-    scores = []
-    idx = np.zeros(L, dtype=int)
-    while True:
-        s = start[idx[0]] + end[idx[-1]] + emis[np.arange(L), idx].sum()
-        s += trans[idx[:-1], idx[1:]].sum() if L > 1 else 0.0
-        scores.append(s)
-        k = L - 1
-        while k >= 0:
-            idx[k] += 1
-            if idx[k] < K:
-                break
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            break
-    m = max(scores)
-    return m + np.log(np.sum(np.exp(np.array(scores) - m)))
-
-
 def crf_decode(h_text, scope, tagset: TagSet) -> list[int]:
     """Viterbi with lowest-index tie-break, then BIO repair."""
     h = h_text.data if isinstance(h_text, Tensor) else np.asarray(h_text)

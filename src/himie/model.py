@@ -54,6 +54,8 @@ def check_compatible(corpus: Corpus, cfg: ModelConfig) -> None:
         if extra:
             raise ConfigError(f"corpus uses {kind} labels unknown to the model: {sorted(extra)}")
     for doc in corpus.documents:
+        if doc.n_tokens == 0:
+            raise ConfigError(f"document {doc.id} has no tokens; the model needs at least one")
         if doc.n_tokens > cfg.max_len:
             raise ConfigError(f"document {doc.id}: {doc.n_tokens} tokens exceed "
                               f"model.max_len={cfg.max_len}")

@@ -1,6 +1,7 @@
 """Seeded synthetic corpus generator with a fully recoverable planted signal.
 
-Construction, all deterministic given GenConfig.seed:
+The model config sets the corpus shape (frame grid n_p x d_in, vocab, relation
+types), GenConfig the sizes, rates and seed. Construction, deterministic given the seed:
 
 * The hash-bucket space [0, vocab) is partitioned: the lower half belongs to
   background tokens, the upper half is split evenly among the entity types.
@@ -26,6 +27,7 @@ it both the recoverability check and the perfect-prediction metrics fixture.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import string
 import struct
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ConfigError
-from .config import GenConfig
+from .config import GenConfig, ModelConfig
 from .data import (Corpus, Document, Entity, Region, Relation, make_corpus)
 from .encoders import hash_bucket
 
@@ -67,13 +69,13 @@ def type_of_bucket(bucket: int, vocab: int) -> str:
     return ""
 
 
-def build_pools(cfg: GenConfig) -> dict[str, list[str]]:
+def build_pools(seed: int, vocab: int) -> dict[str, list[str]]:
     """Deterministic surface-form pools per entity type plus background ('')."""
-    ranges = type_ranges(cfg.vocab)
+    ranges = type_ranges(vocab)
     sizes = {"": min(48, len(ranges[""]))}
     for t in ENTITY_TYPES:
         sizes[t] = min(10, len(ranges[t]))
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 3001)))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 3001)))
     used_buckets: set[int] = set()
     pools: dict[str, list[str]] = {}
     for t in ("",) + ENTITY_TYPES:
@@ -86,7 +88,7 @@ def build_pools(cfg: GenConfig) -> dict[str, list[str]]:
                 raise ConfigError(f"could not sample {sizes[t]} surface forms for range {want}")
             L = int(rng.integers(3, 9))
             word = "".join(_LETTERS[int(c)] for c in rng.integers(0, 26, size=L))
-            b = hash_bucket(word, cfg.vocab)
+            b = hash_bucket(word, vocab)
             if b in want and b not in used_buckets:
                 used_buckets.add(b)
                 pool.append(word)
@@ -94,10 +96,10 @@ def build_pools(cfg: GenConfig) -> dict[str, list[str]]:
     return pools
 
 
-def type_directions(cfg: GenConfig) -> dict[str, np.ndarray]:
+def type_directions(seed: int, d_in: int) -> dict[str, np.ndarray]:
     """Orthonormal unit direction per groundable type (QR of a seeded matrix)."""
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 3002)))
-    m = rng.normal(size=(cfg.d_in, len(GROUNDABLE)))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 3002)))
+    m = rng.normal(size=(d_in, len(GROUNDABLE)))
     q, _ = np.linalg.qr(m)
     return {t: q[:, i].copy() for i, t in enumerate(GROUNDABLE)}
 
@@ -119,26 +121,48 @@ def _box_coords(g: int, i0: int, hc: int, j0: int, wc: int) -> tuple[float, floa
     return ((j0 + wc / 2.0) / g, (i0 + hc / 2.0) / g, wc / float(g), hc / float(g))
 
 
-def _related(h_sub: int, h_obj: int, cfg: GenConfig) -> str | None:
-    # decided on the unordered pair so both directions carry the same label:
-    # pair scorers built on commutative features can then reach perfect F1
-    lo, hi = min(h_sub, h_obj), max(h_sub, h_obj)
-    if (_mix(lo, hi, 0xA5) % (1 << 20)) / float(1 << 20) < cfg.relation_rate:
-        return f"R{_mix(lo, hi, 0x5A) % cfg.relation_labels}"
-    return None
+def _relations(heads: list[int], cfg: GenConfig, model: ModelConfig) -> list[Relation]:
+    """Relations over every ordered pair of chains, a pure function of their head ids."""
+    labels, out = model.relation_types, []
+    for i, j in itertools.permutations(range(len(heads)), 2):
+        # decided on the unordered pair so both directions carry the same label:
+        # pair scorers built on commutative features can then reach perfect F1
+        lo, hi = sorted((heads[i], heads[j]))
+        if (_mix(lo, hi, 0xA5) % (1 << 20)) / float(1 << 20) < cfg.relation_rate:
+            out.append(Relation(i, j, labels[_mix(lo, hi, 0x5A) % len(labels)]))
+    return out
 
 
-def generate(cfg: GenConfig) -> Corpus:
+def generate(cfg: GenConfig, model: ModelConfig | None = None) -> Corpus:
+    """A corpus whose frames, token buckets and relation labels fit `model`.
+
+    `None` means `ModelConfig()`, for callers that pass only the `gen` of a
+    default-model RunConfig, as `perfbench/run.py` does.
+    """
+    model = ModelConfig() if model is None else model
     cfg.validate()
-    pools = build_pools(cfg)
-    dirs = type_directions(cfg) if cfg.grounding_rate > 0 else {}
-    g = math.isqrt(cfg.n_p)
+    model.validate()
+    if model.vocab < 32:
+        raise ConfigError(f"model.vocab must be >= 32 to generate a corpus, got {model.vocab}")
+    g = math.isqrt(model.n_p)
+    if cfg.grounding_rate > 0.0:
+        if g * g != model.n_p:
+            raise ConfigError(f"model.n_p={model.n_p} must be a perfect square for grounding")
+        if g & (g - 1) != 0:
+            # power-of-two grid => box coordinates are exact dyadic floats
+            raise ConfigError(f"model.n_p grid side {g} must be a power of two for grounding")
+        if model.d_in < len(GROUNDABLE):
+            raise ConfigError(f"model.d_in={model.d_in} must be >= {len(GROUNDABLE)} for grounding")
+    if cfg.relation_rate > 0.0 and not model.relation_types:
+        raise ConfigError("model.relation_types must be non-empty when relation_rate > 0")
+    pools = build_pools(cfg.seed, model.vocab)
+    dirs = type_directions(cfg.seed, model.d_in) if cfg.grounding_rate > 0 else {}
     docs = []
     for di in range(cfg.docs):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 3003, di)))
         n_tok = int(rng.integers(cfg.tokens_per_doc[0], cfg.tokens_per_doc[1] + 1))
         n_fr = int(rng.integers(cfg.frames_per_doc[0], cfg.frames_per_doc[1] + 1))
-        patches = NOISE_SIGMA * rng.standard_normal((n_fr, cfg.n_p, cfg.d_in))
+        patches = NOISE_SIGMA * rng.standard_normal((n_fr, model.n_p, model.d_in))
 
         tokens: list[str] = []
         entities: list[Entity] = []
@@ -184,16 +208,9 @@ def generate(cfg: GenConfig) -> Corpus:
             else:
                 tokens.append(pools[""][int(rng.integers(len(pools[""])))])
 
-        chain_head = [hash_bucket(s[0], cfg.vocab) for s in chain_surface]
+        chain_head = [hash_bucket(s[0], model.vocab) for s in chain_surface]
 
-        relations: list[Relation] = []
-        for i in range(len(chains)):
-            for j in range(len(chains)):
-                if i == j:
-                    continue
-                label = _related(chain_head[i], chain_head[j], cfg)
-                if label is not None:
-                    relations.append(Relation(i, j, label))
+        relations = _relations(chain_head, cfg, model)
 
         regions: list[Region] = []
         occupied: set[int] = set()
@@ -224,9 +241,8 @@ def generate(cfg: GenConfig) -> Corpus:
             regions=regions,
             modality_mask="full",
         ))
-    corpus = make_corpus(docs, {"source": "generator", "seed": cfg.seed,
-                                "generator": dataclasses.asdict(cfg)})
-    return corpus
+    return make_corpus(docs, {"source": "generator", "seed": cfg.seed,
+                              "generator": dataclasses.asdict(cfg)})
 
 
 # -- brute-force recoverability oracle ------------------------------------
@@ -240,10 +256,10 @@ class OraclePrediction:
     regions: list[Region]
 
 
-def oracle_predict(doc: Document, cfg: GenConfig) -> OraclePrediction:
+def oracle_predict(doc: Document, cfg: GenConfig, model: ModelConfig) -> OraclePrediction:
     """Recover all four gold layers from raw tokens and patches alone."""
     # (i) entities: maximal runs of buckets owned by one type range
-    tok_types = [type_of_bucket(hash_bucket(t, cfg.vocab), cfg.vocab) for t in doc.tokens]
+    tok_types = [type_of_bucket(hash_bucket(t, model.vocab), model.vocab) for t in doc.tokens]
     entities: list[Entity] = []
     i = 0
     n = len(doc.tokens)
@@ -260,7 +276,7 @@ def oracle_predict(doc: Document, cfg: GenConfig) -> OraclePrediction:
 
     # (ii) chains: group mentions by their token id tuple (first-seen order)
     def key(e: Entity) -> tuple[int, ...]:
-        return tuple(hash_bucket(doc.tokens[k], cfg.vocab) for k in range(e.start, e.end))
+        return tuple(hash_bucket(doc.tokens[k], model.vocab) for k in range(e.start, e.end))
 
     chains: list[list[int]] = []
     index_of: dict[tuple[int, ...], int] = {}
@@ -272,20 +288,13 @@ def oracle_predict(doc: Document, cfg: GenConfig) -> OraclePrediction:
         chains[index_of[k]].append(ei)
 
     # (iii) relations: replay the deterministic head-id rule
-    heads = {ci: key(entities[members[0]])[0] for ci, members in enumerate(chains)}
-    relations: list[Relation] = []
-    for i in range(len(chains)):
-        for j in range(len(chains)):
-            if i != j:
-                label = _related(heads[i], heads[j], cfg)
-                if label is not None:
-                    relations.append(Relation(i, j, label))
+    relations = _relations([key(entities[members[0]])[0] for members in chains], cfg, model)
 
     # (iv) regions: exhaustive grid search maximizing inside-vs-outside contrast
     regions: list[Region] = []
     if cfg.grounding_rate > 0:
-        dirs = type_directions(cfg)
-        g = math.isqrt(cfg.n_p)
+        dirs = type_directions(cfg.seed, model.d_in)
+        g = math.isqrt(model.n_p)
         for fi, frame in enumerate(doc.frames):
             best = None  # (gain, type, rect)
             for t, d in dirs.items():

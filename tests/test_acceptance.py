@@ -363,11 +363,10 @@ def test_criterion_09_determinism_and_round_trips(tmp_path):
                         prompt_len=3, vocab=64, max_len=64)
     cfg = RunConfig(model=small,
                     gen=GenConfig(docs=4, tokens_per_doc=(8, 12),
-                                  frames_per_doc=(1, 2), n_p=4, d_in=3,
-                                  vocab=64, seed=0),
+                                  frames_per_doc=(1, 2), seed=0),
                     epochs=2, seed=0)
-    corpus = assign_modality_regime(generate(cfg.gen), cfg.regime_fractions,
-                                    cfg.seed)
+    corpus = assign_modality_regime(generate(cfg.gen, cfg.model),
+                                    cfg.regime_fractions, cfg.seed)
 
     # identical config+seed -> bitwise-identical checkpoint and report
     paths = [tmp_path / "a.ckpt", tmp_path / "b.ckpt"]
@@ -450,10 +449,9 @@ def test_criterion_10_invariants_enforced():
                                       d_vae=4, prompt_len=3, vocab=64,
                                       max_len=64),
                     gen=GenConfig(docs=3, tokens_per_doc=(8, 12),
-                                  frames_per_doc=(1, 2), n_p=4, d_in=3,
-                                  vocab=64, seed=1),
+                                  frames_per_doc=(1, 2), seed=1),
                     epochs=0, seed=0)
-    corpus = generate(cfg.gen)
+    corpus = generate(cfg.gen, cfg.model)
     report = evaluate(init_params(cfg.model, 0), cfg, corpus)
     expect = (report["ent"]["f1"] + report["cha"]["f1"]
               + report["rel"]["f1"] + report["gro"]["f1"]) / 4.0

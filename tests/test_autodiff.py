@@ -289,3 +289,15 @@ def test_gradcheck_reports_nonfinite_loss():
 
     with pytest.raises(ad.NumericError):
         gradcheck(bad_loss, p, eps=1e-4, samples=50, seed=0)
+
+
+@pytest.mark.parametrize("kwargs,fragment", [
+    ({"samples": 0}, "samples must be >= 1"),
+    ({"eps": 0.0}, "eps must be > 0"),
+    ({"eps": float("nan")}, "eps must be > 0"),
+])
+def test_gradcheck_preconditions(kwargs, fragment):
+    p = ParamTree()
+    x = p.add("x", np.array([0.5]))
+    with pytest.raises(ConfigError, match=fragment):
+        gradcheck(lambda: (x * x).sum(), p, **kwargs)

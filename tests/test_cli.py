@@ -20,8 +20,7 @@ SMALL = ModelConfig(d_h=8, n_l=6, heads=2, n_p=4, d_in=3, d_vae=4, prompt_len=3,
 def write_cfg(tmp_path, **over):
     base = dict(
         model=SMALL,
-        gen=GenConfig(docs=3, tokens_per_doc=(8, 12), frames_per_doc=(1, 2),
-                      n_p=SMALL.n_p, d_in=SMALL.d_in, vocab=SMALL.vocab, seed=0),
+        gen=GenConfig(docs=3, tokens_per_doc=(8, 12), frames_per_doc=(1, 2), seed=0),
         epochs=1, seed=0)
     base.update(over)
     path = tmp_path / "run.json"
@@ -203,6 +202,69 @@ class TestBadInput:
         capsys.readouterr()
         assert main(argv) == 1
         assert fragment in _one_error_line(capsys)
+
+    def test_negative_seed(self, tmp_path, capsys):
+        assert main(["gen", "--config", write_cfg(tmp_path), "--seed", "-1",
+                     "--out", str(tmp_path / "c.jsonl")]) == 1
+        assert "seed must be >= 0, got -1" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("flag,value,fragment", [("--samples", "0", "samples must be >= 1"),
+                                                     ("--eps", "0", "eps must be > 0")])
+    def test_gradcheck_preconditions(self, tmp_path, capsys, flag, value, fragment):
+        assert main(["gradcheck", "--config", write_cfg(tmp_path), flag, value]) == 1
+        assert fragment in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_old_gen_shape_keys(self, tmp_path, capsys, command):
+        # gen no longer restates the model's corpus shape; such files are refused
+        old = {"model": dataclasses.asdict(SMALL),
+               "gen": {"n_p": 4, "d_in": 3, "vocab": 64, "relation_labels": 4}}
+        if command == "train":
+            path = tmp_path / "old.json"
+            path.write_text(json.dumps(old))
+            argv = ["train", "--config", str(path), "--corpus", str(tmp_path / "c.jsonl"),
+                    "--out", str(tmp_path / "m.ckpt")]
+        else:
+            blob = json.dumps({"manifest": [], "config": old, "step": 0}).encode("utf-8")
+            path = tmp_path / "old.ckpt"
+            path.write_bytes(struct.pack("<Q", len(blob)) + blob)
+            argv = ["eval", "--checkpoint", str(path)]
+        assert main(argv) == 1
+        assert ("unknown config.gen keys: ['d_in', 'n_p', 'relation_labels', 'vocab']"
+                in _one_error_line(capsys))
+
+    @staticmethod
+    def _zero_token_corpus(tmp_path):
+        """A generated corpus whose second document has no tokens, and that id."""
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["gen", "--config", write_cfg(tmp_path), "--out", str(corpus)]) == 0
+        lines = corpus.read_text().splitlines()
+        doc = json.loads(lines[1])
+        doc.update(tokens=[], entities=[], chains=[], relations=[], modality_mask="full")
+        lines[1] = json.dumps(doc)
+        corpus.write_text("\n".join(lines) + "\n")
+        return corpus, doc["id"]
+
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        raise AssertionError("ran the model before refusing the corpus")
+
+    def test_train_zero_token_document(self, tmp_path, capsys, monkeypatch):
+        corpus, doc_id = self._zero_token_corpus(tmp_path)
+        monkeypatch.setattr("himie.trainer.forward", self._refuse)
+        capsys.readouterr()
+        assert main(["train", "--config", write_cfg(tmp_path), "--corpus", str(corpus),
+                     "--out", str(tmp_path / "m.ckpt")]) == 1
+        assert f"document {doc_id} has no tokens" in _one_error_line(capsys)
+
+    def test_eval_zero_token_document(self, tmp_path, capsys, monkeypatch):
+        corpus, doc_id = self._zero_token_corpus(tmp_path)
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(str(ckpt), init_params(SMALL, 0), RunConfig(model=SMALL), 0)
+        monkeypatch.setattr("himie.evaluate.predict", self._refuse)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus)]) == 1
+        assert f"document {doc_id} has no tokens" in _one_error_line(capsys)
 
     def _mismatched(self, tmp_path):
         """A corpus of 4x3 patch grids and a config whose model expects 16x8."""

@@ -1,5 +1,6 @@
 """Data model: validation codes, JSONL round trips, splits and regimes."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,35 @@ class TestSerialization:
         obj["extra"] = 1
         with pytest.raises(ParseError, match="extra"):
             parse_corpus(json.dumps(obj))
+
+    @pytest.mark.parametrize("path,value,fragment", [
+        (("entities", 0, "start"), 0.9, "entities[0].start has type float"),
+        (("entities", 0, "end"), 2.0, "entities[0].end has type float"),
+        (("entities", 1, "start"), True, "entities[1].start has type bool"),
+        (("chains", 1, 0), 1.0, "chains[1] has type float"),
+        (("chains", 0, 0), False, "chains[0] has type bool"),
+        (("relations", 0, "sub"), 0.5, "relations[0].sub has type float"),
+        (("relations", 0, "obj"), "1", "relations[0].obj has type str"),
+        (("regions", 0, "frame"), True, "regions[0].frame has type bool"),
+        (("regions", 0, "cx"), True, "regions[0].cx has type bool"),
+        (("regions", 0, "w"), "0.2", "regions[0].w has type str"),
+        (("regions", 0, "h"), None, "regions[0].h has type NoneType"),
+    ])
+    def test_index_and_box_types_are_strict(self, path, value, fragment):
+        # int() would read 0.9 as 0 and true as 1; float() would read "0.2"
+        obj = json.loads(serialize_corpus(make_corpus([make_doc()])))
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ParseError, match=re.escape(fragment)):
+            parse_corpus(json.dumps(obj))
+
+    def test_integral_box_numbers_accepted(self):
+        obj = json.loads(serialize_corpus(make_corpus([make_doc()])))
+        obj["regions"][0]["w"] = 1
+        box = parse_corpus(json.dumps(obj)).documents[0].regions[0].box()
+        assert box == (0.5, 0.5, 1.0, 0.2) and type(box[2]) is float
 
     def test_invalid_document_names_id_and_field(self):
         doc = make_doc(entities=[Entity(0, 9, "PER"), Entity(3, 4, "LOC")])

@@ -26,7 +26,6 @@ SMALL = ModelConfig(d_h=8, n_l=6, heads=2, n_p=4, d_in=3, d_vae=4, prompt_len=3,
 
 def small_gen(**over) -> GenConfig:
     base = dict(docs=6, tokens_per_doc=(16, 28), frames_per_doc=(1, 3),
-                n_p=SMALL.n_p, d_in=SMALL.d_in, vocab=SMALL.vocab,
                 entity_rate=0.3, chain_merge_prob=0.8, relation_rate=0.6,
                 grounding_rate=0.8, seed=3)
     base.update(over)
@@ -43,7 +42,7 @@ def perfect_prediction(doc) -> Prediction:
 
 
 def corpus_with_all_layers() -> Corpus:
-    corpus = generate(small_gen())
+    corpus = generate(small_gen(), SMALL)
     docs = corpus.documents
     assert any(d.entities for d in docs)
     assert any(len(c) > 1 for d in docs for c in d.chains)
@@ -91,7 +90,7 @@ class TestReduce:
         assert all(counts[k] == 0 for k in ERROR_KEYS)
 
     def test_avg_is_exact_mean_of_task_f1(self):
-        corpus = generate(small_gen(seed=9))
+        corpus = generate(small_gen(seed=9), SMALL)
         params = init_params(SMALL, seed=0)
         cfg = RunConfig(model=SMALL, gen=small_gen(seed=9))
         report = evaluate(params, cfg, corpus)
@@ -133,7 +132,7 @@ class TestEvaluate:
             evaluate(params, cfg, make_corpus([], {}))
 
     def test_unknown_labels_rejected(self):
-        corpus = generate(small_gen())
+        corpus = generate(small_gen(), SMALL)
         params = init_params(SMALL, seed=0)
         narrow = dataclasses.replace(SMALL, entity_types=("PER",))
         cfg = RunConfig(model=narrow, gen=small_gen())
@@ -141,7 +140,7 @@ class TestEvaluate:
             evaluate(params, cfg, corpus)
 
     def test_untrained_model_produces_valid_report(self):
-        corpus = generate(small_gen())
+        corpus = generate(small_gen(), SMALL)
         params = init_params(SMALL, seed=0)
         cfg = RunConfig(model=SMALL, gen=small_gen())
         report = evaluate(params, cfg, corpus)
@@ -150,7 +149,7 @@ class TestEvaluate:
         assert report["n_documents"] == len(corpus)
 
     def test_report_bytes_deterministic(self):
-        corpus = generate(small_gen())
+        corpus = generate(small_gen(), SMALL)
         params = init_params(SMALL, seed=0)
         cfg = RunConfig(model=SMALL, gen=small_gen())
         a = report_bytes(evaluate(params, cfg, corpus))
@@ -159,7 +158,7 @@ class TestEvaluate:
 
     def test_save_report_round_trip(self, tmp_path):
         import json
-        corpus = generate(small_gen())
+        corpus = generate(small_gen(), SMALL)
         params = init_params(SMALL, seed=0)
         cfg = RunConfig(model=SMALL, gen=small_gen())
         report = evaluate(params, cfg, corpus)

@@ -1,4 +1,6 @@
 """Task heads: CRF against enumeration, BIO handling, pair heads, losses."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from himie.heads import (
     chain_reprs,
     compute_losses,
     crf_decode,
-    crf_log_z_bruteforce,
     crf_nll,
     cross_entropy_mean,
     decode_chains,
@@ -44,6 +45,18 @@ def zero_crf(n_tags: int, d: int) -> ParamTree:
     c.add("start", np.zeros(n_tags))
     c.add("end", np.zeros(n_tags))
     return p
+
+
+def crf_log_z_bruteforce(emis, trans, start, end) -> float:
+    """log Z by enumerating every tag path."""
+    L, K = emis.shape
+    scores = []
+    for path in itertools.product(range(K), repeat=L):
+        p = np.array(path)
+        scores.append(start[p[0]] + end[p[-1]] + emis[np.arange(L), p].sum()
+                      + trans[p[:-1], p[1:]].sum())
+    m = max(scores)
+    return m + np.log(np.sum(np.exp(np.array(scores) - m)))
 
 
 def reference_crf_nll(h_text, gold_ids, scope, tagset):

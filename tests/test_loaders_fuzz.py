@@ -20,8 +20,8 @@ from himie.trainer import CheckpointError, load_checkpoint, save_checkpoint
 SMALL = ModelConfig(d_h=8, n_l=6, heads=2, n_p=4, d_in=3, d_vae=4, prompt_len=3,
                     vocab=64, max_len=64)
 DOCS = [json.loads(line) for line in serialize_corpus(synth.generate(GenConfig(
-    docs=4, tokens_per_doc=(4, 8), frames_per_doc=(1, 2), n_p=4, d_in=3, vocab=64,
-    entity_rate=0.4, relation_rate=0.5, seed=3))).splitlines()]
+    docs=4, tokens_per_doc=(4, 8), frames_per_doc=(1, 2), entity_rate=0.4,
+    relation_rate=0.5, seed=3), SMALL)).splitlines()]
 
 # the explicit edge values (an infinite index once escaped as OverflowError)
 EDGE_VALUES = st.sampled_from([float("inf"), float("-inf"), float("nan"), -1, 10**30,

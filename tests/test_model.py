@@ -13,8 +13,7 @@ from himie.synth import generate
 
 CFG = ModelConfig(d_h=8, n_l=6, heads=2, n_p=4, d_in=3, d_vae=4, prompt_len=3,
                   max_frames=8, vocab=64, max_len=64)
-GEN = GenConfig(docs=4, tokens_per_doc=(8, 14), frames_per_doc=(1, 2),
-                n_p=CFG.n_p, d_in=CFG.d_in, vocab=CFG.vocab, seed=0)
+GEN = GenConfig(docs=4, tokens_per_doc=(8, 14), frames_per_doc=(1, 2), seed=0)
 
 
 def small_doc(mask="full", n_frames=1) -> Document:
@@ -174,7 +173,7 @@ class TestForward:
     @pytest.mark.parametrize("seed", range(10))
     def test_loss_finite_on_generated_docs(self, seed):
         cfg = dataclasses.replace(GEN, seed=seed)
-        corpus = generate(cfg)
+        corpus = generate(cfg, CFG)
         p = init_params(CFG, seed)
         for doc in corpus.documents:
             for mask in ("full", "no_text", "no_video"):

@@ -25,8 +25,7 @@ SMALL = ModelConfig(d_h=8, n_l=6, heads=2, n_p=4, d_in=3, d_vae=4, prompt_len=3,
 def tiny_run(**over) -> RunConfig:
     base = dict(
         model=SMALL,
-        gen=GenConfig(docs=3, tokens_per_doc=(8, 12), frames_per_doc=(1, 2),
-                      n_p=SMALL.n_p, d_in=SMALL.d_in, vocab=SMALL.vocab, seed=0),
+        gen=GenConfig(docs=3, tokens_per_doc=(8, 12), frames_per_doc=(1, 2), seed=0),
         epochs=1, seed=0)
     base.update(over)
     return RunConfig(**base)
@@ -87,7 +86,7 @@ class TestPointConfig:
 class TestSweepRows:
     def _rows(self, axis="prompt_len", values=(2, 3)):
         base = tiny_run()
-        corpus = generate(base.gen)
+        corpus = generate(base.gen, base.model)
         return sweep(base, corpus, axis, values)
 
     def test_row_count_is_values_times_seeds(self):

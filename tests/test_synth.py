@@ -4,7 +4,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from himie.config import GenConfig
+from himie.autodiff import ConfigError
+from himie.config import GenConfig, ModelConfig
 from himie.data import serialize_corpus, validate
 from himie.evaluate import chains_to_keys, relation_triples, gold_outputs
 from himie.metrics import (entity_counts, chain_counts, chain_score_prf,
@@ -14,9 +15,11 @@ from himie.synth import (GROUNDABLE, build_pools, generate, oracle_predict,
                          type_directions, type_of_bucket, type_ranges)
 from himie.encoders import hash_bucket
 
+MODEL = ModelConfig()
 
-def oracle_outputs(doc, cfg) -> TaskOutputs:
-    o = oracle_predict(doc, cfg)
+
+def oracle_outputs(doc, cfg, model=MODEL) -> TaskOutputs:
+    o = oracle_predict(doc, cfg, model)
     return TaskOutputs(
         entities=list(o.entities),
         chains=chains_to_keys(o.chains, o.entities),
@@ -24,13 +27,13 @@ def oracle_outputs(doc, cfg) -> TaskOutputs:
         regions=list(o.regions))
 
 
-def oracle_f1s(corpus, cfg):
+def oracle_f1s(corpus, cfg, model=MODEL):
     ent = rel = gro = (0, 0, 0)
     from himie.metrics import ChainCounts
     cc = ChainCounts()
     for doc in corpus.documents:
         gold = gold_outputs(doc)
-        hyp = oracle_outputs(doc, cfg)
+        hyp = oracle_outputs(doc, cfg, model)
         e = entity_counts(gold.entities, hyp.entities)
         r = relation_counts(gold.relations, hyp.relations)
         g = grounding_counts(gold.regions, hyp.regions)
@@ -78,7 +81,7 @@ class TestGenerate:
             assert 10 <= doc.n_tokens <= 20
             assert 1 <= doc.n_frames <= 3
             for fr in doc.frames:
-                assert fr.shape == (cfg.n_p, cfg.d_in)
+                assert fr.shape == (MODEL.n_p, MODEL.d_in)
 
     def test_label_sets_cover_usage(self):
         corpus = generate(GenConfig(docs=10, seed=7))
@@ -96,6 +99,7 @@ class TestGenerate:
     @pytest.mark.parametrize("k", range(10))
     def test_random_configs_generate_valid_corpora(self, k):
         rng = np.random.default_rng(100 + k)
+        relation_types = tuple(f"rel{i}" for i in range(int(rng.integers(1, 6))))
         cfg = GenConfig(
             docs=int(rng.integers(1, 6)),
             tokens_per_doc=(int(rng.integers(8, 16)), int(rng.integers(20, 40))),
@@ -104,12 +108,12 @@ class TestGenerate:
             chain_merge_prob=float(rng.uniform(0, 1)),
             relation_rate=float(rng.uniform(0, 0.8)),
             grounding_rate=float(rng.uniform(0, 1)),
-            relation_labels=int(rng.integers(1, 6)),
             seed=int(rng.integers(0, 10000)))
-        cfg.validate()
-        corpus = generate(cfg)
+        model = ModelConfig(relation_types=relation_types)
+        corpus = generate(cfg, model)
         for doc in corpus.documents:
             assert validate(doc) == [], (k, doc.id)
+        assert set(corpus.label_sets.relation_types) <= set(relation_types)
 
 
 class TestPlantedStructure:
@@ -122,27 +126,27 @@ class TestPlantedStructure:
 
     def test_pools_land_in_owned_ranges(self):
         cfg = GenConfig(seed=11)
-        pools = build_pools(cfg)
-        ranges = type_ranges(cfg.vocab)
+        pools = build_pools(cfg.seed, MODEL.vocab)
+        ranges = type_ranges(MODEL.vocab)
         for t, words in pools.items():
             for w in words:
-                assert hash_bucket(w, cfg.vocab) in ranges[t]
+                assert hash_bucket(w, MODEL.vocab) in ranges[t]
 
     def test_pool_buckets_pairwise_distinct(self):
         cfg = GenConfig(seed=11)
-        buckets = [hash_bucket(w, cfg.vocab)
-                   for words in build_pools(cfg).values() for w in words]
+        buckets = [hash_bucket(w, MODEL.vocab)
+                   for words in build_pools(cfg.seed, MODEL.vocab).values() for w in words]
         assert len(buckets) == len(set(buckets))
 
     def test_type_directions_orthonormal(self):
-        dirs = type_directions(GenConfig(seed=2))
+        dirs = type_directions(2, MODEL.d_in)
         mats = np.stack(list(dirs.values()))
         assert np.allclose(mats @ mats.T, np.eye(len(dirs)), atol=1e-12)
 
     def test_entity_spans_are_maximal_type_runs(self):
         cfg = GenConfig(docs=6, seed=13)
         for doc in generate(cfg).documents:
-            types = [type_of_bucket(hash_bucket(t, cfg.vocab), cfg.vocab)
+            types = [type_of_bucket(hash_bucket(t, MODEL.vocab), MODEL.vocab)
                      for t in doc.tokens]
             for e in doc.entities:
                 assert all(types[i] == e.type for i in range(e.start, e.end))
@@ -204,6 +208,54 @@ class TestOracle:
         for doc in corpus.documents:
             bare = dataclasses.replace(doc, entities=[], chains=[],
                                        relations=[], regions=[])
-            a = oracle_predict(doc, cfg)
-            b = oracle_predict(bare, cfg)
+            a = oracle_predict(doc, cfg, MODEL)
+            b = oracle_predict(bare, cfg, MODEL)
             assert a == b
+
+
+class TestModelShape:
+    """The model config alone sets the corpus shape; the generator refuses one it
+    cannot plant its signal in."""
+
+    def test_gen_and_model_share_no_field(self):
+        gen, model = ({f.name for f in dataclasses.fields(c)} for c in (GenConfig, ModelConfig))
+        assert gen & model == set()
+
+    def test_corpus_takes_the_model_shape(self):
+        model = ModelConfig(n_p=4, d_in=3, vocab=64)
+        cfg = GenConfig(docs=4, seed=3)
+        corpus = generate(cfg, model)
+        for doc in corpus.documents:
+            assert all(fr.shape == (4, 3) for fr in doc.frames)
+        assert oracle_f1s(corpus, cfg, model) == (1.0, 1.0, 1.0, 1.0)
+
+    def test_default_model_is_model_config(self):
+        cfg = GenConfig(docs=3, seed=5)
+        assert serialize_corpus(generate(cfg)) == serialize_corpus(generate(cfg, ModelConfig()))
+
+    def test_custom_relation_names(self):
+        model = ModelConfig(relation_types=("works_for", "born_in"))
+        corpus = generate(GenConfig(docs=8, relation_rate=0.8, seed=4), model)
+        assert set(corpus.label_sets.relation_types) == {"works_for", "born_in"}
+
+    @pytest.mark.parametrize("patch,fragment", [
+        ({"relation_types": ()}, "relation_types"),
+        ({"vocab": 8}, "vocab"),
+        ({"n_p": 15}, "perfect square"),
+        ({"n_p": 36}, "power of two"),
+        ({"d_in": 2}, ">= 3"),
+    ])
+    def test_generate_rejects_model_shape(self, patch, fragment):
+        model = dataclasses.replace(ModelConfig(), **patch)
+        with pytest.raises(ConfigError, match=f"model.*{fragment}"):
+            generate(GenConfig(docs=1), model)
+
+    def test_non_square_patch_count_fine_without_grounding(self):
+        model = dataclasses.replace(ModelConfig(), n_p=15)
+        corpus = generate(GenConfig(docs=2, grounding_rate=0.0), model)
+        assert all(fr.shape == (15, 8) for d in corpus.documents for fr in d.frames)
+
+    def test_no_relation_types_fine_without_relations(self):
+        model = dataclasses.replace(ModelConfig(), relation_types=())
+        corpus = generate(GenConfig(docs=2, relation_rate=0.0), model)
+        assert all(not d.relations for d in corpus.documents)

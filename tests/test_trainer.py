@@ -30,8 +30,7 @@ SMALL = ModelConfig(d_h=8, n_l=6, heads=2, n_p=4, d_in=3, d_vae=4, prompt_len=3,
 def small_run(**over) -> RunConfig:
     base = dict(
         model=SMALL,
-        gen=GenConfig(docs=3, tokens_per_doc=(8, 12), frames_per_doc=(1, 2),
-                      n_p=SMALL.n_p, d_in=SMALL.d_in, vocab=SMALL.vocab, seed=0),
+        gen=GenConfig(docs=3, tokens_per_doc=(8, 12), frames_per_doc=(1, 2), seed=0),
         epochs=2, seed=0)
     base.update(over)
     return RunConfig(**base)
@@ -184,7 +183,8 @@ class TestAdam:
 
     def test_gradcheck_on_packed_tree(self):
         cfg = small_run()
-        doc = assign_modality_regime(generate(cfg.gen), (1.0, 0.0, 0.0), 0).documents[0]
+        corpus = generate(cfg.gen, cfg.model)
+        doc = assign_modality_regime(corpus, (1.0, 0.0, 0.0), 0).documents[0]
         params = init_params(cfg.model, 0)
         init_adam(params)
         before = {n: params[n].data.copy() for n in params.names()}
@@ -198,7 +198,7 @@ class TestAdam:
 class TestTrain:
     def test_epochs_zero_returns_initialization(self):
         cfg = small_run(epochs=0)
-        corpus = generate(cfg.gen)
+        corpus = generate(cfg.gen, cfg.model)
         out = train(cfg, corpus)
         ref = init_params(cfg.model, cfg.seed)
         assert out.step == 0 and out.log == []
@@ -207,7 +207,7 @@ class TestTrain:
 
     def test_bitwise_deterministic(self):
         cfg = small_run()
-        corpus = generate(cfg.gen)
+        corpus = generate(cfg.gen, cfg.model)
         corpus = assign_modality_regime(corpus, cfg.regime_fractions, cfg.seed)
         a = train(cfg, corpus)
         b = train(cfg, corpus)
@@ -217,7 +217,7 @@ class TestTrain:
 
     def test_step_count_and_log(self):
         cfg = small_run(epochs=2)
-        corpus = generate(cfg.gen)
+        corpus = generate(cfg.gen, cfg.model)
         out = train(cfg, corpus)
         assert out.step == 2 * len(corpus)
         assert len(out.log) == out.step
@@ -226,7 +226,7 @@ class TestTrain:
 
     def test_loss_decreases_on_overfit(self):
         cfg = small_run(epochs=25)
-        corpus = generate(cfg.gen)
+        corpus = generate(cfg.gen, cfg.model)
         out = train(cfg, corpus)
         first = np.mean([r.total for r in out.log[:len(corpus)]])
         last = np.mean([r.total for r in out.log[-len(corpus):]])
@@ -234,7 +234,7 @@ class TestTrain:
 
     def test_non_finite_loss_aborts_with_step_info(self):
         cfg = small_run(epochs=1)
-        corpus = generate(cfg.gen)
+        corpus = generate(cfg.gen, cfg.model)
         params = init_params(cfg.model, cfg.seed)
         params["heads.crf.emission"].data[0, 0] = np.nan
         with pytest.raises(NumericError, match="non-finite loss at step 1"):
@@ -242,14 +242,14 @@ class TestTrain:
 
     def test_resume_from_given_params(self):
         cfg = small_run(epochs=1)
-        corpus = generate(cfg.gen)
+        corpus = generate(cfg.gen, cfg.model)
         first = train(cfg, corpus)
         resumed = train(cfg, corpus, params=first.params)
         assert resumed.step == len(corpus)  # counts only its own steps
 
     def test_given_params_updated_in_place(self):
         cfg = small_run(epochs=1)
-        corpus = generate(cfg.gen)
+        corpus = generate(cfg.gen, cfg.model)
         params = init_params(cfg.model, cfg.seed)
         tensors = dict(params.items())
         out = train(cfg, corpus, params=params)
@@ -264,7 +264,7 @@ class TestTrain:
     def test_second_train_repacks_trained_params(self):
         # training an already packed tree equals training an unpacked copy of it
         cfg = small_run(epochs=1)
-        corpus = generate(cfg.gen)
+        corpus = generate(cfg.gen, cfg.model)
         first = train(cfg, corpus)
         copy = ParamTree()
         for n, t in first.params.items():
@@ -288,26 +288,34 @@ class TestCompatibility:
     @pytest.mark.parametrize("fractions", [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)])
     def test_frame_shape_mismatch(self, monkeypatch, fractions):
         # a 4x3 patch grid against the default 16x8 model, all full or all no_video
-        gen = GenConfig(docs=3, n_p=4, d_in=3, seed=0)
-        corpus = assign_modality_regime(generate(gen), fractions, 0)
+        gen = GenConfig(docs=3, seed=0)
+        corpus = assign_modality_regime(generate(gen, SMALL), fractions, 0)
         self._refused(monkeypatch, RunConfig(gen=gen), corpus,
                       r"document \S+: frames\[0\] has shape \(4, 3\), model.\(n_p, d_in\) is \(16, 8\)")
 
     def test_too_many_tokens(self, monkeypatch):
         cfg = small_run(model=dataclasses.replace(SMALL, max_len=7))
-        self._refused(monkeypatch, cfg, generate(cfg.gen),
+        self._refused(monkeypatch, cfg, generate(cfg.gen, cfg.model),
                       r"document \S+: \d+ tokens exceed model.max_len=7")
 
     def test_too_many_frames(self, monkeypatch):
         cfg = small_run(model=dataclasses.replace(SMALL, max_frames=1))
         cfg.gen = dataclasses.replace(cfg.gen, frames_per_doc=(2, 2))
-        self._refused(monkeypatch, cfg, generate(cfg.gen),
+        self._refused(monkeypatch, cfg, generate(cfg.gen, cfg.model),
                       r"document \S+: 2 frames exceed model.max_frames=1")
 
     def test_unknown_labels(self, monkeypatch):
         cfg = small_run(model=dataclasses.replace(SMALL, entity_types=("PER",),
                                                   grounding_types=("PER",)))
-        self._refused(monkeypatch, cfg, generate(cfg.gen), "entity labels unknown")
+        self._refused(monkeypatch, cfg, generate(cfg.gen, cfg.model), "entity labels unknown")
+
+    def test_custom_relation_names_accepted(self):
+        model = dataclasses.replace(SMALL, relation_types=("works_for", "born_in"))
+        cfg = small_run(model=model, epochs=1)
+        cfg.gen = dataclasses.replace(cfg.gen, entity_rate=0.4, relation_rate=0.8)
+        corpus = generate(cfg.gen, cfg.model)
+        assert set(corpus.label_sets.relation_types) == {"works_for", "born_in"}
+        assert train(cfg, corpus).step == len(corpus)
 
     def test_given_params_mismatch(self, monkeypatch):
         cfg = small_run()
@@ -315,14 +323,14 @@ class TestCompatibility:
         calls = []
         monkeypatch.setattr(trainer, "forward", lambda *a, **k: calls.append(a))
         with pytest.raises(ConfigError, match=r"parameter \S+ has shape"):
-            train(cfg, generate(cfg.gen), params=params)
+            train(cfg, generate(cfg.gen, cfg.model), params=params)
         assert calls == []
 
 
 class TestCheckpoint:
     def _ckpt(self, tmp_path, cfg=None, trained=False):
         cfg = cfg or small_run(epochs=1)
-        corpus = generate(cfg.gen)
+        corpus = generate(cfg.gen, cfg.model)
         if trained:
             out = train(cfg, corpus)
             params, step, rng = out.params, out.step, out.rng_state
@@ -350,7 +358,7 @@ class TestCheckpoint:
 
     def test_same_run_same_bytes(self, tmp_path):
         cfg = small_run(epochs=1)
-        corpus = generate(cfg.gen)
+        corpus = generate(cfg.gen, cfg.model)
         pa = tmp_path / "a.ckpt"
         pb = tmp_path / "b.ckpt"
         out_a = train(cfg, corpus)
@@ -402,7 +410,7 @@ class TestCheckpoint:
 
     def test_step_log_jsonl(self, tmp_path):
         cfg = small_run(epochs=1)
-        out = train(cfg, generate(cfg.gen))
+        out = train(cfg, generate(cfg.gen, cfg.model))
         path = tmp_path / "log.jsonl"
         save_step_log(str(path), out.log)
         rows = [json.loads(line) for line in path.read_text().splitlines()]
