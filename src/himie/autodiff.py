@@ -483,21 +483,18 @@ def multi_head_attention(q, k, v, heads: int, params) -> Tensor:
 class ParamTree:
     """Named float64 parameters with deterministic (lexicographic) iteration.
 
-    Names are dot-separated paths; each entry is trainable unless frozen at
-    `add` time. Gradients live on the tensors themselves after backward().
+    Names are dot-separated paths; every entry is trainable. Gradients live on
+    the tensors themselves after backward().
     """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._frozen: set[str] = set()
 
-    def add(self, name: str, value, trainable: bool = True) -> Tensor:
+    def add(self, name: str, value) -> Tensor:
         if name in self._params:
             raise ConfigError(f"duplicate parameter name: {name}")
-        t = Tensor(value, requires_grad=trainable)
+        t = Tensor(value, requires_grad=True)
         self._params[name] = t
-        if not trainable:
-            self._frozen.add(name)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -515,12 +512,6 @@ class ParamTree:
     def items(self):
         for name in self.names():
             yield name, self._params[name]
-
-    def is_trainable(self, name: str) -> bool:
-        return name not in self._frozen
-
-    def trainable_names(self) -> list[str]:
-        return [n for n in self.names() if n not in self._frozen]
 
     def n_scalars(self) -> int:
         return sum(t.data.size for t in self._params.values())
@@ -550,8 +541,8 @@ class _Scope:
     def __getitem__(self, name: str) -> Tensor:
         return self._tree[f"{self._prefix}.{name}"]
 
-    def add(self, name: str, value, trainable: bool = True) -> Tensor:
-        return self._tree.add(f"{self._prefix}.{name}", value, trainable)
+    def add(self, name: str, value) -> Tensor:
+        return self._tree.add(f"{self._prefix}.{name}", value)
 
     def scoped(self, sub: str) -> "_Scope":
         return _Scope(self._tree, f"{self._prefix}.{sub}")
@@ -593,7 +584,7 @@ def gradcheck(loss_fn, params: ParamTree, *, eps: float = 1e-4, samples: int = 5
               seed: int = 0, prefixes=None) -> GradReport:
     """Compare tape gradients with central finite differences.
 
-    Samples `samples` scalar entries from the trainable parameters (uniform
+    Samples `samples` scalar entries from the parameters (uniform
     over scalars, or round-robin across `prefixes` groups when given) and
     reports per-sample relative errors |a - n| / max(1e-8, |a| + |n|).
     """
@@ -609,9 +600,9 @@ def gradcheck(loss_fn, params: ParamTree, *, eps: float = 1e-4, samples: int = 5
     loss.backward()
     analytic = params.grads()
 
-    names = params.trainable_names()
+    names = params.names()
     if not names:
-        raise ConfigError("gradcheck: no trainable parameters")
+        raise ConfigError("gradcheck: no parameters")
     rng = np.random.default_rng(seed)
 
     if prefixes:

@@ -12,9 +12,10 @@ import sys
 
 from .autodiff import ConfigError, NumericError, gradcheck
 from .config import RunConfig, load_config
-from .data import (ParseError, ValidationError, assign_modality_regime,
+from .data import (MODALITIES, ParseError, ValidationError, assign_modality_regime,
                    load_corpus, serialize_corpus)
 from .evaluate import evaluate, report_bytes, save_report
+from .metrics import ERROR_KEYS
 from .model import forward, init_params
 from .sweep import AXES, save_sweep_csv, sweep
 from .trainer import (CheckpointError, load_checkpoint, save_checkpoint, save_step_log,
@@ -40,7 +41,7 @@ def cmd_gen(args) -> int:
         raise ConfigError("gen needs --out or corpus_path in the config")
     serialize_corpus(corpus, out)
     counts = {r: sum(1 for d in corpus.documents if d.modality_mask == r)
-              for r in ("full", "no_text", "no_video")}
+              for r in MODALITIES}
     print(f"wrote {len(corpus.documents)} documents to {out} {counts}")
     return 0
 
@@ -136,10 +137,7 @@ def _fmt_section(name: str, sec: dict) -> list[str]:
     lines.append(f"  avg F1 {sec['avg']:.4f}")
     counts = sec["errors"]["counts"]
     rates = sec["errors"]["rates"]
-    lines.append("  errors: " + ", ".join(
-        f"{k}={counts[k]}" for k in
-        ("ent_boundary", "ent_type", "cha_wrong_members", "cha_missing_members",
-         "rel_false", "rel_type", "gro_boundary", "gro_type")))
+    lines.append("  errors: " + ", ".join(f"{k}={counts[k]}" for k in ERROR_KEYS))
     lines.append("  error rates: " + ", ".join(f"{k}={v:.3f}" for k, v in rates.items()))
     return lines
 

@@ -49,6 +49,13 @@ class ModelConfig:
             raise ConfigError(f"model.kl_weight must be >= 0, got {self.kl_weight}")
         if not self.entity_types:
             raise ConfigError("entity_types must be non-empty")
+        for name in ("entity_types", "relation_types", "grounding_types"):
+            labels = getattr(self, name)
+            if "" in labels:
+                raise ConfigError(f"model.{name} has an empty name")
+            dup = sorted({t for t in labels if labels.count(t) > 1})
+            if dup:
+                raise ConfigError(f"model.{name} repeats {dup}")
         if any(t not in self.entity_types for t in self.grounding_types):
             raise ConfigError("grounding_types must be a subset of entity_types")
 

@@ -13,9 +13,10 @@ survive the round trip exactly (shortest-repr encoding both ways).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -78,34 +79,12 @@ class Document:
         return out
 
 
-@dataclass(frozen=True)
-class LabelSets:
-    entity_types: tuple[str, ...]
-    relation_types: tuple[str, ...]
-    grounding_types: tuple[str, ...]
-
-
 @dataclass
 class Corpus:
     documents: list[Document]
-    label_sets: LabelSets
-    provenance: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.documents)
-
-
-def derive_label_sets(documents: list[Document]) -> LabelSets:
-    ents, rels, gros = set(), set(), set()
-    for d in documents:
-        ents.update(e.type for e in d.entities)
-        rels.update(r.type for r in d.relations)
-        gros.update(r.type for r in d.regions)
-    return LabelSets(tuple(sorted(ents)), tuple(sorted(rels)), tuple(sorted(gros)))
-
-
-def make_corpus(documents: list[Document], provenance: dict | None = None) -> Corpus:
-    return Corpus(documents, derive_label_sets(documents), provenance or {})
 
 
 # -- validation ----------------------------------------------------------
@@ -226,21 +205,6 @@ def validate(doc: Document) -> list[Violation]:
     return out
 
 
-def validate_corpus(corpus: Corpus) -> list[Violation]:
-    out = []
-    for doc in corpus.documents:
-        out.extend(dataclasses.replace(v, path=f"{doc.id}:{v.path}") for v in validate(doc))
-    used = derive_label_sets(corpus.documents)
-    for kind, have, declared in (("entity", used.entity_types, corpus.label_sets.entity_types),
-                                 ("relation", used.relation_types, corpus.label_sets.relation_types),
-                                 ("grounding", used.grounding_types, corpus.label_sets.grounding_types)):
-        extra = set(have) - set(declared)
-        if extra:
-            out.append(_v("LABEL_COVERAGE", f"label_sets.{kind}",
-                          f"labels {sorted(extra)} used but not declared"))
-    return out
-
-
 # -- serialization -------------------------------------------------------
 
 
@@ -289,6 +253,23 @@ def _typed(val, types, where):
     return val
 
 
+def _each(vals: list, types, where):
+    """`vals`, once every item has one of the exact `types` (one set test per list)."""
+    if not set(map(type, vals)) <= set(types):
+        for i, v in enumerate(vals):  # name the first item that fails
+            _typed(v, types, f"{where}[{i}]")
+    return vals
+
+
+def _grid(rows: list, where) -> np.ndarray:
+    """A list of lists of JSON numbers as a float64 array."""
+    _each(rows, (list,), where)
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+        for i, row in enumerate(rows):
+            _each(row, (int, float), f"{where}[{i}]")
+    return np.asarray(rows, dtype=np.float64)
+
+
 def _items(obj, key, doc_id):
     """(path, item) for each item of the document's list `key`."""
     return [(f"{doc_id}.{key}[{i}]", v) for i, v in enumerate(_req(obj, key, (list,), doc_id))]
@@ -304,16 +285,18 @@ def document_from_obj(obj: dict) -> Document:
     if missing:
         raise KeyError(f"missing document keys {sorted(missing)}")
     doc_id = _req(obj, "id", (str,), "document")
-    tokens = [str(t) for t in _req(obj, "tokens", (list,), doc_id)]
-    frames = [np.asarray(_req(fr, "patches", (list,), w), dtype=np.float64)
+    idx, num, name = (int,), (int, float), (str,)
+    tokens = _each(_req(obj, "tokens", (list,), doc_id), name, f"{doc_id}.tokens")
+    frames = [_grid(_req(fr, "patches", (list,), w), f"{w}.patches")
               for w, fr in _items(obj, "frames", doc_id)]
-    idx, num = (int,), (int, float)
-    entities = [Entity(_req(e, "start", idx, w), _req(e, "end", idx, w), str(e["type"]))
+    entities = [Entity(_req(e, "start", idx, w), _req(e, "end", idx, w), _req(e, "type", name, w))
                 for w, e in _items(obj, "entities", doc_id)]
-    chains = [[_typed(m, idx, w) for m in c] for w, c in _items(obj, "chains", doc_id)]
-    relations = [Relation(_req(r, "sub", idx, w), _req(r, "obj", idx, w), str(r["type"]))
+    chains = [[_typed(m, idx, w) for m in _typed(c, (list,), w)]
+              for w, c in _items(obj, "chains", doc_id)]
+    relations = [Relation(_req(r, "sub", idx, w), _req(r, "obj", idx, w),
+                          _req(r, "type", name, w))
                  for w, r in _items(obj, "relations", doc_id)]
-    regions = [Region(_req(g, "frame", idx, w), str(g["type"]),
+    regions = [Region(_req(g, "frame", idx, w), _req(g, "type", name, w),
                       *(float(_req(g, k, num, w)) for k in ("cx", "cy", "w", "h")))
                for w, g in _items(obj, "regions", doc_id)]
     mask = _req(obj, "modality_mask", (str,), doc_id)
@@ -344,10 +327,8 @@ def parse_corpus(source: str | Path, *, is_path: bool | None = None) -> Corpus:
         except UnicodeDecodeError as e:
             raise ParseError(data.count(b"\n", 0, e.start) + 1,
                              f"invalid UTF-8: {e.reason}") from None
-        prov = {"source": "file", "path": str(source)}
     else:
         text = str(source)
-        prov = {"source": "text"}
     docs = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
@@ -364,7 +345,7 @@ def parse_corpus(source: str | Path, *, is_path: bool | None = None) -> Corpus:
         if bad:
             raise ValidationError(doc.id, bad)
         docs.append(doc)
-    return Corpus(docs, derive_label_sets(docs), prov)
+    return Corpus(docs)
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -392,12 +373,7 @@ def split_corpus(corpus: Corpus, ratios: tuple[float, float, float] = (0.8, 0.1,
     n_train = n - n_dev - n_test
     order = np.random.default_rng(seed).permutation(n)
     parts = (order[:n_train], order[n_train:n_train + n_dev], order[n_train + n_dev:])
-    out = []
-    for name, idxs in zip(("train", "dev", "test"), parts):
-        docs = [corpus.documents[i] for i in idxs]
-        prov = dict(corpus.provenance, split=name, split_seed=seed)
-        out.append(Corpus(docs, derive_label_sets(docs), prov))
-    return tuple(out)
+    return tuple(Corpus([corpus.documents[i] for i in idxs]) for idxs in parts)
 
 
 def regime_counts(n: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:
@@ -429,5 +405,4 @@ def assign_modality_regime(corpus: Corpus, fractions: tuple[float, float, float]
         pos += cnt
     docs = [dataclasses.replace(d, modality_mask=mask_of[i])
             for i, d in enumerate(corpus.documents)]
-    return Corpus(docs, corpus.label_sets,
-                  dict(corpus.provenance, regime_fractions=list(fractions), regime_seed=seed))
+    return Corpus(docs)

@@ -12,15 +12,13 @@ from dataclasses import dataclass
 
 from .autodiff import ConfigError, ParamTree
 from .config import RunConfig
-from .data import Corpus, Document
+from .data import MODALITIES, Corpus, Document
 from .metrics import (ChainCounts, TaskOutputs, add_taxonomy, chain_counts,
                       chain_score_prf, empty_taxonomy, entity_counts,
                       error_breakdown, error_rates, grounding_counts,
                       mention_key, muc_prf, b_cubed_prf, ceaf_e_prf,
                       prf_from_counts, relation_counts)
 from .model import Prediction, check_compatible, check_params, predict
-
-REGIMES = ("full", "no_text", "no_video")
 
 
 def chains_to_keys(chains, entities) -> list[set]:
@@ -115,7 +113,7 @@ def reduce_stats(stats: list[DocStats], mode: str) -> dict:
     report = _section(stats)
     report["mode"] = mode
     report["regimes"] = {r: _section([s for s in stats if s.regime == r])
-                         for r in REGIMES}
+                         for r in MODALITIES}
     return report
 
 

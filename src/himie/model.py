@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import ConfigError, ParamTree, Tensor, matmul
 from .config import LossConfig, ModelConfig
-from .data import Corpus, Document, Entity, Region, Relation, derive_label_sets
+from .data import Corpus, Document, Entity, Region, Relation
 from .dffm import fuse_g_to_x, fuse_x_to_g, init_dffm, pooled_base_frames
 from .encoders import (LevelFeatures, bucket_levels, encode_frames,
                        encode_text, init_frame_encoder, init_text_encoder)
@@ -46,14 +46,15 @@ def check_compatible(corpus: Corpus, cfg: ModelConfig) -> None:
     Train and eval call this before their first step, so an incompatible corpus
     fails up front instead of at the first document that exercises the misfit.
     """
-    have = derive_label_sets(corpus.documents)
-    for kind, known, found in (("entity", cfg.entity_types, have.entity_types),
-                               ("relation", cfg.relation_types, have.relation_types),
-                               ("grounding", cfg.grounding_types, have.grounding_types)):
-        extra = set(found) - set(known)
+    docs = corpus.documents
+    for kind, known, found in (
+            ("entity", cfg.entity_types, {e.type for d in docs for e in d.entities}),
+            ("relation", cfg.relation_types, {r.type for d in docs for r in d.relations}),
+            ("grounding", cfg.grounding_types, {g.type for d in docs for g in d.regions})):
+        extra = found - set(known)
         if extra:
             raise ConfigError(f"corpus uses {kind} labels unknown to the model: {sorted(extra)}")
-    for doc in corpus.documents:
+    for doc in docs:
         if doc.n_tokens == 0:
             raise ConfigError(f"document {doc.id} has no tokens; the model needs at least one")
         if doc.n_tokens > cfg.max_len:
@@ -69,8 +70,8 @@ def check_compatible(corpus: Corpus, cfg: ModelConfig) -> None:
 
 
 def check_params(params: ParamTree, cfg: ModelConfig) -> None:
-    """Raise ConfigError unless `params` has the names, shapes and trainability
-    that `init_params(cfg)` builds, naming the first parameter that differs.
+    """Raise ConfigError unless `params` has the names and shapes that
+    `init_params(cfg)` builds, naming the first parameter that differs.
 
     A checkpoint's manifest is checked only for its own consistency on load;
     this is what ties it to the model config before train or eval runs it.
@@ -84,9 +85,6 @@ def check_params(params: ParamTree, cfg: ModelConfig) -> None:
         if params[name].shape != want[name].shape:
             raise ConfigError(f"parameter {name} has shape {params[name].shape}, "
                               f"the model config needs {want[name].shape}")
-        if params.is_trainable(name) != want.is_trainable(name):
-            state = "trainable" if params.is_trainable(name) else "frozen"
-            raise ConfigError(f"parameter {name} is {state}, unlike in the model config")
 
 
 def compute_features(doc: Document, params: ParamTree, cfg: ModelConfig, *,

@@ -1,7 +1,9 @@
 """Seeded synthetic corpus generator with a fully recoverable planted signal.
 
-The model config sets the corpus shape (frame grid n_p x d_in, vocab, relation
-types), GenConfig the sizes, rates and seed. Construction, deterministic given the seed:
+The model config sets the corpus shape (frame grid n_p x d_in, vocab) and its
+label sets (entity, relation and grounding types), GenConfig the sizes, rates
+and seed, so a corpus fits its model's heads by construction. Construction,
+deterministic given the seed:
 
 * The hash-bucket space [0, vocab) is partitioned: the lower half belongs to
   background tokens, the upper half is split evenly among the entity types.
@@ -15,7 +17,7 @@ types), GenConfig the sizes, rates and seed. Construction, deterministic given t
 * Relations are a pure function of the two chains' head token ids: a hash
   threshold realizes relation_rate and a second hash picks the label, so the
   gold relation set is recoverable from the text alone.
-* A grounded chain (grounding_rate, groundable types only) plants, in a frame
+* A grounded chain (grounding_rate, grounding types only) plants, in a frame
   chosen by its head id, a grid-aligned box at least 2 cells per side; the
   patches inside carry the type's unit direction vector plus N(0, 0.1^2)
   noise, outside pure noise. One region per frame at most.
@@ -26,7 +28,6 @@ it both the recoverability check and the perfect-prediction metrics fixture.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import string
@@ -38,12 +39,10 @@ import numpy as np
 
 from .autodiff import ConfigError
 from .config import GenConfig, ModelConfig
-from .data import (Corpus, Document, Entity, Region, Relation, make_corpus)
+from .data import Corpus, Document, Entity, Region, Relation
 from .encoders import hash_bucket
 
 NOISE_SIGMA = 0.1
-ENTITY_TYPES = ("PER", "LOC", "ORG", "TIME")
-GROUNDABLE = ("PER", "LOC", "ORG")
 _LETTERS = string.ascii_lowercase
 
 
@@ -51,35 +50,32 @@ def _mix(a: int, b: int, salt: int) -> int:
     return zlib.crc32(struct.pack("<III", a & 0xFFFFFFFF, b & 0xFFFFFFFF, salt))
 
 
-def type_ranges(vocab: int) -> dict[str, range]:
-    """Bucket ranges: background gets [0, vocab//2), types split the rest."""
-    half = vocab // 2
-    width = (vocab - half) // len(ENTITY_TYPES)
+def type_ranges(model: ModelConfig) -> dict[str, range]:
+    """Bucket ranges: background gets [0, vocab//2), entity types split the rest."""
+    half = model.vocab // 2
+    width = (model.vocab - half) // len(model.entity_types)
     out = {"": range(0, half)}
-    for i, t in enumerate(ENTITY_TYPES):
+    for i, t in enumerate(model.entity_types):
         out[t] = range(half + i * width, half + (i + 1) * width)
     return out
 
 
-def type_of_bucket(bucket: int, vocab: int) -> str:
+def type_of_bucket(bucket: int, model: ModelConfig) -> str:
     """Entity type owning the bucket, or '' for background."""
-    for t, rng in type_ranges(vocab).items():
+    for t, rng in type_ranges(model).items():
         if bucket in rng:
             return t
     return ""
 
 
-def build_pools(seed: int, vocab: int) -> dict[str, list[str]]:
+def build_pools(seed: int, model: ModelConfig) -> dict[str, list[str]]:
     """Deterministic surface-form pools per entity type plus background ('')."""
-    ranges = type_ranges(vocab)
-    sizes = {"": min(48, len(ranges[""]))}
-    for t in ENTITY_TYPES:
-        sizes[t] = min(10, len(ranges[t]))
+    ranges = type_ranges(model)
+    sizes = {t: min(48 if t == "" else 10, len(r)) for t, r in ranges.items()}
     rng = np.random.default_rng(np.random.SeedSequence((seed, 3001)))
     used_buckets: set[int] = set()
     pools: dict[str, list[str]] = {}
-    for t in ("",) + ENTITY_TYPES:
-        want = ranges[t]
+    for t, want in ranges.items():
         pool: list[str] = []
         tries = 0
         while len(pool) < sizes[t]:
@@ -88,7 +84,7 @@ def build_pools(seed: int, vocab: int) -> dict[str, list[str]]:
                 raise ConfigError(f"could not sample {sizes[t]} surface forms for range {want}")
             L = int(rng.integers(3, 9))
             word = "".join(_LETTERS[int(c)] for c in rng.integers(0, 26, size=L))
-            b = hash_bucket(word, vocab)
+            b = hash_bucket(word, model.vocab)
             if b in want and b not in used_buckets:
                 used_buckets.add(b)
                 pool.append(word)
@@ -96,12 +92,12 @@ def build_pools(seed: int, vocab: int) -> dict[str, list[str]]:
     return pools
 
 
-def type_directions(seed: int, d_in: int) -> dict[str, np.ndarray]:
-    """Orthonormal unit direction per groundable type (QR of a seeded matrix)."""
+def type_directions(seed: int, model: ModelConfig) -> dict[str, np.ndarray]:
+    """Orthonormal unit direction per grounding type (QR of a seeded matrix)."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 3002)))
-    m = rng.normal(size=(d_in, len(GROUNDABLE)))
+    m = rng.normal(size=(model.d_in, len(model.grounding_types)))
     q, _ = np.linalg.qr(m)
-    return {t: q[:, i].copy() for i, t in enumerate(GROUNDABLE)}
+    return {t: q[:, i].copy() for i, t in enumerate(model.grounding_types)}
 
 
 def _grid_box(g: int, a: int) -> tuple[int, int, int, int]:
@@ -144,6 +140,10 @@ def generate(cfg: GenConfig, model: ModelConfig | None = None) -> Corpus:
     model.validate()
     if model.vocab < 32:
         raise ConfigError(f"model.vocab must be >= 32 to generate a corpus, got {model.vocab}")
+    buckets = model.vocab - model.vocab // 2
+    if buckets < len(model.entity_types):
+        raise ConfigError(f"model.vocab={model.vocab} leaves {buckets} hash buckets for "
+                          f"{len(model.entity_types)} model.entity_types; each needs one")
     g = math.isqrt(model.n_p)
     if cfg.grounding_rate > 0.0:
         if g * g != model.n_p:
@@ -151,12 +151,13 @@ def generate(cfg: GenConfig, model: ModelConfig | None = None) -> Corpus:
         if g & (g - 1) != 0:
             # power-of-two grid => box coordinates are exact dyadic floats
             raise ConfigError(f"model.n_p grid side {g} must be a power of two for grounding")
-        if model.d_in < len(GROUNDABLE):
-            raise ConfigError(f"model.d_in={model.d_in} must be >= {len(GROUNDABLE)} for grounding")
+        if model.d_in < len(model.grounding_types):
+            raise ConfigError(f"model.d_in={model.d_in} must be >= {len(model.grounding_types)} "
+                              f"for grounding, one direction per model.grounding_types entry")
     if cfg.relation_rate > 0.0 and not model.relation_types:
         raise ConfigError("model.relation_types must be non-empty when relation_rate > 0")
-    pools = build_pools(cfg.seed, model.vocab)
-    dirs = type_directions(cfg.seed, model.d_in) if cfg.grounding_rate > 0 else {}
+    pools = build_pools(cfg.seed, model)
+    dirs = type_directions(cfg.seed, model) if cfg.grounding_rate > 0 else {}
     docs = []
     for di in range(cfg.docs):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 3003, di)))
@@ -174,7 +175,7 @@ def generate(cfg: GenConfig, model: ModelConfig | None = None) -> Corpus:
         while len(tokens) < n_tok:
             room = n_tok - len(tokens)
             if rng.random() < cfg.entity_rate:
-                etype = ENTITY_TYPES[int(rng.integers(len(ENTITY_TYPES)))]
+                etype = model.entity_types[int(rng.integers(len(model.entity_types)))]
                 candidates = [ci for ci, t in enumerate(chain_type)
                               if t == etype and len(chain_surface[ci]) <= room]
                 ci = None
@@ -215,7 +216,7 @@ def generate(cfg: GenConfig, model: ModelConfig | None = None) -> Corpus:
         regions: list[Region] = []
         occupied: set[int] = set()
         for ci in range(len(chains)):
-            if chain_type[ci] not in GROUNDABLE or n_fr == 0:
+            if chain_type[ci] not in model.grounding_types or n_fr == 0:
                 continue
             if rng.random() >= cfg.grounding_rate:
                 continue
@@ -241,8 +242,7 @@ def generate(cfg: GenConfig, model: ModelConfig | None = None) -> Corpus:
             regions=regions,
             modality_mask="full",
         ))
-    return make_corpus(docs, {"source": "generator", "seed": cfg.seed,
-                              "generator": dataclasses.asdict(cfg)})
+    return Corpus(docs)
 
 
 # -- brute-force recoverability oracle ------------------------------------
@@ -259,7 +259,7 @@ class OraclePrediction:
 def oracle_predict(doc: Document, cfg: GenConfig, model: ModelConfig) -> OraclePrediction:
     """Recover all four gold layers from raw tokens and patches alone."""
     # (i) entities: maximal runs of buckets owned by one type range
-    tok_types = [type_of_bucket(hash_bucket(t, model.vocab), model.vocab) for t in doc.tokens]
+    tok_types = [type_of_bucket(hash_bucket(t, model.vocab), model) for t in doc.tokens]
     entities: list[Entity] = []
     i = 0
     n = len(doc.tokens)
@@ -293,7 +293,7 @@ def oracle_predict(doc: Document, cfg: GenConfig, model: ModelConfig) -> OracleP
     # (iv) regions: exhaustive grid search maximizing inside-vs-outside contrast
     regions: list[Region] = []
     if cfg.grounding_rate > 0:
-        dirs = type_directions(cfg.seed, model.d_in)
+        dirs = type_directions(cfg.seed, model)
         g = math.isqrt(model.n_p)
         for fi, frame in enumerate(doc.frames):
             best = None  # (gain, type, rect)

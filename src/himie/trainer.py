@@ -3,7 +3,7 @@
 One document per optimizer step, seeded shuffled visit order, deterministic
 end to end: the same config and corpus produce bitwise-identical checkpoints.
 
-Optimizer memory: `init_adam` copies every trainable parameter into one flat
+Optimizer memory: `init_adam` copies every parameter into one flat
 float64 buffer, in lexicographic name order, and rebinds each tensor's `data`
 to its reshaped view of that buffer; Adam's `m` and `v` are two more buffers of
 the same layout, exposed as one view per name. Each step gathers the tensors'
@@ -15,7 +15,7 @@ contiguous run of the buffer.
 
 Checkpoint layout: 8-byte little-endian header length, then a UTF-8 JSON
 header {manifest, config, step, rng_state} where the manifest lists (name,
-shape, trainable) in lexicographic name order, then the raw float64
+shape) in lexicographic name order, then the raw float64
 little-endian row-major payload in manifest order.
 """
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .model import check_compatible, check_params, forward, init_params
 
 @dataclass
 class AdamState:
-    """Adam over the trainable parameters packed by `init_adam` (layout above).
+    """Adam over the parameters packed by `init_adam` (layout above).
 
     `grad` and `scratch` are the step's working buffers.
     """
@@ -64,8 +64,8 @@ def group_lr(name: str, optim) -> float:
 
 
 def init_adam(params: ParamTree) -> AdamState:
-    """Pack the trainable parameters into one buffer and zero the moments."""
-    names = params.trainable_names()
+    """Pack the parameters into one buffer and zero the moments."""
+    names = params.names()
     n = sum(params[name].data.size for name in names)
     state = AdamState(values=np.empty(n), m_flat=np.zeros(n), v_flat=np.zeros(n),
                       grad=np.empty(n), scratch=np.empty(n))
@@ -174,8 +174,7 @@ def train(cfg: RunConfig, corpus: Corpus,
 
 def save_checkpoint(path: str, params: ParamTree, cfg: RunConfig, step: int,
                     rng_state: dict | None = None) -> None:
-    manifest = [{"name": name, "shape": list(params[name].data.shape),
-                 "trainable": params.is_trainable(name)}
+    manifest = [{"name": name, "shape": list(params[name].data.shape)}
                 for name in params.names()]
     header = {"manifest": manifest, "config": config_to_dict(cfg),
               "step": step, "rng_state": rng_state}
@@ -214,8 +213,7 @@ def _read_header(f, path: str, size: int) -> dict:
     for entry in header["manifest"]:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and isinstance(entry.get("shape"), list)
-                and all(type(n) is int and n >= 0 for n in entry["shape"])
-                and isinstance(entry.get("trainable"), bool)):
+                and all(type(n) is int and n >= 0 for n in entry["shape"])):
             raise CheckpointError(f"bad manifest entry {entry!r:.80} in {path}")
     names = [entry["name"] for entry in header["manifest"]]
     if len(set(names)) != len(names):
@@ -240,7 +238,7 @@ def load_checkpoint(path: str) -> tuple[ParamTree, RunConfig, int, dict | None]:
             shape = tuple(entry["shape"])
             buf = f.read(8 * math.prod(shape))
             arr = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
-            params.add(entry["name"], arr, trainable=entry["trainable"])
+            params.add(entry["name"], arr)
     try:
         cfg = config_from_dict(header["config"])
     except ConfigError as e:

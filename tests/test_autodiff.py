@@ -173,9 +173,8 @@ def test_param_tree_order_and_duplicates():
     p = ParamTree()
     p.add("b.x", np.zeros(2))
     p.add("a.y", np.zeros(3))
-    p.add("a.b", np.zeros(1), trainable=False)
+    p.add("a.b", np.zeros(1))
     assert p.names() == ["a.b", "a.y", "b.x"]
-    assert p.trainable_names() == ["a.y", "b.x"]
     assert p.n_scalars() == 6
     with pytest.raises(ConfigError):
         p.add("a.y", np.zeros(3))

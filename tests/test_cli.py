@@ -70,6 +70,24 @@ class TestPipeline:
         rep = json.loads(capsys.readouterr().out)
         assert rep["n_documents"] == 3
 
+    @pytest.mark.parametrize("labels", [
+        {"entity_types": ("PER", "LOC", "ORG")},
+        {"grounding_types": ("PER",)},
+        {"entity_types": ("PERSON", "PLACE"), "grounding_types": ("PERSON",),
+         "relation_types": ("works_for",)},
+    ])
+    def test_custom_label_sets(self, tmp_path, capsys, labels):
+        # the corpus `gen` writes fits the model's heads with no further check
+        cfg = write_cfg(tmp_path, model=dataclasses.replace(SMALL, **labels))
+        corpus, ckpt = tmp_path / "corpus.jsonl", tmp_path / "model.ckpt"
+        report = tmp_path / "report.json"
+        assert main(["gen", "--config", cfg, "--out", str(corpus)]) == 0
+        assert main(["train", "--config", cfg, "--corpus", str(corpus), "--out", str(ckpt)]) == 0
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                     "--out", str(report)]) == 0
+        assert main(["report", "--report", str(report)]) == 0
+        assert main(["gradcheck", "--config", cfg, "--samples", "20"]) == 0
+
     def test_gradcheck_command(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         assert main(["gradcheck", "--config", cfg, "--samples", "20"]) == 0
@@ -203,6 +221,11 @@ class TestBadInput:
         assert main(argv) == 1
         assert fragment in _one_error_line(capsys)
 
+    def test_empty_relation_name(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, model=dataclasses.replace(SMALL, relation_types=("R0", "")))
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "c.jsonl")]) == 1
+        assert "model.relation_types has an empty name" in _one_error_line(capsys)
+
     def test_negative_seed(self, tmp_path, capsys):
         assert main(["gen", "--config", write_cfg(tmp_path), "--seed", "-1",
                      "--out", str(tmp_path / "c.jsonl")]) == 1
@@ -329,7 +352,7 @@ class TestCheckpointParams:
                 if edit == "missing":
                     continue
                 value = value[:, :-1]
-            params.add(name, value, trainable=ref.is_trainable(name))
+            params.add(name, value)
         ckpt = tmp_path / "m.ckpt"
         save_checkpoint(str(ckpt), params, RunConfig(model=SMALL), 0)
         capsys.readouterr()
@@ -366,7 +389,7 @@ class TestMalformedCheckpoint:
         assert message in self._eval_error(path, capsys)
 
     def test_duplicate_parameter_names(self, tmp_path, capsys):
-        entry = {"name": "w", "shape": [1], "trainable": True}
+        entry = {"name": "w", "shape": [1]}
         blob = json.dumps({"manifest": [entry, entry], "config": {},
                            "step": 0}).encode("utf-8")
         path = tmp_path / "duplicate.ckpt"

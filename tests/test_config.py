@@ -32,6 +32,12 @@ def test_defaults_validate():
     ({"d_h": 0}, ">= 1"),
     ({"grounding_types": ("PER", "XYZ")}, "subset"),
     ({"entity_types": ()}, "non-empty"),
+    ({"entity_types": ("PER", "")}, "model.entity_types has an empty name"),
+    ({"relation_types": ("R0", "")}, "model.relation_types has an empty name"),
+    ({"grounding_types": ("",)}, "model.grounding_types has an empty name"),
+    ({"entity_types": ("PER", "LOC", "PER")}, r"model.entity_types repeats \['PER'\]"),
+    ({"relation_types": ("R0", "R1", "R0")}, r"model.relation_types repeats \['R0'\]"),
+    ({"grounding_types": ("PER", "PER")}, r"model.grounding_types repeats \['PER'\]"),
 ])
 def test_model_config_rejections(patch, fragment):
     cfg = dataclasses.replace(ModelConfig(), **patch)

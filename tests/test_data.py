@@ -11,21 +11,17 @@ from himie.data import (
     Corpus,
     Document,
     Entity,
-    LabelSets,
     ParseError,
     Region,
     Relation,
     ValidationError,
     assign_modality_regime,
-    derive_label_sets,
     load_corpus,
-    make_corpus,
     parse_corpus,
     regime_counts,
     serialize_corpus,
     split_corpus,
     validate,
-    validate_corpus,
 )
 
 
@@ -116,16 +112,10 @@ class TestValidate:
         vs = validate(doc)  # must not raise
         assert len(vs) >= 5
 
-    def test_label_coverage(self):
-        corpus = Corpus([make_doc()], LabelSets(("PER",), ("R1",), ("PER",)))
-        vs = validate_corpus(corpus)
-        assert any(v.code == "LABEL_COVERAGE" for v in vs)
-        assert validate_corpus(make_corpus([make_doc()])) == []
-
 
 class TestSerialization:
     def test_round_trip_identity(self, tmp_path):
-        corpus = make_corpus([make_doc(), make_doc(id="d1", modality_mask="no_text")])
+        corpus = Corpus([make_doc(), make_doc(id="d1", modality_mask="no_text")])
         path = tmp_path / "c.jsonl"
         serialize_corpus(corpus, path)
         back = load_corpus(path)
@@ -137,13 +127,12 @@ class TestSerialization:
             assert a.modality_mask == b.modality_mask
             for fa, fb in zip(a.frames, b.frames):
                 assert np.array_equal(fa, fb)
-        assert back.label_sets == corpus.label_sets
 
     def test_serialize_parse_serialize_is_byte_identical(self):
         rng = np.random.default_rng(3)
         doc = make_doc(frames=[rng.normal(size=(4, 3)), rng.normal(size=(4, 3))],
                        regions=[Region(0, "PER", 0.51234567891234, 0.5, 0.25, 0.125)])
-        text = serialize_corpus(make_corpus([doc]))
+        text = serialize_corpus(Corpus([doc]))
         again = serialize_corpus(parse_corpus(text))
         assert again == text
 
@@ -153,20 +142,20 @@ class TestSerialization:
         assert len(load_corpus(path)) == 0
 
     def test_malformed_line_reports_line_number(self):
-        good = serialize_corpus(make_corpus([make_doc()])).rstrip("\n")
+        good = serialize_corpus(Corpus([make_doc()])).rstrip("\n")
         with pytest.raises(ParseError) as ei:
             parse_corpus(good + "\n{not json\n")
         assert ei.value.line == 2
         assert "line 2" in str(ei.value)
 
     def test_missing_key_is_parse_error(self):
-        obj = json.loads(serialize_corpus(make_corpus([make_doc()])))
+        obj = json.loads(serialize_corpus(Corpus([make_doc()])))
         del obj["chains"]
         with pytest.raises(ParseError, match="chains"):
             parse_corpus(json.dumps(obj))
 
     def test_unknown_key_rejected(self):
-        obj = json.loads(serialize_corpus(make_corpus([make_doc()])))
+        obj = json.loads(serialize_corpus(Corpus([make_doc()])))
         obj["extra"] = 1
         with pytest.raises(ParseError, match="extra"):
             parse_corpus(json.dumps(obj))
@@ -183,10 +172,21 @@ class TestSerialization:
         (("regions", 0, "cx"), True, "regions[0].cx has type bool"),
         (("regions", 0, "w"), "0.2", "regions[0].w has type str"),
         (("regions", 0, "h"), None, "regions[0].h has type NoneType"),
+        (("tokens", 1), 5, "d0.tokens[1] has type int"),
+        (("tokens", 0), True, "d0.tokens[0] has type bool"),
+        (("tokens", 3), None, "d0.tokens[3] has type NoneType"),
+        (("entities", 0, "type"), 7, "d0.entities[0].type has type int"),
+        (("relations", 0, "type"), None, "d0.relations[0].type has type NoneType"),
+        (("regions", 0, "type"), 7, "d0.regions[0].type has type int"),
+        (("frames", 0, "patches", 1, 2), "1.5", "d0.frames[0].patches[1][2] has type str"),
+        (("frames", 1, "patches", 0, 0), True, "d0.frames[1].patches[0][0] has type bool"),
+        (("frames", 0, "patches", 3), 1.0, "d0.frames[0].patches[3] has type float"),
+        (("chains", 1), {}, "d0.chains[1] has type dict"),
     ])
     def test_index_and_box_types_are_strict(self, path, value, fragment):
-        # int() would read 0.9 as 0 and true as 1; float() would read "0.2"
-        obj = json.loads(serialize_corpus(make_corpus([make_doc()])))
+        # int() would read 0.9 as 0 and true as 1; float() would read "0.2";
+        # str() would read 5 as "5"; a float64 array would read "1.5" and true
+        obj = json.loads(serialize_corpus(Corpus([make_doc()])))
         target = obj
         for key in path[:-1]:
             target = target[key]
@@ -195,14 +195,14 @@ class TestSerialization:
             parse_corpus(json.dumps(obj))
 
     def test_integral_box_numbers_accepted(self):
-        obj = json.loads(serialize_corpus(make_corpus([make_doc()])))
+        obj = json.loads(serialize_corpus(Corpus([make_doc()])))
         obj["regions"][0]["w"] = 1
         box = parse_corpus(json.dumps(obj)).documents[0].regions[0].box()
         assert box == (0.5, 0.5, 1.0, 0.2) and type(box[2]) is float
 
     def test_invalid_document_names_id_and_field(self):
         doc = make_doc(entities=[Entity(0, 9, "PER"), Entity(3, 4, "LOC")])
-        text = serialize_corpus(Corpus([doc], derive_label_sets([doc])))
+        text = serialize_corpus(Corpus([doc]))
         with pytest.raises(ValidationError) as ei:
             parse_corpus(text)
         assert ei.value.doc_id == "d0"
@@ -211,7 +211,7 @@ class TestSerialization:
 
 class TestSplit:
     def _corpus(self, n):
-        return make_corpus([make_doc(id=f"d{i}") for i in range(n)])
+        return Corpus([make_doc(id=f"d{i}") for i in range(n)])
 
     def test_10_docs_is_8_1_1(self):
         tr, dv, te = split_corpus(self._corpus(10), (0.8, 0.1, 0.1), seed=0)
@@ -235,7 +235,7 @@ class TestSplit:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            split_corpus(make_corpus([]), (0.8, 0.1, 0.1), seed=0)
+            split_corpus(Corpus([]), (0.8, 0.1, 0.1), seed=0)
 
     def test_bad_ratios_rejected(self):
         with pytest.raises(ValueError):
@@ -244,7 +244,7 @@ class TestSplit:
 
 class TestRegimes:
     def _corpus(self, n):
-        return make_corpus([make_doc(id=f"d{i}") for i in range(n)])
+        return Corpus([make_doc(id=f"d{i}") for i in range(n)])
 
     def test_all_full(self):
         out = assign_modality_regime(self._corpus(5), (1.0, 0.0, 0.0), seed=0)

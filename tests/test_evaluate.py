@@ -6,9 +6,8 @@ import pytest
 
 from himie.autodiff import ConfigError
 from himie.config import GenConfig, ModelConfig, RunConfig
-from himie.data import Corpus, assign_modality_regime, make_corpus
+from himie.data import MODALITIES, Corpus, assign_modality_regime
 from himie.evaluate import (
-    REGIMES,
     evaluate,
     gold_outputs,
     pred_outputs,
@@ -111,7 +110,7 @@ class TestReduce:
         corpus = assign_modality_regime(corpus_with_all_layers(),
                                         (1 / 3, 1 / 3, 1 / 3), seed=0)
         report = reduce_stats(self._stats(corpus), "gold-pairs")
-        counts = {r: report["regimes"][r]["n_documents"] for r in REGIMES}
+        counts = {r: report["regimes"][r]["n_documents"] for r in MODALITIES}
         assert sum(counts.values()) == report["n_documents"] == len(corpus)
 
     def test_order_independent_bytes(self):
@@ -129,7 +128,7 @@ class TestEvaluate:
         params = init_params(SMALL, seed=0)
         cfg = RunConfig(model=SMALL, gen=small_gen())
         with pytest.raises(ConfigError, match="empty corpus"):
-            evaluate(params, cfg, make_corpus([], {}))
+            evaluate(params, cfg, Corpus([]))
 
     def test_unknown_labels_rejected(self):
         corpus = generate(small_gen(), SMALL)

@@ -55,15 +55,14 @@ class TestInit:
 
 
 def damaged(edit: str) -> ParamTree:
-    """init_params(CFG) with one parameter removed, added, reshaped or frozen."""
+    """init_params(CFG) with one parameter removed, added or reshaped."""
     ref = init_params(CFG, 0)
     out = ParamTree()
     for name, t in ref.items():
         if edit == "missing" and name == "heads.crf.trans":
             continue
         value = t.data[:-1] if edit == "shape" and name == "heads.crf.trans" else t.data
-        frozen = edit == "frozen" and name == "heads.crf.trans"
-        out.add(name, value, trainable=ref.is_trainable(name) and not frozen)
+        out.add(name, value)
     if edit == "extra":
         out.add("heads.crf.extra", np.zeros(2))
     return out
@@ -77,7 +76,6 @@ class TestCheckParams:
         ("missing", "parameter heads.crf.trans is missing"),
         ("extra", "parameter heads.crf.extra is not part of the model config"),
         ("shape", r"parameter heads.crf.trans has shape \(\d+, \d+\), the model config"),
-        ("frozen", "parameter heads.crf.trans is frozen"),
     ])
     def test_first_difference_named(self, edit, message):
         with pytest.raises(ConfigError, match=message):

@@ -11,11 +11,19 @@ from himie.evaluate import chains_to_keys, relation_triples, gold_outputs
 from himie.metrics import (entity_counts, chain_counts, chain_score_prf,
                            grounding_counts, prf_from_counts, relation_counts,
                            TaskOutputs)
-from himie.synth import (GROUNDABLE, build_pools, generate, oracle_predict,
-                         type_directions, type_of_bucket, type_ranges)
+from himie.synth import (build_pools, generate, oracle_predict, type_directions,
+                         type_of_bucket, type_ranges)
 from himie.encoders import hash_bucket
 
 MODEL = ModelConfig()
+
+
+def used_labels(corpus) -> tuple[set, set, set]:
+    """The entity, relation and grounding types the corpus uses."""
+    docs = corpus.documents
+    return ({e.type for d in docs for e in d.entities},
+            {r.type for d in docs for r in d.relations},
+            {g.type for d in docs for g in d.regions})
 
 
 def oracle_outputs(doc, cfg, model=MODEL) -> TaskOutputs:
@@ -85,16 +93,8 @@ class TestGenerate:
 
     def test_label_sets_cover_usage(self):
         corpus = generate(GenConfig(docs=10, seed=7))
-        used_rel = {r.type for d in corpus.documents for r in d.relations}
-        assert used_rel <= set(corpus.label_sets.relation_types)
-        assert set(corpus.label_sets.grounding_types) <= set(GROUNDABLE)
-
-    def test_provenance_records_config(self):
-        cfg = GenConfig(docs=2, seed=9)
-        prov = generate(cfg).provenance
-        assert prov["seed"] == 9
-        assert prov["generator"]["docs"] == 2
-        assert prov["generator"]["entity_rate"] == cfg.entity_rate
+        assert used_labels(corpus) == (set(MODEL.entity_types), set(MODEL.relation_types),
+                                       set(MODEL.grounding_types))
 
     @pytest.mark.parametrize("k", range(10))
     def test_random_configs_generate_valid_corpora(self, k):
@@ -113,21 +113,21 @@ class TestGenerate:
         corpus = generate(cfg, model)
         for doc in corpus.documents:
             assert validate(doc) == [], (k, doc.id)
-        assert set(corpus.label_sets.relation_types) <= set(relation_types)
+        assert used_labels(corpus)[1] <= set(relation_types)
 
 
 class TestPlantedStructure:
     def test_bucket_ranges_partition_vocab(self):
-        ranges = type_ranges(256)
+        ranges = type_ranges(MODEL)
         seen = sorted(b for r in ranges.values() for b in r)
         assert seen == list(range(seen[-1] + 1))
-        assert type_of_bucket(0, 256) == ""
-        assert type_of_bucket(255, 256) in ("PER", "LOC", "ORG", "TIME")
+        assert type_of_bucket(0, MODEL) == ""
+        assert type_of_bucket(255, MODEL) in ("PER", "LOC", "ORG", "TIME")
 
     def test_pools_land_in_owned_ranges(self):
         cfg = GenConfig(seed=11)
-        pools = build_pools(cfg.seed, MODEL.vocab)
-        ranges = type_ranges(MODEL.vocab)
+        pools = build_pools(cfg.seed, MODEL)
+        ranges = type_ranges(MODEL)
         for t, words in pools.items():
             for w in words:
                 assert hash_bucket(w, MODEL.vocab) in ranges[t]
@@ -135,18 +135,18 @@ class TestPlantedStructure:
     def test_pool_buckets_pairwise_distinct(self):
         cfg = GenConfig(seed=11)
         buckets = [hash_bucket(w, MODEL.vocab)
-                   for words in build_pools(cfg.seed, MODEL.vocab).values() for w in words]
+                   for words in build_pools(cfg.seed, MODEL).values() for w in words]
         assert len(buckets) == len(set(buckets))
 
     def test_type_directions_orthonormal(self):
-        dirs = type_directions(2, MODEL.d_in)
+        dirs = type_directions(2, MODEL)
         mats = np.stack(list(dirs.values()))
         assert np.allclose(mats @ mats.T, np.eye(len(dirs)), atol=1e-12)
 
     def test_entity_spans_are_maximal_type_runs(self):
         cfg = GenConfig(docs=6, seed=13)
         for doc in generate(cfg).documents:
-            types = [type_of_bucket(hash_bucket(t, MODEL.vocab), MODEL.vocab)
+            types = [type_of_bucket(hash_bucket(t, MODEL.vocab), MODEL)
                      for t in doc.tokens]
             for e in doc.entities:
                 assert all(types[i] == e.type for i in range(e.start, e.end))
@@ -236,7 +236,20 @@ class TestModelShape:
     def test_custom_relation_names(self):
         model = ModelConfig(relation_types=("works_for", "born_in"))
         corpus = generate(GenConfig(docs=8, relation_rate=0.8, seed=4), model)
-        assert set(corpus.label_sets.relation_types) == {"works_for", "born_in"}
+        assert used_labels(corpus)[1] == {"works_for", "born_in"}
+
+    def test_custom_label_sets(self):
+        # every label the corpus uses comes from the model, and the oracle still
+        # recovers all four layers
+        model = ModelConfig(entity_types=("PERSON", "PLACE", "THING"),
+                            grounding_types=("PERSON",), relation_types=("works_for", "born_in"))
+        cfg = GenConfig(docs=8, entity_rate=0.4, relation_rate=0.6, grounding_rate=1.0, seed=6)
+        corpus = generate(cfg, model)
+        assert used_labels(corpus) == ({"PERSON", "PLACE", "THING"}, {"works_for", "born_in"},
+                                       {"PERSON"})
+        for doc in corpus.documents:
+            assert validate(doc) == [], doc.id
+        assert oracle_f1s(corpus, cfg, model) == (1.0, 1.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("patch,fragment", [
         ({"relation_types": ()}, "relation_types"),
@@ -244,6 +257,10 @@ class TestModelShape:
         ({"n_p": 15}, "perfect square"),
         ({"n_p": 36}, "power of two"),
         ({"d_in": 2}, ">= 3"),
+        ({"vocab": 32, "entity_types": tuple(f"E{i}" for i in range(17)),
+          "grounding_types": ()}, "16 hash buckets for 17"),
+        ({"d_in": 3, "entity_types": ("A", "B", "C", "D"),
+          "grounding_types": ("A", "B", "C", "D")}, ">= 4"),
     ])
     def test_generate_rejects_model_shape(self, patch, fragment):
         model = dataclasses.replace(ModelConfig(), **patch)

@@ -39,7 +39,7 @@ def small_run(**over) -> RunConfig:
 def reference_adam_step(params, grads, m, v, t, optim):
     """The per-parameter Adam loop the packed `adam_step` must equal bit for bit."""
     b1, b2, eps = optim.beta1, optim.beta2, optim.eps
-    for name in params.trainable_names():
+    for name in params.names():
         g = grads[name]
         m[name] = b1 * m[name] + (1.0 - b1) * g
         v[name] = b2 * v[name] + (1.0 - b2) * g * g
@@ -101,15 +101,6 @@ class TestAdam:
             assert all(np.array_equal(old[n], new[n]) for n in old)
         assert after[3] == before[3] == 1
 
-    def test_frozen_params_excluded(self):
-        p = ParamTree()
-        p.add("w", np.ones(2))
-        p.add("c", np.ones(2), trainable=False)
-        state = init_adam(p)
-        assert "c" not in state.m
-        step(p, state, {"w": np.ones(2), "c": np.ones(2)}, OptimConfig())
-        assert np.array_equal(p["c"].data, np.ones(2))
-
     def test_group_assignment(self):
         optim = OptimConfig(lr_encoder=5e-6, lr_other=1e-3)
         assert group_lr("encoder.text.block0.attn.wq", optim) == 5e-6
@@ -137,22 +128,22 @@ class TestAdam:
 
     def test_packed_step_equals_per_parameter_loop(self):
         # both learning-rate groups with a run on each side of `encoder.*`, a
-        # frozen parameter, a one-element and a 0-d parameter, an all-zero
-        # gradient and a parameter no gradient reaches; values start near zero
-        # so that an update differing in its last bit shows in the parameters
+        # one-element and a 0-d parameter, an all-zero gradient and a parameter
+        # no gradient reaches; values start near zero so that an update
+        # differing in its last bit shows in the parameters
         shapes = {"dffm.w": (3, 4), "encoder.a": (5,), "encoder.one": (1,),
-                  "encoder.z": (2, 2), "heads.b": (4, 3), "heads.frozen": (2,),
-                  "heads.none": (3,), "mmcm.s": ()}
+                  "encoder.z": (2, 2), "heads.b": (4, 3), "heads.none": (3,),
+                  "mmcm.s": ()}
         rng = np.random.default_rng(0)
         packed, loop = ParamTree(), ParamTree()
         for name, shape in shapes.items():
             value = 1e-6 * rng.normal(size=shape)
-            packed.add(name, value.copy(), trainable=name != "heads.frozen")
-            loop.add(name, value.copy(), trainable=name != "heads.frozen")
+            packed.add(name, value.copy())
+            loop.add(name, value.copy())
         optim = OptimConfig(lr_encoder=3e-4, lr_other=1e-2)
         state = init_adam(packed)
-        m = {n: np.zeros(shapes[n]) for n in loop.trainable_names()}
-        v = {n: np.zeros(shapes[n]) for n in loop.trainable_names()}
+        m = {n: np.zeros(shapes[n]) for n in loop.names()}
+        v = {n: np.zeros(shapes[n]) for n in loop.names()}
         for t in (1, 2, 3):
             grads = {n: rng.normal(size=shapes[n]) for n in shapes if n != "heads.none"}
             grads["encoder.z"] = np.zeros((2, 2))
@@ -171,11 +162,11 @@ class TestAdam:
         p = init_params(SMALL, 0)
         ref = init_params(SMALL, 0)
         state = init_adam(p)
-        for name in p.trainable_names():
+        for name in p.names():
             assert np.array_equal(p[name].data, ref[name].data), name
             assert np.shares_memory(p[name].data, state.values), name
         # a write through a tensor shows in the buffer and the other way round
-        name = p.trainable_names()[0]
+        name = p.names()[0]
         p[name].data.reshape(-1)[0] = 7.0
         assert state.values[0] == 7.0
         state.values[0] = 8.0
@@ -268,7 +259,7 @@ class TestTrain:
         first = train(cfg, corpus)
         copy = ParamTree()
         for n, t in first.params.items():
-            copy.add(n, t.data.copy(), trainable=first.params.is_trainable(n))
+            copy.add(n, t.data.copy())
         again = train(cfg, corpus, params=first.params)
         ref = train(cfg, corpus, params=copy)
         for n in ref.params.names():
@@ -307,14 +298,26 @@ class TestCompatibility:
     def test_unknown_labels(self, monkeypatch):
         cfg = small_run(model=dataclasses.replace(SMALL, entity_types=("PER",),
                                                   grounding_types=("PER",)))
-        self._refused(monkeypatch, cfg, generate(cfg.gen, cfg.model), "entity labels unknown")
+        self._refused(monkeypatch, cfg, generate(cfg.gen, SMALL), "entity labels unknown")
 
     def test_custom_relation_names_accepted(self):
         model = dataclasses.replace(SMALL, relation_types=("works_for", "born_in"))
         cfg = small_run(model=model, epochs=1)
         cfg.gen = dataclasses.replace(cfg.gen, entity_rate=0.4, relation_rate=0.8)
         corpus = generate(cfg.gen, cfg.model)
-        assert set(corpus.label_sets.relation_types) == {"works_for", "born_in"}
+        assert {r.type for d in corpus.documents for r in d.relations} == {"works_for", "born_in"}
+        assert train(cfg, corpus).step == len(corpus)
+
+    def test_custom_label_sets_accepted(self):
+        # the generator draws every label from the model, so its corpus trains as is
+        model = dataclasses.replace(SMALL, entity_types=("PERSON", "PLACE", "THING"),
+                                    grounding_types=("PERSON",), relation_types=("works_for",))
+        cfg = small_run(model=model, epochs=1)
+        cfg.gen = dataclasses.replace(cfg.gen, docs=4, entity_rate=0.4, relation_rate=0.8,
+                                      grounding_rate=1.0)
+        corpus = generate(cfg.gen, cfg.model)
+        assert {e.type for d in corpus.documents for e in d.entities} <= set(model.entity_types)
+        assert {g.type for d in corpus.documents for g in d.regions} == {"PERSON"}
         assert train(cfg, corpus).step == len(corpus)
 
     def test_given_params_mismatch(self, monkeypatch):
@@ -347,7 +350,20 @@ class TestCheckpoint:
         assert loaded.names() == params.names()
         for n in params.names():
             assert np.array_equal(loaded[n].data, params[n].data), n
-            assert loaded.is_trainable(n) == params.is_trainable(n)
+
+    def test_older_manifest_with_trainable_key_loads(self, tmp_path):
+        # checkpoints once listed (name, shape, trainable); the key is now ignored
+        path, params, *_ = self._ckpt(tmp_path)
+        data = path.read_bytes()
+        end = 8 + struct.unpack("<Q", data[:8])[0]
+        header = json.loads(data[8:end])
+        for entry in header["manifest"]:
+            entry["trainable"] = True
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(struct.pack("<Q", len(blob)) + blob + data[end:])
+        loaded = load_checkpoint(str(old))[0]
+        assert all(np.array_equal(loaded[n].data, params[n].data) for n in params.names())
 
     def test_save_load_save_bitwise_identical(self, tmp_path):
         path, params, cfg, step = self._ckpt(tmp_path, trained=True)
