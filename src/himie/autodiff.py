@@ -214,11 +214,6 @@ def texp(a) -> Tensor:
     return Tensor._result(out, (a,), lambda g: (g * out,))
 
 
-def tlog(a) -> Tensor:
-    a = _t(a)
-    return Tensor._result(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
 def sigmoid(a) -> Tensor:
     a = _t(a)
     out = 0.5 * (1.0 + np.tanh(0.5 * a.data))  # stable logistic
@@ -419,7 +414,11 @@ def multi_head_attention(q, k, v, heads: int, params) -> Tensor:
     q: [..., Lq, d], k/v: [..., Lk, d] with the same leading batch axes; each
     batch entry attends only within itself. Per-head q/k/v projections are
     bias-free; the output projection carries the only bias. Scores scale by
-    1/sqrt(d/heads). `params` maps {"wq","wk","wv","wo","bo"} to Tensors.
+    1/sqrt(d/heads). `params` maps {"wq","wk","wv","wo","bo"} to Tensors:
+    either shared weights ([d, d], bias [d]) or one set per batch entry, whose
+    leading axes equal the inputs' batch axes ([..., d, d], bias [..., 1, d]).
+    Weight gradients reduce over all rows in the first case and over the rows
+    of each batch entry in the second.
 
     The backward pass is derived by hand. As in FlashAttention (Dao et al.
     2022) it recomputes the attention weights from the saved row max and row
@@ -438,6 +437,9 @@ def multi_head_attention(q, k, v, heads: int, params) -> Tensor:
     if d % heads != 0:
         raise ConfigError(f"model width {d} not divisible by heads {heads}")
     wq, wk, wv, wo, bo = (_t(params[n]) for n in ("wq", "wk", "wv", "wo", "bo"))
+    batched = wq.data.ndim > 2
+    if batched and any(w.data.shape[:-2] != q.data.shape[:-2] for w in (wq, wk, wv, wo, bo)):
+        raise ShapeError(f"attention weights' leading axes must equal the batch axes of q {q.data.shape}")
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
 
@@ -458,21 +460,25 @@ def multi_head_attention(q, k, v, heads: int, params) -> Tensor:
     merged = merge(ctx)
     out = merged @ wo.data + bo.data
 
+    def wgrad(x, dy):  # d(x @ w)/dw summed over the rows that share w
+        if batched:
+            return np.swapaxes(x, -1, -2) @ dy
+        return x.reshape(-1, d).T @ dy.reshape(-1, d)
+
+    def tr(w):
+        return np.swapaxes(w.data, -1, -2)
+
     def vjp(g):
         attn = np.exp((Qh @ KhT) * scale - row_max) / row_sum
-        g2 = g.reshape(-1, d)
-        dwo = merged.reshape(-1, d).T @ g2
-        dbo = g2.sum(axis=0)
-        dctx = split(g @ wo.data.T)
+        dbo = g.sum(axis=-2, keepdims=True) if batched else g.reshape(-1, d).sum(axis=0)
+        dctx = split(g @ tr(wo))
         dattn = dctx @ np.swapaxes(Vh, -1, -2)
         dvh = np.swapaxes(attn, -1, -2) @ dctx
         dscores = attn * (dattn - (dctx * ctx).sum(axis=-1, keepdims=True)) * scale
         dQ, dK, dV = merge(dscores @ Kh), merge(np.swapaxes(dscores, -1, -2) @ Qh), merge(dvh)
-        return (dQ @ wq.data.T, dK @ wk.data.T, dV @ wv.data.T,
-                q.data.reshape(-1, d).T @ dQ.reshape(-1, d),
-                k.data.reshape(-1, d).T @ dK.reshape(-1, d),
-                v.data.reshape(-1, d).T @ dV.reshape(-1, d),
-                dwo, dbo)
+        return (dQ @ tr(wq), dK @ tr(wk), dV @ tr(wv),
+                wgrad(q.data, dQ), wgrad(k.data, dK), wgrad(v.data, dV),
+                wgrad(merged, g), dbo)
 
     return Tensor._result(out, (q, k, v, wq, wk, wv, wo, bo), vjp)
 

@@ -10,6 +10,8 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
 from .autodiff import ConfigError, NumericError, gradcheck
 from .config import RunConfig, load_config
 from .data import (MODALITIES, ParseError, ValidationError, assign_modality_regime,
@@ -84,12 +86,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not args.tol > 0:
+        raise ConfigError(f"gradcheck: tol must be > 0, got {args.tol}")
     cfg = _cfg(args)
     gen = dataclasses.replace(cfg.gen, docs=1, tokens_per_doc=(12, 16),
                               frames_per_doc=(2, 2))
     doc = synth.generate(gen, cfg.model).documents[0]
     params = init_params(cfg.model, cfg.seed)
-    report = gradcheck(lambda: forward(doc, params, cfg.model, cfg.loss).loss,
+    # a fresh stream per call: every finite-difference pass sees the same VAE noise
+    report = gradcheck(lambda: forward(doc, params, cfg.model, cfg.loss,
+                                       rng=np.random.default_rng(cfg.seed)).loss,
                        params, samples=args.samples, eps=args.eps, seed=cfg.seed)
     worst = report.worst()
     print(f"gradcheck: {len(report.entries)} samples, max rel err "

@@ -93,6 +93,13 @@ class TestPipeline:
         assert main(["gradcheck", "--config", cfg, "--samples", "20"]) == 0
         assert "OK" in capsys.readouterr().out
 
+    def test_gradcheck_sample_mode(self, tmp_path, capsys):
+        # each finite-difference pass draws the same VAE noise
+        cfg = write_cfg(tmp_path, model=dataclasses.replace(SMALL, vae_mode="sample",
+                                                            kl_weight=0.05))
+        assert main(["gradcheck", "--config", cfg, "--samples", "20"]) == 0
+        assert "OK" in capsys.readouterr().out
+
     def test_sweep_command(self, tmp_path):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "sweep.csv"
@@ -134,10 +141,10 @@ class TestExitCodes:
         assert "line 1" in capsys.readouterr().err
 
     def test_numeric_failure_is_two(self, tmp_path, capsys):
-        # an impossible tolerance forces the gradcheck failure branch
+        # a tolerance below any float rounding error forces the gradcheck failure branch
         cfg = write_cfg(tmp_path)
         code = main(["gradcheck", "--config", cfg, "--samples", "5",
-                     "--tol", "0"])
+                     "--tol", "1e-300"])
         assert code == 2
         assert "FAIL" in capsys.readouterr().out
 
@@ -232,7 +239,10 @@ class TestBadInput:
         assert "seed must be >= 0, got -1" in _one_error_line(capsys)
 
     @pytest.mark.parametrize("flag,value,fragment", [("--samples", "0", "samples must be >= 1"),
-                                                     ("--eps", "0", "eps must be > 0")])
+                                                     ("--eps", "0", "eps must be > 0"),
+                                                     ("--tol", "0", "tol must be > 0"),
+                                                     ("--tol", "-1", "tol must be > 0"),
+                                                     ("--tol", "nan", "tol must be > 0")])
     def test_gradcheck_preconditions(self, tmp_path, capsys, flag, value, fragment):
         assert main(["gradcheck", "--config", write_cfg(tmp_path), flag, value]) == 1
         assert fragment in _one_error_line(capsys)
@@ -358,6 +368,29 @@ class TestCheckpointParams:
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus)]) == 1
         assert message in _one_error_line(capsys)
+
+    def test_eval_refuses_per_level_dffm_layout(self, tmp_path, capsys):
+        # the layout before the DFFM levels were stacked: dffm.g2x.low.wk, dffm.mix.g2x.low, ...
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["gen", "--config", write_cfg(tmp_path), "--out", str(corpus)]) == 0
+        old = ParamTree()
+        for name, t in init_params(SMALL, 0).items():
+            parts = name.split(".")
+            if name == "dffm.pos" or parts[-1] == "base" or parts[0] != "dffm":
+                old.add(name, t.data)
+                continue
+            for lvl, value in zip(("low", "mid", "high"), t.data):
+                if parts[1] == "mix":
+                    old.add(f"dffm.mix.{parts[2]}.{lvl}", value)
+                else:
+                    old.add(".".join(parts[:2] + [lvl] + parts[2:]),
+                            value[0] if value.shape[0] == 1 else value)
+        ckpt = tmp_path / "old.ckpt"
+        save_checkpoint(str(ckpt), old, RunConfig(model=SMALL), 0)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus)]) == 1
+        assert ("parameter dffm.g2x.attn.bo is missing; the model config needs it"
+                in _one_error_line(capsys))
 
 
 class TestMalformedCheckpoint:

@@ -1,16 +1,17 @@
-"""Latent cross-modal fusion: VAE behavior, mixing algebra, gradients."""
+"""Latent cross-modal fusion: VAE behavior, mixing algebra, gradients, and the
+stacked-level pass against a per-level reference loop."""
 import numpy as np
 import pytest
 
-from himie.autodiff import ConfigError, ParamTree, Tensor, gradcheck
+from himie.autodiff import (ConfigError, ParamTree, Tensor, add, gelu, gradcheck,
+                            matmul, multi_head_attention, reshape, texp, tmean)
 from himie.config import ModelConfig
 from himie.dffm import (
     LEVELS,
+    MIX_LEVEL_INIT,
     fuse_g_to_x,
     fuse_x_to_g,
     init_dffm,
-    init_vae,
-    kl_term,
     pooled_base_frames,
     vae_encode,
 )
@@ -33,18 +34,202 @@ def params():
     return p
 
 
+def vae_scope(mean_w, mean_b, logvar_w, logvar_b):
+    p = ParamTree()
+    v = p.scoped("v")
+    for name, value in (("mean.w", mean_w), ("mean.b", mean_b),
+                        ("logvar.w", logvar_w), ("logvar.b", logvar_b)):
+        v.add(name, value)
+    return v
+
+
+# -- per-level reference: one weight set and one fusion pass per level ----
+
+def reference_init(scope, cfg, rng) -> None:
+    """Per-level parameters `dffm.{g2x,x2g}.{low,mid,high}.*` and
+    `dffm.mix.{g2x,x2g}.{low,mid,high}`, drawn level by level."""
+    d_h, d_v = cfg.d_h, cfg.d_vae
+    s, sv = 1.0 / np.sqrt(d_h), 1.0 / np.sqrt(d_v)
+    for direction in ("g2x", "x2g"):
+        for lvl in LEVELS:
+            lv = scope.scoped(f"{direction}.{lvl}")
+            lv.add("wk", rng.normal(size=(d_h, d_h)) * s)
+            lv.add("wv", rng.normal(size=(d_h, d_h)) * s)
+            lv.add("enc.mean.w", rng.normal(size=(d_h, d_v)) * s)
+            lv.add("enc.mean.b", np.zeros(d_v))
+            lv.add("enc.logvar.w", rng.normal(size=(d_h, d_v)) * (0.01 * s))
+            lv.add("enc.logvar.b", np.full(d_v, -4.0))
+            lv.add("dec.w", rng.normal(size=(d_v, d_h)) * sv)
+            lv.add("dec.b", np.zeros(d_h))
+            for nm in ("wq", "wk", "wv", "wo"):
+                lv.add(f"attn.{nm}", rng.normal(size=(d_v, d_v)) * sv)
+            lv.add("attn.bo", np.zeros(d_v))
+            lv.add("ffn.w1", rng.normal(size=(d_v, 4 * d_v)) * sv)
+            lv.add("ffn.b1", np.zeros(4 * d_v))
+            lv.add("ffn.w2", rng.normal(size=(4 * d_v, d_v)) * (1.0 / np.sqrt(4 * d_v)))
+            lv.add("ffn.b2", np.zeros(d_v))
+    for direction in ("g2x", "x2g"):
+        m = scope.scoped(f"mix.{direction}")
+        for lvl in LEVELS:
+            m.add(lvl, rng.normal(size=(d_h, d_h)) * (MIX_LEVEL_INIT / np.sqrt(d_h)))
+        m.add("base", np.eye(d_h))
+    scope.add("pos", rng.normal(size=(cfg.max_frames, d_h)) * 0.02)
+
+
+def reference_encode(x, scope, eps, kl_acc):
+    mean = add(matmul(x, scope["mean.w"]), scope["mean.b"])
+    log_var = add(matmul(x, scope["logvar.w"]), scope["logvar.b"])
+    if kl_acc is not None:
+        kl_acc.append(tmean(-0.5 * (1.0 + log_var - mean * mean - texp(log_var))))
+    return mean if eps is None else add(mean, texp(log_var * 0.5) * Tensor(eps))
+
+
+def reference_level(q_base, kv, scope, cfg, noise, kl_acc):
+    """One level's fusion [Nq, d_h] -> [Nq, d_h]; `noise` is (q, k, v) or None."""
+    eq, ek, ev = noise or (None, None, None)
+    enc = scope.scoped("enc")
+    zq = reference_encode(q_base, enc, eq, kl_acc)
+    zk = reference_encode(matmul(kv, scope["wk"]), enc, ek, kl_acc)
+    zv = reference_encode(matmul(kv, scope["wv"]), enc, ev, kl_acc)
+    h = add(zq, multi_head_attention(zq, zk, zv, cfg.heads, scope.scoped("attn")))
+    ffn = scope.scoped("ffn")
+    f = add(h, add(matmul(gelu(add(matmul(h, ffn["w1"]), ffn["b1"])), ffn["w2"]), ffn["b2"]))
+    return add(matmul(f, scope["dec.w"]), scope["dec.b"])
+
+
+def reference_direction(direction, q_base, kv_levels, scope, cfg, noise, kl_acc):
+    """Base mix plus one `reference_level` per level; `noise` holds the
+    stacked (q, k, v) blocks, sliced per level."""
+    mix = scope.scoped(f"mix.{direction}")
+    out = matmul(q_base, mix["base"])
+    for k, (lvl, kv) in enumerate(zip(LEVELS, kv_levels)):
+        level_noise = None if noise is None else tuple(n[k] for n in noise)
+        fused = reference_level(q_base, kv, scope.scoped(f"{direction}.{lvl}"), cfg,
+                                level_noise, kl_acc)
+        out = add(out, matmul(fused, mix[lvl]))
+    return out
+
+
+def reference_g_to_x(text, image, scope, cfg, noise=None, kl_acc=None):
+    n_g, n_p = image.base.data.shape[:2]
+    kv = [reshape(getattr(image, lvl), (n_g * n_p, cfg.d_h)) for lvl in LEVELS]
+    return reference_direction("g2x", text.base, kv, scope, cfg, noise, kl_acc)
+
+
+def reference_x_to_g(image, text, scope, cfg, noise=None, kl_acc=None):
+    n_g, n_p = image.base.data.shape[:2]
+    q = reshape(image.base, (n_g * n_p, cfg.d_h))
+    kv = [getattr(text, lvl) for lvl in LEVELS]
+    out = reference_direction("x2g", q, kv, scope, cfg, noise, kl_acc)
+    return add(tmean(reshape(out, (n_g, n_p, cfg.d_h)), axis=1), scope["pos"][:n_g])
+
+
+def reference_name(name: str, level: int) -> str:
+    """Per-level name of level `level` of a stacked parameter."""
+    parts = name.split(".")
+    if parts[1] == "mix":
+        return f"dffm.mix.{parts[2]}.{LEVELS[level]}"
+    return ".".join(parts[:2] + [LEVELS[level]] + parts[2:])
+
+
+class RecordingRng:
+    """A seeded normal stream that keeps every block it hands out."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def standard_normal(self, shape):
+        self.draws.append(self._rng.standard_normal(shape))
+        return self.draws[-1]
+
+
+def tape_ops(out: Tensor, kind: str) -> int:
+    """Number of distinct tape nodes of op `kind` that `out` depends on."""
+    seen, stack, count = set(), [out], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._vjp is not None and node._vjp.__qualname__.split(".", 1)[0] == kind:
+            count += 1
+        stack.extend(node._parents)
+    return count
+
+
+class TestAgainstPerLevelReference:
+    def _trees(self, seed=7):
+        stacked, ref = ParamTree(), ParamTree()
+        init_dffm(stacked.scoped("dffm"), CFG, np.random.default_rng(seed))
+        reference_init(ref.scoped("dffm"), CFG, np.random.default_rng(seed))
+        return stacked, ref
+
+    def test_stacked_init_equals_per_level_draws(self):
+        stacked, ref = self._trees()
+        covered = set()
+        for name, t in stacked.items():
+            if name == "dffm.pos" or name.endswith(".base"):
+                assert np.array_equal(t.data, ref[name].data), name
+                covered.add(name)
+                continue
+            assert t.data.shape[0] == len(LEVELS), name
+            for k in range(len(LEVELS)):
+                rname = reference_name(name, k)
+                assert np.array_equal(t.data[k].reshape(ref[rname].shape), ref[rname].data), rname
+                covered.add(rname)
+        assert covered == set(ref.names())
+        assert stacked.n_scalars() == ref.n_scalars()
+        assert (len(stacked), len(ref)) == (39, 111)
+
+    @pytest.mark.parametrize("mode", ["mean", "sample"])
+    @pytest.mark.parametrize("with_kl", [False, True])
+    def test_both_directions_match_per_level_loop(self, mode, with_kl):
+        stacked, ref = self._trees()
+        text = make_levels((5, CFG.d_h), 30)
+        img = make_levels((3, CFG.n_p, CFG.d_h), 31)
+        rng = RecordingRng(8) if mode == "sample" else None
+        acc = [] if with_kl else None
+        s = stacked.scoped("dffm")
+        a = fuse_g_to_x(text, img, s, CFG, mode, rng, acc)
+        b = fuse_x_to_g(img, text, s, CFG, mode, rng, acc)
+        ref_acc = [] if with_kl else None
+        g_noise = x_noise = None
+        if rng is not None:  # one block per q/k/v per direction, each [3, N, d_vae]
+            assert [n.shape[0] for n in rng.draws] == [len(LEVELS)] * 6
+            g_noise, x_noise = rng.draws[:3], rng.draws[3:]
+        r = ref.scoped("dffm")
+        ra = reference_g_to_x(text, img, r, CFG, g_noise, ref_acc)
+        rb = reference_x_to_g(img, text, r, CFG, x_noise, ref_acc)
+        assert np.allclose(a.data, ra.data, rtol=0, atol=1e-12)
+        assert np.allclose(b.data, rb.data, rtol=0, atol=1e-12)
+        if with_kl:
+            # 6 stacked terms of equal element counts stand for 18 per-level ones
+            assert len(acc) == 6 and len(ref_acc) == 18
+            kl = sum(float(t.data) for t in acc) / len(acc)
+            ref_kl = sum(float(t.data) for t in ref_acc) / len(ref_acc)
+            assert abs(kl - ref_kl) < 1e-12
+
+
 class TestVae:
     def _scope(self):
-        p = ParamTree()
-        init_vae(p.scoped("v"), 8, 4, np.random.default_rng(0))
-        return p.scoped("v")
+        rng = np.random.default_rng(0)
+        return vae_scope(rng.normal(size=(8, 4)) / np.sqrt(8), np.zeros(4),
+                         rng.normal(size=(8, 4)) * (0.01 / np.sqrt(8)), np.full(4, -4.0))
 
     def test_mean_mode_is_deterministic_and_equals_mean(self):
         s = self._scope()
         x = Tensor(np.random.default_rng(1).normal(size=(5, 8)))
         z = vae_encode(x, s, "mean")
-        assert np.array_equal(z.sample.data, z.mean.data)
-        assert z.mean.data.shape == (5, 4)
+        assert np.array_equal(z.data, x.data @ s["mean.w"].data + s["mean.b"].data)
+        assert np.array_equal(vae_encode(x, s, "mean").data, z.data)
+        assert z.data.shape == (5, 4)
+        # with no sample and no KL to feed, the log-variance head is never read
+        p = ParamTree()
+        mean_only = p.scoped("v")
+        mean_only.add("mean.w", s["mean.w"].data)
+        mean_only.add("mean.b", s["mean.b"].data)
+        assert np.array_equal(vae_encode(x, mean_only, "mean").data, z.data)
 
     def test_sample_mode_needs_rng(self):
         s = self._scope()
@@ -55,48 +240,37 @@ class TestVae:
     def test_sample_mode_reproducible_given_seeded_rng(self):
         s = self._scope()
         x = Tensor(np.random.default_rng(2).normal(size=(3, 8)))
-        a = vae_encode(x, s, "sample", np.random.default_rng(5)).sample.data
-        b = vae_encode(x, s, "sample", np.random.default_rng(5)).sample.data
+        a = vae_encode(x, s, "sample", np.random.default_rng(5)).data
+        b = vae_encode(x, s, "sample", np.random.default_rng(5)).data
         assert np.array_equal(a, b)
-        c = vae_encode(x, s, "sample", np.random.default_rng(6)).sample.data
+        c = vae_encode(x, s, "sample", np.random.default_rng(6)).data
         assert not np.array_equal(a, c)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError, match="mode"):
             vae_encode(Tensor(np.zeros((1, 8))), self._scope(), "map")
 
-    def test_kl_zero_at_standard_normal(self):
-        z = vae_encode(Tensor(np.zeros((4, 8))), self._zero_scope(), "mean")
-        assert abs(kl_term(z).data) < 1e-12
+    @staticmethod
+    def _kl(x, scope):
+        acc = []
+        vae_encode(x, scope, "mean", None, acc)
+        assert len(acc) == 1
+        return float(acc[0].data)
 
-    def _zero_scope(self):
-        p = ParamTree()
-        v = p.scoped("v")
-        v.add("mean.w", np.zeros((8, 4)))
-        v.add("mean.b", np.zeros(4))
-        v.add("logvar.w", np.zeros((8, 4)))
-        v.add("logvar.b", np.zeros(4))
-        return v
+    def test_kl_zero_at_standard_normal(self):
+        z = np.zeros((8, 4))
+        assert abs(self._kl(Tensor(np.zeros((4, 8))),
+                            vae_scope(z, np.zeros(4), z, np.zeros(4)))) < 1e-12
 
     def test_kl_positive_away_from_prior(self):
-        s = self._scope()
         x = Tensor(np.random.default_rng(3).normal(size=(4, 8)) * 3)
-        assert kl_term(vae_encode(x, s, "mean")).data > 0
+        assert self._kl(x, self._scope()) > 0
 
     def test_kl_hand_value(self):
         # mean=1, logvar=0 everywhere: KL = -0.5*(1 + 0 - 1 - 1) = 0.5
-        z = vae_encode(Tensor(np.ones((2, 8))), self._unit_scope(), "mean")
-        assert abs(kl_term(z).data - 0.5) < 1e-12
-
-    def _unit_scope(self):
-        p = ParamTree()
-        v = p.scoped("v")
-        w = np.zeros((8, 4))
-        v.add("mean.w", w)
-        v.add("mean.b", np.ones(4))
-        v.add("logvar.w", w.copy())
-        v.add("logvar.b", np.zeros(4))
-        return v
+        z = np.zeros((8, 4))
+        assert abs(self._kl(Tensor(np.ones((2, 8))),
+                            vae_scope(z, np.ones(4), z, np.zeros(4))) - 0.5) < 1e-12
 
 
 class TestFusion:
@@ -122,8 +296,7 @@ class TestFusion:
         # with zero level mixes the fused text equals base @ mix.base exactly
         p = ParamTree()
         init_dffm(p.scoped("dffm"), CFG, np.random.default_rng(3))
-        for lvl in LEVELS:
-            p[f"dffm.mix.g2x.{lvl}"].data[:] = 0.0
+        p["dffm.mix.g2x.levels"].data[:] = 0.0
         text = make_levels((4, CFG.d_h), 5)
         img = make_levels((2, CFG.n_p, CFG.d_h), 6)
         out = fuse_g_to_x(text, img, p.scoped("dffm"), CFG)
@@ -159,13 +332,20 @@ class TestFusion:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, mean_out)
 
-    def test_kl_accumulator_collects_three_terms_per_level(self, params):
+    def test_kl_accumulator_collects_three_terms_per_direction(self, params):
         text = make_levels((4, CFG.d_h), 14)
         img = make_levels((2, CFG.n_p, CFG.d_h), 15)
         acc = []
         fuse_g_to_x(text, img, params.scoped("dffm"), CFG, "mean", None, acc)
-        assert len(acc) == 3 * len(LEVELS)
+        assert len(acc) == 3
         assert all(np.isfinite(t.data) for t in acc)
+
+    def test_one_attention_node_per_direction(self, params):
+        text = make_levels((4, CFG.d_h), 16)
+        img = make_levels((2, CFG.n_p, CFG.d_h), 17)
+        s = params.scoped("dffm")
+        assert tape_ops(fuse_g_to_x(text, img, s, CFG), "multi_head_attention") == 1
+        assert tape_ops(fuse_x_to_g(img, text, s, CFG), "multi_head_attention") == 1
 
 
 class TestGradients:
@@ -193,10 +373,13 @@ class TestGradients:
         loss = self._loss_fn(params)()
         params.zero_grad()
         loss.backward()
-        for name in ("dffm.g2x.low.enc.mean.w", "dffm.g2x.high.dec.w",
-                     "dffm.x2g.mid.attn.wq", "dffm.mix.g2x.base",
-                     "dffm.mix.x2g.low", "dffm.pos"):
+        for name in ("dffm.mix.g2x.base", "dffm.pos"):
             assert np.any(params[name].grad != 0), name
+        # every level's slice of a stacked weight gets its own gradient
+        for name in ("dffm.g2x.enc.mean.w", "dffm.g2x.dec.w", "dffm.x2g.attn.wq",
+                     "dffm.x2g.attn.bo", "dffm.mix.x2g.levels"):
+            for k in range(len(LEVELS)):
+                assert np.any(params[name].grad[k] != 0), (name, k)
 
     def test_kl_gradient_flows(self, params):
         text = make_levels((3, CFG.d_h), 22)
@@ -208,4 +391,5 @@ class TestGradients:
             total = total + t
         params.zero_grad()
         total.backward()
-        assert np.any(params["dffm.g2x.low.enc.logvar.w"].grad != 0)
+        for k in range(len(LEVELS)):
+            assert np.any(params["dffm.g2x.enc.logvar.w"].grad[k] != 0), k
