@@ -6,6 +6,16 @@ inputs carry no gradient short-circuit to plain constants, so unused branches
 (for example blank-filled modality features) never appear in the gradient
 support.
 
+Inside `with no_grad():` no operation records a tape: every result is a
+constant, so inference builds no parents, no VJP closures and no gradient
+support.
+
+`backward()` accumulates into the `grad` array of each leaf in place. A leaf's
+`grad` is always an array the leaf owns: either a buffer bound to it from
+outside (the optimizer binds each parameter to its view of one flat gradient
+buffer) or a copy made when the first gradient reaches it. VJPs may hand the
+same array to several parents, so no VJP output is ever written in place.
+
 All operations are deterministic (identical inputs give bitwise identical
 outputs) and map finite inputs to finite outputs. `gradcheck` compares the
 tape's gradients against central finite differences.
@@ -13,6 +23,7 @@ tape's gradients against central finite differences.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +47,24 @@ def _f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+_recording = True  # one flag for the process; `no_grad` clears and restores it
+
+
+@contextmanager
+def no_grad():
+    """Build no tape inside the block; the previous setting returns on exit.
+
+    Values are computed exactly as with the tape on, so results are bitwise
+    equal; only the recording is skipped. Blocks may nest.
+    """
+    global _recording
+    before, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = before
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
@@ -49,7 +78,7 @@ class Tensor:
     @staticmethod
     def _result(data, parents, vjp) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _recording and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._vjp = vjp
@@ -94,7 +123,12 @@ class Tensor:
             for p, g in zip(node._parents, gs):
                 if g is None or not p.requires_grad:
                     continue
-                p.grad = g if p.grad is None else p.grad + g
+                if p._vjp is not None:  # interior: never written in place, may share g
+                    p.grad = g if p.grad is None else p.grad + g
+                elif p.grad is None:
+                    p.grad = np.array(g)  # g may be another parent's gradient too
+                else:
+                    p.grad += g
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -230,17 +264,21 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x), the standard normal CDF; exact-erf GELU is x * Phi(x)."""
+    return 0.5 * (1.0 + erf(x / _SQRT2))
+
+
+def gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d GELU / dx = Phi(x) + x*phi(x), given cdf = Phi(x)."""
+    return cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
+
+
 def gelu(a) -> Tensor:
-    """Exact-erf GELU; gradient is Phi(x) + x*phi(x)."""
+    """Exact-erf GELU."""
     a = _t(a)
-    phi_cdf = 0.5 * (1.0 + erf(a.data / _SQRT2))
-    out = a.data * phi_cdf
-
-    def vjp(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
-        return (g * (phi_cdf + a.data * pdf),)
-
-    return Tensor._result(out, (a,), vjp)
+    cdf = gelu_cdf(a.data)
+    return Tensor._result(a.data * cdf, (a,), lambda g: (g * gelu_slope(a.data, cdf),))
 
 
 def tabs(a) -> Tensor:
@@ -334,27 +372,29 @@ def logsumexp(a, axis=-1, keepdims=False) -> Tensor:
     return Tensor._result(out, (a,), vjp)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    x, gain, bias = _t(x), _t(gain), _t(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+               eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    Plain numpy; returns (out, xhat, inv), the last two for `layer_norm_vjp`.
+    """
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    return xhat * gain + bias, xhat, inv
 
-    def vjp(g):
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
-        axes = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=axes)
-        dbias = g.sum(axis=axes)
-        return dx, dgain, dbias
 
-    return Tensor._result(out, (x, gain, bias), vjp)
+def layer_norm_vjp(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
+                   inv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dx, dgain, dbias) of `layer_norm` for the output gradient g."""
+    dxhat = g * gain
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dx = inv * (dxhat - m1 - xhat * m2)
+    axes = tuple(range(g.ndim - 1))
+    return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
 
 def conv1d_seq(x, kernel, bias) -> Tensor:
@@ -523,8 +563,10 @@ class ParamTree:
         return sum(t.data.size for t in self._params.values())
 
     def zero_grad(self) -> None:
+        """Zero every gradient in place, so buffers bound to the tensors stay bound."""
         for t in self._params.values():
-            t.grad = None
+            if t.grad is not None:
+                t.grad.fill(0.0)
 
     def grads(self) -> dict[str, np.ndarray]:
         """Gradient tree mirroring names/shapes; zeros where nothing flowed."""
@@ -593,6 +635,8 @@ def gradcheck(loss_fn, params: ParamTree, *, eps: float = 1e-4, samples: int = 5
     Samples `samples` scalar entries from the parameters (uniform
     over scalars, or round-robin across `prefixes` groups when given) and
     reports per-sample relative errors |a - n| / max(1e-8, |a| + |n|).
+    The perturbed passes run under `no_grad`, which leaves their values
+    bitwise unchanged.
     """
     if samples < 1:
         raise ConfigError(f"gradcheck: samples must be >= 1, got {samples}")
@@ -643,11 +687,12 @@ def gradcheck(loss_fn, params: ParamTree, *, eps: float = 1e-4, samples: int = 5
     for name, idx in picks:
         buf = params[name].data.reshape(-1)
         orig = buf[idx]
-        buf[idx] = orig + eps
-        lp = float(loss_fn().data)
-        buf[idx] = orig - eps
-        lm = float(loss_fn().data)
-        buf[idx] = orig
+        with no_grad():
+            buf[idx] = orig + eps
+            lp = float(loss_fn().data)
+            buf[idx] = orig - eps
+            lm = float(loss_fn().data)
+            buf[idx] = orig
         if not (math.isfinite(lp) and math.isfinite(lm)):
             raise NumericError(f"gradcheck: non-finite loss perturbing {name}[{idx}]")
         numeric = (lp - lm) / (2.0 * eps)

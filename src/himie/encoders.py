@@ -3,6 +3,7 @@
 Both encoders are small pre-LN transformer stacks that return every block
 output, so downstream fusion can average non-overlapping thirds of the layers
 into low/mid/high level features; the final block output is the base feature.
+Each block is one tape node with a hand-derived VJP (see `run_block`).
 
 Tokens are mapped to ids by a stable hash bucket (crc32 mod vocab), which is
 also what the synthetic generator plants its signal in: a surface form always
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ConfigError, ShapeError, Tensor, add, gelu, index_rows,
-                       layer_norm, matmul, multi_head_attention)
+from .autodiff import (ConfigError, ShapeError, Tensor, add, gelu_cdf, gelu_slope,
+                       index_rows, layer_norm, layer_norm_vjp, matmul,
+                       multi_head_attention)
 from .config import ModelConfig
 
 
@@ -83,13 +85,50 @@ def init_block(scope, d_h: int, rng) -> None:
     ffn.add("b2", np.zeros(d_h))
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    return a.reshape(-1, a.shape[-1])
+
+
+BLOCK_PARAMS = ("ln1.g", "ln1.b", "attn.wq", "attn.wk", "attn.wv", "attn.wo", "attn.bo",
+                "ln2.g", "ln2.b", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
+
+
 def run_block(x: Tensor, scope, heads: int) -> Tensor:
-    h = layer_norm(x, scope["ln1.g"], scope["ln1.b"])
-    x = add(x, multi_head_attention(h, h, h, heads, scope.scoped("attn")))
-    h = layer_norm(x, scope["ln2.g"], scope["ln2.b"])
-    ffn = scope.scoped("ffn")
-    h = add(matmul(gelu(add(matmul(h, ffn["w1"]), ffn["b1"])), ffn["w2"]), ffn["b2"])
-    return add(x, h)
+    """One pre-LN block over x [..., L, d] as a single tape node:
+
+        y = x + attn(LN1(x)),    out = y + gelu(LN2(y) @ w1 + b1) @ w2 + b2
+
+    Its parents are x and the 13 `BLOCK_PARAMS`. The attention goes through
+    `multi_head_attention`, and the block's VJP applies the VJP of the node
+    that op builds, so attention keeps one derivation and still recomputes
+    its weights in the backward pass; that node is not on the backward path
+    itself. The backward pass also recomputes LN2's output and the GELU
+    output from the saved normalized input and pre-activation. Weight
+    gradients reduce over every row of every leading axis.
+    """
+    weights = tuple(scope[n] for n in BLOCK_PARAMS)
+    g1, c1, *_, g2, c2, w1, b1, w2, b2 = (w.data for w in weights)
+    h1, xhat1, inv1 = layer_norm(x.data, g1, c1)
+    h1t = Tensor(h1, requires_grad=True)  # lets the attention op hand back its VJP
+    att = multi_head_attention(h1t, h1t, h1t, heads, scope.scoped("attn"))
+    y = x.data + att.data
+    h2, xhat2, inv2 = layer_norm(y, g2, c2)
+    u = h2 @ w1 + b1
+    cdf = gelu_cdf(u)
+    out = y + ((u * cdf) @ w2 + b2)
+
+    def vjp(g):
+        du = (g @ w2.T) * gelu_slope(u, cdf)
+        dy_ln, dg2, dc2 = layer_norm_vjp(du @ w1.T, g2, xhat2, inv2)
+        dy = g + dy_ln
+        dq, dk, dv, dwq, dwk, dwv, dwo, dbo = att._vjp(dy)
+        dx_ln, dg1, dc1 = layer_norm_vjp(dq + dk + dv, g1, xhat1, inv1)
+        dw1 = _rows(xhat2 * g2 + c2).T @ _rows(du)
+        dw2 = _rows(u * cdf).T @ _rows(g)
+        return (dy + dx_ln, dg1, dc1, dwq, dwk, dwv, dwo, dbo, dg2, dc2,
+                dw1, _rows(du).sum(axis=0), dw2, _rows(g).sum(axis=0))
+
+    return Tensor._result(out, (x,) + weights, vjp)
 
 
 EMB_INIT = 0.5

@@ -275,16 +275,9 @@ def grounding_logits(h_frames: Tensor, scope) -> tuple[Tensor, Tensor]:
 
 def grounding_predict(h_frames: Tensor, scope, grounding_types) -> list[Region | None]:
     t_logits, boxes = grounding_logits(h_frames, scope)
-    out = []
-    for i in range(t_logits.data.shape[0]):
-        k = int(np.argmax(t_logits.data[i]))  # ties -> lowest index = NONE
-        if k == 0:
-            out.append(None)
-        else:
-            cx, cy, w, h = boxes.data[i]
-            out.append(Region(i, grounding_types[k - 1], float(cx), float(cy),
-                              float(w), float(h)))
-    return out
+    labels = np.argmax(t_logits.data, axis=1)  # ties -> lowest index = NONE
+    return [None if k == 0 else Region(i, grounding_types[k - 1], *box)
+            for i, (k, box) in enumerate(zip(labels.tolist(), boxes.data.tolist()))]
 
 
 # -- losses -------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ConfigError, ParamTree, Tensor, matmul
+from .autodiff import ConfigError, ParamTree, Tensor, matmul, no_grad
 from .config import LossConfig, ModelConfig
 from .data import Corpus, Document, Entity, Region, Relation
 from .dffm import fuse_g_to_x, fuse_x_to_g, init_dffm, pooled_base_frames
@@ -166,13 +166,15 @@ class Prediction:
     regions: list[Region]
 
 
+@no_grad()
 def predict(doc: Document, params: ParamTree, cfg: ModelConfig, *,
             pair_mode: str = "gold") -> Prediction:
     """Inference pass; `pair_mode` picks the pair universe for coref/relations.
 
     gold: pairs come from gold entities and gold chains. predicted: pairs come
     from the decoded entity spans and the decoded coreference partition.
-    Inference always runs the deterministic latent path.
+    Inference always runs the deterministic latent path, and records no tape.
+    Label ties go to the lowest index (no link, no relation, no region).
     """
     if pair_mode not in ("gold", "predicted"):
         raise ValueError(f"unknown pair_mode {pair_mode!r}")
@@ -188,8 +190,8 @@ def predict(doc: Document, params: ParamTree, cfg: ModelConfig, *,
     reprs = entity_reprs(h_text, pair_entities)
     positive: list[tuple[int, int]] = []
     if pairs:
-        logits = pair_logit_matrix(reprs, pairs, heads.scoped("coref")).data
-        positive = [p for p, row in zip(pairs, logits) if int(np.argmax(row)) == 1]
+        links = np.argmax(pair_logit_matrix(reprs, pairs, heads.scoped("coref")).data, axis=1)
+        positive = [p for p, k in zip(pairs, links.tolist()) if k == 1]
     chains = decode_chains(len(pair_entities), positive)
 
     rel_chains = [list(c) for c in doc.chains] if pair_mode == "gold" else chains
@@ -197,11 +199,9 @@ def predict(doc: Document, params: ParamTree, cfg: ModelConfig, *,
     cpairs = [(i, j) for i in range(len(rel_chains)) for j in range(len(rel_chains)) if i != j]
     if cpairs:
         ch = chain_reprs(reprs, rel_chains)
-        logits = pair_logit_matrix(ch, cpairs, heads.scoped("rel")).data
-        for (i, j), row in zip(cpairs, logits):
-            k = int(np.argmax(row))
-            if k != 0:
-                relations.append(Relation(i, j, cfg.relation_types[k - 1]))
+        labels = np.argmax(pair_logit_matrix(ch, cpairs, heads.scoped("rel")).data, axis=1)
+        relations = [Relation(i, j, cfg.relation_types[k - 1])
+                     for (i, j), k in zip(cpairs, labels.tolist()) if k != 0]
 
     regions: list[Region] = []
     if h_frames is not None:

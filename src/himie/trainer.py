@@ -6,8 +6,10 @@ end to end: the same config and corpus produce bitwise-identical checkpoints.
 Optimizer memory: `init_adam` copies every parameter into one flat
 float64 buffer, in lexicographic name order, and rebinds each tensor's `data`
 to its reshaped view of that buffer; Adam's `m` and `v` are two more buffers of
-the same layout, exposed as one view per name. Each step gathers the tensors'
-gradients into a fourth buffer and updates all three in place with
+the same layout, exposed as one view per name. A fourth buffer of that layout
+holds the gradients: each tensor's `grad` is bound to its view of it, so
+`backward()` accumulates straight into the buffer. A step zeroes it with one
+fill before the backward pass and updates all three in place with
 whole-buffer ufuncs, so `train(params=p)` updates the tensors of `p` itself.
 An array taken from `p[name].data` before `train` is not the one it updates.
 All `encoder.*` names sort together, so each learning-rate group is a
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ConfigError, NumericError, ParamTree, Tensor
+from .autodiff import ConfigError, NumericError, ParamTree
 from .config import RunConfig, config_from_dict, config_to_dict
 from .data import Corpus
 from .model import check_compatible, check_params, forward, init_params
@@ -39,15 +41,16 @@ from .model import check_compatible, check_params, forward, init_params
 class AdamState:
     """Adam over the parameters packed by `init_adam` (layout above).
 
-    `grad` and `scratch` are the step's working buffers.
+    `grad` backs every tensor's `.grad`, and `adam_step` only reads it; the
+    two rows of `scratch` are the step's working space.
     """
     values: np.ndarray
     m_flat: np.ndarray
     v_flat: np.ndarray
     grad: np.ndarray
     scratch: np.ndarray
-    # name, tensor, its view of `grad`
-    slots: list[tuple[str, Tensor, np.ndarray]] = field(default_factory=list)
+    # name and its view of `grad`
+    slots: list[tuple[str, np.ndarray]] = field(default_factory=list)
     # contiguous learning-rate runs: slice, OptimConfig field
     groups: list[tuple[slice, str]] = field(default_factory=list)
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -64,11 +67,12 @@ def group_lr(name: str, optim) -> float:
 
 
 def init_adam(params: ParamTree) -> AdamState:
-    """Pack the parameters into one buffer and zero the moments."""
+    """Pack the parameters into one buffer, bind their gradients to another,
+    and zero the moments and the gradients."""
     names = params.names()
     n = sum(params[name].data.size for name in names)
     state = AdamState(values=np.empty(n), m_flat=np.zeros(n), v_flat=np.zeros(n),
-                      grad=np.empty(n), scratch=np.empty(n))
+                      grad=np.zeros(n), scratch=np.empty((2, n)))
     start = 0
     for key, run in itertools.groupby(names, _lr_field):
         first = start
@@ -80,27 +84,22 @@ def init_adam(params: ParamTree) -> AdamState:
             t.data = view
             state.m[name] = state.m_flat[start:stop].reshape(view.shape)
             state.v[name] = state.v_flat[start:stop].reshape(view.shape)
-            state.slots.append((name, t, state.grad[start:stop].reshape(view.shape)))
+            t.grad = state.grad[start:stop].reshape(view.shape)
+            state.slots.append((name, t.grad))
             start = stop
         state.groups.append((slice(first, start), key))
     return state
 
 
 def adam_step(state: AdamState, optim) -> None:
-    """One Adam update of the packed parameters from the gradients on their tensors.
+    """One Adam update of the packed parameters from the gradient buffer.
 
-    A tensor without a gradient counts as a zero gradient. Each term is one
-    in-place ufunc over the whole buffer, written as the per-parameter formula,
-    so the result is the same to the bit.
+    Each term is one in-place ufunc over the whole buffer, written as the
+    per-parameter formula, so the result is the same to the bit.
     """
-    g, s = state.grad, state.scratch
-    for _name, t, view in state.slots:
-        if t.grad is None:
-            view.fill(0.0)
-        else:
-            view[...] = t.grad
+    g, (s, u) = state.grad, state.scratch
     if not np.isfinite(g).all():
-        name = next(name for name, _t, view in state.slots if not np.isfinite(view).all())
+        name = next(name for name, view in state.slots if not np.isfinite(view).all())
         raise NumericError(f"non-finite gradient in parameter {name}")
     state.t += 1
     b1, b2, eps = optim.beta1, optim.beta2, optim.eps
@@ -112,14 +111,14 @@ def adam_step(state: AdamState, optim) -> None:
     np.multiply(1.0 - b2, g, out=s)
     np.multiply(s, g, out=s)
     np.add(v, s, out=v)
-    np.divide(m, 1.0 - b1 ** state.t, out=g)  # g = m_hat
+    np.divide(m, 1.0 - b1 ** state.t, out=u)  # u = m_hat
     np.divide(v, 1.0 - b2 ** state.t, out=s)  # s = sqrt(v_hat) + eps
     np.sqrt(s, out=s)
     np.add(s, eps, out=s)
     for run, lr_field in state.groups:
-        np.multiply(getattr(optim, lr_field), g[run], out=g[run])
-    np.divide(g, s, out=g)
-    np.subtract(state.values, g, out=state.values)
+        np.multiply(getattr(optim, lr_field), u[run], out=u[run])
+    np.divide(u, s, out=u)
+    np.subtract(state.values, u, out=state.values)
 
 
 @dataclass
@@ -160,7 +159,7 @@ def train(cfg: RunConfig, corpus: Corpus,
             total = float(res.loss.data)
             if not np.isfinite(total):
                 raise NumericError(f"non-finite loss at step {step} on document {doc.id}")
-            params.zero_grad()
+            state.grad.fill(0.0)
             res.loss.backward()
             adam_step(state, cfg.optim)
             comps = {name: (float(v.data) if v is not None else 0.0)

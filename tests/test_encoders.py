@@ -2,15 +2,19 @@
 import numpy as np
 import pytest
 
-from himie.autodiff import ConfigError, ParamTree, ShapeError, Tensor
+from himie.autodiff import (ConfigError, ParamTree, ShapeError, Tensor, add, gelu,
+                            gradcheck, matmul, multi_head_attention)
 from himie.config import ModelConfig
 from himie.encoders import (
+    BLOCK_PARAMS,
     bucket_levels,
     encode_frames,
     encode_text,
     hash_bucket,
+    init_block,
     init_frame_encoder,
     init_text_encoder,
+    run_block,
     token_ids,
 )
 
@@ -157,3 +161,70 @@ class TestFrameEncoder:
         outs[-1].sum().backward()
         assert np.any(frame_params["encoder.frames.proj.w"].grad != 0)
         assert np.any(frame_params["encoder.frames.pos_emb"].grad != 0)
+
+
+# -- the fused block against the block composed from tape ops -------------
+
+
+def rsqrt(a: Tensor) -> Tensor:
+    out = 1.0 / np.sqrt(a.data)
+    return Tensor._result(out, (a,), lambda g: (-0.5 * g * out ** 3,))
+
+
+def composed_layer_norm(x, gain, bias, eps=1e-5):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    return xc * rsqrt((xc * xc).mean(axis=-1, keepdims=True) + eps) * gain + bias
+
+
+def composed_block(x, scope, heads):
+    """The block as separate tape ops, each with its own VJP: the oracle."""
+    h = composed_layer_norm(x, scope["ln1.g"], scope["ln1.b"])
+    x = add(x, multi_head_attention(h, h, h, heads, scope.scoped("attn")))
+    h = composed_layer_norm(x, scope["ln2.g"], scope["ln2.b"])
+    ffn = scope.scoped("ffn")
+    h = add(matmul(gelu(add(matmul(h, ffn["w1"]), ffn["b1"])), ffn["w2"]), ffn["b2"])
+    return add(x, h)
+
+
+def random_block(shape, seed):
+    """Block parameters and an input x, all leaves of one tree, none at its init value."""
+    rng = np.random.default_rng(seed)
+    p = ParamTree()
+    init_block(p.scoped("blk"), shape[-1], rng)
+    for _name, t in p.items():
+        t.data[...] = t.data + 0.3 * rng.normal(size=t.shape)
+    p.add("x", rng.normal(size=shape))
+    return p, rng.normal(size=shape)
+
+
+def block_value_and_grads(block, shape, seed):
+    p, w = random_block(shape, seed)
+    out = block(p["x"], p.scoped("blk"), 2)
+    (out * Tensor(w)).sum().backward()
+    return out.data, p.grads()
+
+
+class TestFusedBlock:
+    @pytest.mark.parametrize("shape", [(7, 8), (3, 5, 8)], ids=["tokens", "frames"])
+    def test_matches_composed_ops(self, shape):
+        value, grads = block_value_and_grads(run_block, shape, seed=2)
+        ref_value, ref_grads = block_value_and_grads(composed_block, shape, seed=2)
+        assert np.max(np.abs(value - ref_value)) < 1e-10
+        assert len(grads) == 14
+        for name, ref in ref_grads.items():
+            assert np.any(ref != 0), name
+            assert np.max(np.abs(grads[name] - ref)) < 1e-10, name
+
+    def test_one_node_over_input_and_parameters(self):
+        p, _w = random_block((4, 8), seed=3)
+        blk = p.scoped("blk")
+        out = run_block(p["x"], blk, 2)
+        assert out._parents == (p["x"],) + tuple(blk[n] for n in BLOCK_PARAMS)
+        assert len(BLOCK_PARAMS) == 13
+
+    @pytest.mark.parametrize("shape", [(2, 8), (1, CFG.n_p, 8)], ids=["2-tokens", "1-frame"])
+    def test_gradcheck(self, shape):
+        p, w = random_block(shape, seed=4)
+        rep = gradcheck(lambda: (run_block(p["x"], p.scoped("blk"), 2) * Tensor(w)).sum(),
+                        p, eps=1e-5, samples=80, seed=4)
+        assert rep.ok(1e-4), rep.worst()

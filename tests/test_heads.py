@@ -350,6 +350,18 @@ class TestGrounding:
         h = Tensor(np.random.default_rng(0).normal(size=(3, CFG.d_h)))
         assert grounding_predict(h, g, CFG.grounding_types) == [None, None, None]
 
+    def test_tied_types_take_the_lowest_index(self):
+        p = ParamTree()
+        g = p.scoped("gro")
+        g.add("type.w", np.zeros((CFG.d_h, len(CFG.grounding_types) + 1)))
+        g.add("type.b", np.array([0.0] + [2.0] * len(CFG.grounding_types)))
+        g.add("box.w", np.zeros((CFG.d_h, 4)))
+        g.add("box.b", np.zeros(4))
+        h = Tensor(np.random.default_rng(0).normal(size=(3, CFG.d_h)))
+        out = grounding_predict(h, g, CFG.grounding_types)
+        assert [r.type for r in out] == [CFG.grounding_types[0]] * 3
+        assert [r.frame for r in out] == [0, 1, 2]
+
     def test_biased_type_predicts_region_with_sigmoid_box(self):
         p = ParamTree()
         g = p.scoped("gro")

@@ -258,6 +258,36 @@ class TestPredict:
         with pytest.raises(ValueError, match="pair_mode"):
             predict(small_doc(), p, CFG, pair_mode="oracle")
 
+    def test_records_no_tape(self, monkeypatch):
+        from himie.autodiff import Tensor
+        p = init_params(CFG, 0)
+        made = []
+        make_result = Tensor._result
+
+        def counted(data, parents, vjp):
+            out = make_result(data, parents, vjp)
+            made.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
+        pred = predict(small_doc(n_frames=2), p, CFG, pair_mode="predicted")
+        assert pred.tags and made and not any(made)
+        assert forward(small_doc(), p, CFG).loss.requires_grad
+
+    def test_tied_pair_logits_take_the_lowest_label(self):
+        p = init_params(CFG, 0)
+        for head in ("coref", "rel"):
+            p[f"heads.{head}.w"].data[...] = 0.0
+        p["heads.coref.b"].data[...] = 1.0  # link and no-link tie: no link
+        p["heads.rel.b"].data[...] = [0.0] + [1.0] * len(CFG.relation_types)
+        doc = dataclasses.replace(small_doc(), entities=[Entity(0, 1, "PER"), Entity(2, 3, "PER"),
+                                                         Entity(3, 4, "LOC")],
+                                  chains=[[0], [1], [2]])
+        pred = predict(doc, p, CFG)
+        assert pred.coref_pairs == [] and pred.chains == [[0], [1], [2]]
+        pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
+        assert pred.relations == [Relation(i, j, CFG.relation_types[0]) for i, j in pairs]
+
     def test_inference_deterministic_even_in_sample_mode(self):
         cfg = dataclasses.replace(CFG, vae_mode="sample")
         p = init_params(cfg, 0)

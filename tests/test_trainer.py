@@ -49,10 +49,11 @@ def reference_adam_step(params, grads, m, v, t, optim):
 
 
 def step(params, state, grads, optim):
-    """Put `grads` on the tensors, as backward() does, then take one Adam step."""
-    params.zero_grad()
+    """Write `grads` into the tensors' views of the gradient buffer, as
+    backward() does, then take one Adam step."""
+    state.grad.fill(0.0)
     for name, g in grads.items():
-        params[name].grad = g
+        params[name].grad[...] = g
     adam_step(state, optim)
 
 
@@ -184,6 +185,21 @@ class TestAdam:
         assert report.ok(), report.worst()
         for name, value in before.items():
             assert np.array_equal(params[name].data, value), name
+
+    def test_backward_fills_the_gradient_buffer_and_the_step_keeps_it(self):
+        cfg = small_run()
+        doc = generate(cfg.gen, cfg.model).documents[0]
+        packed, loose = init_params(cfg.model, 0), init_params(cfg.model, 0)
+        state = init_adam(packed)
+        for p in (packed, loose):
+            forward(doc, p, cfg.model, cfg.loss).loss.backward()
+        grads = {n: packed[n].grad.copy() for n in packed.names()}
+        for name, g in loose.grads().items():
+            assert np.shares_memory(packed[name].grad, state.grad), name
+            assert np.array_equal(grads[name], g), name
+        adam_step(state, cfg.optim)
+        for name, g in grads.items():
+            assert np.array_equal(packed[name].grad, g), name
 
 
 class TestTrain:
