@@ -27,7 +27,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 
@@ -115,20 +114,25 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        # interior gradients live only until their VJP has run: none keeps a `.grad`
+        held: dict[int, np.ndarray] = {}
+
+        def send(p: Tensor, g: np.ndarray) -> None:
+            if p._vjp is not None:  # interior: never written in place, may share g
+                held[id(p)] = g if id(p) not in held else held[id(p)] + g
+            elif p.grad is None:
+                p.grad = np.array(g)  # g may be another parent's gradient too
+            else:
+                p.grad += g
+
+        send(self, np.ones_like(self.data))
         for node in reversed(order):
-            if node._vjp is None:
+            g = held.pop(id(node), None)
+            if g is None:
                 continue
-            gs = node._vjp(node.grad)
-            for p, g in zip(node._parents, gs):
-                if g is None or not p.requires_grad:
-                    continue
-                if p._vjp is not None:  # interior: never written in place, may share g
-                    p.grad = g if p.grad is None else p.grad + g
-                elif p.grad is None:
-                    p.grad = np.array(g)  # g may be another parent's gradient too
-                else:
-                    p.grad += g
+            for p, gp in zip(node._parents, node._vjp(g)):
+                if gp is not None and p.requires_grad:
+                    send(p, gp)
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -305,14 +309,8 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
 
 def tmean(a, axis=None, keepdims=False) -> Tensor:
     a = _t(a)
-    if axis is None:
-        n = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = 1
-        for ax in axes:
-            n *= a.data.shape[ax]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    total = tsum(a, axis=axis, keepdims=keepdims)
+    return mul(total, total.data.size / a.data.size)  # 1/n, rounded as 1.0/n is
 
 
 def reshape(a, shape) -> Tensor:
@@ -398,33 +396,35 @@ def layer_norm_vjp(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
 
 
 def conv1d_seq(x, kernel, bias) -> Tensor:
-    """Same-length 1-D convolution over the sequence axis.
+    """Same-length 1-D convolution over the sequence axis of x [..., L, d_in].
 
-    x: [L, d_in], kernel: [w, d_in, d_out] with odd w, bias: [d_out].
-    Zero padding of w//2 rows on both ends keeps the output length L.
+    kernel: [w, d_in, d_out] with odd w, or [..., w, d_in, d_out] with leading
+    axes that broadcast against x's; bias broadcasts against [..., L, d_out].
+    Zero padding of w//2 rows on both ends keeps the output length L. The
+    output and both gradients are sums or stacks over the w shifted matmuls;
+    gradients of weights shared across leading entries reduce over them.
     """
     x, kernel, bias = _t(x), _t(kernel), _t(bias)
-    if x.data.ndim != 2 or kernel.data.ndim != 3:
-        raise ShapeError(f"conv1d_seq expects x [L,d_in], kernel [w,d_in,d_out]; got {x.data.shape}, {kernel.data.shape}")
-    w, d_in, d_out = kernel.data.shape
+    if x.data.ndim < 2 or kernel.data.ndim < 3:
+        raise ShapeError(f"conv1d_seq expects x [...,L,d_in], kernel [...,w,d_in,d_out]; got {x.data.shape}, {kernel.data.shape}")
+    w, d_in = kernel.data.shape[-3:-1]
     if w % 2 != 1:
         raise ConfigError(f"conv1d_seq kernel width must be odd, got {w}")
-    if x.data.shape[1] != d_in:
+    if x.data.shape[-1] != d_in:
         raise ShapeError(f"conv1d_seq channel mismatch: x {x.data.shape} vs kernel {kernel.data.shape}")
-    L = x.data.shape[0]
-    pad = w // 2
-    xp = np.zeros((L + 2 * pad, d_in))
-    xp[pad:pad + L] = x.data
-    windows = sliding_window_view(xp, w, axis=0)  # [L, d_in, w]
-    out = np.einsum("ldw,wdo->lo", windows, kernel.data) + bias.data
+    L, pad = x.data.shape[-2], w // 2
+    xp = np.zeros(x.data.shape[:-2] + (L + 2 * pad, d_in))
+    xp[..., pad:pad + L, :] = x.data
+    taps = [xp[..., k:k + L, :] for k in range(w)]  # tap k reads rows l + k - pad
+    out = sum(tap @ kernel.data[..., k, :, :] for k, tap in enumerate(taps)) + bias.data
 
     def vjp(g):
-        dk = np.einsum("ldw,lo->wdo", windows, g)
-        db = g.sum(axis=0)
-        dxp = np.zeros_like(xp)
+        dk = np.stack([np.swapaxes(tap, -1, -2) @ g for tap in taps], axis=-3)
+        dxp = np.zeros(np.broadcast_shapes(xp.shape, g.shape[:-2] + xp.shape[-2:]))
         for k in range(w):
-            dxp[k:k + L] += g @ kernel.data[k].T
-        return dxp[pad:pad + L], dk, db
+            dxp[..., k:k + L, :] += g @ np.swapaxes(kernel.data[..., k, :, :], -1, -2)
+        return (_unbroadcast(dxp[..., pad:pad + L, :], x.data.shape),
+                _unbroadcast(dk, kernel.data.shape), _unbroadcast(g, bias.data.shape))
 
     return Tensor._result(out, (x, kernel, bias), vjp)
 

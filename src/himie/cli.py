@@ -92,11 +92,17 @@ def cmd_gradcheck(args) -> int:
     gen = dataclasses.replace(cfg.gen, docs=1, tokens_per_doc=(12, 16),
                               frames_per_doc=(2, 2))
     doc = synth.generate(gen, cfg.model).documents[0]
+    # one copy per regime, so the missing-modality construction is checked too
+    docs = [dataclasses.replace(doc, modality_mask=m) for m in MODALITIES]
     params = init_params(cfg.model, cfg.seed)
-    # a fresh stream per call: every finite-difference pass sees the same VAE noise
-    report = gradcheck(lambda: forward(doc, params, cfg.model, cfg.loss,
-                                       rng=np.random.default_rng(cfg.seed)).loss,
-                       params, samples=args.samples, eps=args.eps, seed=cfg.seed)
+
+    def loss():
+        # a fresh stream per call: every finite-difference pass sees the same VAE noise
+        rng = np.random.default_rng(cfg.seed)
+        terms = [forward(d, params, cfg.model, cfg.loss, rng=rng).loss for d in docs]
+        return sum(terms[1:], terms[0])
+
+    report = gradcheck(loss, params, samples=args.samples, eps=args.eps, seed=cfg.seed)
     worst = report.worst()
     print(f"gradcheck: {len(report.entries)} samples, max rel err "
           f"{report.max_rel_err:.3e} (worst {worst.name}[{worst.index}])")

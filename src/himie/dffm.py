@@ -1,9 +1,9 @@
 """Dual-flow cross-modal fusion through VAE latents.
 
 Each direction (image->text `g2x`, text->image `x2g`) fuses the querying
-modality's base feature with the other modality's low/mid/high level features.
-Every level weight is stored stacked along a leading level axis of 3, so a
-direction runs as one pass over the levels stacked as [3, N, d_h]: K/V get a
+modality's base feature with the other modality's low/mid/high features,
+stacked along a leading level axis of 3 like every level weight, so a
+direction runs as one pass over the levels read as [3, N, d_h]: K/V get a
 d_h x d_h projection, all three of Q/K/V pass through the level's VAE encoder
 into the d_vae latent space, attention and a GELU FFN run in latent space with
 residuals, and the level's decoder maps back to d_h. The three level outputs
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (ConfigError, Tensor, add, concat, gelu, matmul,
+from .autodiff import (ConfigError, Tensor, add, gelu, matmul,
                        multi_head_attention, reshape, texp, tmean, tsum)
 from .config import ModelConfig
 from .encoders import LEVELS, LevelFeatures
@@ -78,12 +78,6 @@ def init_dffm(scope, cfg: ModelConfig, rng) -> None:
     scope.add("pos", rng.normal(size=(cfg.max_frames, d_h)) * 0.02)
 
 
-def _stack_levels(lv: LevelFeatures, cfg: ModelConfig) -> Tensor:
-    """One side's low/mid/high features as [3, N, d_h], frame patches flattened."""
-    return reshape(concat([getattr(lv, lvl) for lvl in LEVELS], axis=0),
-                   (len(LEVELS), -1, cfg.d_h))
-
-
 def fuse_levels(q_base: Tensor, kv_levels: Tensor, scope, cfg: ModelConfig,
                 mode: str, rng=None, kl_acc: list | None = None) -> Tensor:
     """Latent cross-attention of [Nq, d_h] against every level of
@@ -106,8 +100,8 @@ def _mix(base: Tensor, fused: Tensor, mix) -> Tensor:
 def fuse_g_to_x(text: LevelFeatures, image: LevelFeatures, scope, cfg: ModelConfig,
                 mode: str = "mean", rng=None, kl_acc: list | None = None) -> Tensor:
     """Image-enriched text feature [n_x, d_h]."""
-    fused = fuse_levels(text.base, _stack_levels(image, cfg), scope.scoped("g2x"), cfg,
-                        mode, rng, kl_acc)
+    fused = fuse_levels(text.base, reshape(image.levels, (len(LEVELS), -1, cfg.d_h)),
+                        scope.scoped("g2x"), cfg, mode, rng, kl_acc)
     return _mix(text.base, fused, scope.scoped("mix.g2x"))
 
 
@@ -118,7 +112,8 @@ def fuse_x_to_g(image: LevelFeatures, text: LevelFeatures, scope, cfg: ModelConf
     if n_g > cfg.max_frames:
         raise ConfigError(f"{n_g} frames exceed max_frames={cfg.max_frames}")
     q = reshape(image.base, (n_g * n_p, cfg.d_h))
-    fused = fuse_levels(q, _stack_levels(text, cfg), scope.scoped("x2g"), cfg, mode, rng, kl_acc)
+    fused = fuse_levels(q, reshape(text.levels, (len(LEVELS), -1, cfg.d_h)), scope.scoped("x2g"),
+                        cfg, mode, rng, kl_acc)
     out = _mix(q, fused, scope.scoped("mix.x2g"))
     pooled = tmean(reshape(out, (n_g, n_p, cfg.d_h)), axis=1)
     return add(pooled, scope["pos"][:n_g])

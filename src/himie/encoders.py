@@ -2,7 +2,8 @@
 
 Both encoders are small pre-LN transformer stacks that return every block
 output, so downstream fusion can average non-overlapping thirds of the layers
-into low/mid/high level features; the final block output is the base feature.
+into low/mid/high level features, stacked along a leading level axis of 3;
+the final block output is the base feature.
 Each block is one tape node with a hand-derived VJP (see `run_block`).
 
 Tokens are mapped to ids by a stable hash bucket (crc32 mod vocab), which is
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ConfigError, ShapeError, Tensor, add, gelu_cdf, gelu_slope,
-                       index_rows, layer_norm, layer_norm_vjp, matmul,
-                       multi_head_attention)
+from .autodiff import (ConfigError, ShapeError, Tensor, add, concat, gelu_cdf,
+                       gelu_slope, index_rows, layer_norm, layer_norm_vjp, matmul,
+                       multi_head_attention, reshape, tmean)
 from .config import ModelConfig
 
 
@@ -32,14 +33,13 @@ def token_ids(tokens: list[str], vocab: int) -> np.ndarray:
 
 @dataclass
 class LevelFeatures:
-    """low/mid/high layer-bucket means plus the final-layer base feature."""
-    low: Tensor
-    mid: Tensor
-    high: Tensor
+    """Layer-bucket means stacked as levels [3, *shape] (low, mid, high along
+    axis 0) plus the final-layer base feature [*shape]."""
+    levels: Tensor
     base: Tensor
 
 
-LEVELS = ("low", "mid", "high")  # field names of LevelFeatures, in depth order
+LEVELS = ("low", "mid", "high")  # names of the level axis, in depth order
 
 
 def bucket_levels(per_layer: list[Tensor]) -> LevelFeatures:
@@ -47,18 +47,9 @@ def bucket_levels(per_layer: list[Tensor]) -> LevelFeatures:
     n_l = len(per_layer)
     if n_l < 3 or n_l % 3 != 0:
         raise ConfigError(f"level bucketing needs a layer count divisible by 3, got {n_l}")
-    k = n_l // 3
-    def mean_of(part):
-        acc = part[0]
-        for p in part[1:]:
-            acc = add(acc, p)
-        return acc * (1.0 / k)
-    return LevelFeatures(
-        low=mean_of(per_layer[:k]),
-        mid=mean_of(per_layer[k:2 * k]),
-        high=mean_of(per_layer[2 * k:]),
-        base=per_layer[-1],
-    )
+    shape = per_layer[0].data.shape
+    layers = reshape(concat(per_layer, axis=0), (len(LEVELS), n_l // 3) + shape)
+    return LevelFeatures(levels=tmean(layers, axis=1), base=per_layer[-1])
 
 
 # -- transformer blocks ---------------------------------------------------

@@ -132,8 +132,6 @@ def compute_features(doc: Document, params: ParamTree, cfg: ModelConfig, *,
 
 @dataclass
 class ForwardResult:
-    h_text: Tensor
-    h_frames: Tensor | None
     parts: LossParts
     loss: Tensor
 
@@ -147,11 +145,8 @@ def forward(doc: Document, params: ParamTree, cfg: ModelConfig,
     parts = compute_losses(doc, h_text, h_frames, params.scoped("heads"), cfg, tagset)
     loss = total_loss(parts, loss_cfg)
     if kl_acc:
-        kl = kl_acc[0]
-        for term in kl_acc[1:]:
-            kl = kl + term
-        loss = loss + kl * (cfg.kl_weight / len(kl_acc))
-    return ForwardResult(h_text, h_frames, parts, loss)
+        loss = loss + sum(kl_acc[1:], kl_acc[0]) * (cfg.kl_weight / len(kl_acc))
+    return ForwardResult(parts, loss)
 
 
 @dataclass

@@ -36,6 +36,30 @@ def test_conv1d_example():
     assert out.data.ravel().tolist() == [3.0, 6.0, 5.0]
 
 
+def conv1d_reference(x, k, b):
+    """Same-length convolution as a sum over windows, one output row at a time."""
+    w, pad, L = k.shape[-3], k.shape[-3] // 2, x.shape[-2]
+    out = np.zeros(np.broadcast_shapes(x.shape[:-2], k.shape[:-3]) + (L, k.shape[-1]))
+    for l in range(L):
+        for j in range(w):
+            if 0 <= l + j - pad < L:
+                out[..., l, :] += (x[..., [l + j - pad], :] @ k[..., j, :, :])[..., 0, :]
+    return out + b
+
+
+@pytest.mark.parametrize("x_shape,k_shape,b_shape", [
+    ((5, 3), (3, 3, 2), (2,)),
+    ((2, 5, 3), (3, 3, 2), (2,)),
+    ((5, 3), (2, 3, 3, 2), (2, 1, 2)),
+    ((2, 5, 3), (2, 5, 3, 2), (2, 1, 2)),
+], ids=["plain", "shared_kernel", "shared_input", "batched"])
+def test_conv1d_matches_window_sum(x_shape, k_shape, b_shape):
+    rng = np.random.default_rng(len(x_shape) + len(k_shape))
+    x, k, b = (rng.normal(size=s) for s in (x_shape, k_shape, b_shape))
+    out = conv1d_seq(Tensor(x), Tensor(k), Tensor(b)).data
+    assert np.allclose(out, conv1d_reference(x, k, b), rtol=0, atol=1e-12)
+
+
 def test_conv1d_rejects_even_width():
     with pytest.raises(ConfigError):
         conv1d_seq(Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros(2)))
@@ -224,6 +248,28 @@ def test_shared_vjp_output_is_not_written_in_place(packed, add_path_first):
     assert np.allclose(a.grad, 2 * (wa + wb + wc), rtol=0, atol=1e-15)
 
 
+def test_backward_twice_on_one_tape_doubles_leaf_gradients():
+    # interior nodes reached along several paths must not carry the first
+    # pass's gradient into the second
+    p = ParamTree()
+    a = p.add("a", np.array([1.0, 2.0]))
+    h = a * a
+    loss = ((h + h) * (h + a)).sum()
+    loss.backward()
+    once = a.grad.copy()
+    loss.backward()
+    assert np.array_equal(a.grad, 2 * once)
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node._vjp is not None:
+                assert node.grad is None
+            stack.extend(node._parents)
+    assert len(seen) == 6
+
+
 def count_tape_nodes(monkeypatch) -> list:
     """Record the op kind of every node the tape builds from now on."""
     made = []
@@ -340,6 +386,9 @@ OPS = {
     "logsumexp": (lambda a: logsumexp(a["x"], axis=-1), [("x", (3, 5), "any")]),
     "conv1d_seq": (lambda a: conv1d_seq(a["x"], a["k"], a["b"]),
                    [("x", (5, 3), "any"), ("k", (3, 3, 2), "any"), ("b", (2,), "any")]),
+    "conv1d_seq_batched_weights": (lambda a: conv1d_seq(a["x"], a["k"], a["b"]),
+                                   [("x", (2, 5, 3), "any"), ("k", (2, 3, 3, 2), "any"),
+                                    ("b", (2, 1, 2), "any")]),
     "avg_pool_down": (lambda a: Tensor(pool_matrix(7, 3)) @ a["x"], [("x", (7, 4), "any")]),
     "avg_pool_up": (lambda a: Tensor(pool_matrix(4, 9)) @ a["x"], [("x", (4, 4), "any")]),
     "attention": (lambda a: multi_head_attention(

@@ -392,6 +392,27 @@ class TestCheckpointParams:
         assert ("parameter dffm.g2x.attn.bo is missing; the model config needs it"
                 in _one_error_line(capsys))
 
+    def test_eval_refuses_per_level_mmcm_layout(self, tmp_path, capsys):
+        # the layout before the MMCM levels were stacked: mmcm.t2g.low.prompt, ...
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["gen", "--config", write_cfg(tmp_path), "--out", str(corpus)]) == 0
+        old = ParamTree()
+        for name, t in init_params(SMALL, 0).items():
+            parts = name.split(".")
+            if parts[0] != "mmcm" or parts[2] == "conv_in":
+                old.add(name, t.data)
+                continue
+            for lvl, value in zip(("low", "mid", "high"), t.data):
+                old.add(".".join(parts[:2] + [lvl] + parts[2:]),
+                        value[0] if parts[-1] == "b" else value)
+        assert "mmcm.t2g.low.prompt" in old
+        ckpt = tmp_path / "old.ckpt"
+        save_checkpoint(str(ckpt), old, RunConfig(model=SMALL), 0)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus)]) == 1
+        assert ("parameter mmcm.g2t.conv.b is missing; the model config needs it"
+                in _one_error_line(capsys))
+
 
 class TestMalformedCheckpoint:
     """Each malformed checkpoint leaves `eval` with exit 1 and one error line."""

@@ -23,8 +23,8 @@ CFG = ModelConfig(d_h=8, n_l=6, heads=2, n_p=4, d_in=3, d_vae=4, max_frames=4,
 
 def make_levels(shape, seed) -> LevelFeatures:
     rng = np.random.default_rng(seed)
-    low, mid, high, base = (Tensor(rng.normal(size=shape)) for _ in range(4))
-    return LevelFeatures(low, mid, high, base)
+    levels = Tensor(rng.normal(size=(len(LEVELS),) + shape))
+    return LevelFeatures(levels, Tensor(rng.normal(size=shape)))
 
 
 @pytest.fixture
@@ -112,14 +112,14 @@ def reference_direction(direction, q_base, kv_levels, scope, cfg, noise, kl_acc)
 
 def reference_g_to_x(text, image, scope, cfg, noise=None, kl_acc=None):
     n_g, n_p = image.base.data.shape[:2]
-    kv = [reshape(getattr(image, lvl), (n_g * n_p, cfg.d_h)) for lvl in LEVELS]
+    kv = [reshape(image.levels[k], (n_g * n_p, cfg.d_h)) for k in range(len(LEVELS))]
     return reference_direction("g2x", text.base, kv, scope, cfg, noise, kl_acc)
 
 
 def reference_x_to_g(image, text, scope, cfg, noise=None, kl_acc=None):
     n_g, n_p = image.base.data.shape[:2]
     q = reshape(image.base, (n_g * n_p, cfg.d_h))
-    kv = [getattr(text, lvl) for lvl in LEVELS]
+    kv = [text.levels[k] for k in range(len(LEVELS))]
     out = reference_direction("x2g", q, kv, scope, cfg, noise, kl_acc)
     return add(tmean(reshape(out, (n_g, n_p, cfg.d_h)), axis=1), scope["pos"][:n_g])
 
@@ -307,8 +307,8 @@ class TestFusion:
         # two identical frames must still differ through the position row
         rng = np.random.default_rng(9)
         one = rng.normal(size=(1, CFG.n_p, CFG.d_h))
-        img = LevelFeatures(*(Tensor(np.concatenate([one, one]))
-                              for _ in range(4)))
+        both = np.concatenate([one, one])
+        img = LevelFeatures(Tensor(np.stack([both] * len(LEVELS))), Tensor(both))
         text = make_levels((4, CFG.d_h), 10)
         out = fuse_x_to_g(img, text, params.scoped("dffm"), CFG).data
         pos = params["dffm.pos"].data
@@ -318,7 +318,7 @@ class TestFusion:
     def test_pooled_base_frames(self):
         rng = np.random.default_rng(11)
         base = rng.normal(size=(2, CFG.n_p, CFG.d_h))
-        lv = LevelFeatures(*(Tensor(base.copy()) for _ in range(4)))
+        lv = LevelFeatures(Tensor(np.stack([base] * len(LEVELS))), Tensor(base.copy()))
         out = pooled_base_frames(lv, CFG)
         assert np.allclose(out.data, base.mean(axis=1), atol=1e-12)
 

@@ -53,33 +53,54 @@ class TestHashing:
         assert ids[0] == ids[2]
 
 
+def add_loop_levels(per_layer):
+    """The bucketing rule as one add loop per third, then a scale by 1/k."""
+    k = len(per_layer) // 3
+    out = []
+    for part in (per_layer[:k], per_layer[k:2 * k], per_layer[2 * k:]):
+        acc = part[0]
+        for p in part[1:]:
+            acc = add(acc, p)
+        out.append((acc * (1.0 / k)).data)
+    return np.stack(out)
+
+
 class TestBucketLevels:
     def test_thirds_mean_arithmetic(self):
         layers = [Tensor(np.full((2, 2), float(i + 1))) for i in range(6)]
         lv = bucket_levels(layers)
-        assert np.allclose(lv.low.data, 1.5)    # mean of layers 1,2
-        assert np.allclose(lv.mid.data, 3.5)    # mean of layers 3,4
-        assert np.allclose(lv.high.data, 5.5)   # mean of layers 5,6
+        assert lv.levels.data.shape == (3, 2, 2)
+        assert np.allclose(lv.levels.data[0], 1.5)    # mean of layers 1,2
+        assert np.allclose(lv.levels.data[1], 3.5)    # mean of layers 3,4
+        assert np.allclose(lv.levels.data[2], 5.5)    # mean of layers 5,6
         assert np.allclose(lv.base.data, 6.0)   # final layer verbatim
 
     def test_single_layer_thirds(self):
         layers = [Tensor(np.full((1, 1), float(i))) for i in range(3)]
         lv = bucket_levels(layers)
-        assert lv.low.data[0, 0] == 0.0
-        assert lv.mid.data[0, 0] == 1.0
-        assert lv.high.data[0, 0] == 2.0
+        assert lv.levels.data[:, 0, 0].tolist() == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("n_l", [3, 6, 9, 12])
+    @pytest.mark.parametrize("shape", [(7, 8), (3, 4, 8)], ids=["tokens", "frames"])
+    def test_equals_add_loop_bitwise(self, n_l, shape):
+        rng = np.random.default_rng(n_l)
+        layers = [Tensor(rng.normal(size=shape)) for _ in range(n_l)]
+        lv = bucket_levels(layers)
+        assert lv.levels.data.shape == (3,) + shape
+        assert np.array_equal(lv.levels.data, add_loop_levels(layers))
+        assert lv.base is layers[-1]
 
     def test_rejects_non_multiple_of_three(self):
         with pytest.raises(ConfigError, match="divisible by 3"):
             bucket_levels([Tensor(np.zeros((1, 1))) for _ in range(4)])
 
     def test_gradient_reaches_all_layers(self):
-        layers = [Tensor(np.ones((2, 2))) for _ in range(6)]
+        layers = [Tensor(np.ones((2, 2)), requires_grad=True) for _ in range(6)]
         lv = bucket_levels(layers)
-        total = (lv.low + lv.mid + lv.high + lv.base).sum()
+        total = (lv.levels.sum(axis=0) + lv.base).sum()
         total.backward()
         for i, t in enumerate(layers):
-            assert np.any(t.grad != 0), f"layer {i} got no gradient"
+            assert t.grad is not None and np.any(t.grad != 0), f"layer {i} got no gradient"
 
 
 class TestTextEncoder:

@@ -1,10 +1,14 @@
-"""Missing-modality construction: shapes, pooling, blanks, gradient support."""
+"""Missing-modality construction: shapes, pooling, blanks, gradient support,
+and the stacked-level pass against a per-level reference loop."""
 import numpy as np
 import pytest
 
-from himie.autodiff import ParamTree, Tensor, gradcheck
+from himie.autodiff import (ParamTree, Tensor, concat, conv1d_seq, gradcheck, matmul,
+                            pool_matrix, relu)
 from himie.config import ModelConfig
+from himie.encoders import LEVELS
 from himie.mmcm import (
+    CONV_W,
     blank_image,
     blank_text,
     construct_image_from_text,
@@ -23,24 +27,93 @@ def params():
     return p
 
 
+# -- per-level reference: one prompt, kernel and pass per level ------------
+
+def reference_init(scope, cfg, rng) -> None:
+    """Per-level parameters `mmcm.{t2g,g2t}.{low,mid,high}.{prompt,conv.k,conv.b}`,
+    drawn level by level after the shared input convolution."""
+    s = 1.0 / np.sqrt(CONV_W * cfg.d_h)
+    for direction in ("t2g", "g2t"):
+        d = scope.scoped(direction)
+        d.add("conv_in.k", rng.normal(size=(CONV_W, cfg.d_h, cfg.d_h)) * s)
+        d.add("conv_in.b", np.zeros(cfg.d_h))
+        for lvl in LEVELS:
+            d.add(f"{lvl}.prompt", rng.normal(size=(cfg.prompt_len, cfg.d_h)) * 0.02)
+            d.add(f"{lvl}.conv.k", rng.normal(size=(CONV_W, cfg.d_h, cfg.d_h)) * s)
+            d.add(f"{lvl}.conv.b", np.zeros(cfg.d_h))
+
+
+def reference_construct(present, scope, target_len):
+    """One [target_len, d_h] feature per level, built level by level."""
+    c = relu(conv1d_seq(present, scope["conv_in.k"], scope["conv_in.b"]))
+    outs = []
+    for lvl in LEVELS:
+        s = concat([scope[f"{lvl}.prompt"], c], axis=0)
+        o = relu(conv1d_seq(s, scope[f"{lvl}.conv.k"], scope[f"{lvl}.conv.b"]))
+        outs.append(matmul(Tensor(pool_matrix(o.data.shape[0], target_len)), o))
+    return outs
+
+
+class TestAgainstPerLevelReference:
+    def _trees(self, seed=7):
+        stacked, ref = ParamTree(), ParamTree()
+        init_mmcm(stacked.scoped("mmcm"), CFG, np.random.default_rng(seed))
+        reference_init(ref.scoped("mmcm"), CFG, np.random.default_rng(seed))
+        return stacked, ref
+
+    def test_stacked_init_equals_per_level_draws(self):
+        stacked, ref = self._trees()
+        covered = set()
+        for name, t in stacked.items():
+            if ".conv_in." in name:
+                assert np.array_equal(t.data, ref[name].data), name
+                covered.add(name)
+                continue
+            assert t.data.shape[0] == len(LEVELS), name
+            direction, field = name.split(".", 2)[1:]
+            for k, lvl in enumerate(LEVELS):
+                rname = f"mmcm.{direction}.{lvl}.{field}"
+                assert np.array_equal(t.data[k].reshape(ref[rname].shape), ref[rname].data), rname
+                covered.add(rname)
+        assert covered == set(ref.names())
+        assert stacked.n_scalars() == ref.n_scalars()
+        assert (len(stacked), len(ref)) == (10, 22)
+
+    def test_both_directions_match_per_level_loop(self):
+        stacked, ref = self._trees()
+        rng = np.random.default_rng(12)
+        h_text = Tensor(rng.normal(size=(6, CFG.d_h)))
+        h_img = Tensor(rng.normal(size=(2, CFG.n_p, CFG.d_h)))
+        s, r = stacked.scoped("mmcm"), ref.scoped("mmcm")
+        img = construct_image_from_text(h_text, s, CFG, 3, CFG.n_p)
+        text = construct_text_from_image(h_img, s, CFG, 7)
+        ref_img = [o.data.reshape(3, CFG.n_p, CFG.d_h)
+                   for o in reference_construct(h_text, r.scoped("t2g"), 3 * CFG.n_p)]
+        ref_text = [o.data for o in reference_construct(
+            Tensor(h_img.data.reshape(-1, CFG.d_h)), r.scoped("g2t"), 7)]
+        for lv, levels in ((img, ref_img), (text, ref_text)):
+            assert np.allclose(lv.levels.data, np.stack(levels), rtol=0, atol=1e-12)
+            assert np.allclose(lv.base.data, sum(levels) / 3.0, rtol=0, atol=1e-12)
+
+
 def test_image_from_text_shapes(params):
     h = Tensor(np.random.default_rng(1).normal(size=(7, CFG.d_h)))
     lv = construct_image_from_text(h, params.scoped("mmcm"), CFG, n_g=3, n_p=CFG.n_p)
-    for t in (lv.low, lv.mid, lv.high, lv.base):
-        assert t.data.shape == (3, CFG.n_p, CFG.d_h)
+    assert lv.levels.data.shape == (len(LEVELS), 3, CFG.n_p, CFG.d_h)
+    assert lv.base.data.shape == (3, CFG.n_p, CFG.d_h)
 
 
 def test_text_from_image_shapes(params):
     h = Tensor(np.random.default_rng(2).normal(size=(2, CFG.n_p, CFG.d_h)))
     lv = construct_text_from_image(h, params.scoped("mmcm"), CFG, n_x=9)
-    for t in (lv.low, lv.mid, lv.high, lv.base):
-        assert t.data.shape == (9, CFG.d_h)
+    assert lv.levels.data.shape == (len(LEVELS), 9, CFG.d_h)
+    assert lv.base.data.shape == (9, CFG.d_h)
 
 
 def test_base_is_mean_of_levels(params):
     h = Tensor(np.random.default_rng(3).normal(size=(6, CFG.d_h)))
     lv = construct_image_from_text(h, params.scoped("mmcm"), CFG, n_g=2, n_p=CFG.n_p)
-    expect = (lv.low.data + lv.mid.data + lv.high.data) / 3.0
+    expect = lv.levels.data.sum(axis=0) / 3.0
     assert np.allclose(lv.base.data, expect, atol=1e-12)
 
 
@@ -55,16 +128,16 @@ def test_target_length_shorter_and_longer_than_source(params):
 def test_levels_are_nonnegative_after_relu(params):
     h = Tensor(np.random.default_rng(5).normal(size=(6, CFG.d_h)))
     lv = construct_image_from_text(h, params.scoped("mmcm"), CFG, n_g=2, n_p=CFG.n_p)
-    for t in (lv.low, lv.mid, lv.high):
-        assert np.all(t.data >= 0)
+    assert np.all(lv.levels.data >= 0)
 
 
 def test_levels_differ_between_each_other(params):
     # per-level prompts and convs must produce distinct features
     h = Tensor(np.random.default_rng(6).normal(size=(6, CFG.d_h)))
-    lv = construct_image_from_text(h, params.scoped("mmcm"), CFG, n_g=2, n_p=CFG.n_p)
-    assert not np.allclose(lv.low.data, lv.mid.data)
-    assert not np.allclose(lv.mid.data, lv.high.data)
+    low, mid, high = construct_image_from_text(h, params.scoped("mmcm"), CFG,
+                                               n_g=2, n_p=CFG.n_p).levels.data
+    assert not np.allclose(low, mid)
+    assert not np.allclose(mid, high)
 
 
 def test_output_depends_on_input(params):
@@ -80,9 +153,9 @@ def test_blank_fill_is_all_zeros():
     t = blank_text(5, CFG)
     g = blank_image(2, CFG.n_p, CFG)
     for lv, shape in ((t, (5, CFG.d_h)), (g, (2, CFG.n_p, CFG.d_h))):
-        for x in (lv.low, lv.mid, lv.high, lv.base):
-            assert x.data.shape == shape
-            assert not np.any(x.data)
+        assert lv.levels.data.shape == (len(LEVELS),) + shape
+        assert lv.base.data.shape == shape
+        assert not np.any(lv.levels.data) and not np.any(lv.base.data)
 
 
 def test_gradient_reaches_prompts_and_convs(params):
@@ -90,19 +163,23 @@ def test_gradient_reaches_prompts_and_convs(params):
     lv = construct_image_from_text(h, params.scoped("mmcm"), CFG, n_g=2, n_p=CFG.n_p)
     params.zero_grad()
     (lv.base * lv.base).sum().backward()
-    for name in ("mmcm.t2g.conv_in.k", "mmcm.t2g.low.prompt",
-                 "mmcm.t2g.high.conv.k", "mmcm.t2g.mid.conv.b"):
-        assert np.any(params[name].grad != 0), name
+    assert np.any(params["mmcm.t2g.conv_in.k"].grad != 0)
+    for name in ("mmcm.t2g.prompt", "mmcm.t2g.conv.k", "mmcm.t2g.conv.b"):
+        for k in range(len(LEVELS)):
+            assert np.any(params[name].grad[k] != 0), (name, k)
 
 
 def test_gradcheck_both_directions(params):
     src_t = Tensor(np.random.default_rng(8).normal(size=(5, CFG.d_h)))
     src_g = Tensor(np.random.default_rng(9).normal(size=(2, CFG.n_p, CFG.d_h)))
+    w = np.random.default_rng(10).normal(size=(len(LEVELS), 1, 1, 1))
 
     def loss():
         a = construct_image_from_text(src_t, params.scoped("mmcm"), CFG, 2, CFG.n_p)
         b = construct_text_from_image(src_g, params.scoped("mmcm"), CFG, 6)
-        return (a.base * a.base).sum() + (b.base * b.base).sum()
+        # weigh the levels unequally, so a swap between levels would show
+        return ((a.base * a.base).sum() + (b.base * b.base).sum()
+                + (a.levels * Tensor(w)).sum() + (b.levels * Tensor(w[..., 0])).sum())
 
     report = gradcheck(loss, params, samples=60, seed=3)
     assert report.ok(1e-4), report.worst()

@@ -207,6 +207,25 @@ class TestForward:
         report = gradcheck(loss, p, samples=60, seed=6)
         assert report.ok(1e-4), report.worst()
 
+    @pytest.mark.parametrize("mask", ["no_text", "no_video"])
+    def test_full_model_gradcheck_constructed_levels(self, mask):
+        # the MMCM's levels flow into the DFFM: sample both modules' weights.
+        # The level mixes start at 1e-3, which leaves the level path's
+        # gradients near the finite-difference noise floor; unit-scale mixes
+        # give it full weight in the loss.
+        p = init_params(CFG, 4)
+        rng = np.random.default_rng(5)
+        for direction in ("g2x", "x2g"):
+            mix = p[f"dffm.mix.{direction}.levels"].data
+            mix[:] = rng.normal(size=mix.shape) / np.sqrt(CFG.d_h)
+        doc = small_doc(mask, n_frames=2)
+
+        def loss():
+            return forward(doc, p, CFG, LossConfig()).loss
+
+        report = gradcheck(loss, p, samples=60, seed=7, prefixes=("mmcm", "dffm"))
+        assert report.ok(1e-4), report.worst()
+
 
 class TestPredict:
     def test_gold_mode_pair_universe(self):
