@@ -70,7 +70,6 @@ def cmd_eval(args) -> int:
     params, cfg, _step, _rng = load_checkpoint(args.checkpoint)
     if args.config:
         cfg = load_config(args.config)
-        cfg.validate()
     corpus_path = args.corpus or cfg.corpus_path
     if not corpus_path:
         raise ConfigError("eval needs --corpus or corpus_path in the config")
@@ -183,14 +182,22 @@ def cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as a `ConfigError`, so that it exits 1 with
+    one error line; the subcommand parsers inherit this class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="himie",
-                                description="hierarchical multimodal information extraction")
+    p = _Parser(prog="himie", description="hierarchical multimodal information extraction")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, corpus=False):
+    def common(sp, corpus=False, seed=True):
         sp.add_argument("--config", help="path to a JSON run-config file")
-        sp.add_argument("--seed", type=int, help="override config seed")
+        if seed:
+            sp.add_argument("--seed", type=int, help="override config seed")
         sp.add_argument("--out", help="output path")
         if corpus:
             sp.add_argument("--corpus", help="corpus JSONL path (overrides config)")
@@ -204,8 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--log", help="write per-step loss log (JSONL)")
     sp.set_defaults(fn=cmd_train)
 
+    # evaluation is deterministic, so it takes no seed
     sp = sub.add_parser("eval", help="evaluate a checkpoint")
-    common(sp, corpus=True)
+    common(sp, corpus=True, seed=False)
     sp.add_argument("--checkpoint", required=True)
     sp.set_defaults(fn=cmd_eval)
 
@@ -231,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ConfigError, ValidationError, ParseError, CheckpointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

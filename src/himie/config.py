@@ -207,8 +207,3 @@ def load_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path}: invalid JSON: {e.msg} (line {e.lineno})") from e
     return config_from_dict(obj)
-
-
-def save_config(cfg: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")

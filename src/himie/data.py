@@ -1,4 +1,4 @@
-"""Document/corpus data model, JSONL serialization, validation and splits.
+"""Document/corpus data model, JSONL serialization and validation.
 
 A document couples a token sequence with a sequence of patch-feature frames
 and carries four gold annotation layers: typed entity spans, coreference
@@ -352,28 +352,7 @@ def load_corpus(path: str | Path) -> Corpus:
     return parse_corpus(Path(path), is_path=True)
 
 
-# -- splits and regimes ---------------------------------------------------
-
-
-def split_corpus(corpus: Corpus, ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
-                 seed: int = 0) -> tuple[Corpus, Corpus, Corpus]:
-    """Seeded shuffle, then contiguous [train|dev|test] slices.
-
-    dev and test take floor(n * ratio) documents each; the remainder goes to
-    train, so (10, (0.8, 0.1, 0.1)) -> 8/1/1 and 4093 -> 3275/409/409.
-    """
-    r_train, r_dev, r_test = ratios
-    if min(ratios) < 0 or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must be non-negative and sum to 1, got {ratios}")
-    n = len(corpus.documents)
-    if n == 0:
-        raise ValueError("cannot split an empty corpus")
-    n_dev = int(n * r_dev)
-    n_test = int(n * r_test)
-    n_train = n - n_dev - n_test
-    order = np.random.default_rng(seed).permutation(n)
-    parts = (order[:n_train], order[n_train:n_train + n_dev], order[n_train + n_dev:])
-    return tuple(Corpus([corpus.documents[i] for i in idxs]) for idxs in parts)
+# -- modality regimes --------------------------------------------------
 
 
 def regime_counts(n: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:

@@ -68,10 +68,6 @@ def entity_counts(gold: list[Entity], pred: list[Entity]) -> tuple[int, int, int
     return tp, len(pred) - tp, len(gold) - tp
 
 
-def entity_f1(gold: list[Entity], pred: list[Entity]) -> PRF:
-    return prf_from_counts(*entity_counts(gold, pred))
-
-
 # -- coreference chains -------------------------------------------------------
 
 
@@ -166,22 +162,6 @@ def chain_score_prf(c: ChainCounts) -> PRF:
     return PRF(sum(x.precision for x in three) / 3,
                sum(x.recall for x in three) / 3,
                sum(x.f1 for x in three) / 3)
-
-
-def muc(gold: list[set], pred: list[set]) -> PRF:
-    return muc_prf(chain_counts(gold, pred))
-
-
-def b_cubed(gold: list[set], pred: list[set]) -> PRF:
-    return b_cubed_prf(chain_counts(gold, pred))
-
-
-def ceaf_e(gold: list[set], pred: list[set]) -> PRF:
-    return ceaf_e_prf(chain_counts(gold, pred))
-
-
-def chain_score(gold: list[set], pred: list[set]) -> PRF:
-    return chain_score_prf(chain_counts(gold, pred))
 
 
 # -- relations ----------------------------------------------------------------

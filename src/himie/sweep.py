@@ -98,8 +98,3 @@ def save_sweep_csv(path: str, rows: list[SweepRow]) -> None:
         w.writeheader()
         for row in summarize(rows):
             w.writerow(row)
-
-
-def mean_avg(rows: list[SweepRow], value) -> float:
-    group = [r for r in rows if r.value == str(value)]
-    return sum(r.avg for r in group) / len(group)

@@ -6,9 +6,9 @@ end to end: the same config and corpus produce bitwise-identical checkpoints.
 Optimizer memory: `init_adam` copies every parameter into one flat
 float64 buffer, in lexicographic name order, and rebinds each tensor's `data`
 to its reshaped view of that buffer; Adam's `m` and `v` are two more buffers of
-the same layout, exposed as one view per name. A fourth buffer of that layout
-holds the gradients: each tensor's `grad` is bound to its view of it, so
-`backward()` accumulates straight into the buffer. A step zeroes it with one
+the same layout. A fourth buffer of that layout holds the gradients: each
+tensor's `grad` is bound to its view of it, so `backward()` accumulates
+straight into the buffer. A step zeroes it with one
 fill before the backward pass and updates all three in place with
 whole-buffer ufuncs, so `train(params=p)` updates the tensors of `p` itself.
 An array taken from `p[name].data` before `train` is not the one it updates.
@@ -53,17 +53,11 @@ class AdamState:
     slots: list[tuple[str, np.ndarray]] = field(default_factory=list)
     # contiguous learning-rate runs: slice, OptimConfig field
     groups: list[tuple[slice, str]] = field(default_factory=list)
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
 
 
 def _lr_field(name: str) -> str:
     return "lr_encoder" if name.startswith("encoder.") else "lr_other"
-
-
-def group_lr(name: str, optim) -> float:
-    return getattr(optim, _lr_field(name))
 
 
 def init_adam(params: ParamTree) -> AdamState:
@@ -82,8 +76,6 @@ def init_adam(params: ParamTree) -> AdamState:
             view = state.values[start:stop].reshape(t.data.shape)
             view[...] = t.data
             t.data = view
-            state.m[name] = state.m_flat[start:stop].reshape(view.shape)
-            state.v[name] = state.v_flat[start:stop].reshape(view.shape)
             t.grad = state.grad[start:stop].reshape(view.shape)
             state.slots.append((name, t.grad))
             start = stop
@@ -187,7 +179,8 @@ def save_checkpoint(path: str, params: ParamTree, cfg: RunConfig, step: int,
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file is malformed: bad header, manifest or payload size."""
+    """A checkpoint file is malformed: bad header, manifest or payload size,
+    or a non-finite weight, which training never saves."""
 
 
 def _read_header(f, path: str, size: int) -> dict:
@@ -237,6 +230,9 @@ def load_checkpoint(path: str) -> tuple[ParamTree, RunConfig, int, dict | None]:
             shape = tuple(entry["shape"])
             buf = f.read(8 * math.prod(shape))
             arr = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"non-finite value in parameter {entry['name']} "
+                                      f"in {path}")
             params.add(entry["name"], arr)
     try:
         cfg = config_from_dict(header["config"])

@@ -9,7 +9,7 @@ import pytest
 
 from himie.autodiff import ParamTree
 from himie.cli import main
-from himie.config import GenConfig, ModelConfig, RunConfig, save_config
+from himie.config import GenConfig, ModelConfig, RunConfig, config_to_dict
 from himie.model import init_params
 from himie.trainer import load_checkpoint, save_checkpoint
 
@@ -24,7 +24,7 @@ def write_cfg(tmp_path, **over):
         epochs=1, seed=0)
     base.update(over)
     path = tmp_path / "run.json"
-    save_config(RunConfig(**base), str(path))
+    path.write_text(json.dumps(config_to_dict(RunConfig(**base))), encoding="utf-8")
     return str(path)
 
 
@@ -147,6 +147,25 @@ class TestExitCodes:
                      "--tol", "1e-300"])
         assert code == 2
         assert "FAIL" in capsys.readouterr().out
+
+    # an unknown flag, a bad int, a missing subcommand, and the seed that
+    # `eval` does not take
+    @pytest.mark.parametrize("argv,message", [
+        (["train", "--bogus"], "unrecognized arguments: --bogus"),
+        (["train", "--seed", "abc"], "himie train: argument --seed: invalid int value"),
+        ([], "required: command"),
+        (["eval", "--checkpoint", "m.ckpt", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    ])
+    def test_bad_command_line_is_one(self, capsys, argv, message):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert message in _one_error_line(capsys)
+
+    def test_help_is_zero(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["train", "--help"])
+        assert ei.value.code == 0
+        assert "--seed" in capsys.readouterr().out
 
     def test_invalid_corpus_content_is_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -449,6 +468,18 @@ class TestMalformedCheckpoint:
         path = tmp_path / "duplicate.ckpt"
         path.write_bytes(struct.pack("<Q", len(blob)) + blob + bytes(16))
         assert "duplicate parameter names" in self._eval_error(path, capsys)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weight(self, tmp_path, capsys, value):
+        # training never saves a non-finite weight; of two, the error names
+        # the first in manifest order
+        params = init_params(SMALL, 0)
+        params["heads.crf.trans"].data.flat[0] = value
+        params["heads.crf.emission"].data.flat[0] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), params, RunConfig(model=SMALL), 0)
+        err = self._eval_error(path, capsys)
+        assert "non-finite value in parameter heads.crf.emission" in err
 
     def test_header_without_config(self, tmp_path, capsys):
         blob = json.dumps({"manifest": [], "step": 0}).encode("utf-8")

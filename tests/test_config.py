@@ -14,7 +14,6 @@ from himie.config import (
     config_from_dict,
     config_to_dict,
     load_config,
-    save_config,
 )
 
 
@@ -116,7 +115,7 @@ def test_round_trip_preserves_everything(tmp_path):
                                               mmcm_enabled=False),
                     gen=dataclasses.replace(GenConfig(), docs=3, seed=4))
     path = tmp_path / "cfg.json"
-    save_config(cfg, path)
+    path.write_text(json.dumps(config_to_dict(cfg)), encoding="utf-8")
     back = load_config(path)
     assert back == cfg
     assert config_to_dict(back) == config_to_dict(cfg)

@@ -1,4 +1,4 @@
-"""Data model: validation codes, JSONL round trips, splits and regimes."""
+"""Data model: validation codes, JSONL round trips and regimes."""
 import json
 import re
 
@@ -20,7 +20,6 @@ from himie.data import (
     parse_corpus,
     regime_counts,
     serialize_corpus,
-    split_corpus,
     validate,
 )
 
@@ -207,39 +206,6 @@ class TestSerialization:
             parse_corpus(text)
         assert ei.value.doc_id == "d0"
         assert any("entities[0]" in v.path for v in ei.value.violations)
-
-
-class TestSplit:
-    def _corpus(self, n):
-        return Corpus([make_doc(id=f"d{i}") for i in range(n)])
-
-    def test_10_docs_is_8_1_1(self):
-        tr, dv, te = split_corpus(self._corpus(10), (0.8, 0.1, 0.1), seed=0)
-        assert (len(tr), len(dv), len(te)) == (8, 1, 1)
-
-    def test_4093_docs_is_3275_409_409(self):
-        tr, dv, te = split_corpus(self._corpus(4093), (0.8, 0.1, 0.1), seed=1)
-        assert (len(tr), len(dv), len(te)) == (3275, 409, 409)
-
-    def test_same_seed_same_split(self):
-        a = split_corpus(self._corpus(50), seed=7)
-        b = split_corpus(self._corpus(50), seed=7)
-        for ca, cb in zip(a, b):
-            assert [d.id for d in ca.documents] == [d.id for d in cb.documents]
-
-    def test_partition_property(self):
-        parts = split_corpus(self._corpus(37), (0.8, 0.1, 0.1), seed=3)
-        ids = [d.id for part in parts for d in part.documents]
-        assert sorted(ids) == sorted(f"d{i}" for i in range(37))
-        assert len(set(ids)) == len(ids)
-
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            split_corpus(Corpus([]), (0.8, 0.1, 0.1), seed=0)
-
-    def test_bad_ratios_rejected(self):
-        with pytest.raises(ValueError):
-            split_corpus(self._corpus(4), (0.8, 0.1, 0.2), seed=0)
 
 
 class TestRegimes:

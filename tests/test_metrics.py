@@ -12,19 +12,17 @@ from himie.metrics import (
     PartitionError,
     TaskOutputs,
     add_taxonomy,
-    b_cubed,
-    ceaf_e,
+    b_cubed_prf,
+    ceaf_e_prf,
     chain_counts,
-    chain_score,
     chain_score_prf,
     empty_taxonomy,
     entity_counts,
-    entity_f1,
     error_breakdown,
     error_rates,
     grounding_counts,
     iou,
-    muc,
+    muc_prf,
     prf_from_counts,
     relation_counts,
     relation_matches,
@@ -81,7 +79,7 @@ class TestEntities:
         gold = [Entity(0, 2, "PER"), Entity(3, 4, "LOC")]
         pred = [Entity(0, 2, "PER"), Entity(3, 4, "ORG")]
         assert entity_counts(gold, pred) == (1, 1, 1)
-        assert entity_f1(gold, pred).f1 == 0.5
+        assert prf_from_counts(*entity_counts(gold, pred)).f1 == 0.5
 
     def test_multiset_duplicates_not_double_counted(self):
         gold = [Entity(0, 1, "PER")]
@@ -90,30 +88,30 @@ class TestEntities:
 
     def test_empty_both_sides(self):
         assert entity_counts([], []) == (0, 0, 0)
-        assert entity_f1([], []).f1 == 0.0
+        assert prf_from_counts(*entity_counts([], [])).f1 == 0.0
 
 
 class TestChainFixture:
     """Hand-derived values for gold {a,b,c} vs predicted {a,b},{c}."""
 
     def test_muc_two_thirds(self):
-        assert abs(muc(GOLD_ABC, PRED_AB_C).f1 - 2.0 / 3.0) < 1e-9
+        assert abs(muc_prf(chain_counts(GOLD_ABC, PRED_AB_C)).f1 - 2.0 / 3.0) < 1e-9
 
     def test_b_cubed_five_sevenths(self):
-        assert abs(b_cubed(GOLD_ABC, PRED_AB_C).f1 - 5.0 / 7.0) < 1e-9
+        assert abs(b_cubed_prf(chain_counts(GOLD_ABC, PRED_AB_C)).f1 - 5.0 / 7.0) < 1e-9
 
     def test_ceaf_e_eight_fifteenths(self):
-        assert abs(ceaf_e(GOLD_ABC, PRED_AB_C).f1 - 8.0 / 15.0) < 1e-9
+        assert abs(ceaf_e_prf(chain_counts(GOLD_ABC, PRED_AB_C)).f1 - 8.0 / 15.0) < 1e-9
 
     def test_chain_score_is_arithmetic_mean(self):
         expect = (2.0 / 3.0 + 5.0 / 7.0 + 8.0 / 15.0) / 3.0
-        assert abs(chain_score(GOLD_ABC, PRED_AB_C).f1 - expect) < 1e-9
+        assert abs(chain_score_prf(chain_counts(GOLD_ABC, PRED_AB_C)).f1 - expect) < 1e-9
 
     def test_component_directions(self):
         # prediction splits, so recall suffers and precision is perfect
-        m = muc(GOLD_ABC, PRED_AB_C)
+        m = muc_prf(chain_counts(GOLD_ABC, PRED_AB_C))
         assert m.precision == 1.0 and abs(m.recall - 0.5) < 1e-12
-        b = b_cubed(GOLD_ABC, PRED_AB_C)
+        b = b_cubed_prf(chain_counts(GOLD_ABC, PRED_AB_C))
         assert b.precision == 1.0 and abs(b.recall - 5.0 / 9.0) < 1e-12
 
 
@@ -124,7 +122,7 @@ class TestChainProperties:
         items = [f"m{i}" for i in range(int(rng.integers(2, 12)))]
         gold = random_partition(rng, items, ensure_link=True)
         pred = [set(c) for c in gold]
-        s = chain_score(gold, pred)
+        s = chain_score_prf(chain_counts(gold, pred))
         assert abs(s.f1 - 1.0) < 1e-12 and abs(s.precision - 1.0) < 1e-12
 
     def test_ceaf_hungarian_equals_permutation_maximum(self):
@@ -170,7 +168,7 @@ class TestChainProperties:
             chain_counts([{"a"}], [set()])
 
     def test_disjoint_universes_score_zero(self):
-        s = chain_score([{"a", "b"}], [{"x", "y"}])
+        s = chain_score_prf(chain_counts([{"a", "b"}], [{"x", "y"}]))
         assert s.f1 == 0.0
 
     def test_singleton_only_muc_denominators_are_zero(self):
@@ -445,8 +443,8 @@ class TestPermutationInvariance:
         items = [f"m{i}" for i in range(8)]
         gold = random_partition(rng, items)
         pred = random_partition(rng, items)
-        a = chain_score(gold, pred)
-        b = chain_score(list(reversed(gold)), list(reversed(pred)))
+        a = chain_score_prf(chain_counts(gold, pred))
+        b = chain_score_prf(chain_counts(list(reversed(gold)), list(reversed(pred))))
         assert abs(a.f1 - b.f1) < 1e-12
 
         ents_g = [Entity(i, i + 1, "PER") for i in range(5)]

@@ -9,7 +9,6 @@ from himie.sweep import (
     AXES,
     N_SEEDS,
     TASKS,
-    mean_avg,
     point_config,
     ratio_fractions,
     save_sweep_csv,
@@ -105,11 +104,7 @@ class TestSweepRows:
         for t in TASKS:
             expect = sum(r.f1[t] for r in rows) / len(rows)
             assert abs(mean_row[t] - expect) < 1e-12
-
-    def test_mean_avg_helper(self):
-        rows = self._rows(values=(2,))
-        expect = sum(r.avg for r in rows) / len(rows)
-        assert abs(mean_avg(rows, 2) - expect) < 1e-12
+        assert abs(mean_row["avg"] - sum(r.avg for r in rows) / len(rows)) < 1e-12
 
     def test_csv_schema(self, tmp_path):
         rows = self._rows(values=(2, 3))

@@ -15,7 +15,6 @@ from himie.synth import generate
 from himie.trainer import (
     CheckpointError,
     adam_step,
-    group_lr,
     init_adam,
     load_checkpoint,
     save_checkpoint,
@@ -37,15 +36,19 @@ def small_run(**over) -> RunConfig:
 
 
 def reference_adam_step(params, grads, m, v, t, optim):
-    """The per-parameter Adam loop the packed `adam_step` must equal bit for bit."""
+    """The per-parameter Adam loop the packed `adam_step` must equal bit for bit.
+
+    `encoder.*` parameters step at `lr_encoder` and all others at `lr_other`.
+    """
     b1, b2, eps = optim.beta1, optim.beta2, optim.eps
     for name in params.names():
+        lr = optim.lr_encoder if name.startswith("encoder.") else optim.lr_other
         g = grads[name]
         m[name] = b1 * m[name] + (1.0 - b1) * g
         v[name] = b2 * v[name] + (1.0 - b2) * g * g
         m_hat = m[name] / (1.0 - b1 ** t)
         v_hat = v[name] / (1.0 - b2 ** t)
-        params[name].data -= group_lr(name, optim) * m_hat / (np.sqrt(v_hat) + eps)
+        params[name].data -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def step(params, state, grads, optim):
@@ -76,7 +79,7 @@ class TestAdam:
         state = init_adam(p)
         step(p, state, {"w": np.array([0.0])}, OptimConfig())
         assert p["w"].data[0] == 2.5
-        assert not np.any(state.m["w"]) and not np.any(state.v["w"])
+        assert not np.any(state.m_flat) and not np.any(state.v_flat)
 
     def test_non_finite_gradient_rejected(self):
         p = self._one_param(1.0)
@@ -91,23 +94,26 @@ class TestAdam:
         state = init_adam(p)
         optim = OptimConfig()
         step(p, state, {n: np.ones(3) for n in p.names()}, optim)
-        before = ({n: p[n].data.copy() for n in p.names()},
-                  {n: a.copy() for n, a in state.m.items()},
-                  {n: a.copy() for n, a in state.v.items()}, state.t)
+        values, m, v = state.values.copy(), state.m_flat.copy(), state.v_flat.copy()
         with pytest.raises(NumericError, match="non-finite gradient in parameter b$"):
             step(p, state, {"a": np.ones(3), "b": np.array([1.0, np.inf, 1.0]),
                             "d": np.array([np.nan, 1.0, 1.0])}, optim)
-        after = ({n: p[n].data for n in p.names()}, state.m, state.v, state.t)
-        for old, new in zip(before[:3], after[:3]):
-            assert all(np.array_equal(old[n], new[n]) for n in old)
-        assert after[3] == before[3] == 1
+        assert np.array_equal(state.values, values)
+        assert np.array_equal(state.m_flat, m) and np.array_equal(state.v_flat, v)
+        assert state.t == 1
 
     def test_group_assignment(self):
-        optim = OptimConfig(lr_encoder=5e-6, lr_other=1e-3)
-        assert group_lr("encoder.text.block0.attn.wq", optim) == 5e-6
-        assert group_lr("encoder.frames.proj.w", optim) == 5e-6
-        assert group_lr("heads.crf.emission", optim) == 1e-3
-        assert group_lr("dffm.mix.g2x.base", optim) == 1e-3
+        # the first step moves each parameter by its group's learning rate
+        lrs = {"encoder.text.block0.attn.wq": 5e-6, "encoder.frames.proj.w": 5e-6,
+               "heads.crf.emission": 1e-3, "dffm.mix.g2x.base": 1e-3}
+        p = ParamTree()
+        for name in lrs:
+            p.add(name, np.array([1.0]))
+        state = init_adam(p)
+        step(p, state, {name: np.array([1.0]) for name in lrs},
+             OptimConfig(lr_encoder=5e-6, lr_other=1e-3))
+        for name, lr in lrs.items():
+            assert abs(p[name].data[0] - (1.0 - lr)) < 1e-10, name
 
     def test_zero_lr_rejected(self):
         from himie.config import ConfigError
@@ -154,10 +160,10 @@ class TestAdam:
         assert state.t == 3
         for name in shapes:
             assert packed[name].data.tobytes() == loop[name].data.tobytes(), name
-        assert state.m.keys() == m.keys() and state.v.keys() == v.keys()
-        for name in m:
-            assert state.m[name].tobytes() == m[name].tobytes(), name
-            assert state.v[name].tobytes() == v[name].tobytes(), name
+        # the moments are packed in name order, like the parameters
+        for flat, ref in ((state.m_flat, m), (state.v_flat, v)):
+            packed_ref = np.concatenate([ref[n].ravel() for n in loop.names()])
+            assert flat.tobytes() == packed_ref.tobytes()
 
     def test_packing_keeps_values_and_shares_memory(self):
         p = init_params(SMALL, 0)
