@@ -104,7 +104,13 @@ class TestSweepRows:
         for t in TASKS:
             expect = sum(r.f1[t] for r in rows) / len(rows)
             assert abs(mean_row[t] - expect) < 1e-12
-        assert abs(mean_row["avg"] - sum(r.avg for r in rows) / len(rows)) < 1e-12
+
+    def test_mean_avg_helper(self):
+        rows = self._rows(values=(2,))
+        expect = sum(r.avg for r in rows) / len(rows)
+        (mean_row,) = [t for t in summarize(rows)
+                       if t["value"] == "2" and t["seed"] == "mean"]
+        assert abs(mean_row["avg"] - expect) < 1e-12
 
     def test_csv_schema(self, tmp_path):
         rows = self._rows(values=(2, 3))
