@@ -16,6 +16,17 @@ outside (the optimizer binds each parameter to its view of one flat gradient
 buffer) or a copy made when the first gradient reaches it. VJPs may hand the
 same array to several parents, so no VJP output is ever written in place.
 
+A VJP returns `None` for a parent that carries no gradient where skipping
+its product saves work (`add`, `mul`, `matmul`); `backward` sends only to
+parents with `requires_grad`, so the leaves get the same gradients either way.
+
+In-place rule: an op or VJP writes in place (`out=`, `+=`) only into arrays it
+allocated itself, and never writes to an array after handing it out, whether
+saved for the backward pass, returned or passed on. The attention softmax
+chain and the GELU helpers run in one buffer each this way, so their
+temporaries stay in cache and their results equal the allocating formulas
+to the bit.
+
 All operations are deterministic (identical inputs give bitwise identical
 outputs) and map finite inputs to finite outputs. `gradcheck` compares the
 tape's gradients against central finite differences.
@@ -202,7 +213,8 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return Tensor._result(out, (a, b), vjp)
 
@@ -221,8 +233,8 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def vjp(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return Tensor._result(out, (a, b), vjp)
 
@@ -236,9 +248,9 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) if b.requires_grad else None
+        return ga, gb
 
     return Tensor._result(out, (a, b), vjp)
 
@@ -269,13 +281,22 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu_cdf(x: np.ndarray) -> np.ndarray:
-    """Phi(x), the standard normal CDF; exact-erf GELU is x * Phi(x)."""
-    return 0.5 * (1.0 + erf(x / _SQRT2))
+    """Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), the standard normal CDF; exact-erf
+    GELU is x * Phi(x). One array is allocated and every step runs in it."""
+    out = np.divide(x, _SQRT2)
+    erf(out, out=out)
+    np.add(out, 1.0, out=out)
+    return np.multiply(out, 0.5, out=out)
 
 
 def gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """d GELU / dx = Phi(x) + x*phi(x), given cdf = Phi(x)."""
-    return cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
+    """d GELU / dx = Phi(x) + x*phi(x), given cdf = Phi(x); one array, as above."""
+    out = np.multiply(x, -0.5)
+    np.multiply(out, x, out=out)
+    np.exp(out, out=out)
+    np.multiply(out, _INV_SQRT_2PI, out=out)
+    np.multiply(x, out, out=out)
+    return np.add(cdf, out, out=out)
 
 
 def gelu(a) -> Tensor:
@@ -331,13 +352,23 @@ def concat(parts, axis=0) -> Tensor:
     return Tensor._result(out, tuple(parts), vjp)
 
 
+def _is_basic(key) -> bool:
+    """Whether `key` is a basic index (ints, slices, `...`, `None`), which
+    selects every element at most once."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(isinstance(k, (int, slice, type(None), type(Ellipsis))) for k in parts)
+
+
 def getitem(a, key) -> Tensor:
     a = _t(a)
     out = a.data[key]
 
     def vjp(g):
         buf = np.zeros_like(a.data)
-        np.add.at(buf, key, g)
+        if _is_basic(key):
+            buf[key] += g  # no repeats: one in-place add, equal to add.at to the bit
+        else:
+            np.add.at(buf, key, g)
         return (buf,)
 
     return Tensor._result(out, (a,), vjp)
@@ -492,11 +523,13 @@ def multi_head_attention(q, k, v, heads: int, params) -> Tensor:
 
     Qh, Kh, Vh = split(q.data @ wq.data), split(k.data @ wk.data), split(v.data @ wv.data)
     KhT = np.swapaxes(Kh, -1, -2)
-    scores = (Qh @ KhT) * scale
-    row_max = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - row_max)
-    row_sum = e.sum(axis=-1, keepdims=True)
-    ctx = (e / row_sum) @ Vh  # [..., heads, Lq, dh]
+    attn = Qh @ KhT  # [..., heads, Lq, Lk]; scaled, exponentiated and normalized in place
+    np.multiply(attn, scale, out=attn)
+    row_max = attn.max(axis=-1, keepdims=True)
+    np.subtract(attn, row_max, out=attn)
+    np.exp(attn, out=attn)
+    row_sum = attn.sum(axis=-1, keepdims=True)
+    ctx = np.divide(attn, row_sum, out=attn) @ Vh  # [..., heads, Lq, dh]
     merged = merge(ctx)
     out = merged @ wo.data + bo.data
 
@@ -509,12 +542,18 @@ def multi_head_attention(q, k, v, heads: int, params) -> Tensor:
         return np.swapaxes(w.data, -1, -2)
 
     def vjp(g):
-        attn = np.exp((Qh @ KhT) * scale - row_max) / row_sum
+        attn = Qh @ KhT  # the forward's weights again, by the same in-place chain
+        np.multiply(attn, scale, out=attn)
+        np.subtract(attn, row_max, out=attn)
+        np.exp(attn, out=attn)
+        np.divide(attn, row_sum, out=attn)
         dbo = g.sum(axis=-2, keepdims=True) if batched else g.reshape(-1, d).sum(axis=0)
         dctx = split(g @ tr(wo))
-        dattn = dctx @ np.swapaxes(Vh, -1, -2)
+        dscores = dctx @ np.swapaxes(Vh, -1, -2)  # dattn, turned into dscores in place
         dvh = np.swapaxes(attn, -1, -2) @ dctx
-        dscores = attn * (dattn - (dctx * ctx).sum(axis=-1, keepdims=True)) * scale
+        np.subtract(dscores, (dctx * ctx).sum(axis=-1, keepdims=True), out=dscores)
+        np.multiply(attn, dscores, out=dscores)
+        np.multiply(dscores, scale, out=dscores)
         dQ, dK, dV = merge(dscores @ Kh), merge(np.swapaxes(dscores, -1, -2) @ Qh), merge(dvh)
         return (dQ @ tr(wq), dK @ tr(wk), dV @ tr(wv),
                 wgrad(q.data, dQ), wgrad(k.data, dK), wgrad(v.data, dV),

