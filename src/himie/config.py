@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -132,6 +133,10 @@ class RunConfig:
     report_path: str | None = None
 
     def validate(self) -> None:
+        # json.loads reads NaN and Infinity, and NaN passes every range check below
+        for where, value in _floats(self, "config"):
+            if not math.isfinite(value):
+                raise ConfigError(f"{where} must be finite, got {value}")
         self.model.validate()
         self.gen.validate()
         self.optim.validate()
@@ -146,6 +151,19 @@ class RunConfig:
                               f"got {self.regime_fractions}")
         if self.eval_mode not in ("gold-pairs", "predicted-pairs"):
             raise ConfigError(f"eval_mode must be 'gold-pairs' or 'predicted-pairs', got {self.eval_mode!r}")
+
+
+def _floats(obj, where: str):
+    """(path, value) of each float in the fields of the dataclass `obj`, its
+    nested configs and its tuples."""
+    for f in dataclasses.fields(obj):
+        val, path = getattr(obj, f.name), f"{where}.{f.name}"
+        if dataclasses.is_dataclass(val):
+            yield from _floats(val, path)
+        elif isinstance(val, tuple):
+            yield from ((f"{path}[{i}]", v) for i, v in enumerate(val) if isinstance(v, float))
+        elif isinstance(val, float):
+            yield path, val
 
 
 # JSON value types each scalar field type accepts; bool is not an int here.

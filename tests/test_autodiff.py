@@ -549,6 +549,17 @@ def test_attention_gradcheck_catches_a_planted_error(plant_vjp_error, index):
     assert rep.ok(1e-4) is (index is None), rep.worst()
 
 
+@pytest.mark.parametrize("index", [None, 0, 1, 2], ids=["clean", "dx", "dkernel", "dbias"])
+def test_conv1d_seq_gradcheck_catches_a_planted_error(plant_vjp_error, index):
+    # one prefix group per parent, so every parent is sampled
+    build, spec = OPS["conv1d_seq"]
+    if index is not None:
+        plant_vjp_error("conv1d_seq", index)
+    rep = _report(build, spec, seed=23, samples=30, prefixes=[name for name, _s, _k in spec])
+    assert {e.name for e in rep.entries} == {name for name, _s, _k in spec}
+    assert rep.ok(1e-4) is (index is None), rep.worst()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_gradcheck_reports_nonfinite_loss():
     p = ParamTree()

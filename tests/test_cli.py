@@ -214,6 +214,37 @@ class TestBadInput:
         assert main(["eval", "--checkpoint", str(path)]) == 1
         assert f"{field} must be" in _one_error_line(capsys)
 
+    @pytest.mark.parametrize("command,bad,field", [
+        ("gen", '"regime_fractions": [NaN, 0.5, 0.5]', "config.regime_fractions[0]"),
+        ("train", '"optim": {"lr_encoder": NaN}', "config.optim.lr_encoder"),
+        ("train", '"loss": {"alpha_ent": Infinity}', "config.loss.alpha_ent"),
+        ("train", '"model": {"kl_weight": -Infinity}', "config.model.kl_weight"),
+    ])
+    def test_non_finite_config_float(self, tmp_path, capsys, command, bad, field):
+        path = tmp_path / "bad.json"
+        path.write_text("{" + bad + "}")
+        corpus = tmp_path / "c.jsonl"
+        if command == "gen":
+            argv = ["gen", "--config", str(path), "--out", str(corpus)]
+        else:
+            assert main(["gen", "--config", write_cfg(tmp_path), "--out", str(corpus)]) == 0
+            argv = ["train", "--config", str(path), "--corpus", str(corpus),
+                    "--out", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "steps.jsonl")]
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert f"{field} must be finite" in _one_error_line(capsys)
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_eval_checkpoint_non_finite_config_float(self, tmp_path, capsys):
+        blob = json.dumps({"manifest": [], "config": {"model": {"kl_weight": float("nan")}},
+                           "step": 0}).encode("utf-8")
+        assert b"NaN" in blob
+        path = tmp_path / "nan.ckpt"
+        path.write_bytes(struct.pack("<Q", len(blob)) + blob)
+        assert main(["eval", "--checkpoint", str(path)]) == 1
+        assert "config.model.kl_weight must be finite, got nan" in _one_error_line(capsys)
+
     @staticmethod
     def _bad_input(tmp_path, kind):
         """argv for `kind` of bad input, and a fragment of the error line it gives."""

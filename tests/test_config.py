@@ -1,6 +1,8 @@
 """Config validation, strict key handling and JSON round trips."""
 import dataclasses
 import json
+import re
+import typing
 
 import pytest
 
@@ -153,3 +155,54 @@ def test_loaded_config_is_validated(tmp_path):
     path.write_text('{"epochs": -2}')
     with pytest.raises(ConfigError, match="epochs"):
         load_config(path)
+
+
+def float_fields(cls=RunConfig, where="config") -> list[str]:
+    """Path of every float field of `cls` and its nested configs, one path per
+    float item of a fixed-length tuple, read from the type hints."""
+    out = []
+    for name, hint in typing.get_type_hints(cls).items():
+        path = f"{where}.{name}"
+        if dataclasses.is_dataclass(hint):
+            out += float_fields(hint, path)
+        elif hint is float:
+            out.append(path)
+        elif typing.get_origin(hint) is tuple:
+            out += [f"{path}[{i}]" for i, t in enumerate(typing.get_args(hint)) if t is float]
+    return out
+
+
+def with_value(obj, path: str, value):
+    """A copy of the config `obj` with the field at `path` (below the root, as
+    `float_fields` writes it) set to `value`."""
+    name, _, rest = path.partition(".")
+    item = re.fullmatch(r"(\w+)\[(\d+)\]", name)
+    if item:
+        items = list(getattr(obj, item[1]))
+        items[int(item[2])] = value
+        return dataclasses.replace(obj, **{item[1]: tuple(items)})
+    return dataclasses.replace(obj, **{name: with_value(getattr(obj, name), rest, value)
+                                       if rest else value})
+
+
+FLOAT_FIELDS = float_fields()
+
+
+def test_float_fields_walk_every_section():
+    assert {"config.model.kl_weight", "config.gen.entity_rate", "config.optim.eps",
+            "config.loss.alpha_gro_b", "config.regime_fractions[2]"} <= set(FLOAT_FIELDS)
+    assert "config.gen.seed" not in FLOAT_FIELDS
+    assert with_value(RunConfig(), "optim.eps", 0.5).optim.eps == 0.5
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("path", FLOAT_FIELDS)
+def test_non_finite_float_rejected(path, value):
+    message = re.escape(f"{path} must be finite, got {value}")
+    cfg = with_value(RunConfig(), path.split(".", 1)[1], value)
+    with pytest.raises(ConfigError, match=message):
+        cfg.validate()
+    # the JSON route: json.loads reads NaN, Infinity and -Infinity
+    text = json.dumps(config_to_dict(cfg))
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(json.loads(text))

@@ -287,6 +287,20 @@ class TestFusedCrf:
                                                      "crf.end"}
         assert report.ok(1e-4), report.worst()
 
+    @pytest.mark.parametrize("index", [None, 0, 1, 2, 3],
+                             ids=["clean", "demis", "dtrans", "dstart", "dend"])
+    def test_gradcheck_catches_a_planted_error(self, plant_vjp_error, index):
+        # one prefix group per parent; the emission parent is the product
+        # h @ crf.emission, so its group holds both leaves
+        p, gold = random_crf(7, seed=6)
+        if index is not None:
+            plant_vjp_error("crf_nll", index)
+        report = gradcheck(lambda: crf_nll(p["h"], gold, p.scoped("crf"), TAGS),
+                           p, samples=40, seed=1,
+                           prefixes=["crf.trans", "crf.start", "crf.end"])
+        assert {e.name for e in report.entries} == set(p.names())
+        assert report.ok(1e-4) is (index is None), report.worst()
+
 
 class TestPairHeads:
     def test_span_repr_is_token_mean(self):

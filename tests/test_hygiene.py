@@ -1,7 +1,11 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every top-level function of the package is referred to outside its own body."""
+"""Source hygiene: every name a module imports is used in that module, every
+top-level function of the package is referred to outside its own body, and
+the package imports no third-party code beyond numpy and scipy.special."""
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -91,3 +95,39 @@ def test_every_function_has_a_caller():
     assert entry == {"cli.main"}
     # the exemptions must still be needed, so none outlives its reason
     assert sorted(uncalled_functions(package, callers, entry)) == sorted(UNCALLED_ALLOWED)
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Dotted names of the absolute imports in `source` outside the standard
+    library and the package itself."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return {n for n in names
+            if n.split(".")[0] not in sys.stdlib_module_names | {"himie"}}
+
+
+def test_finds_third_party_imports():
+    source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+              "from scipy.optimize import linear_sum_assignment\nfrom . import data\n"
+              "from himie.config import RunConfig\n")
+    assert third_party_imports(source) == {"numpy", "scipy.optimize"}
+
+
+def test_only_numpy_and_scipy_special_are_imported():
+    found = set().union(*(third_party_imports(p.read_text(encoding="utf-8")) for p in SRC))
+    assert found == {"numpy", "scipy.special"}
+
+
+def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
+    # scipy.optimize alone pulls in about 250 modules and 23 MB at every start
+    heavy = ("scipy.optimize", "scipy.linalg", "scipy.sparse")
+    code = ("import sys, himie.cli; "
+            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert out.stdout.split() == []

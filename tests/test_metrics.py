@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from himie.data import Entity, Region
 from himie.metrics import (
@@ -177,6 +178,85 @@ class TestChainProperties:
         s = chain_score_prf(c)
         # MUC is 0/0 -> 0 on singletons; B3 and CEAF are perfect
         assert abs(s.f1 - 2.0 / 3.0) < 1e-12
+
+
+def ceaf_oracle(gold, pred) -> float:
+    """Total phi4 of scipy's dense maximum-weight assignment, the reference for
+    the sparse matching in `chain_counts`."""
+    if not gold or not pred:
+        return 0.0
+    m = np.array([[2.0 * len(g & p) / (len(g) + len(p)) for p in pred] for g in gold])
+    ri, ci = linear_sum_assignment(m, maximize=True)
+    return float(m[ri, ci].sum())
+
+
+class TestCeafAssignment:
+    """CEAF-e's alignment against the dense assignment oracle."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_partitions_equal_dense_assignment(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        shapes = set()
+        for _ in range(40):
+            n = int(rng.integers(1, 41))
+            items = [f"m{i}" for i in range(n)]
+            gold = random_partition(rng, items)
+            # predicted-pairs mode: some predicted mentions lie outside gold's universe
+            pool = items
+            if rng.random() < 0.3:
+                pool = items + [f"x{i}" for i in range(int(rng.integers(0, n + 1)))]
+            pred = random_partition(rng, [pool[i] for i in rng.permutation(len(pool))[:n]])
+            phi = chain_counts(gold, pred).ceaf_phi
+            assert abs(phi - ceaf_oracle(gold, pred)) <= 1e-12, (gold, pred)
+            shapes.add((len(gold) > len(pred)) - (len(gold) < len(pred)))
+        assert shapes == {-1, 0, 1}
+
+    def test_tall_sums_add_in_the_dense_order(self):
+        # with more gold than predicted chains, a dense assignment's
+        # m[rows, cols] holds len(pred) rows, some at phi4 = 0, and numpy sums
+        # 9 or more values pairwise, so the zero rows' places change the last
+        # bits; laying them out as the lowest unmatched rows matches the dense
+        # total bit for bit in all but a few tie cases (3 of these 300, against
+        # 74 when all gold rows are summed)
+        rng = np.random.default_rng(5)
+        tall = differ = 0
+        while tall < 300:
+            n = int(rng.integers(12, 41))
+            items = [f"m{i}" for i in range(n)]
+            gold = random_partition(rng, items)
+            pred = random_partition(rng, [items[i] for i in rng.permutation(n)])
+            if len(pred) >= len(gold) or len(pred) < 9:
+                continue
+            tall += 1
+            differ += chain_counts(gold, pred).ceaf_phi != ceaf_oracle(gold, pred)
+        assert differ <= 6
+
+    @pytest.mark.parametrize("gold,pred,phi", [
+        # every entry ties at 1/2; two optimal matchings
+        ([{"a", "b"}, {"c", "d"}], [{"a", "c"}, {"b", "d"}], 1.0),
+        # one predicted chain, two gold rows tie for it
+        ([{"a"}, {"b"}], [{"a", "b"}], 2.0 / 3.0),
+        ([{"a", "b"}], [{"a"}, {"b"}], 2.0 / 3.0),
+        # one predicted chain shares mentions with two gold chains
+        ([{"a", "b", "c"}, {"d"}], [{"a", "b", "c", "d"}, {"x"}], 6.0 / 7.0),
+        ([{"a", "b", "c"}, {"d", "e"}], [{"a", "b", "c", "d"}, {"e"}],
+         6.0 / 7.0 + 2.0 / 3.0),
+        # the largest entry (3/4) is not in the best matching (2/5 + 2/5)
+        ([{"a", "b", "c", "d"}, {"e"}], [{"a", "b", "c", "e"}, {"d"}], 0.8),
+    ])
+    def test_hand_cases_and_ties(self, gold, pred, phi):
+        got = chain_counts(gold, pred).ceaf_phi
+        assert abs(got - phi) <= 1e-12
+        assert abs(got - ceaf_oracle(gold, pred)) <= 1e-12
+        flipped = chain_counts(pred, gold).ceaf_phi
+        assert abs(flipped - phi) <= 1e-12
+
+    @pytest.mark.parametrize("gold,pred", [([], []), ([], [{"a"}]), ([{"a", "b"}], []),
+                                           ([{"a"}, {"b"}], [{"x"}, {"y", "z"}])])
+    def test_empty_side_or_disjoint_universes_score_zero(self, gold, pred):
+        c = chain_counts(gold, pred)
+        assert c.ceaf_phi == 0.0 == ceaf_oracle(gold, pred)
+        assert (c.ceaf_ng, c.ceaf_np) == (len(gold), len(pred))
 
 
 def rel(sub, obj, t):
