@@ -97,10 +97,6 @@ class Violation:
     message: str
 
 
-def _v(code, path, message) -> Violation:
-    return Violation(code, path, message)
-
-
 def validate(doc: Document) -> list[Violation]:
     """Total check of every document invariant; never raises."""
     out: list[Violation] = []
@@ -108,23 +104,24 @@ def validate(doc: Document) -> list[Violation]:
     n_ent = len(doc.entities)
 
     if doc.modality_mask not in MODALITIES:
-        out.append(_v("MODALITY_VALUE", "modality_mask",
-                      f"modality_mask {doc.modality_mask!r} not in {MODALITIES}"))
+        out.append(Violation("MODALITY_VALUE", "modality_mask",
+                             f"modality_mask {doc.modality_mask!r} not in {MODALITIES}"))
 
     # frames: rectangular patch grids, uniform within the document
     shape = None
     for i, fr in enumerate(doc.frames):
         arr = np.asarray(fr)
         if arr.ndim != 2:
-            out.append(_v("FRAME_SHAPE", f"frames[{i}]", f"patches must be 2-D, got ndim={arr.ndim}"))
+            out.append(Violation("FRAME_SHAPE", f"frames[{i}]",
+                                 f"patches must be 2-D, got ndim={arr.ndim}"))
             continue
         if shape is None:
             shape = arr.shape
         elif arr.shape != shape:
-            out.append(_v("FRAME_SHAPE", f"frames[{i}]",
-                          f"patch grid {arr.shape} differs from first frame {shape}"))
+            out.append(Violation("FRAME_SHAPE", f"frames[{i}]",
+                                 f"patch grid {arr.shape} differs from first frame {shape}"))
         if not np.all(np.isfinite(arr)):
-            out.append(_v("FRAME_FINITE", f"frames[{i}]", "non-finite patch values"))
+            out.append(Violation("FRAME_FINITE", f"frames[{i}]", "non-finite patch values"))
 
     # entities: ordered in-range spans with non-empty types, pairwise disjoint
     for i, e in enumerate(doc.entities):
@@ -132,50 +129,52 @@ def validate(doc: Document) -> list[Violation]:
             code = "ENTITY_ORDER" if e.start >= e.end else "ENTITY_RANGE"
             if e.start < 0 or e.end > n_tok:
                 code = "ENTITY_RANGE"
-            out.append(_v(code, f"entities[{i}]",
-                          f"span [{e.start}, {e.end}) invalid for {n_tok} tokens"))
+            out.append(Violation(code, f"entities[{i}]",
+                                 f"span [{e.start}, {e.end}) invalid for {n_tok} tokens"))
         if not e.type:
-            out.append(_v("ENTITY_TYPE", f"entities[{i}].type", "empty entity type"))
+            out.append(Violation("ENTITY_TYPE", f"entities[{i}].type", "empty entity type"))
     spans = sorted(range(n_ent), key=lambda i: (doc.entities[i].start, doc.entities[i].end))
     for a, b in zip(spans, spans[1:]):
         ea, eb = doc.entities[a], doc.entities[b]
         if max(ea.start, eb.start) < min(ea.end, eb.end):
-            out.append(_v("ENTITY_OVERLAP", f"entities[{b}]",
-                          f"span [{eb.start},{eb.end}) overlaps entities[{a}] [{ea.start},{ea.end})"))
+            out.append(Violation("ENTITY_OVERLAP", f"entities[{b}]",
+                                 f"span [{eb.start},{eb.end}) overlaps entities[{a}] [{ea.start},{ea.end})"))
 
     # chains: non-empty lists forming a partition of entity indices
     seen: dict[int, int] = {}
     for ci, members in enumerate(doc.chains):
         if not members:
-            out.append(_v("CHAIN_EMPTY", f"chains[{ci}]", "empty chain"))
+            out.append(Violation("CHAIN_EMPTY", f"chains[{ci}]", "empty chain"))
         for m in members:
             if not (0 <= m < n_ent):
-                out.append(_v("CHAIN_INDEX", f"chains[{ci}]", f"entity index {m} out of range"))
+                out.append(Violation("CHAIN_INDEX", f"chains[{ci}]",
+                                     f"entity index {m} out of range"))
             elif m in seen:
-                out.append(_v("CHAIN_PARTITION", f"chains[{ci}]",
-                              f"entity {m} already in chains[{seen[m]}]"))
+                out.append(Violation("CHAIN_PARTITION", f"chains[{ci}]",
+                                     f"entity {m} already in chains[{seen[m]}]"))
             else:
                 seen[m] = ci
     missing = [i for i in range(n_ent) if i not in seen]
     if missing:
-        out.append(_v("CHAIN_PARTITION", "chains",
-                      f"entities {missing} belong to no chain"))
+        out.append(Violation("CHAIN_PARTITION", "chains",
+                             f"entities {missing} belong to no chain"))
 
     # relations: distinct in-range chain endpoints, typed, no duplicates
     n_ch = len(doc.chains)
     seen_rel: set[tuple[int, int, str]] = set()
     for ri, r in enumerate(doc.relations):
         if not (0 <= r.sub < n_ch) or not (0 <= r.obj < n_ch):
-            out.append(_v("RELATION_INDEX", f"relations[{ri}]",
-                          f"chain indices ({r.sub}, {r.obj}) out of range for {n_ch} chains"))
+            out.append(Violation("RELATION_INDEX", f"relations[{ri}]",
+                                 f"chain indices ({r.sub}, {r.obj}) out of range for {n_ch} chains"))
             continue
         if r.sub == r.obj:
-            out.append(_v("SELF_RELATION", f"relations[{ri}]", f"chain {r.sub} related to itself"))
+            out.append(Violation("SELF_RELATION", f"relations[{ri}]",
+                                 f"chain {r.sub} related to itself"))
         if not r.type:
-            out.append(_v("RELATION_TYPE", f"relations[{ri}].type", "empty relation type"))
+            out.append(Violation("RELATION_TYPE", f"relations[{ri}].type", "empty relation type"))
         key = (r.sub, r.obj, r.type)
         if key in seen_rel:
-            out.append(_v("RELATION_DUP", f"relations[{ri}]", f"duplicate triple {key}"))
+            out.append(Violation("RELATION_DUP", f"relations[{ri}]", f"duplicate triple {key}"))
         seen_rel.add(key)
 
     # regions: valid frame, typed, box inside the unit square, one per frame
@@ -183,24 +182,25 @@ def validate(doc: Document) -> list[Violation]:
     frames_used: dict[int, int] = {}
     for gi, rg in enumerate(doc.regions):
         if not (0 <= rg.frame < n_fr):
-            out.append(_v("REGION_FRAME", f"regions[{gi}]",
-                          f"frame {rg.frame} out of range for {n_fr} frames"))
+            out.append(Violation("REGION_FRAME", f"regions[{gi}]",
+                                 f"frame {rg.frame} out of range for {n_fr} frames"))
         elif rg.frame in frames_used:
-            out.append(_v("REGION_DUP_FRAME", f"regions[{gi}]",
-                          f"frame {rg.frame} already grounded by regions[{frames_used[rg.frame]}]"))
+            out.append(Violation("REGION_DUP_FRAME", f"regions[{gi}]",
+                                 f"frame {rg.frame} already grounded by regions[{frames_used[rg.frame]}]"))
         else:
             frames_used[rg.frame] = gi
         if not rg.type:
-            out.append(_v("REGION_TYPE", f"regions[{gi}].type", "empty region type"))
+            out.append(Violation("REGION_TYPE", f"regions[{gi}].type", "empty region type"))
         vals = (rg.cx, rg.cy, rg.w, rg.h)
         if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in vals):
-            out.append(_v("BOX_RANGE", f"regions[{gi}]", f"non-finite box {vals}"))
+            out.append(Violation("BOX_RANGE", f"regions[{gi}]", f"non-finite box {vals}"))
             continue
         if rg.w <= 0 or rg.h <= 0:
-            out.append(_v("BOX_RANGE", f"regions[{gi}]", f"non-positive box size w={rg.w}, h={rg.h}"))
+            out.append(Violation("BOX_RANGE", f"regions[{gi}]",
+                                 f"non-positive box size w={rg.w}, h={rg.h}"))
         if not (0.0 <= rg.cx - rg.w / 2 and rg.cx + rg.w / 2 <= 1.0
                 and 0.0 <= rg.cy - rg.h / 2 and rg.cy + rg.h / 2 <= 1.0):
-            out.append(_v("BOX_RANGE", f"regions[{gi}]", f"box corners leave [0,1]: {vals}"))
+            out.append(Violation("BOX_RANGE", f"regions[{gi}]", f"box corners leave [0,1]: {vals}"))
 
     return out
 

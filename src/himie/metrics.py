@@ -8,20 +8,24 @@ type) keys, which lets gold and predicted partitions live in different
 mention universes: unmatched predicted mentions hurt precision, unmatched
 gold mentions hurt recall.
 
+Each task has one matcher. The chains' is one sparse overlap table, built
+through a mention-to-chain map, that MUC, B-cubed, CEAF-e and the chain
+taxonomy all read. The others return the predictions they leave unmatched;
+the counts derive from these, and the taxonomy classifies exactly them.
+
 CEAF-e aligns gold and predicted chains one to one for the largest total
-phi4 (Luo 2005). Only chain pairs that share a mention have phi4 > 0, so the
-alignment reads those entries through a mention-to-chain map and matches each
-connected component of them on its own: a component with one chain on either
-side takes its largest entry, a larger one runs Kuhn-Munkres on its dense
-block. The matched values are summed in the layout of a dense solver's
-`m[rows, cols].sum()`, which keeps the totals bitwise equal to its totals on
-the benchmark documents; where ties allow other matchings or other zero rows,
-the two agree within 1e-12.
+phi4 (Luo 2005). Only the table's entries have phi4 > 0, so the alignment
+matches each connected component of them on its own: a component with one
+chain on either side takes its largest entry, a larger one runs Kuhn-Munkres
+on its dense block. The matched values are summed in the layout of a dense
+solver's `m[rows, cols].sum()`, which keeps the totals bitwise equal to its
+totals on the benchmark documents; where ties allow other matchings or other
+zero rows, the two agree within 1e-12.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -56,6 +60,12 @@ def prf_from_counts(tp: int, fp: int, fn: int) -> PRF:
     return PRF(p, r, _f1(p, r), tp, fp, fn)
 
 
+def _counts(gold: list, pred: list, misses: list) -> tuple[int, int, int]:
+    """(tp, fp, fn) of a one-to-one matching that left `misses` unmatched."""
+    tp = len(pred) - len(misses)
+    return tp, len(misses), len(gold) - tp
+
+
 # -- entities -----------------------------------------------------------------
 
 
@@ -63,19 +73,24 @@ def mention_key(e: Entity) -> tuple:
     return (e.start, e.end, e.type)
 
 
-def entity_counts(gold: list[Entity], pred: list[Entity]) -> tuple[int, int, int]:
-    """Multiset intersection on exact (start, end, type)."""
+def _entity_misses(gold: list[Entity], pred: list[Entity]) -> list[Entity]:
+    """Predictions outside the multiset intersection on exact (start, end, type)."""
     remaining: dict[tuple, int] = {}
     for e in gold:
         k = mention_key(e)
         remaining[k] = remaining.get(k, 0) + 1
-    tp = 0
+    misses = []
     for e in pred:
         k = mention_key(e)
         if remaining.get(k, 0) > 0:
             remaining[k] -= 1
-            tp += 1
-    return tp, len(pred) - tp, len(gold) - tp
+        else:
+            misses.append(e)
+    return misses
+
+
+def entity_counts(gold: list[Entity], pred: list[Entity]) -> tuple[int, int, int]:
+    return _counts(gold, pred, _entity_misses(gold, pred))
 
 
 # -- coreference chains -------------------------------------------------------
@@ -94,11 +109,10 @@ def check_partition(chains) -> None:
 
 @dataclass(frozen=True)
 class ChainCounts:
-    """Additive per-document decomposition of the three chain metrics."""
-    muc_rn: float = 0.0
-    muc_rd: float = 0.0
-    muc_pn: float = 0.0
-    muc_pd: float = 0.0
+    """Additive per-document decomposition of the three chain metrics. MUC's
+    numerator, the common links, is the same from either side; its denominators
+    (mentions - chains) are b3_rd - ceaf_ng and b3_pd - ceaf_np."""
+    muc_n: float = 0.0
     b3_rn: float = 0.0
     b3_rd: float = 0.0
     b3_pn: float = 0.0
@@ -108,20 +122,22 @@ class ChainCounts:
     ceaf_np: float = 0.0
 
     def __add__(self, other: "ChainCounts") -> "ChainCounts":
-        import dataclasses
-        return ChainCounts(*(a + b for a, b in zip(dataclasses.astuple(self),
-                                                   dataclasses.astuple(other))))
+        return ChainCounts(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
 
-def _muc_side(chains: list[set], other: list[set]) -> tuple[float, float]:
-    """(numerator, denominator) of Sum(|K| - |p(K)|) / Sum(|K| - 1)."""
-    num = den = 0.0
-    for k in chains:
-        parts = {id(c) for m in k for c in other if m in c}
-        orphans = sum(1 for m in k if not any(m in c for c in other))
-        num += len(k) - (len(parts) + orphans)
-        den += len(k) - 1
-    return num, den
+def _overlaps(gold: list[set], pred: list[set]) -> list[dict[int, int]]:
+    """Row i: {j: |gold[i] & pred[j]|} over the predicted chains that share a
+    mention with gold chain i, read through one mention-to-chain map. Every
+    other pair has no mention in common."""
+    owner = {m: j for j, p in enumerate(pred) for m in p}
+    table = []
+    for g in gold:
+        row: dict[int, int] = {}
+        for m in g:
+            if m in owner:
+                row[owner[m]] = row.get(owner[m], 0) + 1
+        table.append(row)
+    return table
 
 
 def _assign(w: list[list[float]]) -> list[tuple[int, int]]:
@@ -160,19 +176,14 @@ def _assign(w: list[list[float]]) -> list[tuple[int, int]]:
     return sorted((row_of[j] - 1, j - 1) for j in range(1, m + 1) if row_of[j])
 
 
-def _ceaf_phi(gold: list[set], pred: list[set]) -> float:
+def _ceaf_phi(table: list[dict[int, int]], gold: list[set], pred: list[set]) -> float:
     """Total phi4 of a maximum-weight one-to-one alignment of gold to predicted
-    chains (CEAF-e, Luo 2005), from the nonzero phi4 entries only."""
-    owner = {m: j for j, p in enumerate(pred) for m in p}
-    rows: list[dict[int, float]] = []   # row i: {j: phi4} over the pairs sharing a mention
+    chains (CEAF-e, Luo 2005), from the overlap table's entries only."""
+    rows = [{j: 2.0 * k / (len(gold[i]) + len(pred[j])) for j, k in row.items()}
+            for i, row in enumerate(table)]
     cols: list[list[int]] = [[] for _ in pred]
-    for i, g in enumerate(gold):
-        shared: dict[int, int] = {}
-        for m in g:
-            if m in owner:
-                shared[owner[m]] = shared.get(owner[m], 0) + 1
-        rows.append({j: 2.0 * k / (len(g) + len(pred[j])) for j, k in shared.items()})
-        for j in rows[i]:
+    for i, row in enumerate(rows):
+        for j in row:
             cols[j].append(i)
 
     # each connected component of the nonzero entries is matched on its own
@@ -213,22 +224,21 @@ def _ceaf_phi(gold: list[set], pred: list[set]) -> float:
 def chain_counts(gold: list[set], pred: list[set]) -> ChainCounts:
     check_partition(gold)
     check_partition(pred)
-    muc_rn, muc_rd = _muc_side(gold, pred)
-    muc_pn, muc_pd = _muc_side(pred, gold)
-
-    b3_rn = sum(len(g & p) ** 2 / len(g) for g in gold for p in pred)
-    b3_pn = sum(len(g & p) ** 2 / len(p) for g in gold for p in pred)
-    b3_rd = float(sum(len(g) for g in gold))
-    b3_pd = float(sum(len(p) for p in pred))
-
-    return ChainCounts(muc_rn, muc_rd, muc_pn, muc_pd,
-                       b3_rn, b3_rd, b3_pn, b3_pd,
-                       _ceaf_phi(gold, pred), float(len(gold)), float(len(pred)))
+    table = _overlaps(gold, pred)
+    # in (i, j) order, so B-cubed adds its nonzero terms in a dense double loop's order
+    cells = sorted((i, j, k) for i, row in enumerate(table) for j, k in row.items())
+    # k shared mentions form one block of both chains, holding k - 1 common links
+    return ChainCounts(float(sum(k - 1 for _, _, k in cells)),
+                       sum(k ** 2 / len(gold[i]) for i, _, k in cells),
+                       float(sum(len(g) for g in gold)),
+                       sum(k ** 2 / len(pred[j]) for _, j, k in cells),
+                       float(sum(len(p) for p in pred)),
+                       _ceaf_phi(table, gold, pred), float(len(gold)), float(len(pred)))
 
 
 def muc_prf(c: ChainCounts) -> PRF:
-    r = _safe_div(c.muc_rn, c.muc_rd)
-    p = _safe_div(c.muc_pn, c.muc_pd)
+    r = _safe_div(c.muc_n, c.b3_rd - c.ceaf_ng)
+    p = _safe_div(c.muc_n, c.b3_pd - c.ceaf_np)
     return PRF(p, r, _f1(p, r))
 
 
@@ -262,17 +272,23 @@ def relation_matches(pred, gold) -> bool:
             and len(pred[1] & gold[1]) > 0)
 
 
-def relation_counts(gold: list, pred: list) -> tuple[int, int, int]:
-    """Greedy in prediction order; each gold consumed at most once."""
+def _relation_misses(gold: list, pred: list) -> list:
+    """Predictions left unmatched by a greedy pass in prediction order; each
+    gold is consumed at most once."""
     used = [False] * len(gold)
-    tp = 0
+    misses = []
     for pr in pred:
-        for gi, gd in enumerate(gold):
-            if not used[gi] and relation_matches(pr, gd):
-                used[gi] = True
-                tp += 1
-                break
-    return tp, len(pred) - tp, len(gold) - tp
+        hit = next((gi for gi, gd in enumerate(gold)
+                    if not used[gi] and relation_matches(pr, gd)), None)
+        if hit is None:
+            misses.append(pr)
+        else:
+            used[hit] = True
+    return misses
+
+
+def relation_counts(gold: list, pred: list) -> tuple[int, int, int]:
+    return _counts(gold, pred, _relation_misses(gold, pred))
 
 
 # -- grounding ----------------------------------------------------------------
@@ -302,30 +318,29 @@ def _check_region(r: Region) -> None:
         raise ValueError(f"invalid box {r.box()} on frame {r.frame}")
 
 
-def grounding_counts(gold: list[Region], pred: list[Region]) -> tuple[int, int, int]:
-    """Per frame, greedy match by descending IoU among same-type pairs; a
-    pair counts iff IoU > 0.5 strictly."""
+def _grounding_misses(gold: list[Region], pred: list[Region]) -> list[Region]:
+    """Predictions left unmatched when, per frame, same-type pairs are matched
+    greedily by descending IoU; a pair counts iff IoU > 0.5 strictly."""
     for r in list(gold) + list(pred):
         _check_region(r)
-    frames = {r.frame for r in gold} | {r.frame for r in pred}
-    tp = 0
-    for f in sorted(frames):
+    misses = []
+    for f in sorted({r.frame for r in pred}):   # a frame without predictions has no misses
         g = [r for r in gold if r.frame == f]
         p = [r for r in pred if r.frame == f]
-        cand = [(iou(pr.box(), gr.box()), pi, gi)
-                for pi, pr in enumerate(p) for gi, gr in enumerate(g)
-                if pr.type == gr.type]
-        cand = [(v, pi, gi) for v, pi, gi in cand if v > 0.5]
+        cand = [(v, pi, gi) for pi, pr in enumerate(p) for gi, gr in enumerate(g)
+                if pr.type == gr.type and (v := iou(pr.box(), gr.box())) > 0.5]
         cand.sort(key=lambda t: (-t[0], t[1], t[2]))
-        used_p: set[int] = set()
-        used_g: set[int] = set()
+        used_p, used_g = set(), set()
         for v, pi, gi in cand:
-            if pi in used_p or gi in used_g:
-                continue
-            used_p.add(pi)
-            used_g.add(gi)
-            tp += 1
-    return tp, len(pred) - tp, len(gold) - tp
+            if pi not in used_p and gi not in used_g:
+                used_p.add(pi)
+                used_g.add(gi)
+        misses += [pr for pi, pr in enumerate(p) if pi not in used_p]
+    return misses
+
+
+def grounding_counts(gold: list[Region], pred: list[Region]) -> tuple[int, int, int]:
+    return _counts(gold, pred, _grounding_misses(gold, pred))
 
 
 # -- error taxonomy -----------------------------------------------------------
@@ -354,56 +369,38 @@ def add_taxonomy(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
 
 
 def error_breakdown(gold: TaskOutputs, pred: TaskOutputs) -> dict[str, int]:
-    """Classify each erroneous prediction into one taxonomy category."""
+    """Classify each prediction the task's matcher left unmatched into one
+    taxonomy category; a predicted chain errs unless it equals its best gold
+    chain, the one sharing the most mentions (the lowest index on a tie)."""
     out = empty_taxonomy()
-    out["ent_pred"] = len(pred.entities)
-    out["cha_pred"] = len(pred.chains)
-    out["rel_pred"] = len(pred.relations)
-    out["gro_pred"] = len(pred.regions)
+    out.update(ent_pred=len(pred.entities), cha_pred=len(pred.chains),
+               rel_pred=len(pred.relations), gro_pred=len(pred.regions))
 
-    gold_keys = {mention_key(e) for e in gold.entities}
     gold_spans = {(e.start, e.end) for e in gold.entities}
-    for e in pred.entities:
-        if mention_key(e) in gold_keys:
-            continue
-        if (e.start, e.end) in gold_spans:
-            out["ent_type"] += 1
-        else:
-            out["ent_boundary"] += 1
+    for e in _entity_misses(gold.entities, pred.entities):
+        out["ent_type" if (e.start, e.end) in gold_spans else "ent_boundary"] += 1
 
-    for c in pred.chains:
-        overlaps = [(len(c & g), gi) for gi, g in enumerate(gold.chains)]
-        best = max(overlaps, key=lambda t: (t[0], -t[1]), default=(0, -1))
-        aligned = gold.chains[best[1]] if best[0] > 0 else set()
-        if c - aligned:
+    best: dict[int, tuple[int, int]] = {}   # predicted chain: (overlap, size of its best gold)
+    for g, row in zip(gold.chains, _overlaps(gold.chains, pred.chains)):
+        for j, k in row.items():
+            if k > best.get(j, (0, 0))[0]:
+                best[j] = (k, len(g))
+    for j, c in enumerate(pred.chains):
+        k, size = best.get(j, (0, 0))
+        if k < len(c):
             out["cha_wrong_members"] += 1
-        elif aligned - c:
+        elif k < size:
             out["cha_missing_members"] += 1
 
-    used = [False] * len(gold.relations)
-    for pr in pred.relations:
-        hit = next((gi for gi, gd in enumerate(gold.relations)
-                    if not used[gi] and relation_matches(pr, gd)), None)
-        if hit is not None:
-            used[hit] = True
-            continue
+    for pr in _relation_misses(gold.relations, pred.relations):
         type_only = any(len(pr[0] & gd[0]) > 0 and len(pr[1] & gd[1]) > 0
                         and pr[2] != gd[2] for gd in gold.relations)
         out["rel_type" if type_only else "rel_false"] += 1
 
-    g_used: set[int] = set()
-    for r in pred.regions:
-        same_frame = [(gi, gr) for gi, gr in enumerate(gold.regions)
-                      if gr.frame == r.frame and gi not in g_used]
-        exact = next((gi for gi, gr in same_frame
-                      if gr.type == r.type and iou(r.box(), gr.box()) > 0.5), None)
-        if exact is not None:
-            g_used.add(exact)
-            continue
-        if any(iou(r.box(), gr.box()) > 0.5 and gr.type != r.type for _, gr in same_frame):
-            out["gro_type"] += 1
-        else:
-            out["gro_boundary"] += 1
+    for r in _grounding_misses(gold.regions, pred.regions):
+        type_only = any(gr.frame == r.frame and gr.type != r.type
+                        and iou(r.box(), gr.box()) > 0.5 for gr in gold.regions)
+        out["gro_type" if type_only else "gro_boundary"] += 1
     return out
 
 

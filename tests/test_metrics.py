@@ -9,6 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 from himie.data import Entity, Region
 from himie.metrics import (
+    ERROR_KEYS,
     ChainCounts,
     PartitionError,
     TaskOutputs,
@@ -158,7 +159,7 @@ class TestChainProperties:
                              [c for p in preds for c in p])
         # mention universes are disjoint across documents, so summing
         # per-document counts equals scoring the concatenation
-        assert abs(total.muc_rn - joint.muc_rn) < 1e-12
+        assert abs(total.muc_n - joint.muc_n) < 1e-12
         assert abs(total.b3_pn - joint.b3_pn) < 1e-12
         assert abs(total.ceaf_phi - joint.ceaf_phi) < 1e-12
 
@@ -174,10 +175,102 @@ class TestChainProperties:
 
     def test_singleton_only_muc_denominators_are_zero(self):
         c = chain_counts([{"a"}, {"b"}], [{"a"}, {"b"}])
-        assert c.muc_rd == 0.0 and c.muc_pd == 0.0
+        assert c.b3_rd - c.ceaf_ng == 0.0 and c.b3_pd - c.ceaf_np == 0.0
         s = chain_score_prf(c)
         # MUC is 0/0 -> 0 on singletons; B3 and CEAF are perfect
         assert abs(s.f1 - 2.0 / 3.0) < 1e-12
+
+
+def muc_side_oracle(chains, other):
+    """(numerator, denominator) of Sum(|K| - |p(K)|) / Sum(|K| - 1), scanning
+    every chain of the other side for each mention."""
+    num = den = 0.0
+    for k in chains:
+        parts = {id(c) for m in k for c in other if m in c}
+        orphans = sum(1 for m in k if not any(m in c for c in other))
+        num += len(k) - (len(parts) + orphans)
+        den += len(k) - 1
+    return num, den
+
+
+def b_cubed_oracle(gold, pred):
+    """(recall numerator, precision numerator) over every gold x predicted pair."""
+    return (sum(len(g & p) ** 2 / len(g) for g in gold for p in pred),
+            sum(len(g & p) ** 2 / len(p) for g in gold for p in pred))
+
+
+def chain_taxonomy_oracle(gold, pred):
+    """(wrong members, missing members), aligning each predicted chain to the
+    gold chain it shares the most mentions with by a dense scan."""
+    wrong = missing = 0
+    for c in pred:
+        overlaps = [(len(c & g), gi) for gi, g in enumerate(gold)]
+        best = max(overlaps, key=lambda t: (t[0], -t[1]), default=(0, -1))
+        aligned = gold[best[1]] if best[0] > 0 else set()
+        if c - aligned:
+            wrong += 1
+        elif aligned - c:
+            missing += 1
+    return wrong, missing
+
+
+def oracle_prf(num_r, den_r, num_p, den_p):
+    r = num_r / den_r if den_r > 0 else 0.0
+    p = num_p / den_p if den_p > 0 else 0.0
+    return p, r, 2 * p * r / (p + r) if p + r > 0 else 0.0
+
+
+def random_pair(rng, prefix=""):
+    """A gold and a predicted partition; some predicted mentions may lie
+    outside gold's universe, as in predicted-pairs mode, and either side may
+    be empty."""
+    n = int(rng.integers(0, 16))
+    items = [f"{prefix}m{i}" for i in range(n)]
+    pool = items + [f"{prefix}x{i}" for i in range(int(rng.integers(0, n + 1)))]
+    gold = random_partition(rng, items)
+    pred = random_partition(rng, [pool[i] for i in rng.permutation(len(pool))[:n]])
+    return gold, pred
+
+
+class TestChainOracles:
+    """The overlap table against the dense scans it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_muc_b_cubed_and_taxonomy_equal_the_dense_scans(self, seed):
+        rng = np.random.default_rng(2000 + seed)
+        empties = 0
+        for _ in range(100):
+            gold, pred = random_pair(rng)
+            empties += not gold or not pred
+            c = chain_counts(gold, pred)
+            rn, rd = muc_side_oracle(gold, pred)
+            pn, pd = muc_side_oracle(pred, gold)
+            assert (c.muc_n, c.muc_n, c.b3_rd - c.ceaf_ng, c.b3_pd - c.ceaf_np) == (rn, pn, rd, pd)
+            m = muc_prf(c)
+            assert (m.precision, m.recall, m.f1) == oracle_prf(rn, rd, pn, pd)
+            assert (c.b3_rn, c.b3_pn) == b_cubed_oracle(gold, pred)
+            tax = error_breakdown(TaskOutputs([], gold, [], []), TaskOutputs([], pred, [], []))
+            assert (tax["cha_wrong_members"], tax["cha_missing_members"]) == \
+                chain_taxonomy_oracle(gold, pred)
+        assert empties > 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_multi_document_sums_equal_the_dense_scans(self, seed):
+        rng = np.random.default_rng(3000 + seed)
+        total = ChainCounts()
+        muc = [0.0] * 4
+        b3 = [0.0] * 4
+        for d in range(int(rng.integers(1, 12))):
+            gold, pred = random_pair(rng, prefix=f"d{d}")
+            total = total + chain_counts(gold, pred)
+            parts = muc_side_oracle(gold, pred) + muc_side_oracle(pred, gold)
+            muc = [a + b for a, b in zip(muc, parts)]
+            b3 = [a + b for a, b in zip(b3, (*b_cubed_oracle(gold, pred),
+                                             float(sum(map(len, gold))),
+                                             float(sum(map(len, pred)))))]
+        m, b = muc_prf(total), b_cubed_prf(total)
+        assert (m.precision, m.recall, m.f1) == oracle_prf(*muc)
+        assert (b.precision, b.recall, b.f1) == oracle_prf(b3[0], b3[2], b3[1], b3[3])
 
 
 def ceaf_oracle(gold, pred) -> float:
@@ -499,6 +592,66 @@ class TestTaxonomy:
         tax = error_breakdown(g, p)
         errs = sum(tax[k] for k in empty_taxonomy() if not k.endswith("_pred"))
         assert errs == 4
+
+    @staticmethod
+    def _errors(tax, task):
+        return sum(tax[k] for k in ERROR_KEYS if k.startswith(task))
+
+    def test_hand_case_errors_equal_false_positives(self):
+        # the grounding greedy pairs the 0.46 box with the 0.50 gold (IoU 0.82)
+        # and leaves the 0.54 box unmatched, as its IoU with the 0.40 gold is 0.48
+        gold = TaskOutputs([Entity(0, 2, "PER")], [], [],
+                           [box_region(0, "PER", 0.40, 0.5, 0.4, 0.4),
+                            box_region(0, "PER", 0.50, 0.5, 0.4, 0.4)])
+        pred = TaskOutputs([Entity(0, 2, "PER"), Entity(0, 2, "PER")], [], [],
+                           [box_region(0, "PER", 0.46, 0.5, 0.4, 0.4),
+                            box_region(0, "PER", 0.54, 0.5, 0.4, 0.4)])
+        assert grounding_counts(gold.regions, pred.regions) == (1, 1, 1)
+        assert entity_counts(gold.entities, pred.entities) == (1, 1, 0)
+        tax = error_breakdown(gold, pred)
+        assert self._errors(tax, "gro") == 1 == tax["gro_boundary"]
+        assert self._errors(tax, "ent") == 1
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_errors_equal_false_positives(self, seed):
+        rng = np.random.default_rng(4000 + seed)
+        types = ["PER", "LOC"]
+        keys = [(s, s + 1 + int(rng.integers(0, 2)), t) for s in range(4) for t in types]
+
+        def entities(n):
+            return [Entity(*keys[int(rng.integers(0, len(keys)))]) for _ in range(n)]
+
+        def regions(n_frames):
+            out = []
+            for f in range(n_frames):
+                for _ in range(int(rng.integers(0, 4))):
+                    # crowded boxes, so several pairs on a frame pass IoU 0.5
+                    w, h = rng.uniform(0.3, 0.4, size=2)
+                    out.append(Region(f, types[int(rng.integers(0, 2))],
+                                      float(rng.uniform(0.4, 0.6)), float(rng.uniform(0.4, 0.6)),
+                                      float(w), float(h)))
+            return out
+
+        def relations(n):
+            mk = [frozenset(rng.choice(["a", "b", "c", "d"], size=int(rng.integers(1, 3)),
+                                       replace=False)) for _ in range(4)]
+            out = [rel(mk[int(rng.integers(0, 4))], mk[int(rng.integers(0, 4))],
+                       f"R{int(rng.integers(0, 2))}") for _ in range(n)]
+            return out + out[:int(rng.integers(0, n + 1))]   # repeated instances
+
+        for _ in range(30):
+            n_frames = int(rng.integers(1, 4))
+            gold = TaskOutputs(entities(int(rng.integers(0, 5))), [],
+                               relations(int(rng.integers(0, 4))), regions(n_frames))
+            pred_ents = entities(int(rng.integers(0, 5)))
+            pred = TaskOutputs(pred_ents + pred_ents[:int(rng.integers(0, 3))], [],
+                               relations(int(rng.integers(0, 4))), regions(n_frames))
+            tax = error_breakdown(gold, pred)
+            for task, field, counts in [("ent", "entities", entity_counts),
+                                        ("rel", "relations", relation_counts),
+                                        ("gro", "regions", grounding_counts)]:
+                fp = counts(getattr(gold, field), getattr(pred, field))[1]
+                assert self._errors(tax, task) == fp, (task, gold, pred)
 
     def test_rates(self):
         tax = empty_taxonomy()
