@@ -152,13 +152,13 @@ class Tensor:
     __radd__ = __add__
 
     def __neg__(self):
-        return neg(self)
+        return mul(self, -1.0)
 
     def __sub__(self, other):
-        return add(self, neg(_t(other)))
+        return add(self, mul(other, -1.0))
 
     def __rsub__(self, other):
-        return add(_t(other), neg(self))
+        return add(_t(other), mul(self, -1.0))
 
     def __mul__(self, other):
         return mul(self, other)
@@ -217,11 +217,6 @@ def add(a, b) -> Tensor:
                 _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return Tensor._result(out, (a, b), vjp)
-
-
-def neg(a) -> Tensor:
-    a = _t(a)
-    return Tensor._result(-a.data, (a,), lambda g: (-g,))
 
 
 def mul(a, b) -> Tensor:
@@ -380,25 +375,6 @@ def index_rows(a, idx) -> Tensor:
 
 
 # -- fused numeric kernels ----------------------------------------------
-
-
-def logsumexp(a, axis=-1, keepdims=False) -> Tensor:
-    a = _t(a)
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    s = e.sum(axis=axis, keepdims=True)
-    out = np.log(s) + m
-    soft = e / s
-    if not keepdims:
-        out = np.squeeze(out, axis=axis)
-
-    def vjp(g):
-        g = np.asarray(g)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (g * soft,)
-
-    return Tensor._result(out, (a,), vjp)
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,

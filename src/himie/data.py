@@ -312,23 +312,21 @@ def serialize_corpus(corpus: Corpus, path: str | Path | None = None) -> str:
     return text
 
 
-def parse_corpus(source: str | Path, *, is_path: bool | None = None) -> Corpus:
-    """Parse JSONL text (or a file path) into a validated Corpus.
+def parse_corpus(source: str | Path) -> Corpus:
+    """Parse JSONL text (a `str`) or the file at a `Path` into a validated Corpus.
 
     Malformed lines raise ParseError with the 1-based line number; documents
     violating invariants raise ValidationError naming the document and field.
     """
-    if is_path is None:
-        is_path = isinstance(source, Path)
-    if is_path:
-        data = Path(source).read_bytes()
+    if isinstance(source, Path):
+        data = source.read_bytes()
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as e:
             raise ParseError(data.count(b"\n", 0, e.start) + 1,
                              f"invalid UTF-8: {e.reason}") from None
     else:
-        text = str(source)
+        text = source
     docs = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
@@ -349,7 +347,7 @@ def parse_corpus(source: str | Path, *, is_path: bool | None = None) -> Corpus:
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    return parse_corpus(Path(path), is_path=True)
+    return parse_corpus(Path(path))
 
 
 # -- modality regimes --------------------------------------------------

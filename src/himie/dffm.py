@@ -119,6 +119,6 @@ def fuse_x_to_g(image: LevelFeatures, text: LevelFeatures, scope, cfg: ModelConf
     return add(pooled, scope["pos"][:n_g])
 
 
-def pooled_base_frames(image: LevelFeatures, cfg: ModelConfig) -> Tensor:
+def pooled_base_frames(image: LevelFeatures) -> Tensor:
     """Fusion-free image feature: patch mean of the base encoder output."""
     return tmean(image.base, axis=1)

@@ -1,10 +1,8 @@
 """Task heads over the fused features and the training loss assembly.
 
 Entity head: linear emissions into a linear-chain CRF (transition matrix plus
-start/end scores). The loss is one tape node: a log-space forward pass in
-numpy, and a hand-derived backward pass by the alpha adjoint, which yields the
-forward-backward marginals. Decoding is Viterbi with lowest-index tie-break,
-then BIO repair on the decoded tags.
+start/end scores). Decoding is Viterbi with lowest-index tie-break, then BIO
+repair on the decoded tags.
 
 Coreference: a binary classifier on the Hadamard product of the two mentions'
 mean-pooled span representations; chains are the union-find closure of the
@@ -13,8 +11,13 @@ the Hadamard product of chain representations over all ordered chain pairs.
 Grounding, per frame: type logits over NONE + groundable types and a sigmoid
 (cx, cy, w, h) box.
 
-Every loss component is a mean over its own count; zero-count components
-contribute exactly 0 to the weighted total.
+`compute_losses` maps each loss name to a mean over its own count, or to None
+when the document has nothing to score for it; `total_loss` adds the present
+ones, weighted. Two losses are one tape node each, a numpy forward pass with a
+hand-derived backward pass: `crf_nll`, whose backward pass runs the alpha
+adjoint to the forward-backward marginals, and `cross_entropy_mean` (the
+coreference, relation and grounding-type losses), whose gradient is the
+softmax minus the one-hot target.
 """
 from __future__ import annotations
 
@@ -22,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, add, index_rows, logsumexp, matmul, sigmoid,
-                       tabs, tmean)
+from .autodiff import Tensor, add, index_rows, matmul, sigmoid, tabs, tmean
 from .config import LossConfig, ModelConfig
 from .data import Document, Entity, Region
 
@@ -284,32 +286,35 @@ def grounding_predict(h_frames: Tensor, scope, grounding_types) -> list[Region |
 
 
 def cross_entropy_mean(logits: Tensor, targets) -> Tensor:
+    """Mean over rows of -log softmax(logits)[row, target], as one tape node.
+
+    The gradient is (softmax - one-hot) / n (Bridle 1990), so the backward
+    pass needs only the forward's exponentials and row sums.
+    """
     targets = np.asarray(targets, dtype=np.intp)
-    n = logits.data.shape[0]
-    nll = logsumexp(logits, axis=-1) - logits[np.arange(n), targets]
-    return tmean(nll)
+    x = logits.data
+    n = x.shape[0]
+    rows = np.arange(n)
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    s = e.sum(axis=-1, keepdims=True)
+    nll = (np.log(s) + m)[:, 0] + -x[rows, targets]
 
+    def vjp(g):
+        gs = g * (1 / n)
+        d = (e / s) * gs
+        d[rows, targets] -= gs
+        return (d,)
 
-@dataclass
-class LossParts:
-    """Per-component (value, count); value is None when count is 0."""
-    ent: tuple[Tensor | None, int]
-    cha: tuple[Tensor | None, int]
-    rel: tuple[Tensor | None, int]
-    gro_t: tuple[Tensor | None, int]
-    gro_b: tuple[Tensor | None, int]
-
-    def named(self):
-        return {"ent": self.ent, "cha": self.cha, "rel": self.rel,
-                "gro_t": self.gro_t, "gro_b": self.gro_b}
+    return Tensor._result(nll.sum() * (1 / n), (logits,), vjp)
 
 
 def compute_losses(doc: Document, h_text: Tensor, h_frames: Tensor | None,
-                   scope, cfg: ModelConfig, tagset: TagSet) -> LossParts:
+                   scope, cfg: ModelConfig, tagset: TagSet) -> dict[str, Tensor | None]:
+    losses: dict[str, Tensor | None] = dict.fromkeys(("ent", "cha", "rel", "gro_t", "gro_b"))
     # entity: CRF sequence NLL, a mean over the token count
     gold = gold_tag_ids(doc, tagset)
-    ent = (crf_nll(h_text, gold, scope.scoped("crf"), tagset) * (1.0 / doc.n_tokens),
-           doc.n_tokens)
+    losses["ent"] = crf_nll(h_text, gold, scope.scoped("crf"), tagset) * (1.0 / doc.n_tokens)
 
     # coreference over all unordered gold entity pairs
     n_e = len(doc.entities)
@@ -319,9 +324,7 @@ def compute_losses(doc: Document, h_text: Tensor, h_frames: Tensor | None,
         chain_of = doc.chain_of()
         labels = [1 if chain_of[a] == chain_of[b] else 0 for a, b in pairs]
         logits = pair_logit_matrix(reprs, pairs, scope.scoped("coref"))
-        cha = (cross_entropy_mean(logits, labels), len(pairs))
-    else:
-        cha = (None, 0)
+        losses["cha"] = cross_entropy_mean(logits, labels)
 
     # relations over all ordered gold chain pairs (NULL = 0)
     n_c = len(doc.chains)
@@ -339,9 +342,7 @@ def compute_losses(doc: Document, h_text: Tensor, h_frames: Tensor | None,
                 sample_pairs.append(p)
                 targets.append(t)
         logits = pair_logit_matrix(ch, sample_pairs, scope.scoped("rel"))
-        rel = (cross_entropy_mean(logits, targets), len(sample_pairs))
-    else:
-        rel = (None, 0)
+        losses["rel"] = cross_entropy_mean(logits, targets)
 
     # grounding: type CE on every frame (NONE when unannotated), box MAE on
     # annotated frames only
@@ -353,27 +354,21 @@ def compute_losses(doc: Document, h_text: Tensor, h_frames: Tensor | None,
         for rg in doc.regions:
             targets[rg.frame] = gtype_index[rg.type]
             gold_boxes[rg.frame] = rg.box()
-        gro_t = (cross_entropy_mean(t_logits, targets), doc.n_frames)
+        losses["gro_t"] = cross_entropy_mean(t_logits, targets)
         if gold_boxes:
             frames = sorted(gold_boxes)
             pred = index_rows(boxes, np.array(frames, dtype=np.intp))
             gold_arr = Tensor(np.array([gold_boxes[f] for f in frames]))
-            gro_b = (tmean(tabs(pred - gold_arr)), len(frames))
-        else:
-            gro_b = (None, 0)
-    else:
-        gro_t = (None, 0)
-        gro_b = (None, 0)
-
-    return LossParts(ent, cha, rel, gro_t, gro_b)
+            losses["gro_b"] = tmean(tabs(pred - gold_arr))
+    return losses
 
 
-def total_loss(parts: LossParts, alphas: LossConfig) -> Tensor:
+def total_loss(losses: dict[str, Tensor | None], alphas: LossConfig) -> Tensor:
     weights = {"ent": alphas.alpha_ent, "cha": alphas.alpha_cha,
                "rel": alphas.alpha_rel, "gro_t": alphas.alpha_gro_t,
                "gro_b": alphas.alpha_gro_b}
     total = Tensor(0.0)
-    for name, (value, count) in parts.named().items():
-        if count > 0 and value is not None:
+    for name, value in losses.items():
+        if value is not None:
             total = total + value * weights[name]
     return total

@@ -319,23 +319,18 @@ def _check_region(r: Region) -> None:
 
 
 def _grounding_misses(gold: list[Region], pred: list[Region]) -> list[Region]:
-    """Predictions left unmatched when, per frame, same-type pairs are matched
-    greedily by descending IoU; a pair counts iff IoU > 0.5 strictly."""
+    """Predictions left unmatched by a maximum matching, per frame, of the
+    same-type pairs whose IoU is > 0.5 strictly: `_assign` on their 0/1 block."""
     for r in list(gold) + list(pred):
         _check_region(r)
     misses = []
     for f in sorted({r.frame for r in pred}):   # a frame without predictions has no misses
         g = [r for r in gold if r.frame == f]
         p = [r for r in pred if r.frame == f]
-        cand = [(v, pi, gi) for pi, pr in enumerate(p) for gi, gr in enumerate(g)
-                if pr.type == gr.type and (v := iou(pr.box(), gr.box())) > 0.5]
-        cand.sort(key=lambda t: (-t[0], t[1], t[2]))
-        used_p, used_g = set(), set()
-        for v, pi, gi in cand:
-            if pi not in used_p and gi not in used_g:
-                used_p.add(pi)
-                used_g.add(gi)
-        misses += [pr for pi, pr in enumerate(p) if pi not in used_p]
+        hit = [[float(pr.type == gr.type and iou(pr.box(), gr.box()) > 0.5) for gr in g]
+               for pr in p]
+        matched = {pi for pi, gi in (_assign(hit) if g else []) if hit[pi][gi]}
+        misses += [pr for pi, pr in enumerate(p) if pi not in matched]
     return misses
 
 

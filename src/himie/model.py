@@ -21,9 +21,9 @@ from .data import Corpus, Document, Entity, Region, Relation
 from .dffm import fuse_g_to_x, fuse_x_to_g, init_dffm, pooled_base_frames
 from .encoders import (LevelFeatures, bucket_levels, encode_frames,
                        encode_text, init_frame_encoder, init_text_encoder)
-from .heads import (LossParts, TagSet, chain_reprs, compute_losses, crf_decode,
-                    decode_chains, entity_reprs, grounding_predict, init_heads,
-                    pair_logit_matrix, spans_from_tags, total_loss)
+from .heads import (TagSet, chain_reprs, compute_losses, crf_decode, decode_chains,
+                    entity_reprs, grounding_predict, init_heads, pair_logit_matrix,
+                    spans_from_tags, total_loss)
 from .mmcm import (blank_image, blank_text, construct_image_from_text,
                    construct_text_from_image, init_mmcm)
 
@@ -119,7 +119,7 @@ def compute_features(doc: Document, params: ParamTree, cfg: ModelConfig, *,
     dffm = params.scoped("dffm")
     if not use_dffm:
         h_text = text_lv.base
-        h_frames = pooled_base_frames(img_lv, cfg) if img_lv is not None else None
+        h_frames = pooled_base_frames(img_lv) if img_lv is not None else None
     elif img_lv is None:
         # nothing on the image side at all: only the base mixing path remains
         h_text = matmul(text_lv.base, dffm["mix.g2x.base"])
@@ -132,7 +132,7 @@ def compute_features(doc: Document, params: ParamTree, cfg: ModelConfig, *,
 
 @dataclass
 class ForwardResult:
-    parts: LossParts
+    losses: dict[str, Tensor | None]  # each component, None when absent
     loss: Tensor
 
 
@@ -142,11 +142,11 @@ def forward(doc: Document, params: ParamTree, cfg: ModelConfig,
     kl_acc: list | None = [] if cfg.kl_weight > 0 else None
     h_text, h_frames = compute_features(doc, params, cfg, rng=rng, kl_acc=kl_acc)
     tagset = TagSet.for_types(cfg.entity_types)
-    parts = compute_losses(doc, h_text, h_frames, params.scoped("heads"), cfg, tagset)
-    loss = total_loss(parts, loss_cfg)
+    losses = compute_losses(doc, h_text, h_frames, params.scoped("heads"), cfg, tagset)
+    loss = total_loss(losses, loss_cfg)
     if kl_acc:
         loss = loss + sum(kl_acc[1:], kl_acc[0]) * (cfg.kl_weight / len(kl_acc))
-    return ForwardResult(parts, loss)
+    return ForwardResult(losses, loss)
 
 
 @dataclass

@@ -172,7 +172,7 @@ def train(cfg: RunConfig, corpus: Corpus,
             res.loss.backward()
             adam_step(state, cfg.optim)
             comps = {name: (float(v.data) if v is not None else 0.0)
-                     for name, (v, _cnt) in res.parts.named().items()}
+                     for name, v in res.losses.items()}
             log.append(StepRecord(step, doc.id, total, comps))
     return TrainResult(params, log, step, order_rng.bit_generator.state)
 

@@ -384,7 +384,7 @@ def test_criterion_09_determinism_and_round_trips(tmp_path):
     # corpus serialization round-trips exactly
     corpus_path = tmp_path / "corpus.jsonl"
     serialize_corpus(corpus, str(corpus_path))
-    reparsed = parse_corpus(str(corpus_path), is_path=True)
+    reparsed = parse_corpus(corpus_path)
     again = tmp_path / "again.jsonl"
     serialize_corpus(reparsed, str(again))
     assert corpus_path.read_bytes() == again.read_bytes()

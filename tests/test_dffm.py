@@ -319,7 +319,7 @@ class TestFusion:
         rng = np.random.default_rng(11)
         base = rng.normal(size=(2, CFG.n_p, CFG.d_h))
         lv = LevelFeatures(Tensor(np.stack([base] * len(LEVELS))), Tensor(base.copy()))
-        out = pooled_base_frames(lv, CFG)
+        out = pooled_base_frames(lv)
         assert np.allclose(out.data, base.mean(axis=1), atol=1e-12)
 
     def test_sample_mode_changes_output_but_stays_seeded(self, params):

@@ -4,8 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from himie.autodiff import (ParamTree, Tensor, add, gradcheck, logsumexp, matmul,
-                            reshape, tsum)
+from himie.autodiff import ParamTree, Tensor, add, gradcheck, matmul, reshape, tmean, tsum
 from himie.config import LossConfig, ModelConfig
 from himie.data import Document, Entity, Region, Relation
 from himie.heads import (
@@ -57,6 +56,23 @@ def crf_log_z_bruteforce(emis, trans, start, end) -> float:
                       + trans[p[:-1], p[1:]].sum())
     m = max(scores)
     return m + np.log(np.sum(np.exp(np.array(scores) - m)))
+
+
+def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
+    """Log-sum-exp over one axis as a tape op, for the composed references."""
+    m = a.data.max(axis=axis, keepdims=True)
+    e = np.exp(a.data - m)
+    s = e.sum(axis=axis, keepdims=True)
+    soft = e / s
+    return Tensor._result(np.squeeze(np.log(s) + m, axis=axis), (a,),
+                          lambda g: (np.expand_dims(np.asarray(g), axis) * soft,))
+
+
+def reference_cross_entropy_mean(logits, targets):
+    """The mean softmax cross-entropy composed of generic tape ops: the oracle
+    for the fused node."""
+    n = logits.data.shape[0]
+    return tmean(logsumexp(logits, axis=-1) - logits[np.arange(n), np.asarray(targets)])
 
 
 def reference_crf_nll(h_text, gold_ids, scope, tagset):
@@ -302,6 +318,72 @@ class TestFusedCrf:
         assert report.ok(1e-4) is (index is None), report.worst()
 
 
+def ce_case(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Logits [n, C] and targets for one byte-equality case."""
+    rng = np.random.default_rng(len(name))
+    if name == "one_row":
+        return rng.normal(size=(1, 4)), np.array([2])
+    if name == "tied_rows":   # two equal rows, and rows whose entries all tie
+        x = rng.normal(size=(5, 3))
+        x[1] = x[0]
+        x[3:] = 1.5
+        return x, np.array([0, 0, 2, 1, 1])
+    if name == "wide_range":  # entries up to +-40
+        return rng.uniform(-40.0, 40.0, size=(6, 5)), rng.integers(0, 5, size=6)
+    if name == "repeated_targets":
+        return rng.normal(size=(8, 4)) * 3.0, np.full(8, 3)
+    return rng.normal(size=(7, 5)), rng.integers(0, 5, size=7)
+
+
+class TestFusedCrossEntropy:
+    """`cross_entropy_mean` is one tape node; the composed ops are its oracle."""
+
+    @staticmethod
+    def value_and_grad(fn, x, targets):
+        """The loss and the gradient of 0.37 * loss (a non-unit upstream gradient)."""
+        logits = Tensor(x, requires_grad=True)
+        loss = fn(logits, targets)
+        (loss * 0.37).backward()
+        return loss.data, logits.grad
+
+    @pytest.mark.parametrize("case", ["random", "one_row", "tied_rows", "wide_range",
+                                      "repeated_targets"])
+    def test_equals_composed_ops_bitwise(self, case):
+        x, targets = ce_case(case)
+        value, grad = self.value_and_grad(cross_entropy_mean, x, targets)
+        ref_value, ref_grad = self.value_and_grad(reference_cross_entropy_mean, x, targets)
+        assert value.tobytes() == ref_value.tobytes()
+        assert grad.shape == x.shape and grad.tobytes() == ref_grad.tobytes()
+
+    def test_one_node_over_the_logits(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        logits = matmul(Tensor(rng.normal(size=(4, 3)), requires_grad=True),
+                        Tensor(rng.normal(size=(3, 5))))
+        made = []
+        make_result = Tensor._result
+
+        def counted(data, parents, vjp):
+            made.append(vjp.__qualname__.split(".", 1)[0])
+            return make_result(data, parents, vjp)
+
+        monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
+        loss = cross_entropy_mean(logits, [0, 4, 4, 1])
+        monkeypatch.undo()
+        assert made == ["cross_entropy_mean"]
+        assert loss._parents == (logits,)
+
+    @pytest.mark.parametrize("index", [None, 0], ids=["clean", "dlogits"])
+    def test_gradcheck_catches_a_planted_error(self, plant_vjp_error, index):
+        rng = np.random.default_rng(5)
+        p = ParamTree()
+        x = p.add("x", rng.normal(size=(6, 4)) * 2.0)
+        targets = [0, 3, 3, 1, 3, 2]
+        if index is not None:
+            plant_vjp_error("cross_entropy_mean", index)
+        report = gradcheck(lambda: cross_entropy_mean(x, targets), p, samples=24, seed=3)
+        assert report.ok(1e-4) is (index is None), report.worst()
+
+
 class TestPairHeads:
     def test_span_repr_is_token_mean(self):
         rng = np.random.default_rng(0)
@@ -414,57 +496,56 @@ class TestLosses:
         doc = make_doc()
         p = head_params()
         h_text, h_frames = self._features(doc)
-        parts = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG, TAGS)
-        named = parts.named()
-        assert named["ent"][1] == doc.n_tokens
-        assert named["cha"][1] == 1      # one unordered entity pair
-        assert named["rel"][1] == 2      # two ordered chain pairs
-        assert named["gro_t"][1] == 1 and named["gro_b"][1] == 1
-        for key, (value, count) in named.items():
-            assert count > 0 and np.isfinite(value.data), key
+        losses = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG, TAGS)
+        assert list(losses) == ["ent", "cha", "rel", "gro_t", "gro_b"]
+        for key, value in losses.items():
+            assert value is not None and np.isfinite(value.data), key
 
     def test_pairless_doc_zeroes_cha_and_rel(self):
         doc = make_doc(entities=[Entity(0, 2, "PER")], chains=[[0]],
                        relations=[], regions=[])
         p = head_params()
         h_text, h_frames = self._features(doc)
-        parts = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG, TAGS)
-        assert parts.cha == (None, 0)
-        assert parts.rel == (None, 0)
-        assert parts.gro_t[1] == 1   # type CE still trains NONE on the frame
-        assert parts.gro_b == (None, 0)
+        losses = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG, TAGS)
+        assert losses["cha"] is None
+        assert losses["rel"] is None
+        assert losses["gro_t"] is not None   # type CE still trains NONE on the frame
+        assert losses["gro_b"] is None
 
     def test_frameless_doc_zeroes_grounding(self):
         doc = make_doc(frames=[], regions=[])
         p = head_params()
         h_text, _ = self._features(doc)
-        parts = compute_losses(doc, h_text, None, p.scoped("heads"), CFG, TAGS)
-        assert parts.gro_t == (None, 0) and parts.gro_b == (None, 0)
+        losses = compute_losses(doc, h_text, None, p.scoped("heads"), CFG, TAGS)
+        assert losses["gro_t"] is None and losses["gro_b"] is None
 
     def test_multi_label_pair_adds_terms(self):
         doc = make_doc(relations=[Relation(0, 1, "R1"), Relation(0, 1, "R2")])
         p = head_params()
         h_text, h_frames = self._features(doc)
-        parts = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG, TAGS)
-        assert parts.rel[1] == 3  # (0,1) twice + (1,0) null
+        losses = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG, TAGS)
+        # (0,1) once per label, then (1,0) as NULL: a mean over three rows
+        r1, r2 = (CFG.relation_types.index(t) + 1 for t in ("R1", "R2"))
+        ch = chain_reprs(entity_reprs(h_text, doc.entities), doc.chains)
+        logits = pair_logit_matrix(ch, [(0, 1), (0, 1), (1, 0)], p.scoped("heads.rel"))
+        expect = cross_entropy_mean(logits, [r1, r2, 0])
+        assert losses["rel"].data.tobytes() == expect.data.tobytes()
 
     def test_total_loss_weights_components(self):
         doc = make_doc()
         p = head_params()
         h_text, h_frames = self._features(doc)
-        parts = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG, TAGS)
+        losses = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG, TAGS)
         alphas = LossConfig(alpha_ent=2.0, alpha_cha=0.5, alpha_rel=1.0,
                             alpha_gro_t=0.0, alpha_gro_b=3.0)
-        total = total_loss(parts, alphas).data
-        named = parts.named()
-        expect = (2.0 * named["ent"][0].data + 0.5 * named["cha"][0].data
-                  + named["rel"][0].data + 3.0 * named["gro_b"][0].data)
+        total = total_loss(losses, alphas).data
+        expect = (2.0 * losses["ent"].data + 0.5 * losses["cha"].data
+                  + losses["rel"].data + 3.0 * losses["gro_b"].data)
         assert abs(total - expect) < 1e-12
 
     def test_total_loss_empty_parts_is_zero(self):
-        from himie.heads import LossParts
-        parts = LossParts((None, 0), (None, 0), (None, 0), (None, 0), (None, 0))
-        assert total_loss(parts, LossConfig()).data == 0.0
+        losses = dict.fromkeys(("ent", "cha", "rel", "gro_t", "gro_b"))
+        assert total_loss(losses, LossConfig()).data == 0.0
 
     def test_loss_gradcheck_through_all_heads(self):
         doc = make_doc()
@@ -474,8 +555,8 @@ class TestLosses:
         h_frames = Tensor(rng.normal(size=(doc.n_frames, CFG.d_h)))
 
         def loss():
-            parts = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG, TAGS)
-            return total_loss(parts, LossConfig())
+            losses = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG, TAGS)
+            return total_loss(losses, LossConfig())
 
         report = gradcheck(loss, p, samples=60, seed=4)
         assert report.ok(1e-4), report.worst()

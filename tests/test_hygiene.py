@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module, every
-top-level function of the package is referred to outside its own body, and
-the package imports no third-party code beyond numpy and scipy.special."""
+top-level function of the package is referred to outside its own body, every
+parameter is read in its function's body, and the package imports no
+third-party code beyond numpy and scipy.special."""
 import ast
 import os
 import re
@@ -61,6 +62,25 @@ def uncalled_functions(package: dict[str, str], callers: list[str],
             if total[name] == own and qual not in entry_points]
 
 
+def unread_parameters(source: str) -> list[str]:
+    """`function.parameter` (`<lambda>:line.parameter` for a lambda) for each
+    parameter that the function's body never reads; `self`, `cls` and
+    `_`-prefixed names are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", f"<lambda>:{node.lineno}")
+        found += [f"{name}.{p}" for p in params
+                  if p not in read and p not in ("self", "cls") and not p.startswith("_")]
+    return found
+
+
 def console_scripts(pyproject: str) -> set[str]:
     """`module.function` of each `name = "himie.module:function"` line."""
     return {f"{mod}.{fn}" for mod, fn in
@@ -95,6 +115,20 @@ def test_every_function_has_a_caller():
     assert entry == {"cli.main"}
     # the exemptions must still be needed, so none outlives its reason
     assert sorted(uncalled_functions(package, callers, entry)) == sorted(UNCALLED_ALLOWED)
+
+
+def test_finds_an_unread_parameter():
+    source = ("def f(a, b, *args, c, _d, **kw):\n    return a + c + len(kw)\n\n"
+              "class K:\n    def m(self, x, y=None):\n        def inner(z):\n"
+              "            return x\n        return inner\n\n"
+              "g = lambda u, v: u\n")
+    assert sorted(unread_parameters(source)) == ["<lambda>:10.v", "f.args", "f.b", "inner.z",
+                                                 "m.y"]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
 
 
 def third_party_imports(source: str) -> set[str]:

@@ -409,6 +409,14 @@ def box_region(frame, t, cx, cy, w, h):
     return Region(frame, t, cx, cy, w, h)
 
 
+# gold PER boxes at cx 0.40 and 0.50 and predictions at 0.46 and 0.54: IoU
+# 0.46-0.50 is 0.818, 0.46-0.40 0.739, 0.54-0.50 0.818 and 0.54-0.40 0.481
+HAND_GOLD_BOXES = [box_region(0, "PER", 0.40, 0.5, 0.4, 0.4),
+                   box_region(0, "PER", 0.50, 0.5, 0.4, 0.4)]
+HAND_PRED_BOXES = [box_region(0, "PER", 0.46, 0.5, 0.4, 0.4),
+                   box_region(0, "PER", 0.54, 0.5, 0.4, 0.4)]
+
+
 class TestIou:
     def test_hand_example(self):
         # unit squares offset by half in one axis: inter 0.5, union 1.5
@@ -501,10 +509,8 @@ class TestGrounding:
         tp, fp, fn = grounding_counts(g, p)
         assert tp == 1
 
-    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("seed", [*range(30), "hand"])
     def test_matcher_agrees_with_bruteforce(self, seed):
-        rng = np.random.default_rng(1000 + seed)
-
         def rand_regions(n, frame):
             out = []
             for _ in range(n):
@@ -515,8 +521,12 @@ class TestGrounding:
                                   float(w), float(h)))
             return out
 
-        gold = rand_regions(int(rng.integers(0, 3)), 0)
-        pred = rand_regions(int(rng.integers(0, 3)), 0)
+        if seed == "hand":   # descending-IoU greedy takes 0.46-0.50 and strands 0.54
+            gold, pred = HAND_GOLD_BOXES, HAND_PRED_BOXES
+        else:
+            rng = np.random.default_rng(1000 + seed)
+            gold = rand_regions(int(rng.integers(0, 3)), 0)
+            pred = rand_regions(int(rng.integers(0, 3)), 0)
         tp, fp, fn = grounding_counts(gold, pred)
 
         best = 0
@@ -533,7 +543,7 @@ class TestGrounding:
                         cnt += 1
                         break
             best = max(best, cnt)
-        assert tp == best  # greedy by descending IoU is optimal per frame
+        assert tp == best  # a maximum matching per frame
         assert fp == len(pred) - tp and fn == len(gold) - tp
 
 
@@ -598,15 +608,15 @@ class TestTaxonomy:
         return sum(tax[k] for k in ERROR_KEYS if k.startswith(task))
 
     def test_hand_case_errors_equal_false_positives(self):
-        # the grounding greedy pairs the 0.46 box with the 0.50 gold (IoU 0.82)
-        # and leaves the 0.54 box unmatched, as its IoU with the 0.40 gold is 0.48
-        gold = TaskOutputs([Entity(0, 2, "PER")], [], [],
-                           [box_region(0, "PER", 0.40, 0.5, 0.4, 0.4),
-                            box_region(0, "PER", 0.50, 0.5, 0.4, 0.4)])
+        # a maximum matching pairs 0.46 with 0.40 and 0.54 with 0.50, where the
+        # descending-IoU greedy took 0.46-0.50 (IoU 0.82) and stranded 0.54;
+        # the far-off box is the one grounding error
+        far = box_region(0, "PER", 0.1, 0.1, 0.1, 0.1)
+        gold = TaskOutputs([Entity(0, 2, "PER")], [], [], HAND_GOLD_BOXES)
         pred = TaskOutputs([Entity(0, 2, "PER"), Entity(0, 2, "PER")], [], [],
-                           [box_region(0, "PER", 0.46, 0.5, 0.4, 0.4),
-                            box_region(0, "PER", 0.54, 0.5, 0.4, 0.4)])
-        assert grounding_counts(gold.regions, pred.regions) == (1, 1, 1)
+                           HAND_PRED_BOXES + [far])
+        assert grounding_counts(gold.regions, HAND_PRED_BOXES) == (2, 0, 0)
+        assert grounding_counts(gold.regions, pred.regions) == (2, 1, 0)
         assert entity_counts(gold.entities, pred.entities) == (1, 1, 0)
         tax = error_breakdown(gold, pred)
         assert self._errors(tax, "gro") == 1 == tax["gro_boundary"]
