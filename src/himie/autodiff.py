@@ -574,9 +574,6 @@ class ParamTree:
         for name in self.names():
             yield name, self._params[name]
 
-    def n_scalars(self) -> int:
-        return sum(t.data.size for t in self._params.values())
-
     def zero_grad(self) -> None:
         """Zero every gradient in place, so buffers bound to the tensors stay bound."""
         for t in self._params.values():

@@ -12,13 +12,21 @@ from dataclasses import dataclass
 
 from .autodiff import ConfigError, ParamTree
 from .config import RunConfig
-from .data import MODALITIES, Corpus, Document
-from .metrics import (ChainCounts, TaskOutputs, add_taxonomy, chain_counts,
-                      chain_score_prf, empty_taxonomy, entity_counts,
-                      error_breakdown, error_rates, grounding_counts,
-                      mention_key, muc_prf, b_cubed_prf, ceaf_e_prf,
-                      prf_from_counts, relation_counts)
+from .data import MODALITIES, Corpus, Document, Entity, Region
+from .metrics import (ChainCounts, add_taxonomy, b_cubed_prf, ceaf_e_prf,
+                      chain_score_prf, empty_taxonomy, error_rates, mention_key,
+                      muc_prf, prf_from_counts, score_chains, score_entities,
+                      score_grounding, score_relations)
 from .model import Prediction, check_compatible, check_params, predict
+
+
+@dataclass
+class TaskOutputs:
+    """One side (gold or predicted) of a document's four task outputs."""
+    entities: list[Entity]
+    chains: list[set]
+    relations: list
+    regions: list[Region]
 
 
 def chains_to_keys(chains, entities) -> list[set]:
@@ -58,16 +66,17 @@ class DocStats:
 
 
 def score_document(doc: Document, pred: Prediction) -> DocStats:
-    gold = gold_outputs(doc)
-    hyp = pred_outputs(pred)
+    """Each task's counts and taxonomy entries from its scorer's one match."""
+    gold, hyp = gold_outputs(doc), pred_outputs(pred)
+    ent, ent_err = score_entities(gold.entities, hyp.entities)
+    cha, cha_err = score_chains(gold.chains, hyp.chains)
+    rel, rel_err = score_relations(gold.relations, hyp.relations)
+    gro, gro_err = score_grounding(gold.regions, hyp.regions)
     return DocStats(
-        doc_id=doc.id,
-        regime=doc.modality_mask,
-        ent=entity_counts(gold.entities, hyp.entities),
-        cha=chain_counts(gold.chains, hyp.chains),
-        rel=relation_counts(gold.relations, hyp.relations),
-        gro=grounding_counts(gold.regions, hyp.regions),
-        taxonomy=error_breakdown(gold, hyp))
+        doc_id=doc.id, regime=doc.modality_mask, ent=ent, cha=cha, rel=rel, gro=gro,
+        taxonomy={**ent_err, **cha_err, **rel_err, **gro_err,
+                  "ent_pred": len(hyp.entities), "cha_pred": len(hyp.chains),
+                  "rel_pred": len(hyp.relations), "gro_pred": len(hyp.regions)})
 
 
 def _sum3(pairs) -> tuple[int, int, int]:
@@ -122,8 +131,7 @@ def evaluate(params: ParamTree, cfg: RunConfig, corpus: Corpus) -> dict:
         raise ConfigError("cannot evaluate an empty corpus")
     check_compatible(corpus, cfg.model)
     check_params(params, cfg.model)
-    pair_mode = "gold" if cfg.eval_mode == "gold-pairs" else "predicted"
-    stats = [score_document(doc, predict(doc, params, cfg.model, pair_mode=pair_mode))
+    stats = [score_document(doc, predict(doc, params, cfg.model, pair_mode=cfg.eval_mode))
              for doc in corpus.documents]
     return reduce_stats(stats, cfg.eval_mode)
 

@@ -268,16 +268,19 @@ def decode_chains(n_entities: int, positive_pairs) -> list[list[int]]:
     return [sorted(groups[r]) for r in sorted(groups)]
 
 
-def grounding_logits(h_frames: Tensor, scope) -> tuple[Tensor, Tensor]:
-    """(type logits [n_g, n_types+1], box sigmoid [n_g, 4])."""
-    t = add(matmul(h_frames, scope["type.w"]), scope["type.b"])
-    b = sigmoid(add(matmul(h_frames, scope["box.w"]), scope["box.b"]))
-    return t, b
+def grounding_type_logits(h_frames: Tensor, scope) -> Tensor:
+    """Type logits [n_g, n_types+1]; type 0 is NONE."""
+    return add(matmul(h_frames, scope["type.w"]), scope["type.b"])
+
+
+def grounding_boxes(h_frames: Tensor, scope) -> Tensor:
+    """Box sigmoid [n_g, 4], center format."""
+    return sigmoid(add(matmul(h_frames, scope["box.w"]), scope["box.b"]))
 
 
 def grounding_predict(h_frames: Tensor, scope, grounding_types) -> list[Region | None]:
-    t_logits, boxes = grounding_logits(h_frames, scope)
-    labels = np.argmax(t_logits.data, axis=1)  # ties -> lowest index = NONE
+    boxes = grounding_boxes(h_frames, scope)
+    labels = np.argmax(grounding_type_logits(h_frames, scope).data, axis=1)  # ties -> NONE
     return [None if k == 0 else Region(i, grounding_types[k - 1], *box)
             for i, (k, box) in enumerate(zip(labels.tolist(), boxes.data.tolist()))]
 
@@ -319,14 +322,15 @@ def compute_losses(doc: Document, h_text: Tensor, h_frames: Tensor | None,
     # coreference over all unordered gold entity pairs
     n_e = len(doc.entities)
     pairs = [(i, j) for i in range(n_e) for j in range(i + 1, n_e)]
-    reprs = entity_reprs(h_text, doc.entities)
     if pairs:
+        reprs = entity_reprs(h_text, doc.entities)
         chain_of = doc.chain_of()
         labels = [1 if chain_of[a] == chain_of[b] else 0 for a, b in pairs]
         logits = pair_logit_matrix(reprs, pairs, scope.scoped("coref"))
         losses["cha"] = cross_entropy_mean(logits, labels)
 
-    # relations over all ordered gold chain pairs (NULL = 0)
+    # relations over all ordered gold chain pairs (NULL = 0); two chains
+    # partition at least two entities, so `reprs` exists
     n_c = len(doc.chains)
     cpairs = [(i, j) for i in range(n_c) for j in range(n_c) if i != j]
     if cpairs:
@@ -347,17 +351,17 @@ def compute_losses(doc: Document, h_text: Tensor, h_frames: Tensor | None,
     # grounding: type CE on every frame (NONE when unannotated), box MAE on
     # annotated frames only
     if h_frames is not None and doc.n_frames > 0:
-        t_logits, boxes = grounding_logits(h_frames, scope.scoped("gro"))
+        gro = scope.scoped("gro")
         gtype_index = {t: k + 1 for k, t in enumerate(cfg.grounding_types)}
         targets = np.zeros(doc.n_frames, dtype=np.intp)
         gold_boxes = {}
         for rg in doc.regions:
             targets[rg.frame] = gtype_index[rg.type]
             gold_boxes[rg.frame] = rg.box()
-        losses["gro_t"] = cross_entropy_mean(t_logits, targets)
+        losses["gro_t"] = cross_entropy_mean(grounding_type_logits(h_frames, gro), targets)
         if gold_boxes:
             frames = sorted(gold_boxes)
-            pred = index_rows(boxes, np.array(frames, dtype=np.intp))
+            pred = index_rows(grounding_boxes(h_frames, gro), np.array(frames, dtype=np.intp))
             gold_arr = Tensor(np.array([gold_boxes[f] for f in frames]))
             losses["gro_b"] = tmean(tabs(pred - gold_arr))
     return losses

@@ -8,10 +8,13 @@ type) keys, which lets gold and predicted partitions live in different
 mention universes: unmatched predicted mentions hurt precision, unmatched
 gold mentions hurt recall.
 
-Each task has one matcher. The chains' is one sparse overlap table, built
+Each task has one scorer, `score_<task>(gold, pred) -> (counts, errors)`,
+which matches the task once and reads both its counts and its two taxonomy
+entries off that match. The chains' match is one sparse overlap table, built
 through a mention-to-chain map, that MUC, B-cubed, CEAF-e and the chain
-taxonomy all read. The others return the predictions they leave unmatched;
-the counts derive from these, and the taxonomy classifies exactly them.
+taxonomy all read. The other tasks' matchers return the predictions they
+leave unmatched, and the taxonomy classifies exactly these, so a task's
+error count is its false positives.
 
 CEAF-e aligns gold and predicted chains one to one for the largest total
 phi4 (Luo 2005). Only the table's entries have phi4 > 0, so the alignment
@@ -60,10 +63,16 @@ def prf_from_counts(tp: int, fp: int, fn: int) -> PRF:
     return PRF(p, r, _f1(p, r), tp, fp, fn)
 
 
-def _counts(gold: list, pred: list, misses: list) -> tuple[int, int, int]:
-    """(tp, fp, fn) of a one-to-one matching that left `misses` unmatched."""
-    tp = len(pred) - len(misses)
-    return tp, len(misses), len(gold) - tp
+# a count task's (tp, fp, fn) and its two taxonomy entries
+Scored = tuple[tuple[int, int, int], dict[str, int]]
+
+
+def _score(gold: list, pred: list, second: list[bool], keys: tuple[str, str]) -> Scored:
+    """(tp, fp, fn) of a one-to-one matching that left one prediction unmatched
+    per flag in `second`, and those misses split between the task's two error
+    keys: a true flag files its miss under the second."""
+    tp, n = len(pred) - len(second), sum(second)
+    return (tp, len(second), len(gold) - tp), {keys[0]: len(second) - n, keys[1]: n}
 
 
 # -- entities -----------------------------------------------------------------
@@ -89,8 +98,12 @@ def _entity_misses(gold: list[Entity], pred: list[Entity]) -> list[Entity]:
     return misses
 
 
-def entity_counts(gold: list[Entity], pred: list[Entity]) -> tuple[int, int, int]:
-    return _counts(gold, pred, _entity_misses(gold, pred))
+def score_entities(gold: list[Entity], pred: list[Entity]) -> Scored:
+    """Entity (tp, fp, fn) and errors: a miss on a gold span has the wrong type,
+    any other miss the wrong boundary."""
+    spans = {(e.start, e.end) for e in gold}
+    return _score(gold, pred, [(e.start, e.end) in spans for e in _entity_misses(gold, pred)],
+                  ("ent_boundary", "ent_type"))
 
 
 # -- coreference chains -------------------------------------------------------
@@ -221,19 +234,29 @@ def _ceaf_phi(table: list[dict[int, int]], gold: list[set], pred: list[set]) -> 
     return float(np.array(matched).sum())
 
 
-def chain_counts(gold: list[set], pred: list[set]) -> ChainCounts:
+def score_chains(gold: list[set], pred: list[set]) -> tuple[ChainCounts, dict[str, int]]:
+    """Chain counts and errors from one overlap table: a predicted chain errs
+    unless it equals its best gold chain, the one sharing the most mentions
+    (the lowest index on a tie)."""
     check_partition(gold)
     check_partition(pred)
     table = _overlaps(gold, pred)
     # in (i, j) order, so B-cubed adds its nonzero terms in a dense double loop's order
     cells = sorted((i, j, k) for i, row in enumerate(table) for j, k in row.items())
     # k shared mentions form one block of both chains, holding k - 1 common links
-    return ChainCounts(float(sum(k - 1 for _, _, k in cells)),
-                       sum(k ** 2 / len(gold[i]) for i, _, k in cells),
-                       float(sum(len(g) for g in gold)),
-                       sum(k ** 2 / len(pred[j]) for _, j, k in cells),
-                       float(sum(len(p) for p in pred)),
-                       _ceaf_phi(table, gold, pred), float(len(gold)), float(len(pred)))
+    counts = ChainCounts(float(sum(k - 1 for _, _, k in cells)),
+                         sum(k ** 2 / len(gold[i]) for i, _, k in cells),
+                         float(sum(len(g) for g in gold)),
+                         sum(k ** 2 / len(pred[j]) for _, j, k in cells),
+                         float(sum(len(p) for p in pred)),
+                         _ceaf_phi(table, gold, pred), float(len(gold)), float(len(pred)))
+    best: dict[int, tuple[int, int]] = {}   # predicted chain: (overlap, size of its best gold)
+    for i, j, k in cells:
+        if k > best.get(j, (0, 0))[0]:
+            best[j] = (k, len(gold[i]))
+    fits = [(len(c), *best.get(j, (0, 0))) for j, c in enumerate(pred)]
+    return counts, {"cha_wrong_members": sum(k < n for n, k, _ in fits),
+                    "cha_missing_members": sum(k == n < size for n, k, size in fits)}
 
 
 def muc_prf(c: ChainCounts) -> PRF:
@@ -287,8 +310,13 @@ def _relation_misses(gold: list, pred: list) -> list:
     return misses
 
 
-def relation_counts(gold: list, pred: list) -> tuple[int, int, int]:
-    return _counts(gold, pred, _relation_misses(gold, pred))
+def score_relations(gold: list, pred: list) -> Scored:
+    """Relation (tp, fp, fn) and errors: a miss that matches some gold instance
+    on both arguments has the wrong type, any other miss is false."""
+    return _score(gold, pred, [any(len(pr[0] & gd[0]) > 0 and len(pr[1] & gd[1]) > 0
+                                   and pr[2] != gd[2] for gd in gold)
+                               for pr in _relation_misses(gold, pred)],
+                  ("rel_false", "rel_type"))
 
 
 # -- grounding ----------------------------------------------------------------
@@ -318,36 +346,33 @@ def _check_region(r: Region) -> None:
         raise ValueError(f"invalid box {r.box()} on frame {r.frame}")
 
 
-def _grounding_misses(gold: list[Region], pred: list[Region]) -> list[Region]:
-    """Predictions left unmatched by a maximum matching, per frame, of the
-    same-type pairs whose IoU is > 0.5 strictly: `_assign` on their 0/1 block."""
+def _grounding_misses(gold: list[Region], pred: list[Region]) -> list[bool]:
+    """One flag per prediction left unmatched by a maximum matching, per frame,
+    of the same-type pairs whose IoU is > 0.5 strictly (`_assign` on their 0/1
+    block): true when a gold box of another type on its frame overlaps it that
+    much."""
     for r in list(gold) + list(pred):
         _check_region(r)
     misses = []
     for f in sorted({r.frame for r in pred}):   # a frame without predictions has no misses
         g = [r for r in gold if r.frame == f]
         p = [r for r in pred if r.frame == f]
-        hit = [[float(pr.type == gr.type and iou(pr.box(), gr.box()) > 0.5) for gr in g]
-               for pr in p]
+        near = [[iou(pr.box(), gr.box()) > 0.5 for gr in g] for pr in p]
+        hit = [[float(n and pr.type == gr.type) for n, gr in zip(row, g)]
+               for pr, row in zip(p, near)]
         matched = {pi for pi, gi in (_assign(hit) if g else []) if hit[pi][gi]}
-        misses += [pr for pi, pr in enumerate(p) if pi not in matched]
+        misses += [any(n and pr.type != gr.type for n, gr in zip(near[pi], g))
+                   for pi, pr in enumerate(p) if pi not in matched]
     return misses
 
 
-def grounding_counts(gold: list[Region], pred: list[Region]) -> tuple[int, int, int]:
-    return _counts(gold, pred, _grounding_misses(gold, pred))
+def score_grounding(gold: list[Region], pred: list[Region]) -> Scored:
+    """Grounding (tp, fp, fn) and errors: a miss that a gold box of another type
+    would have matched has the wrong type, any other miss the wrong boundary."""
+    return _score(gold, pred, _grounding_misses(gold, pred), ("gro_boundary", "gro_type"))
 
 
 # -- error taxonomy -----------------------------------------------------------
-
-
-@dataclass
-class TaskOutputs:
-    """One side (gold or predicted) of a document's four task outputs."""
-    entities: list[Entity]
-    chains: list[set]
-    relations: list
-    regions: list[Region]
 
 
 ERROR_KEYS = ("ent_boundary", "ent_type", "cha_wrong_members", "cha_missing_members",
@@ -361,42 +386,6 @@ def empty_taxonomy() -> dict[str, int]:
 
 def add_taxonomy(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
     return {k: a[k] + b[k] for k in a}
-
-
-def error_breakdown(gold: TaskOutputs, pred: TaskOutputs) -> dict[str, int]:
-    """Classify each prediction the task's matcher left unmatched into one
-    taxonomy category; a predicted chain errs unless it equals its best gold
-    chain, the one sharing the most mentions (the lowest index on a tie)."""
-    out = empty_taxonomy()
-    out.update(ent_pred=len(pred.entities), cha_pred=len(pred.chains),
-               rel_pred=len(pred.relations), gro_pred=len(pred.regions))
-
-    gold_spans = {(e.start, e.end) for e in gold.entities}
-    for e in _entity_misses(gold.entities, pred.entities):
-        out["ent_type" if (e.start, e.end) in gold_spans else "ent_boundary"] += 1
-
-    best: dict[int, tuple[int, int]] = {}   # predicted chain: (overlap, size of its best gold)
-    for g, row in zip(gold.chains, _overlaps(gold.chains, pred.chains)):
-        for j, k in row.items():
-            if k > best.get(j, (0, 0))[0]:
-                best[j] = (k, len(g))
-    for j, c in enumerate(pred.chains):
-        k, size = best.get(j, (0, 0))
-        if k < len(c):
-            out["cha_wrong_members"] += 1
-        elif k < size:
-            out["cha_missing_members"] += 1
-
-    for pr in _relation_misses(gold.relations, pred.relations):
-        type_only = any(len(pr[0] & gd[0]) > 0 and len(pr[1] & gd[1]) > 0
-                        and pr[2] != gd[2] for gd in gold.relations)
-        out["rel_type" if type_only else "rel_false"] += 1
-
-    for r in _grounding_misses(gold.regions, pred.regions):
-        type_only = any(gr.frame == r.frame and gr.type != r.type
-                        and iou(r.box(), gr.box()) > 0.5 for gr in gold.regions)
-        out["gro_type" if type_only else "gro_boundary"] += 1
-    return out
 
 
 def error_rates(tax: dict[str, int]) -> dict[str, float]:

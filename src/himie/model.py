@@ -163,15 +163,15 @@ class Prediction:
 
 @no_grad()
 def predict(doc: Document, params: ParamTree, cfg: ModelConfig, *,
-            pair_mode: str = "gold") -> Prediction:
-    """Inference pass; `pair_mode` picks the pair universe for coref/relations.
+            pair_mode: str = "gold-pairs") -> Prediction:
+    """Inference pass; `pair_mode`, an `eval_mode`, picks the pair universe for coref/relations.
 
-    gold: pairs come from gold entities and gold chains. predicted: pairs come
-    from the decoded entity spans and the decoded coreference partition.
+    gold-pairs: pairs come from gold entities and gold chains. predicted-pairs:
+    pairs come from the decoded entity spans and the decoded coreference partition.
     Inference always runs the deterministic latent path, and records no tape.
     Label ties go to the lowest index (no link, no relation, no region).
     """
-    if pair_mode not in ("gold", "predicted"):
+    if pair_mode not in ("gold-pairs", "predicted-pairs"):
         raise ValueError(f"unknown pair_mode {pair_mode!r}")
     heads = params.scoped("heads")
     tagset = TagSet.for_types(cfg.entity_types)
@@ -180,7 +180,7 @@ def predict(doc: Document, params: ParamTree, cfg: ModelConfig, *,
     tags = crf_decode(h_text, heads.scoped("crf"), tagset)
     decoded_entities = spans_from_tags(tags, tagset)
 
-    pair_entities = list(doc.entities) if pair_mode == "gold" else decoded_entities
+    pair_entities = list(doc.entities) if pair_mode == "gold-pairs" else decoded_entities
     pairs = [(i, j) for i in range(len(pair_entities)) for j in range(i + 1, len(pair_entities))]
     reprs = entity_reprs(h_text, pair_entities)
     positive: list[tuple[int, int]] = []
@@ -189,7 +189,7 @@ def predict(doc: Document, params: ParamTree, cfg: ModelConfig, *,
         positive = [p for p, k in zip(pairs, links.tolist()) if k == 1]
     chains = decode_chains(len(pair_entities), positive)
 
-    rel_chains = [list(c) for c in doc.chains] if pair_mode == "gold" else chains
+    rel_chains = [list(c) for c in doc.chains] if pair_mode == "gold-pairs" else chains
     relations: list[Relation] = []
     cpairs = [(i, j) for i in range(len(rel_chains)) for j in range(len(rel_chains)) if i != j]
     if cpairs:

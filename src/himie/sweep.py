@@ -33,10 +33,9 @@ def point_config(base: RunConfig, axis: str, value) -> RunConfig:
     if axis == "missing_ratio":
         return dataclasses.replace(base, regime_fractions=ratio_fractions(float(value)))
     if axis == "mmcm_on_off":
-        if value not in (True, False, "on", "off"):
+        if value not in ("on", "off"):
             raise ConfigError(f"mmcm_on_off values must be on/off, got {value!r}")
-        on = value in (True, "on")
-        model = dataclasses.replace(base.model, mmcm_enabled=on)
+        model = dataclasses.replace(base.model, mmcm_enabled=value == "on")
         return dataclasses.replace(base, model=model)
     raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {AXES}")
 

@@ -19,9 +19,9 @@ from himie.data import (assign_modality_regime, parse_corpus, serialize_corpus,
 from himie.evaluate import evaluate, reduce_stats, report_bytes, score_document
 from himie.heads import TagSet, crf_decode, crf_nll, repair_bio
 from himie.metrics import (PartitionError, b_cubed_prf, ceaf_e_prf,
-                           chain_counts, chain_score_prf, grounding_counts, iou,
-                           muc_prf, prf_from_counts, relation_counts,
-                           relation_matches, to_corners)
+                           chain_score_prf, iou, muc_prf, prf_from_counts,
+                           relation_matches, score_chains, score_grounding,
+                           score_relations, to_corners)
 from himie.model import init_params, predict
 from himie.sweep import run_point, summarize, sweep
 from himie.synth import generate
@@ -128,7 +128,7 @@ def random_partition(rng, items, ensure_link=False):
 def test_criterion_03_coreference_fixtures():
     gold = [{"a", "b", "c"}]
     pred = [{"a", "b"}, {"c"}]
-    cc = chain_counts(gold, pred)
+    cc = score_chains(gold, pred)[0]
     assert abs(muc_prf(cc).f1 - 2.0 / 3.0) < 1e-9
     assert abs(b_cubed_prf(cc).f1 - 5.0 / 7.0) < 1e-9
     assert abs(ceaf_e_prf(cc).f1 - 8.0 / 15.0) < 1e-9
@@ -137,7 +137,7 @@ def test_criterion_03_coreference_fixtures():
     for _ in range(50):
         items = [f"m{i}" for i in range(int(rng.integers(2, 12)))]
         part = random_partition(rng, items, ensure_link=True)
-        s = chain_score_prf(chain_counts(part, [set(c) for c in part]))
+        s = chain_score_prf(score_chains(part, [set(c) for c in part])[0])
         assert abs(s.f1 - 1.0) < 1e-12
 
     def phi4(a, b):
@@ -154,7 +154,7 @@ def test_criterion_03_coreference_fixtures():
         small, big = (g, p) if len(g) <= len(p) else (p, g)
         best = max(sum(phi4(s, big[j]) for s, j in zip(small, perm))
                    for perm in itertools.permutations(range(len(big)), len(small)))
-        assert abs(chain_counts(g, p).ceaf_phi - best) < 1e-12
+        assert abs(score_chains(g, p)[0].ceaf_phi - best) < 1e-12
         checked += 1
     assert checked >= 100
     print(f"[criterion 3] PASS: fixtures 2/3, 5/7, 8/15 within 1e-9; 50 perfect "
@@ -233,7 +233,7 @@ def test_criterion_04_iou_oracle_and_threshold_matcher():
                 dx = float(rng.uniform(0, 0.6)) * w  # IoU crosses 0.5 at w/3
                 pt = t if rng.random() < 0.7 else types[int(rng.integers(0, 3))]
                 preds.append(region(0, pt, (cx + dx, cy, w, w)))
-        tp, fp, fn = grounding_counts(golds, preds)
+        tp, fp, fn = score_grounding(golds, preds)[0]
 
         matchable = [[pi for pi, p in enumerate(preds)
                       if p.type == g.type and iou(g.box(), p.box()) > 0.5]
@@ -276,7 +276,7 @@ def test_criterion_05_relation_counts_match_bruteforce():
                                        replace=False))
             pred.append((sub, obj, f"R{int(rng.integers(0, 2))}"))
 
-        tp, fp, fn = relation_counts(gold, pred)
+        tp, fp, fn = score_relations(gold, pred)[0]
         best = 0
         for perm in itertools.permutations(range(len(gold))):
             used, cnt = set(), 0
@@ -427,14 +427,14 @@ def test_criterion_10_invariants_enforced():
     codes = {v.code for v in validate(bad)}
     assert "CHAIN_PARTITION" in codes
     with pytest.raises(PartitionError):
-        chain_counts([{"a"}, {"a"}], [{"a"}])
+        score_chains([{"a"}, {"a"}], [{"a"}])
 
     # box coordinates must stay in the unit square
     bad = doc(frames=[np.zeros((16, 8))],
               regions=[Region(0, "PER", 1.4, 0.5, 0.2, 0.2)])
     assert "BOX_RANGE" in {v.code for v in validate(bad)}
     with pytest.raises(ValueError):
-        grounding_counts([Region(0, "PER", -0.2, 0.5, 0.1, 0.1)], [])
+        score_grounding([Region(0, "PER", -0.2, 0.5, 0.1, 0.1)], [])
 
     # PRF values stay inside [0, 1] and F1 is 0 whenever tp is 0
     rng = np.random.default_rng(10)

@@ -15,7 +15,7 @@ from himie.evaluate import (
     report_bytes,
     score_document,
 )
-from himie.metrics import ERROR_KEYS
+from himie.metrics import ERROR_KEYS, empty_taxonomy
 from himie.model import Prediction, init_params
 from himie.synth import generate
 
@@ -59,6 +59,31 @@ class TestPerDocument:
             assert s.rel == (len(doc.relations), 0, 0)
             assert s.gro == (len(doc.regions), 0, 0)
             assert all(s.taxonomy[k] == 0 for k in ERROR_KEYS)
+
+    def test_each_matcher_runs_once_per_document(self, monkeypatch):
+        import himie.metrics as metrics
+        calls = []
+        for name in ("_entity_misses", "_overlaps", "_relation_misses", "_grounding_misses"):
+            def counted(*args, _name=name, _fn=getattr(metrics, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(metrics, name, counted)
+        doc = corpus_with_all_layers().documents[0]
+        score_document(doc, perfect_prediction(doc))
+        assert sorted(calls) == ["_entity_misses", "_grounding_misses", "_overlaps",
+                                 "_relation_misses"]
+
+    def test_taxonomy_holds_every_key_and_the_prediction_totals(self):
+        corpus = corpus_with_all_layers()
+        for doc in corpus.documents:
+            pred = perfect_prediction(doc)
+            pred.entities = pred.entities + pred.entities[:1]   # one duplicate: one error
+            s = score_document(doc, pred)
+            assert sorted(s.taxonomy) == sorted(empty_taxonomy())
+            assert (s.taxonomy["ent_pred"], s.taxonomy["cha_pred"], s.taxonomy["rel_pred"],
+                    s.taxonomy["gro_pred"]) == (len(pred.entities), len(doc.chains),
+                                                len(doc.relations), len(doc.regions))
+            assert sum(s.taxonomy[k] for k in ERROR_KEYS) == s.ent[1] == len(doc.entities[:1])
 
     def test_gold_and_perfect_pred_outputs_agree(self):
         corpus = corpus_with_all_layers()

@@ -519,6 +519,37 @@ class TestLosses:
         losses = compute_losses(doc, h_text, None, p.scoped("heads"), CFG, TAGS)
         assert losses["gro_t"] is None and losses["gro_b"] is None
 
+    @pytest.mark.parametrize("n_entities, with_region", [(0, False), (1, False), (1, True),
+                                                          (2, True), (3, False)])
+    def test_every_recorded_node_reaches_a_loss(self, monkeypatch, n_entities, with_region):
+        # a node that no loss reads costs a forward op and a tape entry for nothing
+        entities = [Entity(0, 2, "PER"), Entity(3, 4, "LOC"), Entity(5, 6, "PER")][:n_entities]
+        doc = make_doc(entities=entities, chains=[[i] for i in range(n_entities)],
+                       relations=[Relation(0, 1, "R1")] if n_entities >= 2 else [],
+                       regions=[Region(0, "PER", 0.5, 0.5, 0.25, 0.25)] if with_region else [])
+        p = head_params()
+        h_text, h_frames = (Tensor(h.data, requires_grad=True) for h in self._features(doc))
+        made = []
+        make_result = Tensor._result
+
+        def recorded(data, parents, vjp):
+            out = make_result(data, parents, vjp)
+            if out.requires_grad:
+                made.append(out)
+            return out
+
+        monkeypatch.setattr(Tensor, "_result", staticmethod(recorded))
+        losses = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG, TAGS)
+        monkeypatch.undo()
+        reached, stack = set(), [v for v in losses.values() if v is not None]
+        while stack:
+            node = stack.pop()
+            if id(node) not in reached:
+                reached.add(id(node))
+                stack.extend(node._parents)
+        assert made
+        assert [n.data.shape for n in made if id(n) not in reached] == []
+
     def test_multi_label_pair_adds_terms(self):
         doc = make_doc(relations=[Relation(0, 1, "R1"), Relation(0, 1, "R2")])
         p = head_params()

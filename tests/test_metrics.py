@@ -8,26 +8,25 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from himie.data import Entity, Region
+from himie.evaluate import TaskOutputs
 from himie.metrics import (
     ERROR_KEYS,
     ChainCounts,
     PartitionError,
-    TaskOutputs,
     add_taxonomy,
     b_cubed_prf,
     ceaf_e_prf,
-    chain_counts,
     chain_score_prf,
     empty_taxonomy,
-    entity_counts,
-    error_breakdown,
     error_rates,
-    grounding_counts,
     iou,
     muc_prf,
     prf_from_counts,
-    relation_counts,
     relation_matches,
+    score_chains,
+    score_entities,
+    score_grounding,
+    score_relations,
     to_corners,
 )
 
@@ -80,40 +79,40 @@ class TestEntities:
     def test_exact_triple_match(self):
         gold = [Entity(0, 2, "PER"), Entity(3, 4, "LOC")]
         pred = [Entity(0, 2, "PER"), Entity(3, 4, "ORG")]
-        assert entity_counts(gold, pred) == (1, 1, 1)
-        assert prf_from_counts(*entity_counts(gold, pred)).f1 == 0.5
+        assert score_entities(gold, pred)[0] == (1, 1, 1)
+        assert prf_from_counts(*score_entities(gold, pred)[0]).f1 == 0.5
 
     def test_multiset_duplicates_not_double_counted(self):
         gold = [Entity(0, 1, "PER")]
         pred = [Entity(0, 1, "PER"), Entity(0, 1, "PER")]
-        assert entity_counts(gold, pred) == (1, 1, 0)
+        assert score_entities(gold, pred)[0] == (1, 1, 0)
 
     def test_empty_both_sides(self):
-        assert entity_counts([], []) == (0, 0, 0)
-        assert prf_from_counts(*entity_counts([], [])).f1 == 0.0
+        assert score_entities([], [])[0] == (0, 0, 0)
+        assert prf_from_counts(*score_entities([], [])[0]).f1 == 0.0
 
 
 class TestChainFixture:
     """Hand-derived values for gold {a,b,c} vs predicted {a,b},{c}."""
 
     def test_muc_two_thirds(self):
-        assert abs(muc_prf(chain_counts(GOLD_ABC, PRED_AB_C)).f1 - 2.0 / 3.0) < 1e-9
+        assert abs(muc_prf(score_chains(GOLD_ABC, PRED_AB_C)[0]).f1 - 2.0 / 3.0) < 1e-9
 
     def test_b_cubed_five_sevenths(self):
-        assert abs(b_cubed_prf(chain_counts(GOLD_ABC, PRED_AB_C)).f1 - 5.0 / 7.0) < 1e-9
+        assert abs(b_cubed_prf(score_chains(GOLD_ABC, PRED_AB_C)[0]).f1 - 5.0 / 7.0) < 1e-9
 
     def test_ceaf_e_eight_fifteenths(self):
-        assert abs(ceaf_e_prf(chain_counts(GOLD_ABC, PRED_AB_C)).f1 - 8.0 / 15.0) < 1e-9
+        assert abs(ceaf_e_prf(score_chains(GOLD_ABC, PRED_AB_C)[0]).f1 - 8.0 / 15.0) < 1e-9
 
     def test_chain_score_is_arithmetic_mean(self):
         expect = (2.0 / 3.0 + 5.0 / 7.0 + 8.0 / 15.0) / 3.0
-        assert abs(chain_score_prf(chain_counts(GOLD_ABC, PRED_AB_C)).f1 - expect) < 1e-9
+        assert abs(chain_score_prf(score_chains(GOLD_ABC, PRED_AB_C)[0]).f1 - expect) < 1e-9
 
     def test_component_directions(self):
         # prediction splits, so recall suffers and precision is perfect
-        m = muc_prf(chain_counts(GOLD_ABC, PRED_AB_C))
+        m = muc_prf(score_chains(GOLD_ABC, PRED_AB_C)[0])
         assert m.precision == 1.0 and abs(m.recall - 0.5) < 1e-12
-        b = b_cubed_prf(chain_counts(GOLD_ABC, PRED_AB_C))
+        b = b_cubed_prf(score_chains(GOLD_ABC, PRED_AB_C)[0])
         assert b.precision == 1.0 and abs(b.recall - 5.0 / 9.0) < 1e-12
 
 
@@ -124,7 +123,7 @@ class TestChainProperties:
         items = [f"m{i}" for i in range(int(rng.integers(2, 12)))]
         gold = random_partition(rng, items, ensure_link=True)
         pred = [set(c) for c in gold]
-        s = chain_score_prf(chain_counts(gold, pred))
+        s = chain_score_prf(score_chains(gold, pred)[0])
         assert abs(s.f1 - 1.0) < 1e-12 and abs(s.precision - 1.0) < 1e-12
 
     def test_ceaf_hungarian_equals_permutation_maximum(self):
@@ -135,7 +134,7 @@ class TestChainProperties:
             pred = random_partition(rng, items)
             if len(gold) > 6 or len(pred) > 6:
                 continue
-            c = chain_counts(gold, pred)
+            c = score_chains(gold, pred)[0]
 
             def phi4(a, b):
                 return 2.0 * len(a & b) / (len(a) + len(b))
@@ -154,9 +153,9 @@ class TestChainProperties:
             items = [f"d{d}m{i}" for i in range(6)]
             golds.append(random_partition(rng, items))
             preds.append(random_partition(rng, items))
-            total = total + chain_counts(golds[-1], preds[-1])
-        joint = chain_counts([c for g in golds for c in g],
-                             [c for p in preds for c in p])
+            total = total + score_chains(golds[-1], preds[-1])[0]
+        joint = score_chains([c for g in golds for c in g],
+                             [c for p in preds for c in p])[0]
         # mention universes are disjoint across documents, so summing
         # per-document counts equals scoring the concatenation
         assert abs(total.muc_n - joint.muc_n) < 1e-12
@@ -165,16 +164,16 @@ class TestChainProperties:
 
     def test_rejects_non_partition(self):
         with pytest.raises(PartitionError):
-            chain_counts([{"a"}, {"a"}], [{"a"}])
+            score_chains([{"a"}, {"a"}], [{"a"}])
         with pytest.raises(PartitionError):
-            chain_counts([{"a"}], [set()])
+            score_chains([{"a"}], [set()])
 
     def test_disjoint_universes_score_zero(self):
-        s = chain_score_prf(chain_counts([{"a", "b"}], [{"x", "y"}]))
+        s = chain_score_prf(score_chains([{"a", "b"}], [{"x", "y"}])[0])
         assert s.f1 == 0.0
 
     def test_singleton_only_muc_denominators_are_zero(self):
-        c = chain_counts([{"a"}, {"b"}], [{"a"}, {"b"}])
+        c = score_chains([{"a"}, {"b"}], [{"a"}, {"b"}])[0]
         assert c.b3_rd - c.ceaf_ng == 0.0 and c.b3_pd - c.ceaf_np == 0.0
         s = chain_score_prf(c)
         # MUC is 0/0 -> 0 on singletons; B3 and CEAF are perfect
@@ -242,14 +241,13 @@ class TestChainOracles:
         for _ in range(100):
             gold, pred = random_pair(rng)
             empties += not gold or not pred
-            c = chain_counts(gold, pred)
+            c, tax = score_chains(gold, pred)
             rn, rd = muc_side_oracle(gold, pred)
             pn, pd = muc_side_oracle(pred, gold)
             assert (c.muc_n, c.muc_n, c.b3_rd - c.ceaf_ng, c.b3_pd - c.ceaf_np) == (rn, pn, rd, pd)
             m = muc_prf(c)
             assert (m.precision, m.recall, m.f1) == oracle_prf(rn, rd, pn, pd)
             assert (c.b3_rn, c.b3_pn) == b_cubed_oracle(gold, pred)
-            tax = error_breakdown(TaskOutputs([], gold, [], []), TaskOutputs([], pred, [], []))
             assert (tax["cha_wrong_members"], tax["cha_missing_members"]) == \
                 chain_taxonomy_oracle(gold, pred)
         assert empties > 0
@@ -262,7 +260,7 @@ class TestChainOracles:
         b3 = [0.0] * 4
         for d in range(int(rng.integers(1, 12))):
             gold, pred = random_pair(rng, prefix=f"d{d}")
-            total = total + chain_counts(gold, pred)
+            total = total + score_chains(gold, pred)[0]
             parts = muc_side_oracle(gold, pred) + muc_side_oracle(pred, gold)
             muc = [a + b for a, b in zip(muc, parts)]
             b3 = [a + b for a, b in zip(b3, (*b_cubed_oracle(gold, pred),
@@ -275,7 +273,7 @@ class TestChainOracles:
 
 def ceaf_oracle(gold, pred) -> float:
     """Total phi4 of scipy's dense maximum-weight assignment, the reference for
-    the sparse matching in `chain_counts`."""
+    the sparse matching in `score_chains`."""
     if not gold or not pred:
         return 0.0
     m = np.array([[2.0 * len(g & p) / (len(g) + len(p)) for p in pred] for g in gold])
@@ -299,7 +297,7 @@ class TestCeafAssignment:
             if rng.random() < 0.3:
                 pool = items + [f"x{i}" for i in range(int(rng.integers(0, n + 1)))]
             pred = random_partition(rng, [pool[i] for i in rng.permutation(len(pool))[:n]])
-            phi = chain_counts(gold, pred).ceaf_phi
+            phi = score_chains(gold, pred)[0].ceaf_phi
             assert abs(phi - ceaf_oracle(gold, pred)) <= 1e-12, (gold, pred)
             shapes.add((len(gold) > len(pred)) - (len(gold) < len(pred)))
         assert shapes == {-1, 0, 1}
@@ -321,7 +319,7 @@ class TestCeafAssignment:
             if len(pred) >= len(gold) or len(pred) < 9:
                 continue
             tall += 1
-            differ += chain_counts(gold, pred).ceaf_phi != ceaf_oracle(gold, pred)
+            differ += score_chains(gold, pred)[0].ceaf_phi != ceaf_oracle(gold, pred)
         assert differ <= 6
 
     @pytest.mark.parametrize("gold,pred,phi", [
@@ -338,16 +336,16 @@ class TestCeafAssignment:
         ([{"a", "b", "c", "d"}, {"e"}], [{"a", "b", "c", "e"}, {"d"}], 0.8),
     ])
     def test_hand_cases_and_ties(self, gold, pred, phi):
-        got = chain_counts(gold, pred).ceaf_phi
+        got = score_chains(gold, pred)[0].ceaf_phi
         assert abs(got - phi) <= 1e-12
         assert abs(got - ceaf_oracle(gold, pred)) <= 1e-12
-        flipped = chain_counts(pred, gold).ceaf_phi
+        flipped = score_chains(pred, gold)[0].ceaf_phi
         assert abs(flipped - phi) <= 1e-12
 
     @pytest.mark.parametrize("gold,pred", [([], []), ([], [{"a"}]), ([{"a", "b"}], []),
                                            ([{"a"}, {"b"}], [{"x"}, {"y", "z"}])])
     def test_empty_side_or_disjoint_universes_score_zero(self, gold, pred):
-        c = chain_counts(gold, pred)
+        c = score_chains(gold, pred)[0]
         assert c.ceaf_phi == 0.0 == ceaf_oracle(gold, pred)
         assert (c.ceaf_ng, c.ceaf_np) == (len(gold), len(pred))
 
@@ -366,12 +364,12 @@ class TestRelations:
     def test_counts_basic(self):
         gold = [rel({"a"}, {"b"}, "R1"), rel({"c"}, {"d"}, "R2")]
         pred = [rel({"a"}, {"b"}, "R1"), rel({"c"}, {"d"}, "R1")]
-        assert relation_counts(gold, pred) == (1, 1, 1)
+        assert score_relations(gold, pred)[0] == (1, 1, 1)
 
     def test_gold_consumed_once(self):
         gold = [rel({"a"}, {"b"}, "R1")]
         pred = [rel({"a"}, {"b"}, "R1"), rel({"a"}, {"b"}, "R1")]
-        assert relation_counts(gold, pred) == (1, 1, 0)
+        assert score_relations(gold, pred)[0] == (1, 1, 0)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_greedy_counts_match_bruteforce_maximum(self, seed):
@@ -388,7 +386,7 @@ class TestRelations:
 
         gold = [rand_rel() for _ in range(int(rng.integers(0, 4)))]
         pred = [rand_rel() for _ in range(int(rng.integers(0, 4)))]
-        tp, fp, fn = relation_counts(gold, pred)
+        tp, fp, fn = score_relations(gold, pred)[0]
 
         best = 0
         for perm in itertools.permutations(range(len(gold))):
@@ -475,18 +473,18 @@ class TestGrounding:
         g = [box_region(0, "PER", 0.5, 0.5, 0.4, 0.4)]
         p_hit = [box_region(0, "PER", 0.52, 0.5, 0.4, 0.4)]
         p_half = [box_region(0, "PER", 0.5, 0.5, 0.2, 0.4)]  # IoU exactly 0.5
-        assert grounding_counts(g, p_hit) == (1, 0, 0)
-        assert grounding_counts(g, p_half) == (0, 1, 1)
+        assert score_grounding(g, p_hit)[0] == (1, 0, 0)
+        assert score_grounding(g, p_half)[0] == (0, 1, 1)
 
     def test_type_must_match(self):
         g = [box_region(0, "PER", 0.5, 0.5, 0.4, 0.4)]
         p = [box_region(0, "LOC", 0.5, 0.5, 0.4, 0.4)]
-        assert grounding_counts(g, p) == (0, 1, 1)
+        assert score_grounding(g, p)[0] == (0, 1, 1)
 
     def test_frame_must_match(self):
         g = [box_region(0, "PER", 0.5, 0.5, 0.4, 0.4)]
         p = [box_region(1, "PER", 0.5, 0.5, 0.4, 0.4)]
-        assert grounding_counts(g, p) == (0, 1, 1)
+        assert score_grounding(g, p)[0] == (0, 1, 1)
 
     def test_greedy_prefers_highest_iou(self):
         g = [box_region(0, "PER", 0.3, 0.5, 0.4, 0.8),
@@ -494,19 +492,19 @@ class TestGrounding:
         p = [box_region(0, "PER", 0.32, 0.5, 0.4, 0.8),
              box_region(1, "PER", 0.33, 0.5, 0.4, 0.8)]
         # frame separation forces the pairing; frame 1 prediction misses badly
-        assert grounding_counts(g, p) == (1, 1, 1)
+        assert score_grounding(g, p)[0] == (1, 1, 1)
 
     def test_invalid_center_fields_rejected(self):
         with pytest.raises(ValueError, match="invalid box"):
-            grounding_counts([box_region(0, "PER", 1.5, 0.5, 0.2, 0.2)], [])
+            score_grounding([box_region(0, "PER", 1.5, 0.5, 0.2, 0.2)], [])
         with pytest.raises(ValueError, match="invalid box"):
-            grounding_counts([], [box_region(0, "PER", 0.5, 0.5, 0.0, 0.2)])
+            score_grounding([], [box_region(0, "PER", 0.5, 0.5, 0.0, 0.2)])
 
     def test_overhanging_corners_allowed(self):
         # cx=0.9, w=0.4: right corner 1.1 > 1; still a legal sigmoid output
         g = [box_region(0, "PER", 0.9, 0.5, 0.38, 0.4)]
         p = [box_region(0, "PER", 0.9, 0.5, 0.4, 0.4)]
-        tp, fp, fn = grounding_counts(g, p)
+        tp, fp, fn = score_grounding(g, p)[0]
         assert tp == 1
 
     @pytest.mark.parametrize("seed", [*range(30), "hand"])
@@ -527,7 +525,7 @@ class TestGrounding:
             rng = np.random.default_rng(1000 + seed)
             gold = rand_regions(int(rng.integers(0, 3)), 0)
             pred = rand_regions(int(rng.integers(0, 3)), 0)
-        tp, fp, fn = grounding_counts(gold, pred)
+        tp, fp, fn = score_grounding(gold, pred)[0]
 
         best = 0
         for perm in itertools.permutations(range(len(pred))):
@@ -548,6 +546,9 @@ class TestGrounding:
 
 
 class TestTaxonomy:
+    SCORERS = {"entities": score_entities, "chains": score_chains,
+               "relations": score_relations, "regions": score_grounding}
+
     def _gold(self):
         return TaskOutputs(
             entities=[Entity(0, 2, "PER"), Entity(3, 4, "LOC")],
@@ -555,18 +556,25 @@ class TestTaxonomy:
             relations=[rel({(0, 2, "PER")}, {(3, 4, "LOC")}, "R1")],
             regions=[box_region(0, "PER", 0.5, 0.5, 0.4, 0.4)])
 
+    def _taxonomy(self, gold, pred):
+        """The four scorers' errors, merged."""
+        out = {}
+        for field, score in self.SCORERS.items():
+            out.update(score(getattr(gold, field), getattr(pred, field))[1])
+        return out
+
     def test_perfect_prediction_no_errors(self):
         g = self._gold()
-        tax = error_breakdown(g, g)
-        assert all(tax[k] == 0 for k in empty_taxonomy() if not k.endswith("_pred"))
-        assert tax["ent_pred"] == 2 and tax["rel_pred"] == 1
+        tax = self._taxonomy(g, g)
+        assert sorted(tax) == sorted(ERROR_KEYS)
+        assert all(v == 0 for v in tax.values())
 
     def test_entity_boundary_vs_type(self):
         g = self._gold()
         p = TaskOutputs(
             entities=[Entity(0, 2, "ORG"), Entity(2, 4, "LOC")],
             chains=[], relations=[], regions=[])
-        tax = error_breakdown(g, p)
+        tax = self._taxonomy(g, p)
         assert tax["ent_type"] == 1      # right span, wrong label
         assert tax["ent_boundary"] == 1  # shifted span
 
@@ -574,23 +582,23 @@ class TestTaxonomy:
         g = self._gold()
         merged = TaskOutputs([], [{(0, 2, "PER"), (3, 4, "LOC")}], [], [])
         split = TaskOutputs([], [{(0, 2, "PER")}], [], [])
-        assert error_breakdown(g, merged)["cha_wrong_members"] == 1
+        assert self._taxonomy(g, merged)["cha_wrong_members"] == 1
         g2 = TaskOutputs([], [{(0, 2, "PER"), (3, 4, "LOC")}], [], [])
-        assert error_breakdown(g2, split)["cha_missing_members"] == 1
+        assert self._taxonomy(g2, split)["cha_missing_members"] == 1
 
     def test_relation_type_vs_false(self):
         g = self._gold()
         p_type = TaskOutputs([], [], [rel({(0, 2, "PER")}, {(3, 4, "LOC")}, "R2")], [])
         p_false = TaskOutputs([], [], [rel({(9, 9, "X")}, {(8, 8, "Y")}, "R1")], [])
-        assert error_breakdown(g, p_type)["rel_type"] == 1
-        assert error_breakdown(g, p_false)["rel_false"] == 1
+        assert self._taxonomy(g, p_type)["rel_type"] == 1
+        assert self._taxonomy(g, p_false)["rel_false"] == 1
 
     def test_grounding_boundary_vs_type(self):
         g = self._gold()
         p_t = TaskOutputs([], [], [], [box_region(0, "LOC", 0.5, 0.5, 0.4, 0.4)])
         p_b = TaskOutputs([], [], [], [box_region(0, "PER", 0.1, 0.1, 0.1, 0.1)])
-        assert error_breakdown(g, p_t)["gro_type"] == 1
-        assert error_breakdown(g, p_b)["gro_boundary"] == 1
+        assert self._taxonomy(g, p_t)["gro_type"] == 1
+        assert self._taxonomy(g, p_b)["gro_boundary"] == 1
 
     def test_one_error_per_bad_prediction(self):
         g = self._gold()
@@ -599,9 +607,8 @@ class TestTaxonomy:
             chains=[{(7, 8, "Q")}],
             relations=[rel({(1, 1, "Z")}, {(2, 2, "Z")}, "R9")],
             regions=[box_region(0, "LOC", 0.1, 0.1, 0.1, 0.1)])
-        tax = error_breakdown(g, p)
-        errs = sum(tax[k] for k in empty_taxonomy() if not k.endswith("_pred"))
-        assert errs == 4
+        tax = self._taxonomy(g, p)
+        assert sum(tax.values()) == 4
 
     @staticmethod
     def _errors(tax, task):
@@ -615,10 +622,10 @@ class TestTaxonomy:
         gold = TaskOutputs([Entity(0, 2, "PER")], [], [], HAND_GOLD_BOXES)
         pred = TaskOutputs([Entity(0, 2, "PER"), Entity(0, 2, "PER")], [], [],
                            HAND_PRED_BOXES + [far])
-        assert grounding_counts(gold.regions, HAND_PRED_BOXES) == (2, 0, 0)
-        assert grounding_counts(gold.regions, pred.regions) == (2, 1, 0)
-        assert entity_counts(gold.entities, pred.entities) == (1, 1, 0)
-        tax = error_breakdown(gold, pred)
+        assert score_grounding(gold.regions, HAND_PRED_BOXES)[0] == (2, 0, 0)
+        assert score_grounding(gold.regions, pred.regions)[0] == (2, 1, 0)
+        assert score_entities(gold.entities, pred.entities)[0] == (1, 1, 0)
+        tax = self._taxonomy(gold, pred)
         assert self._errors(tax, "gro") == 1 == tax["gro_boundary"]
         assert self._errors(tax, "ent") == 1
 
@@ -656,12 +663,10 @@ class TestTaxonomy:
             pred_ents = entities(int(rng.integers(0, 5)))
             pred = TaskOutputs(pred_ents + pred_ents[:int(rng.integers(0, 3))], [],
                                relations(int(rng.integers(0, 4))), regions(n_frames))
-            tax = error_breakdown(gold, pred)
-            for task, field, counts in [("ent", "entities", entity_counts),
-                                        ("rel", "relations", relation_counts),
-                                        ("gro", "regions", grounding_counts)]:
-                fp = counts(getattr(gold, field), getattr(pred, field))[1]
-                assert self._errors(tax, task) == fp, (task, gold, pred)
+            for task, field in [("ent", "entities"), ("rel", "relations"), ("gro", "regions")]:
+                counts, errors = self.SCORERS[field](getattr(gold, field), getattr(pred, field))
+                assert sorted(errors) == sorted(k for k in ERROR_KEYS if k.startswith(task))
+                assert self._errors(errors, task) == counts[1], (task, gold, pred)
 
     def test_rates(self):
         tax = empty_taxonomy()
@@ -686,10 +691,10 @@ class TestPermutationInvariance:
         items = [f"m{i}" for i in range(8)]
         gold = random_partition(rng, items)
         pred = random_partition(rng, items)
-        a = chain_score_prf(chain_counts(gold, pred))
-        b = chain_score_prf(chain_counts(list(reversed(gold)), list(reversed(pred))))
+        a = chain_score_prf(score_chains(gold, pred)[0])
+        b = chain_score_prf(score_chains(list(reversed(gold)), list(reversed(pred)))[0])
         assert abs(a.f1 - b.f1) < 1e-12
 
         ents_g = [Entity(i, i + 1, "PER") for i in range(5)]
         ents_p = [Entity(i, i + 1, "PER") for i in range(3, 8)]
-        assert entity_counts(ents_g, ents_p) == entity_counts(ents_g[::-1], ents_p[::-1])
+        assert score_entities(ents_g, ents_p)[0] == score_entities(ents_g[::-1], ents_p[::-1])[0]

@@ -76,7 +76,8 @@ class TestAgainstPerLevelReference:
                 assert np.array_equal(t.data[k].reshape(ref[rname].shape), ref[rname].data), rname
                 covered.add(rname)
         assert covered == set(ref.names())
-        assert stacked.n_scalars() == ref.n_scalars()
+        assert sum(t.data.size for _, t in stacked.items()) == \
+            sum(t.data.size for _, t in ref.items())
         assert (len(stacked), len(ref)) == (10, 22)
 
     def test_both_directions_match_per_level_loop(self):

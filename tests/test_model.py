@@ -231,7 +231,7 @@ class TestPredict:
     def test_gold_mode_pair_universe(self):
         p = init_params(CFG, 0)
         doc = small_doc()
-        pred = predict(doc, p, CFG, pair_mode="gold")
+        pred = predict(doc, p, CFG, pair_mode="gold-pairs")
         assert pred.pair_entities == doc.entities
         assert pred.rel_chains == doc.chains
         assert len(pred.tags) == doc.n_tokens
@@ -239,7 +239,7 @@ class TestPredict:
     def test_predicted_mode_pair_universe(self):
         p = init_params(CFG, 0)
         doc = small_doc()
-        pred = predict(doc, p, CFG, pair_mode="predicted")
+        pred = predict(doc, p, CFG, pair_mode="predicted-pairs")
         assert pred.pair_entities == pred.entities
         assert pred.rel_chains == pred.chains
 
@@ -274,8 +274,9 @@ class TestPredict:
 
     def test_unknown_pair_mode_rejected(self):
         p = init_params(CFG, 0)
-        with pytest.raises(ValueError, match="pair_mode"):
-            predict(small_doc(), p, CFG, pair_mode="oracle")
+        for mode in ("oracle", "gold", "predicted"):   # only the eval_mode spellings
+            with pytest.raises(ValueError, match="pair_mode"):
+                predict(small_doc(), p, CFG, pair_mode=mode)
 
     def test_records_no_tape(self, monkeypatch):
         from himie.autodiff import Tensor
@@ -289,7 +290,7 @@ class TestPredict:
             return out
 
         monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
-        pred = predict(small_doc(n_frames=2), p, CFG, pair_mode="predicted")
+        pred = predict(small_doc(n_frames=2), p, CFG, pair_mode="predicted-pairs")
         assert pred.tags and made and not any(made)
         assert forward(small_doc(), p, CFG).loss.requires_grad
 

@@ -69,8 +69,9 @@ class TestPointConfig:
         assert a == off.model
 
     def test_mmcm_axis_rejects_other_values(self):
-        with pytest.raises(ConfigError, match="on/off"):
-            point_config(tiny_run(), "mmcm_on_off", "maybe")
+        for value in ("maybe", True, False):
+            with pytest.raises(ConfigError, match="on/off"):
+                point_config(tiny_run(), "mmcm_on_off", value)
 
     def test_unknown_axis(self):
         with pytest.raises(ConfigError, match="unknown sweep axis"):

@@ -7,10 +7,9 @@ import pytest
 from himie.autodiff import ConfigError
 from himie.config import GenConfig, ModelConfig
 from himie.data import serialize_corpus, validate
-from himie.evaluate import chains_to_keys, relation_triples, gold_outputs
-from himie.metrics import (entity_counts, chain_counts, chain_score_prf,
-                           grounding_counts, prf_from_counts, relation_counts,
-                           TaskOutputs)
+from himie.evaluate import TaskOutputs, chains_to_keys, relation_triples, gold_outputs
+from himie.metrics import (chain_score_prf, prf_from_counts, score_chains,
+                           score_entities, score_grounding, score_relations)
 from himie.synth import (build_pools, generate, oracle_predict, type_directions,
                          type_of_bucket, type_ranges)
 from himie.encoders import hash_bucket
@@ -42,13 +41,13 @@ def oracle_f1s(corpus, cfg, model=MODEL):
     for doc in corpus.documents:
         gold = gold_outputs(doc)
         hyp = oracle_outputs(doc, cfg, model)
-        e = entity_counts(gold.entities, hyp.entities)
-        r = relation_counts(gold.relations, hyp.relations)
-        g = grounding_counts(gold.regions, hyp.regions)
+        e = score_entities(gold.entities, hyp.entities)[0]
+        r = score_relations(gold.relations, hyp.relations)[0]
+        g = score_grounding(gold.regions, hyp.regions)[0]
         ent = tuple(a + b for a, b in zip(ent, e))
         rel = tuple(a + b for a, b in zip(rel, r))
         gro = tuple(a + b for a, b in zip(gro, g))
-        cc = cc + chain_counts(gold.chains, hyp.chains)
+        cc = cc + score_chains(gold.chains, hyp.chains)[0]
     return (prf_from_counts(*ent).f1, chain_score_prf(cc).f1,
             prf_from_counts(*rel).f1, prf_from_counts(*gro).f1)
 
