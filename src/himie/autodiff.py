@@ -10,6 +10,12 @@ Inside `with no_grad():` no operation records a tape: every result is a
 constant, so inference builds no parents, no VJP closures and no gradient
 support.
 
+A tape supports one backward pass. `backward()` frees each interior node's
+parents and VJP closure, with the arrays the closure saved, as soon as the pass
+has used them, so the tape shrinks while it is walked and nothing of it outlives
+the pass but the tensors' `data`. A second `backward()` that reaches a spent
+node raises `RuntimeError` before it touches any gradient.
+
 `backward()` accumulates into the `grad` array of each leaf in place. A leaf's
 `grad` is always an array the leaf owns: either a buffer bound to it from
 outside (the optimizer binds each parameter to its view of one flat gradient
@@ -58,6 +64,7 @@ def _f64(x) -> np.ndarray:
 
 
 _recording = True  # one flag for the process; `no_grad` clears and restores it
+_SPENT = object()  # the `_vjp` of an interior node whose backward pass has run
 
 
 @contextmanager
@@ -107,7 +114,13 @@ class Tensor:
         return self.data.size
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable leaf."""
+        """Accumulate gradients of this scalar into every reachable leaf.
+
+        The walk frees each interior node's parents and VJP closure, and the
+        arrays it saved, once the node is done, so the tape supports one
+        backward pass; a second one through a spent node raises `RuntimeError`
+        before any gradient moves.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.data.shape}")
         order: list[Tensor] = []
@@ -120,6 +133,9 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._vjp is _SPENT:
+                raise RuntimeError("backward() reached a node whose backward pass already "
+                                   "ran; a tape supports one backward pass")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -137,13 +153,16 @@ class Tensor:
                 p.grad += g
 
         send(self, np.ones_like(self.data))
-        for node in reversed(order):
-            g = held.pop(id(node), None)
-            if g is None:
+        while order:  # popping drops the walk's reference to each finished node
+            node = order.pop()
+            if node._vjp is None:  # a leaf: `send` has already written its grad
                 continue
-            for p, gp in zip(node._parents, node._vjp(g)):
-                if gp is not None and p.requires_grad:
-                    send(p, gp)
+            g = held.pop(id(node), None)
+            if g is not None:
+                for p, gp in zip(node._parents, node._vjp(g)):
+                    if gp is not None and p.requires_grad:
+                        send(p, gp)
+            node._parents, node._vjp = (), _SPENT
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):

@@ -16,6 +16,8 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -301,6 +303,22 @@ def document_from_obj(obj: dict) -> Document:
                for w, g in _items(obj, "regions", doc_id)]
     mask = _req(obj, "modality_mask", (str,), doc_id)
     return Document(doc_id, tokens, frames, entities, chains, relations, regions, mask)
+
+
+@contextmanager
+def replacing(path: str, mode: str, **open_kw):
+    """Write `path` through a sibling temporary file that `os.replace` moves
+    onto it once the block has finished, so a write that raises or is killed
+    leaves the old file's bytes; on an error the temporary file is removed."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_kw) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def serialize_corpus(corpus: Corpus, path: str | Path | None = None) -> str:

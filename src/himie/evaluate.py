@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .autodiff import ConfigError, ParamTree
 from .config import RunConfig
-from .data import MODALITIES, Corpus, Document, Entity, Region
+from .data import MODALITIES, Corpus, Document, Entity, Region, replacing
 from .metrics import (ChainCounts, add_taxonomy, b_cubed_prf, ceaf_e_prf,
                       chain_score_prf, empty_taxonomy, error_rates, mention_key,
                       muc_prf, prf_from_counts, score_chains, score_entities,
@@ -141,6 +141,6 @@ def report_bytes(report: dict) -> bytes:
 
 
 def save_report(path: str, report: dict) -> None:
-    with open(path, "wb") as f:
+    with replacing(path, "wb") as f:
         f.write(report_bytes(report))
         f.write(b"\n")

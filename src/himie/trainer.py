@@ -35,7 +35,7 @@ import numpy as np
 
 from .autodiff import ConfigError, NumericError, ParamTree
 from .config import RunConfig, config_from_dict, config_to_dict
-from .data import Corpus
+from .data import Corpus, replacing
 from .model import check_compatible, check_params, forward, init_params
 
 
@@ -187,7 +187,7 @@ def save_checkpoint(path: str, params: ParamTree, cfg: RunConfig, step: int,
     header = {"manifest": manifest, "config": config_to_dict(cfg),
               "step": step, "rng_state": rng_state}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with replacing(path, "wb") as f:
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
         for name in params.names():
@@ -259,7 +259,7 @@ def load_checkpoint(path: str) -> tuple[ParamTree, RunConfig, int, dict | None]:
 
 
 def save_step_log(path: str, log: list[StepRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with replacing(path, "w", encoding="utf-8") as f:
         for rec in log:
             row = {"step": rec.step, "doc": rec.doc_id, "total": rec.total}
             row.update(rec.components)

@@ -354,26 +354,68 @@ def test_shared_vjp_output_is_not_written_in_place(packed, add_path_first):
     assert np.allclose(a.grad, 2 * (wa + wb + wc), rtol=0, atol=1e-15)
 
 
-def test_backward_twice_on_one_tape_doubles_leaf_gradients():
-    # interior nodes reached along several paths must not carry the first
-    # pass's gradient into the second
+def diamond():
+    """A leaf reached along several paths, with an interior node shared too."""
     p = ParamTree()
     a = p.add("a", np.array([1.0, 2.0]))
     h = a * a
-    loss = ((h + h) * (h + a)).sum()
-    loss.backward()
-    once = a.grad.copy()
-    loss.backward()
-    assert np.array_equal(a.grad, 2 * once)
-    seen, stack = set(), [loss]
+    return a, ((h + h) * (h + a)).sum()
+
+
+def interior_nodes(loss) -> list:
+    seen, stack, found = set(), [loss], []
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
             if node._vjp is not None:
-                assert node.grad is None
+                found.append(node)
             stack.extend(node._parents)
-    assert len(seen) == 6
+    return found
+
+
+def test_backward_frees_the_tape_and_keeps_the_gradients():
+    a, loss = diamond()
+    interior = interior_nodes(loss)
+    assert len(interior) == 5  # h, h + h, h + a, their product, its sum
+    loss.backward()
+    # d/da sum((2a^2)(a^2 + a)) = 8a^3 + 6a^2
+    assert np.array_equal(a.grad, 8 * a.data ** 3 + 6 * a.data ** 2)
+    for node in interior:
+        assert node._parents == () and not callable(node._vjp)
+        assert node.grad is None
+    assert np.array_equal(loss.data, np.sum((2 * a.data ** 2) * (a.data ** 2 + a.data)))
+
+
+def test_second_backward_on_a_spent_tape_raises_and_moves_no_gradient():
+    a, loss = diamond()
+    loss.backward()
+    once = a.grad.copy()
+    with pytest.raises(RuntimeError, match="one backward pass"):
+        loss.backward()
+    assert a.grad.tobytes() == once.tobytes()
+    # a fresh loss built on a spent interior node is refused as well
+    b = ParamTree().add("b", np.array([3.0, 4.0]))
+    h = a * a
+    (h * h).sum().backward()
+    a_twice = a.grad.copy()
+    with pytest.raises(RuntimeError, match="one backward pass"):
+        (h * b).sum().backward()
+    assert b.grad is None and a.grad.tobytes() == a_twice.tobytes()
+
+
+def test_forward_losses_stay_readable_after_backward():
+    from himie.config import GenConfig, ModelConfig
+    from himie.model import forward, init_params
+    from himie.synth import generate
+    cfg = ModelConfig()
+    doc = generate(GenConfig(docs=1, seed=3)).documents[0]
+    res = forward(doc, init_params(cfg, 0), cfg)
+    before = {name: None if v is None else v.data.tobytes() for name, v in res.losses.items()}
+    res.loss.backward()
+    assert {name: None if v is None else v.data.tobytes()
+            for name, v in res.losses.items()} == before
+    assert all(v._parents == () for v in res.losses.values() if v is not None)
 
 
 def count_tape_nodes(monkeypatch) -> list:

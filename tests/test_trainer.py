@@ -1,19 +1,23 @@
 """Optimizer hand examples, training determinism, checkpoint round trips."""
 import dataclasses
 import json
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from himie import trainer
+from himie import data, trainer
 from himie.autodiff import ConfigError, NumericError, ParamTree, gradcheck
 from himie.config import GenConfig, ModelConfig, OptimConfig, RunConfig
-from himie.data import assign_modality_regime
+from himie.data import Corpus, assign_modality_regime
+from himie.evaluate import save_report
 from himie.model import forward, init_params
 from himie.synth import generate
 from himie.trainer import (
     CheckpointError,
+    StepRecord,
     adam_step,
     init_adam,
     load_checkpoint,
@@ -320,6 +324,26 @@ class TestTrain:
             assert again.params[n].data.tobytes() == ref.params[n].data.tobytes(), n
 
 
+def test_training_holds_one_tape_at_a_time():
+    # backward frees a step's tape, so the next forward never runs beside it:
+    # three steps on copies of one document peak as high as one step on it
+    cfg = RunConfig(epochs=1, seed=0)
+    gen = GenConfig(docs=1, tokens_per_doc=(120, 120), frames_per_doc=(4, 4), seed=0)
+    doc = generate(gen, cfg.model).documents[0]
+
+    def peak(copies: int) -> int:
+        corpus = Corpus([dataclasses.replace(doc, id=f"{doc.id}.{i}") for i in range(copies)])
+        tracemalloc.start()
+        try:
+            train(cfg, corpus)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, three = peak(1), peak(3)
+    assert three <= 1.05 * one, f"three steps peak at {three / one:.2f}x one step"
+
+
 class TestCompatibility:
     """A corpus the model cannot run is refused before the first step."""
 
@@ -486,3 +510,61 @@ class TestCheckpoint:
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(rows) == out.step
         assert rows[0]["step"] == 1 and "total" in rows[0] and "ent" in rows[0]
+
+
+class _FailingFile:
+    """A file whose writes stop with an OSError once `limit` characters are in."""
+
+    def __init__(self, f, limit: int):
+        self.f, self.left = f, limit
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, chunk):
+        if len(chunk) > self.left:
+            self.f.write(chunk[:self.left])
+            self.left = 0
+            raise OSError("disk full")
+        self.left -= len(chunk)
+        return self.f.write(chunk)
+
+
+def _save_checkpoint(path, version):
+    cfg = small_run()
+    save_checkpoint(path, init_params(cfg.model, version), cfg, version)
+
+
+def _save_step_log(path, version):
+    save_step_log(path, [StepRecord(i, f"d{i}", 1.5 * i + version, {"ent": 0.25 * version})
+                         for i in range(1, 9)])
+
+
+def _save_report(path, version):
+    save_report(path, {"avg": 0.5 * version, "mode": "gold-pairs", "regimes": {}})
+
+
+class TestCrashSafeWrites:
+    @pytest.mark.parametrize("save", [_save_checkpoint, _save_step_log, _save_report])
+    def test_failed_write_keeps_the_old_file(self, save, tmp_path, monkeypatch):
+        target, ref = tmp_path / "out", tmp_path / "ref"
+        save(str(target), 0)
+        old = target.read_bytes()
+        save(str(ref), 1)
+        new = ref.read_bytes()
+        ref.unlink()
+        assert new != old
+        real_open = open
+        monkeypatch.setattr(data, "open", lambda path, mode, **kw: _FailingFile(
+            real_open(path, mode, **kw), len(new) // 2), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save(str(target), 1)
+        assert target.read_bytes() == old
+        assert os.listdir(tmp_path) == ["out"]
+        monkeypatch.undo()
+        save(str(target), 1)
+        assert target.read_bytes() == new
+        assert os.listdir(tmp_path) == ["out"]
