@@ -14,11 +14,11 @@ import numpy as np
 
 from .autodiff import ConfigError, NumericError, gradcheck
 from .config import RunConfig, load_config
-from .data import (MODALITIES, ParseError, ValidationError, assign_modality_regime,
-                   load_corpus, serialize_corpus)
+from .data import (MODALITIES, Corpus, ParseError, ValidationError, assign_modality_regime,
+                   load_corpus, replacing, serialize_corpus)
 from .evaluate import evaluate, report_bytes, save_report
 from .metrics import ERROR_KEYS
-from .model import forward, init_params
+from .model import check_compatible, forward, init_params
 from .sweep import AXES, save_sweep_csv, sweep
 from .trainer import (CheckpointError, load_checkpoint, save_checkpoint, save_step_log,
                       train)
@@ -93,6 +93,7 @@ def cmd_gradcheck(args) -> int:
     doc = synth.generate(gen, cfg.model).documents[0]
     # one copy per regime, so the missing-modality construction is checked too
     docs = [dataclasses.replace(doc, modality_mask=m) for m in MODALITIES]
+    check_compatible(Corpus(docs), cfg.model)
     params = init_params(cfg.model, cfg.seed)
 
     def loss():
@@ -174,7 +175,7 @@ def cmd_report(args) -> int:
         raise ConfigError(f"{args.report} is not a report: {e}") from None
     print("\n".join(lines))
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
+        with replacing(args.out, "w", encoding="utf-8", newline="") as f:
             w = csv.writer(f)
             w.writerow(["section", "task", "precision", "recall", "f1"])
             w.writerows(rows)

@@ -326,7 +326,8 @@ def serialize_corpus(corpus: Corpus, path: str | Path | None = None) -> str:
              for d in corpus.documents]
     text = "\n".join(lines) + ("\n" if lines else "")
     if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
+        with replacing(path, "w", encoding="utf-8") as f:
+            f.write(text)
     return text
 
 

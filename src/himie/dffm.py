@@ -11,8 +11,9 @@ and the base feature are mixed by learned d_h x d_h weights. The image
 direction additionally mean-pools patches per frame and adds a learned frame
 position embedding.
 
-The VAE is deterministic in "mean" mode (latent = mean head); "sample" mode
-draws the reparameterized latent from the run's seeded stream.
+The stream decides the latent: handed the run's seeded stream, the VAE draws
+the reparameterized latent from it; handed none, it returns the mean head.
+`model.forward` hands the stream over only in `vae_mode: "sample"`.
 """
 from __future__ import annotations
 
@@ -24,24 +25,20 @@ from .config import ModelConfig
 from .encoders import LEVELS, LevelFeatures
 
 
-def vae_encode(x: Tensor, scope, mode: str = "mean", rng=None,
-               kl_acc: list | None = None) -> Tensor:
-    """Latent of `x`: the mean head, or in "sample" mode a reparameterized draw.
+def vae_encode(x: Tensor, scope, rng=None, kl_acc: list | None = None) -> Tensor:
+    """Latent of `x`: a reparameterized draw from `rng` when a stream is given,
+    else the mean head.
 
-    The log-variance head runs only when the sample or `kl_acc` reads it; with
+    The log-variance head runs only when the draw or `kl_acc` reads it; with
     `kl_acc`, KL(q || N(0, I)) averaged over latent elements is appended to it.
     """
-    if mode not in ("mean", "sample"):
-        raise ConfigError(f"unknown vae mode {mode!r}")
-    if mode == "sample" and rng is None:
-        raise ConfigError("vae_encode(mode='sample') needs the run's rng")
     mean = add(matmul(x, scope["mean.w"]), scope["mean.b"])
-    if mode == "mean" and kl_acc is None:
+    if rng is None and kl_acc is None:
         return mean
     log_var = add(matmul(x, scope["logvar.w"]), scope["logvar.b"])
     if kl_acc is not None:
         kl_acc.append(tmean(-0.5 * (1.0 + log_var - mean * mean - texp(log_var))))
-    if mode == "mean":
+    if rng is None:
         return mean
     return add(mean, texp(log_var * 0.5) * Tensor(rng.standard_normal(mean.data.shape)))
 
@@ -79,13 +76,15 @@ def init_dffm(scope, cfg: ModelConfig, rng) -> None:
 
 
 def fuse_levels(q_base: Tensor, kv_levels: Tensor, scope, cfg: ModelConfig,
-                mode: str, rng=None, kl_acc: list | None = None) -> Tensor:
-    """Latent cross-attention of [Nq, d_h] against every level of
-    [3, Nk, d_h] at once, each level with its own weights: [3, Nq, d_h]."""
+                rng=None, kl_acc: list | None = None) -> Tensor:
+    """Latent cross-attention of [Nq, d_h] against every level of the other
+    side's [3, *shape, d_h], read as [3, Nk, d_h], at once, each level with its
+    own weights: [3, Nq, d_h]."""
+    kv_levels = reshape(kv_levels, (len(LEVELS), -1, cfg.d_h))
     enc = scope.scoped("enc")
-    zq = vae_encode(q_base, enc, mode, rng, kl_acc)
-    zk = vae_encode(matmul(kv_levels, scope["wk"]), enc, mode, rng, kl_acc)
-    zv = vae_encode(matmul(kv_levels, scope["wv"]), enc, mode, rng, kl_acc)
+    zq = vae_encode(q_base, enc, rng, kl_acc)
+    zk = vae_encode(matmul(kv_levels, scope["wk"]), enc, rng, kl_acc)
+    zv = vae_encode(matmul(kv_levels, scope["wv"]), enc, rng, kl_acc)
     h = add(zq, multi_head_attention(zq, zk, zv, cfg.heads, scope.scoped("attn")))
     ffn = scope.scoped("ffn")
     f = add(h, add(matmul(gelu(add(matmul(h, ffn["w1"]), ffn["b1"])), ffn["w2"]), ffn["b2"]))
@@ -98,27 +97,20 @@ def _mix(base: Tensor, fused: Tensor, mix) -> Tensor:
 
 
 def fuse_g_to_x(text: LevelFeatures, image: LevelFeatures, scope, cfg: ModelConfig,
-                mode: str = "mean", rng=None, kl_acc: list | None = None) -> Tensor:
+                rng=None, kl_acc: list | None = None) -> Tensor:
     """Image-enriched text feature [n_x, d_h]."""
-    fused = fuse_levels(text.base, reshape(image.levels, (len(LEVELS), -1, cfg.d_h)),
-                        scope.scoped("g2x"), cfg, mode, rng, kl_acc)
+    fused = fuse_levels(text.base, image.levels, scope.scoped("g2x"), cfg, rng, kl_acc)
     return _mix(text.base, fused, scope.scoped("mix.g2x"))
 
 
 def fuse_x_to_g(image: LevelFeatures, text: LevelFeatures, scope, cfg: ModelConfig,
-                mode: str = "mean", rng=None, kl_acc: list | None = None) -> Tensor:
+                rng=None, kl_acc: list | None = None) -> Tensor:
     """Text-enriched per-frame feature [n_g, d_h]: fuse at patch level, pool, add positions."""
     n_g, n_p = image.base.data.shape[0], image.base.data.shape[1]
     if n_g > cfg.max_frames:
         raise ConfigError(f"{n_g} frames exceed max_frames={cfg.max_frames}")
     q = reshape(image.base, (n_g * n_p, cfg.d_h))
-    fused = fuse_levels(q, reshape(text.levels, (len(LEVELS), -1, cfg.d_h)), scope.scoped("x2g"),
-                        cfg, mode, rng, kl_acc)
+    fused = fuse_levels(q, text.levels, scope.scoped("x2g"), cfg, rng, kl_acc)
     out = _mix(q, fused, scope.scoped("mix.x2g"))
     pooled = tmean(reshape(out, (n_g, n_p, cfg.d_h)), axis=1)
     return add(pooled, scope["pos"][:n_g])
-
-
-def pooled_base_frames(image: LevelFeatures) -> Tensor:
-    """Fusion-free image feature: patch mean of the base encoder output."""
-    return tmean(image.base, axis=1)

@@ -140,6 +140,15 @@ def init_frame_encoder(scope, cfg: ModelConfig, rng) -> None:
         init_block(scope.scoped(f"block{i}"), cfg.d_h, rng)
 
 
+def run_blocks(x: Tensor, scope, cfg: ModelConfig) -> list[Tensor]:
+    """Every block's output, in depth order, of the stack under `scope`."""
+    outs = []
+    for i in range(cfg.n_l):
+        x = run_block(x, scope.scoped(f"block{i}"), cfg.heads)
+        outs.append(x)
+    return outs
+
+
 def encode_text(tokens: list[str], scope, cfg: ModelConfig) -> list[Tensor]:
     """Per-block outputs [n_x, d_h] for one token sequence."""
     n_x = len(tokens)
@@ -149,11 +158,7 @@ def encode_text(tokens: list[str], scope, cfg: ModelConfig) -> list[Tensor]:
         raise ShapeError(f"{n_x} tokens exceed max_len={cfg.max_len}")
     ids = token_ids(tokens, cfg.vocab)
     x = add(index_rows(scope["tok_emb"], ids), scope["pos_emb"][:n_x])
-    outs = []
-    for i in range(cfg.n_l):
-        x = run_block(x, scope.scoped(f"block{i}"), cfg.heads)
-        outs.append(x)
-    return outs
+    return run_blocks(x, scope, cfg)
 
 
 def encode_frames(frames: list[np.ndarray], scope, cfg: ModelConfig) -> list[Tensor]:
@@ -171,8 +176,4 @@ def encode_frames(frames: list[np.ndarray], scope, cfg: ModelConfig) -> list[Ten
             raise ShapeError(f"frame {i} has patch grid {arr.shape}, expected ({cfg.n_p}, {cfg.d_in})")
     x = add(add(matmul(Tensor(np.stack(frames)), scope["proj.w"]), scope["proj.b"]),
             scope["pos_emb"])
-    outs = []
-    for i in range(cfg.n_l):
-        x = run_block(x, scope.scoped(f"block{i}"), cfg.heads)
-        outs.append(x)
-    return outs
+    return run_blocks(x, scope, cfg)

@@ -278,11 +278,12 @@ def grounding_boxes(h_frames: Tensor, scope) -> Tensor:
     return sigmoid(add(matmul(h_frames, scope["box.w"]), scope["box.b"]))
 
 
-def grounding_predict(h_frames: Tensor, scope, grounding_types) -> list[Region | None]:
+def grounding_predict(h_frames: Tensor, scope, grounding_types) -> list[Region]:
+    """One region per frame whose type is not NONE, in frame order."""
     boxes = grounding_boxes(h_frames, scope)
     labels = np.argmax(grounding_type_logits(h_frames, scope).data, axis=1)  # ties -> NONE
-    return [None if k == 0 else Region(i, grounding_types[k - 1], *box)
-            for i, (k, box) in enumerate(zip(labels.tolist(), boxes.data.tolist()))]
+    return [Region(i, grounding_types[k - 1], *box)
+            for i, (k, box) in enumerate(zip(labels.tolist(), boxes.data.tolist())) if k != 0]
 
 
 # -- losses -------------------------------------------------------------------
@@ -313,8 +314,9 @@ def cross_entropy_mean(logits: Tensor, targets) -> Tensor:
 
 
 def compute_losses(doc: Document, h_text: Tensor, h_frames: Tensor | None,
-                   scope, cfg: ModelConfig, tagset: TagSet) -> dict[str, Tensor | None]:
+                   scope, cfg: ModelConfig) -> dict[str, Tensor | None]:
     losses: dict[str, Tensor | None] = dict.fromkeys(("ent", "cha", "rel", "gro_t", "gro_b"))
+    tagset = TagSet.for_types(cfg.entity_types)
     # entity: CRF sequence NLL, a mean over the token count
     gold = gold_tag_ids(doc, tagset)
     losses["ent"] = crf_nll(h_text, gold, scope.scoped("crf"), tagset) * (1.0 / doc.n_tokens)

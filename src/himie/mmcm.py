@@ -62,11 +62,6 @@ def construct_text_from_image(h_img: Tensor, scope, cfg: ModelConfig, n_x: int) 
     return _with_base(_construct(reshape(h_img, (-1, cfg.d_h)), scope.scoped("g2t"), n_x))
 
 
-def blank_text(n_x: int, cfg: ModelConfig) -> LevelFeatures:
-    return LevelFeatures(Tensor(np.zeros((len(LEVELS), n_x, cfg.d_h))),
-                         Tensor(np.zeros((n_x, cfg.d_h))))
-
-
-def blank_image(n_g: int, n_p: int, cfg: ModelConfig) -> LevelFeatures:
-    return LevelFeatures(Tensor(np.zeros((len(LEVELS), n_g, n_p, cfg.d_h))),
-                         Tensor(np.zeros((n_g, n_p, cfg.d_h))))
+def blank(shape: tuple[int, ...]) -> LevelFeatures:
+    """Zero levels [3, *shape] and zero base [*shape]: the blank-filled absent side."""
+    return LevelFeatures(Tensor(np.zeros((len(LEVELS),) + shape)), Tensor(np.zeros(shape)))

@@ -15,17 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ConfigError, ParamTree, Tensor, matmul, no_grad
+from .autodiff import ConfigError, ParamTree, Tensor, matmul, no_grad, tmean
 from .config import LossConfig, ModelConfig
 from .data import Corpus, Document, Entity, Region, Relation
-from .dffm import fuse_g_to_x, fuse_x_to_g, init_dffm, pooled_base_frames
+from .dffm import fuse_g_to_x, fuse_x_to_g, init_dffm
 from .encoders import (LevelFeatures, bucket_levels, encode_frames,
                        encode_text, init_frame_encoder, init_text_encoder)
 from .heads import (TagSet, chain_reprs, compute_losses, crf_decode, decode_chains,
                     entity_reprs, grounding_predict, init_heads, pair_logit_matrix,
                     spans_from_tags, total_loss)
-from .mmcm import (blank_image, blank_text, construct_image_from_text,
-                   construct_text_from_image, init_mmcm)
+from .mmcm import blank, construct_image_from_text, construct_text_from_image, init_mmcm
 
 
 def init_params(cfg: ModelConfig, seed: int) -> ParamTree:
@@ -88,11 +87,10 @@ def check_params(params: ParamTree, cfg: ModelConfig) -> None:
 
 
 def compute_features(doc: Document, params: ParamTree, cfg: ModelConfig, *,
-                     vae_mode: str | None = None, rng=None,
-                     kl_acc: list | None = None) -> tuple[Tensor, Tensor | None]:
-    """Fused (text [n_x, d_h], frames [n_g, d_h] or None) for one document."""
+                     rng=None, kl_acc: list | None = None) -> tuple[Tensor, Tensor | None]:
+    """Fused (text [n_x, d_h], frames [n_g, d_h] or None) for one document; the
+    fusion's VAE draws its latents from `rng` when given, else takes the mean head."""
     use_dffm, use_mmcm = cfg.dffm_enabled, cfg.mmcm_enabled
-    vae_mode = cfg.vae_mode if vae_mode is None else vae_mode
     has_text = doc.modality_mask != "no_text"
     has_video = doc.modality_mask != "no_video" and doc.n_frames > 0
     n_g = doc.n_frames
@@ -109,24 +107,24 @@ def compute_features(doc: Document, params: ParamTree, cfg: ModelConfig, *,
         if use_mmcm and img_lv is not None:
             text_lv = construct_text_from_image(img_lv.base, mm, cfg, doc.n_tokens)
         else:
-            text_lv = blank_text(doc.n_tokens, cfg)
+            text_lv = blank((doc.n_tokens, cfg.d_h))
     if img_lv is None and n_g > 0:
         if use_mmcm and has_text:
             img_lv = construct_image_from_text(text_lv.base, mm, cfg, n_g, cfg.n_p)
         else:
-            img_lv = blank_image(n_g, cfg.n_p, cfg)
+            img_lv = blank((n_g, cfg.n_p, cfg.d_h))
 
     dffm = params.scoped("dffm")
     if not use_dffm:
         h_text = text_lv.base
-        h_frames = pooled_base_frames(img_lv) if img_lv is not None else None
+        h_frames = tmean(img_lv.base, axis=1) if img_lv is not None else None
     elif img_lv is None:
         # nothing on the image side at all: only the base mixing path remains
         h_text = matmul(text_lv.base, dffm["mix.g2x.base"])
         h_frames = None
     else:
-        h_text = fuse_g_to_x(text_lv, img_lv, dffm, cfg, vae_mode, rng, kl_acc)
-        h_frames = fuse_x_to_g(img_lv, text_lv, dffm, cfg, vae_mode, rng, kl_acc)
+        h_text = fuse_g_to_x(text_lv, img_lv, dffm, cfg, rng, kl_acc)
+        h_frames = fuse_x_to_g(img_lv, text_lv, dffm, cfg, rng, kl_acc)
     return h_text, h_frames
 
 
@@ -138,11 +136,15 @@ class ForwardResult:
 
 def forward(doc: Document, params: ParamTree, cfg: ModelConfig,
             loss_cfg: LossConfig | None = None, *, rng=None) -> ForwardResult:
+    """Training pass; in `vae_mode: "sample"` the VAE draws its latents from `rng`."""
     loss_cfg = loss_cfg or LossConfig()
+    sample = cfg.vae_mode == "sample"
+    if sample and rng is None:
+        raise ConfigError("vae_mode 'sample' needs the run's rng")
     kl_acc: list | None = [] if cfg.kl_weight > 0 else None
-    h_text, h_frames = compute_features(doc, params, cfg, rng=rng, kl_acc=kl_acc)
-    tagset = TagSet.for_types(cfg.entity_types)
-    losses = compute_losses(doc, h_text, h_frames, params.scoped("heads"), cfg, tagset)
+    h_text, h_frames = compute_features(doc, params, cfg, rng=rng if sample else None,
+                                        kl_acc=kl_acc)
+    losses = compute_losses(doc, h_text, h_frames, params.scoped("heads"), cfg)
     loss = total_loss(losses, loss_cfg)
     if kl_acc:
         loss = loss + sum(kl_acc[1:], kl_acc[0]) * (cfg.kl_weight / len(kl_acc))
@@ -168,14 +170,14 @@ def predict(doc: Document, params: ParamTree, cfg: ModelConfig, *,
 
     gold-pairs: pairs come from gold entities and gold chains. predicted-pairs:
     pairs come from the decoded entity spans and the decoded coreference partition.
-    Inference always runs the deterministic latent path, and records no tape.
+    Inference hands the VAE no stream, so it takes the mean latent; it records no tape.
     Label ties go to the lowest index (no link, no relation, no region).
     """
     if pair_mode not in ("gold-pairs", "predicted-pairs"):
         raise ValueError(f"unknown pair_mode {pair_mode!r}")
     heads = params.scoped("heads")
     tagset = TagSet.for_types(cfg.entity_types)
-    h_text, h_frames = compute_features(doc, params, cfg, vae_mode="mean")
+    h_text, h_frames = compute_features(doc, params, cfg)
 
     tags = crf_decode(h_text, heads.scoped("crf"), tagset)
     decoded_entities = spans_from_tags(tags, tagset)
@@ -198,10 +200,7 @@ def predict(doc: Document, params: ParamTree, cfg: ModelConfig, *,
         relations = [Relation(i, j, cfg.relation_types[k - 1])
                      for (i, j), k in zip(cpairs, labels.tolist()) if k != 0]
 
-    regions: list[Region] = []
-    if h_frames is not None:
-        for r in grounding_predict(h_frames, heads.scoped("gro"), cfg.grounding_types):
-            if r is not None:
-                regions.append(r)
+    regions = ([] if h_frames is None else
+               grounding_predict(h_frames, heads.scoped("gro"), cfg.grounding_types))
     return Prediction(tags, decoded_entities, pair_entities, positive, chains,
                       rel_chains, relations, regions)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .autodiff import ConfigError
 from .config import RunConfig
-from .data import Corpus, assign_modality_regime
+from .data import Corpus, assign_modality_regime, replacing
 from .evaluate import evaluate
 from .trainer import train
 
@@ -92,7 +92,7 @@ def summarize(rows: list[SweepRow]) -> list[dict]:
 
 def save_sweep_csv(path: str, rows: list[SweepRow]) -> None:
     fields = ["axis", "value", "seed", *TASKS, "avg"]
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with replacing(path, "w", encoding="utf-8", newline="") as f:
         w = csv.DictWriter(f, fieldnames=fields)
         w.writeheader()
         for row in summarize(rows):

@@ -148,6 +148,14 @@ class TestExitCodes:
         assert code == 2
         assert "FAIL" in capsys.readouterr().out
 
+    def test_gradcheck_documents_beyond_max_len_is_one(self, tmp_path, capsys):
+        # gradcheck builds 12-16-token documents, which max_len=10 cannot run
+        cfg = write_cfg(tmp_path, model=dataclasses.replace(SMALL, max_len=10),
+                        gen=GenConfig(docs=3, tokens_per_doc=(4, 8), frames_per_doc=(1, 2)))
+        assert main(["gradcheck", "--config", cfg, "--samples", "5"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "max_len=10" in err[0]
+
     # an unknown flag, a bad int, a missing subcommand, and the seed that
     # `eval` does not take
     @pytest.mark.parametrize("argv,message", [

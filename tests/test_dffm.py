@@ -1,21 +1,17 @@
 """Latent cross-modal fusion: VAE behavior, mixing algebra, gradients, and the
 stacked-level pass against a per-level reference loop."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from himie.autodiff import (ConfigError, ParamTree, Tensor, add, gelu, gradcheck,
                             matmul, multi_head_attention, reshape, texp, tmean)
-from himie.config import ModelConfig
-from himie.dffm import (
-    LEVELS,
-    MIX_LEVEL_INIT,
-    fuse_g_to_x,
-    fuse_x_to_g,
-    init_dffm,
-    pooled_base_frames,
-    vae_encode,
-)
+from himie.config import GenConfig, ModelConfig
+from himie.dffm import LEVELS, MIX_LEVEL_INIT, fuse_g_to_x, fuse_x_to_g, init_dffm, vae_encode
 from himie.encoders import LevelFeatures
+from himie.model import forward, init_params
+from himie.synth import generate
 
 CFG = ModelConfig(d_h=8, n_l=6, heads=2, n_p=4, d_in=3, d_vae=4, max_frames=4,
                   vocab=64, max_len=32)
@@ -192,8 +188,8 @@ class TestAgainstPerLevelReference:
         rng = RecordingRng(8) if mode == "sample" else None
         acc = [] if with_kl else None
         s = stacked.scoped("dffm")
-        a = fuse_g_to_x(text, img, s, CFG, mode, rng, acc)
-        b = fuse_x_to_g(img, text, s, CFG, mode, rng, acc)
+        a = fuse_g_to_x(text, img, s, CFG, rng, acc)
+        b = fuse_x_to_g(img, text, s, CFG, rng, acc)
         ref_acc = [] if with_kl else None
         g_noise = x_noise = None
         if rng is not None:  # one block per q/k/v per direction, each [3, N, d_vae]
@@ -221,40 +217,30 @@ class TestVae:
     def test_mean_mode_is_deterministic_and_equals_mean(self):
         s = self._scope()
         x = Tensor(np.random.default_rng(1).normal(size=(5, 8)))
-        z = vae_encode(x, s, "mean")
+        z = vae_encode(x, s)
         assert np.array_equal(z.data, x.data @ s["mean.w"].data + s["mean.b"].data)
-        assert np.array_equal(vae_encode(x, s, "mean").data, z.data)
+        assert np.array_equal(vae_encode(x, s).data, z.data)
         assert z.data.shape == (5, 4)
         # with no sample and no KL to feed, the log-variance head is never read
         p = ParamTree()
         mean_only = p.scoped("v")
         mean_only.add("mean.w", s["mean.w"].data)
         mean_only.add("mean.b", s["mean.b"].data)
-        assert np.array_equal(vae_encode(x, mean_only, "mean").data, z.data)
-
-    def test_sample_mode_needs_rng(self):
-        s = self._scope()
-        x = Tensor(np.zeros((2, 8)))
-        with pytest.raises(ConfigError, match="rng"):
-            vae_encode(x, s, "sample")
+        assert np.array_equal(vae_encode(x, mean_only).data, z.data)
 
     def test_sample_mode_reproducible_given_seeded_rng(self):
         s = self._scope()
         x = Tensor(np.random.default_rng(2).normal(size=(3, 8)))
-        a = vae_encode(x, s, "sample", np.random.default_rng(5)).data
-        b = vae_encode(x, s, "sample", np.random.default_rng(5)).data
+        a = vae_encode(x, s, np.random.default_rng(5)).data
+        b = vae_encode(x, s, np.random.default_rng(5)).data
         assert np.array_equal(a, b)
-        c = vae_encode(x, s, "sample", np.random.default_rng(6)).data
+        c = vae_encode(x, s, np.random.default_rng(6)).data
         assert not np.array_equal(a, c)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError, match="mode"):
-            vae_encode(Tensor(np.zeros((1, 8))), self._scope(), "map")
 
     @staticmethod
     def _kl(x, scope):
         acc = []
-        vae_encode(x, scope, "mean", None, acc)
+        vae_encode(x, scope, kl_acc=acc)
         assert len(acc) == 1
         return float(acc[0].data)
 
@@ -316,20 +302,13 @@ class TestFusion:
         assert np.allclose(out[0] - pos[0], out[1] - pos[1], atol=1e-10)
         assert not np.allclose(out[0], out[1])
 
-    def test_pooled_base_frames(self):
-        rng = np.random.default_rng(11)
-        base = rng.normal(size=(2, CFG.n_p, CFG.d_h))
-        lv = LevelFeatures(Tensor(np.stack([base] * len(LEVELS))), Tensor(base.copy()))
-        out = pooled_base_frames(lv)
-        assert np.allclose(out.data, base.mean(axis=1), atol=1e-12)
-
     def test_sample_mode_changes_output_but_stays_seeded(self, params):
         text = make_levels((4, CFG.d_h), 12)
         img = make_levels((2, CFG.n_p, CFG.d_h), 13)
         s = params.scoped("dffm")
-        mean_out = fuse_g_to_x(text, img, s, CFG, "mean").data
-        a = fuse_g_to_x(text, img, s, CFG, "sample", np.random.default_rng(1)).data
-        b = fuse_g_to_x(text, img, s, CFG, "sample", np.random.default_rng(1)).data
+        mean_out = fuse_g_to_x(text, img, s, CFG).data
+        a = fuse_g_to_x(text, img, s, CFG, np.random.default_rng(1)).data
+        b = fuse_g_to_x(text, img, s, CFG, np.random.default_rng(1)).data
         assert np.array_equal(a, b)
         assert not np.array_equal(a, mean_out)
 
@@ -337,7 +316,7 @@ class TestFusion:
         text = make_levels((4, CFG.d_h), 14)
         img = make_levels((2, CFG.n_p, CFG.d_h), 15)
         acc = []
-        fuse_g_to_x(text, img, params.scoped("dffm"), CFG, "mean", None, acc)
+        fuse_g_to_x(text, img, params.scoped("dffm"), CFG, kl_acc=acc)
         assert len(acc) == 3
         assert all(np.isfinite(t.data) for t in acc)
 
@@ -355,8 +334,8 @@ class TestGradients:
         img = make_levels((2, CFG.n_p, CFG.d_h), 21)
         def f():
             rng = np.random.default_rng(seed) if mode == "sample" else None
-            a = fuse_g_to_x(text, img, params.scoped("dffm"), CFG, mode, rng)
-            b = fuse_x_to_g(img, text, params.scoped("dffm"), CFG, mode, rng)
+            a = fuse_g_to_x(text, img, params.scoped("dffm"), CFG, rng)
+            b = fuse_x_to_g(img, text, params.scoped("dffm"), CFG, rng)
             return (a * a).sum() + (b * b).sum()
         return f
 
@@ -386,7 +365,7 @@ class TestGradients:
         text = make_levels((3, CFG.d_h), 22)
         img = make_levels((2, CFG.n_p, CFG.d_h), 23)
         acc = []
-        out = fuse_g_to_x(text, img, params.scoped("dffm"), CFG, "mean", None, acc)
+        out = fuse_g_to_x(text, img, params.scoped("dffm"), CFG, kl_acc=acc)
         total = out.sum()
         for t in acc:
             total = total + t
@@ -394,3 +373,32 @@ class TestGradients:
         total.backward()
         for k in range(len(LEVELS)):
             assert np.any(params["dffm.g2x.enc.logvar.w"].grad[k] != 0), k
+
+
+class TestStreamRule:
+    """`forward` hands the VAE the run's stream only in vae_mode "sample"."""
+
+    def _doc_params(self, cfg):
+        gen = GenConfig(docs=1, tokens_per_doc=(6, 8), frames_per_doc=(2, 2), seed=0)
+        return generate(gen, cfg).documents[0], init_params(cfg, 0)
+
+    @pytest.mark.parametrize("kl_weight", [0.0, 0.05])
+    def test_mean_mode_draws_nothing(self, kl_weight):
+        cfg = dataclasses.replace(CFG, kl_weight=kl_weight)
+        doc, p = self._doc_params(cfg)
+        rng = RecordingRng(0)
+        forward(doc, p, cfg, rng=rng)
+        assert rng.draws == []
+
+    def test_sample_mode_draws_q_k_v_per_direction(self):
+        cfg = dataclasses.replace(CFG, vae_mode="sample")
+        doc, p = self._doc_params(cfg)
+        rng = RecordingRng(0)
+        forward(doc, p, cfg, rng=rng)
+        assert [n.shape[0] for n in rng.draws] == [len(LEVELS)] * 6
+
+    def test_sample_mode_without_stream_raises(self):
+        cfg = dataclasses.replace(CFG, vae_mode="sample")
+        doc, p = self._doc_params(cfg)
+        with pytest.raises(ConfigError, match="rng"):
+            forward(doc, p, cfg)

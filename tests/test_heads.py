@@ -444,7 +444,21 @@ class TestGrounding:
         g.add("box.w", np.zeros((CFG.d_h, 4)))
         g.add("box.b", np.zeros(4))
         h = Tensor(np.random.default_rng(0).normal(size=(3, CFG.d_h)))
-        assert grounding_predict(h, g, CFG.grounding_types) == [None, None, None]
+        assert grounding_predict(h, g, CFG.grounding_types) == []
+
+    def test_none_frames_dropped_and_frame_indices_kept(self):
+        p = ParamTree()
+        g = p.scoped("gro")
+        w = np.zeros((CFG.d_h, len(CFG.grounding_types) + 1))
+        w[0, 1] = 5.0
+        g.add("type.w", w)
+        g.add("type.b", np.zeros(len(CFG.grounding_types) + 1))
+        g.add("box.w", np.zeros((CFG.d_h, 4)))
+        g.add("box.b", np.zeros(4))
+        h = np.zeros((3, CFG.d_h))
+        h[1, 0] = 1.0  # frames 0 and 2 tie every type at 0: NONE
+        out = grounding_predict(Tensor(h), g, CFG.grounding_types)
+        assert [(r.frame, r.type) for r in out] == [(1, CFG.grounding_types[0])]
 
     def test_tied_types_take_the_lowest_index(self):
         p = ParamTree()
@@ -469,7 +483,7 @@ class TestGrounding:
         g.add("box.b", np.zeros(4))
         h = Tensor(np.zeros((2, CFG.d_h)))
         out = grounding_predict(h, g, CFG.grounding_types)
-        assert all(r is not None for r in out)
+        assert [r.frame for r in out] == [0, 1]
         assert out[0].type == CFG.grounding_types[1]
         assert out[1].frame == 1
         assert out[0].box() == (0.5, 0.5, 0.5, 0.5)  # sigmoid(0)
@@ -496,7 +510,7 @@ class TestLosses:
         doc = make_doc()
         p = head_params()
         h_text, h_frames = self._features(doc)
-        losses = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG, TAGS)
+        losses = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG)
         assert list(losses) == ["ent", "cha", "rel", "gro_t", "gro_b"]
         for key, value in losses.items():
             assert value is not None and np.isfinite(value.data), key
@@ -506,7 +520,7 @@ class TestLosses:
                        relations=[], regions=[])
         p = head_params()
         h_text, h_frames = self._features(doc)
-        losses = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG, TAGS)
+        losses = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG)
         assert losses["cha"] is None
         assert losses["rel"] is None
         assert losses["gro_t"] is not None   # type CE still trains NONE on the frame
@@ -516,7 +530,7 @@ class TestLosses:
         doc = make_doc(frames=[], regions=[])
         p = head_params()
         h_text, _ = self._features(doc)
-        losses = compute_losses(doc, h_text, None, p.scoped("heads"), CFG, TAGS)
+        losses = compute_losses(doc, h_text, None, p.scoped("heads"), CFG)
         assert losses["gro_t"] is None and losses["gro_b"] is None
 
     @pytest.mark.parametrize("n_entities, with_region", [(0, False), (1, False), (1, True),
@@ -539,7 +553,7 @@ class TestLosses:
             return out
 
         monkeypatch.setattr(Tensor, "_result", staticmethod(recorded))
-        losses = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG, TAGS)
+        losses = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG)
         monkeypatch.undo()
         reached, stack = set(), [v for v in losses.values() if v is not None]
         while stack:
@@ -554,7 +568,7 @@ class TestLosses:
         doc = make_doc(relations=[Relation(0, 1, "R1"), Relation(0, 1, "R2")])
         p = head_params()
         h_text, h_frames = self._features(doc)
-        losses = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG, TAGS)
+        losses = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG)
         # (0,1) once per label, then (1,0) as NULL: a mean over three rows
         r1, r2 = (CFG.relation_types.index(t) + 1 for t in ("R1", "R2"))
         ch = chain_reprs(entity_reprs(h_text, doc.entities), doc.chains)
@@ -566,7 +580,7 @@ class TestLosses:
         doc = make_doc()
         p = head_params()
         h_text, h_frames = self._features(doc)
-        losses = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG, TAGS)
+        losses = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG)
         alphas = LossConfig(alpha_ent=2.0, alpha_cha=0.5, alpha_rel=1.0,
                             alpha_gro_t=0.0, alpha_gro_b=3.0)
         total = total_loss(losses, alphas).data
@@ -586,7 +600,7 @@ class TestLosses:
         h_frames = Tensor(rng.normal(size=(doc.n_frames, CFG.d_h)))
 
         def loss():
-            losses = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG, TAGS)
+            losses = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG)
             return total_loss(losses, LossConfig())
 
         report = gradcheck(loss, p, samples=60, seed=4)

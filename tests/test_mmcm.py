@@ -9,8 +9,7 @@ from himie.config import ModelConfig
 from himie.encoders import LEVELS
 from himie.mmcm import (
     CONV_W,
-    blank_image,
-    blank_text,
+    blank,
     construct_image_from_text,
     construct_text_from_image,
     init_mmcm,
@@ -151,9 +150,8 @@ def test_output_depends_on_input(params):
 
 
 def test_blank_fill_is_all_zeros():
-    t = blank_text(5, CFG)
-    g = blank_image(2, CFG.n_p, CFG)
-    for lv, shape in ((t, (5, CFG.d_h)), (g, (2, CFG.n_p, CFG.d_h))):
+    for shape in ((5, CFG.d_h), (2, CFG.n_p, CFG.d_h)):
+        lv = blank(shape)
         assert lv.levels.data.shape == (len(LEVELS),) + shape
         assert lv.base.data.shape == shape
         assert not np.any(lv.levels.data) and not np.any(lv.base.data)

@@ -104,9 +104,12 @@ class TestRouting:
         cfg = dataclasses.replace(CFG, dffm_enabled=False)
         doc = small_doc()
         h_text, h_frames = compute_features(doc, p, cfg)
-        from himie.encoders import bucket_levels, encode_text
+        from himie.encoders import bucket_levels, encode_frames, encode_text
         base = bucket_levels(encode_text(doc.tokens, p.scoped("encoder.text"), cfg)).base
         assert np.array_equal(h_text.data, base.data)
+        # frames: the patch mean of the frame encoder's base feature
+        frames = encode_frames(doc.frames, p.scoped("encoder.frames"), cfg)[-1]
+        assert np.array_equal(h_frames.data, frames.data.mean(axis=1))
 
     def test_blank_fill_gives_constant_text_features(self):
         # mmcm off: every no_text doc sees identical zero text input, so

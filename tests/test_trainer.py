@@ -1,19 +1,23 @@
 """Optimizer hand examples, training determinism, checkpoint round trips."""
+import argparse
 import dataclasses
 import json
 import os
 import struct
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from himie import data, trainer
+from himie import cli, data, trainer
 from himie.autodiff import ConfigError, NumericError, ParamTree, gradcheck
 from himie.config import GenConfig, ModelConfig, OptimConfig, RunConfig
-from himie.data import Corpus, assign_modality_regime
+from himie.data import Corpus, assign_modality_regime, serialize_corpus
 from himie.evaluate import save_report
+from himie.metrics import ERROR_KEYS
 from himie.model import forward, init_params
+from himie.sweep import TASKS, SweepRow, save_sweep_csv
 from himie.synth import generate
 from himie.trainer import (
     CheckpointError,
@@ -547,8 +551,32 @@ def _save_report(path, version):
     save_report(path, {"avg": 0.5 * version, "mode": "gold-pairs", "regimes": {}})
 
 
+def _serialize_corpus(path, version):
+    cfg = small_run()
+    serialize_corpus(generate(dataclasses.replace(cfg.gen, seed=version), cfg.model), path)
+
+
+def _save_sweep_csv(path, version):
+    save_sweep_csv(path, [SweepRow("prompt_len", "2", seed, dict.fromkeys(TASKS, 0.25 * version),
+                                   0.5 * version + seed) for seed in range(3)])
+
+
+def _report_csv(path, version):
+    """`himie report --out path` on a report whose scores depend on `version`."""
+    sec = {"n_documents": 2, "avg": 0.5 * version,
+           "errors": {"counts": dict.fromkeys(ERROR_KEYS, version), "rates": {}},
+           **{t: {"precision": 0.25 * version, "recall": 0.5, "f1": 0.125 * version}
+              for t in TASKS}}
+    with tempfile.TemporaryDirectory() as d:
+        report = os.path.join(d, "report.json")
+        with open(report, "w", encoding="utf-8") as f:
+            json.dump({**sec, "regimes": {}}, f)
+        assert cli.cmd_report(argparse.Namespace(report=report, out=path)) == 0
+
+
 class TestCrashSafeWrites:
-    @pytest.mark.parametrize("save", [_save_checkpoint, _save_step_log, _save_report])
+    @pytest.mark.parametrize("save", [_save_checkpoint, _save_step_log, _save_report,
+                                      _serialize_corpus, _save_sweep_csv, _report_csv])
     def test_failed_write_keeps_the_old_file(self, save, tmp_path, monkeypatch):
         target, ref = tmp_path / "out", tmp_path / "ref"
         save(str(target), 0)
