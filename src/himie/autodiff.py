@@ -659,17 +659,21 @@ def _rel_err(a: float, n: float) -> float:
     return abs(a - n) / max(1e-8, abs(a) + abs(n))
 
 
-def gradcheck(loss_fn, params: ParamTree, *, eps: float = 1e-4, samples: int = 50,
+def gradcheck(loss_fn, params: ParamTree, *, eps: float = 1e-4, samples: int | None = None,
               seed: int = 0, prefixes=None) -> GradReport:
     """Compare tape gradients with central finite differences.
 
-    Samples `samples` scalar entries from the parameters (uniform
-    over scalars, or round-robin across `prefixes` groups when given) and
-    reports per-sample relative errors |a - n| / max(1e-8, |a| + |n|).
+    Groups the parameter names by `prefixes or params.names()`: the names
+    under each prefix, then the rest, with empty groups dropped, so with no
+    prefixes every name is its own group. Each cycle visits the groups in a
+    seeded permutation and draws a uniform name of the group and a uniform
+    scalar of that name, until `samples` scalars are drawn; `samples=None`
+    draws one per group, so by default every parameter name is checked once.
+    Reports per-sample relative errors |a - n| / max(1e-8, |a| + |n|).
     The perturbed passes run under `no_grad`, which leaves their values
     bitwise unchanged.
     """
-    if samples < 1:
+    if samples is not None and samples < 1:
         raise ConfigError(f"gradcheck: samples must be >= 1, got {samples}")
     if not eps > 0:
         raise ConfigError(f"gradcheck: eps must be > 0, got {eps}")
@@ -684,35 +688,18 @@ def gradcheck(loss_fn, params: ParamTree, *, eps: float = 1e-4, samples: int = 5
     names = params.names()
     if not names:
         raise ConfigError("gradcheck: no parameters")
+    groups = [[n for n in names if n == k or n.startswith(k + ".")]
+              for k in prefixes or names]
+    grouped = {n for g in groups for n in g}
+    groups = [g for g in groups + [[n for n in names if n not in grouped]] if g]
+    total = len(groups) if samples is None else samples
     rng = np.random.default_rng(seed)
-
-    if prefixes:
-        groups = []
-        for pref in prefixes:
-            members = [n for n in names if n == pref or n.startswith(pref + ".")]
-            if members:
-                groups.append(members)
-        rest = [n for n in names if not any(n == p or n.startswith(p + ".") for p in prefixes)]
-        if rest:
-            groups.append(rest)
-        picks = []
-        gi = 0
-        while len(picks) < samples:
-            members = groups[gi % len(groups)]
+    picks = []
+    while len(picks) < total:
+        for gi in rng.permutation(len(groups))[:total - len(picks)]:
+            members = groups[gi]
             name = members[int(rng.integers(len(members)))]
-            idx = int(rng.integers(params[name].data.size))
-            picks.append((name, idx))
-            gi += 1
-    else:
-        sizes = [params[n].data.size for n in names]
-        cum = np.cumsum(sizes)
-        total = int(cum[-1])
-        picks = []
-        for _ in range(samples):
-            flat = int(rng.integers(total))
-            j = int(np.searchsorted(cum, flat, side="right"))
-            prev = 0 if j == 0 else int(cum[j - 1])
-            picks.append((names[j], flat - prev))
+            picks.append((name, int(rng.integers(params[name].data.size))))
 
     entries = []
     for name, idx in picks:

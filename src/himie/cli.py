@@ -220,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gradcheck", help="finite-difference gradient check")
     common(sp)
-    sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--samples", type=int,
+                    help="scalars to check (default: one per parameter name)")
     sp.add_argument("--eps", type=float, default=1e-4)
     sp.add_argument("--tol", type=float, default=1e-4)
     sp.set_defaults(fn=cmd_gradcheck)

@@ -222,6 +222,8 @@ def config_from_dict(d: dict) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {path}: invalid UTF-8: {e.reason}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path}: invalid JSON: {e.msg} (line {e.lineno})") from e
     return config_from_dict(obj)

@@ -341,8 +341,9 @@ def iou(a, b) -> float:
 
 def _check_region(r: Region) -> None:
     # center-format fields normalized to [0,1]; corners may overhang the
-    # unit square (a sigmoid box flush to an edge does), IoU handles that
-    if not all(0.0 <= v <= 1.0 for v in r.box()) or r.w <= 0 or r.h <= 0:
+    # unit square (a sigmoid box flush to an edge does), IoU handles that,
+    # and a saturated sigmoid's zero-width box scores IoU 0
+    if not all(0.0 <= v <= 1.0 for v in r.box()):
         raise ValueError(f"invalid box {r.box()} on frame {r.frame}")
 
 

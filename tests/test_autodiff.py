@@ -608,6 +608,48 @@ def test_conv1d_seq_gradcheck_catches_a_planted_error(plant_vjp_error, index):
     assert rep.ok(1e-4) is (index is None), rep.worst()
 
 
+def _named_tree(n):
+    p = ParamTree()
+    for i in range(n):
+        p.add(f"p{i:02d}", np.linspace(-1.0, 1.0, 2 + i % 3))
+    return p
+
+
+def _sum_of_squares(p):
+    def loss():
+        terms = [(t * t).sum() for _n, t in p.items()]
+        return sum(terms[1:], terms[0])
+    return loss
+
+
+def test_gradcheck_default_checks_each_name_once():
+    p = _named_tree(11)
+    rep = gradcheck(_sum_of_squares(p), p, seed=2)
+    assert sorted(e.name for e in rep.entries) == p.names()
+    assert rep.ok(1e-4), rep.worst()
+
+
+def test_gradcheck_cycles_visit_every_group_in_a_seeded_order():
+    p = _named_tree(11)
+    names = p.names()
+    for seed in range(4):
+        rep = gradcheck(_sum_of_squares(p), p, samples=3 * len(names), seed=seed)
+        picked = [e.name for e in rep.entries]
+        for c in range(3):
+            assert sorted(picked[c * len(names):(c + 1) * len(names)]) == names
+        # fewer samples than groups: not the first names in sorted order
+        short = gradcheck(_sum_of_squares(p), p, samples=3, seed=seed)
+        assert [e.name for e in short.entries] == picked[:3] != names[:3]
+
+
+def test_gradcheck_prefix_groups_and_the_rest():
+    p = _named_tree(11)
+    rep = gradcheck(_sum_of_squares(p), p, seed=0, prefixes=["p03", "p07", "absent"])
+    # one sample per group: p03, p07 and one of the rest; the empty group is dropped
+    picked = [e.name for e in rep.entries]
+    assert len(picked) == 3 and {"p03", "p07"} < set(picked)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_gradcheck_reports_nonfinite_loss():
     p = ParamTree()

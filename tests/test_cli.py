@@ -93,6 +93,37 @@ class TestPipeline:
         assert main(["gradcheck", "--config", cfg, "--samples", "20"]) == 0
         assert "OK" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("index", [None, 2, 3], ids=["clean", "dstart", "dend"])
+    def test_gradcheck_default_checks_every_name(self, tmp_path, capsys, plant_vjp_error,
+                                                 index):
+        # a 1e-3 error in a CRF boundary score reaches only that parameter,
+        # so only a check that visits every name sees it
+        cfg = write_cfg(tmp_path)
+        if index is not None:
+            plant_vjp_error("crf_nll", index)
+        assert main(["gradcheck", "--config", cfg]) == (0 if index is None else 2)
+        n_names = len(init_params(SMALL, 0).names())
+        assert f"gradcheck: {n_names} samples" in capsys.readouterr().out
+
+    def test_eval_scores_a_zero_width_box(self, tmp_path, capsys):
+        # a saturated width logit gives a box of width exactly 0.0, a legal
+        # prediction that matches nothing
+        model = dataclasses.replace(SMALL, entity_types=("PERSON", "PLACE"),
+                                    grounding_types=("PERSON",),
+                                    relation_types=("works_for",))
+        corpus, ckpt = tmp_path / "corpus.jsonl", tmp_path / "model.ckpt"
+        report = tmp_path / "report.json"
+        assert main(["gen", "--config", write_cfg(tmp_path, model=model),
+                     "--out", str(corpus)]) == 0
+        params = init_params(model, 0)
+        params["heads.gro.box.b"].data[:] = [0.0, 0.0, -80.0, 0.0]
+        params["heads.gro.type.b"].data[:] = [0.0, 50.0]
+        save_checkpoint(str(ckpt), params, RunConfig(model=model), 0)
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                     "--out", str(report)]) == 0
+        gro = json.loads(report.read_text())["gro"]
+        assert gro["precision"] == 0.0 and gro["recall"] == 0.0
+
     def test_gradcheck_sample_mode(self, tmp_path, capsys):
         # each finite-difference pass draws the same VAE noise
         cfg = write_cfg(tmp_path, model=dataclasses.replace(SMALL, vae_mode="sample",
@@ -262,6 +293,11 @@ class TestBadInput:
         if kind == "corpus_is_directory":
             return ["train", "--config", cfg, "--corpus", str(tmp_path),
                     "--out", str(tmp_path / "m.ckpt")], "Is a directory"
+        if kind == "config_not_utf8":
+            bad = tmp_path / "bad.json"
+            bad.write_bytes(b'{"epochs": 1 \xff}')
+            return ["gen", "--config", str(bad), "--out", str(corpus)], \
+                f"config file {bad}: invalid UTF-8"
         if kind == "corpus_not_utf8":
             corpus.write_bytes(b"\n\xff\xfe{}\n")
             return ["train", "--config", cfg, "--corpus", str(corpus),
@@ -277,8 +313,8 @@ class TestBadInput:
                     "--out", str(tmp_path / "s.csv")], "'x' is not a valid prompt_len value"
         raise AssertionError(kind)
 
-    @pytest.mark.parametrize("kind", ["corpus_is_directory", "corpus_not_utf8",
-                                      "report_not_json", "report_empty_object",
+    @pytest.mark.parametrize("kind", ["config_not_utf8", "corpus_is_directory",
+                                      "corpus_not_utf8", "report_not_json", "report_empty_object",
                                       "sweep_bad_value"])
     def test_loader_error(self, tmp_path, capsys, kind):
         argv, fragment = self._bad_input(tmp_path, kind)

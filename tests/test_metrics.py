@@ -497,8 +497,8 @@ class TestGrounding:
     def test_invalid_center_fields_rejected(self):
         with pytest.raises(ValueError, match="invalid box"):
             score_grounding([box_region(0, "PER", 1.5, 0.5, 0.2, 0.2)], [])
-        with pytest.raises(ValueError, match="invalid box"):
-            score_grounding([], [box_region(0, "PER", 0.5, 0.5, 0.0, 0.2)])
+        # a zero-width prediction is a legal sigmoid output: a false positive
+        assert score_grounding([], [box_region(0, "PER", 0.5, 0.5, 0.0, 0.2)])[0] == (0, 1, 0)
 
     def test_overhanging_corners_allowed(self):
         # cx=0.9, w=0.4: right corner 1.1 > 1; still a legal sigmoid output
