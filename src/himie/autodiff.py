@@ -474,38 +474,39 @@ def pool_matrix(L: int, T: int) -> np.ndarray:
     return inside / (end - start)[:, None]
 
 
-def multi_head_attention(q, k, v, heads: int, params) -> Tensor:
-    """Scaled dot-product attention with per-head projections, as one tape node.
+def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, weights) -> tuple:
+    """Scaled dot-product attention with per-head projections, a numpy pair
+    like `layer_norm`: returns (out, vjp), where vjp(g) gives the gradients of
+    (q, k, v, wq, wk, wv, wo, bo) for the output gradient g.
 
     q: [..., Lq, d], k/v: [..., Lk, d] with the same leading batch axes; each
     batch entry attends only within itself. Per-head q/k/v projections are
     bias-free; the output projection carries the only bias. Scores scale by
-    1/sqrt(d/heads). `params` maps {"wq","wk","wv","wo","bo"} to Tensors:
-    either shared weights ([d, d], bias [d]) or one set per batch entry, whose
-    leading axes equal the inputs' batch axes ([..., d, d], bias [..., 1, d]).
-    Weight gradients reduce over all rows in the first case and over the rows
-    of each batch entry in the second.
+    1/sqrt(d/heads). `weights` holds the arrays (wq, wk, wv, wo, bo): either
+    shared ([d, d], bias [d]) or one set per batch entry, whose leading axes
+    equal the inputs' batch axes ([..., d, d], bias [..., 1, d]). Weight
+    gradients reduce over all rows in the first case and over the rows of
+    each batch entry in the second.
 
     The backward pass is derived by hand. As in FlashAttention (Dao et al.
     2022) it recomputes the attention weights from the saved row max and row
     sum, and gets the softmax term from rowsum(dC * C) per query.
     """
-    q, k, v = _t(q), _t(k), _t(v)
-    if q.data.ndim < 2 or k.data.ndim != q.data.ndim or v.data.ndim != q.data.ndim:
-        raise ShapeError(f"attention expects q/k/v of equal rank >= 2, got {q.data.shape}, {k.data.shape}, {v.data.shape}")
-    d = q.data.shape[-1]
-    if k.data.shape[-1] != d or v.data.shape[-1] != d:
-        raise ShapeError(f"attention width mismatch: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
-    if k.data.shape != v.data.shape:
-        raise ShapeError(f"k and v row counts differ: {k.data.shape} vs {v.data.shape}")
-    if k.data.shape[:-2] != q.data.shape[:-2]:
-        raise ShapeError(f"attention batch axes differ: q {q.data.shape}, k {k.data.shape}")
+    if q.ndim < 2 or k.ndim != q.ndim or v.ndim != q.ndim:
+        raise ShapeError(f"attention expects q/k/v of equal rank >= 2, got {q.shape}, {k.shape}, {v.shape}")
+    d = q.shape[-1]
+    if k.shape[-1] != d or v.shape[-1] != d:
+        raise ShapeError(f"attention width mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
+    if k.shape != v.shape:
+        raise ShapeError(f"k and v row counts differ: {k.shape} vs {v.shape}")
+    if k.shape[:-2] != q.shape[:-2]:
+        raise ShapeError(f"attention batch axes differ: q {q.shape}, k {k.shape}")
     if d % heads != 0:
         raise ConfigError(f"model width {d} not divisible by heads {heads}")
-    wq, wk, wv, wo, bo = (_t(params[n]) for n in ("wq", "wk", "wv", "wo", "bo"))
-    batched = wq.data.ndim > 2
-    if batched and any(w.data.shape[:-2] != q.data.shape[:-2] for w in (wq, wk, wv, wo, bo)):
-        raise ShapeError(f"attention weights' leading axes must equal the batch axes of q {q.data.shape}")
+    wq, wk, wv, wo, bo = weights
+    batched = wq.ndim > 2
+    if batched and any(w.shape[:-2] != q.shape[:-2] for w in weights):
+        raise ShapeError(f"attention weights' leading axes must equal the batch axes of q {q.shape}")
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
 
@@ -516,7 +517,7 @@ def multi_head_attention(q, k, v, heads: int, params) -> Tensor:
         x = np.swapaxes(x, -2, -3)
         return x.reshape(x.shape[:-2] + (d,))
 
-    Qh, Kh, Vh = split(q.data @ wq.data), split(k.data @ wk.data), split(v.data @ wv.data)
+    Qh, Kh, Vh = split(q @ wq), split(k @ wk), split(v @ wv)
     KhT = np.swapaxes(Kh, -1, -2)
     attn = Qh @ KhT  # [..., heads, Lq, Lk]; scaled, exponentiated and normalized in place
     np.multiply(attn, scale, out=attn)
@@ -526,7 +527,7 @@ def multi_head_attention(q, k, v, heads: int, params) -> Tensor:
     row_sum = attn.sum(axis=-1, keepdims=True)
     ctx = np.divide(attn, row_sum, out=attn) @ Vh  # [..., heads, Lq, dh]
     merged = merge(ctx)
-    out = merged @ wo.data + bo.data
+    out = merged @ wo + bo
 
     def wgrad(x, dy):  # d(x @ w)/dw summed over the rows that share w
         if batched:
@@ -534,7 +535,7 @@ def multi_head_attention(q, k, v, heads: int, params) -> Tensor:
         return x.reshape(-1, d).T @ dy.reshape(-1, d)
 
     def tr(w):
-        return np.swapaxes(w.data, -1, -2)
+        return np.swapaxes(w, -1, -2)
 
     def vjp(g):
         attn = Qh @ KhT  # the forward's weights again, by the same in-place chain
@@ -551,10 +552,9 @@ def multi_head_attention(q, k, v, heads: int, params) -> Tensor:
         np.multiply(dscores, scale, out=dscores)
         dQ, dK, dV = merge(dscores @ Kh), merge(np.swapaxes(dscores, -1, -2) @ Qh), merge(dvh)
         return (dQ @ tr(wq), dK @ tr(wk), dV @ tr(wv),
-                wgrad(q.data, dQ), wgrad(k.data, dK), wgrad(v.data, dV),
-                wgrad(merged, g), dbo)
+                wgrad(q, dQ), wgrad(k, dK), wgrad(v, dV), wgrad(merged, g), dbo)
 
-    return Tensor._result(out, (q, k, v, wq, wk, wv, wo, bo), vjp)
+    return out, vjp
 
 
 # -- parameter containers ------------------------------------------------

@@ -85,7 +85,9 @@ def fuse_levels(q_base: Tensor, kv_levels: Tensor, scope, cfg: ModelConfig,
     zq = vae_encode(q_base, enc, rng, kl_acc)
     zk = vae_encode(matmul(kv_levels, scope["wk"]), enc, rng, kl_acc)
     zv = vae_encode(matmul(kv_levels, scope["wv"]), enc, rng, kl_acc)
-    h = add(zq, multi_head_attention(zq, zk, zv, cfg.heads, scope.scoped("attn")))
+    weights = tuple(scope[f"attn.{n}"] for n in ("wq", "wk", "wv", "wo", "bo"))
+    out, vjp = multi_head_attention(zq.data, zk.data, zv.data, cfg.heads, [w.data for w in weights])
+    h = add(zq, Tensor._result(out, (zq, zk, zv) + weights, vjp))
     ffn = scope.scoped("ffn")
     f = add(h, add(matmul(gelu(add(matmul(h, ffn["w1"]), ffn["b1"])), ffn["w2"]), ffn["b2"]))
     return add(matmul(f, scope["dec.w"]), scope["dec.b"])

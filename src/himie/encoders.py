@@ -34,8 +34,8 @@ def token_ids(tokens: list[str], vocab: int) -> np.ndarray:
 @dataclass
 class LevelFeatures:
     """Layer-bucket means stacked as levels [3, *shape] (low, mid, high along
-    axis 0) plus the final-layer base feature [*shape]."""
-    levels: Tensor
+    axis 0), None where nothing reads them, plus the final-layer base feature [*shape]."""
+    levels: Tensor | None
     base: Tensor
 
 
@@ -89,20 +89,18 @@ def run_block(x: Tensor, scope, heads: int) -> Tensor:
 
         y = x + attn(LN1(x)),    out = y + gelu(LN2(y) @ w1 + b1) @ w2 + b2
 
-    Its parents are x and the 13 `BLOCK_PARAMS`. The attention goes through
-    `multi_head_attention`, and the block's VJP applies the VJP of the node
-    that op builds, so attention keeps one derivation and still recomputes
-    its weights in the backward pass; that node is not on the backward path
-    itself. The backward pass also recomputes LN2's output and the GELU
-    output from the saved normalized input and pre-activation. Weight
+    Its parents are x and the 13 `BLOCK_PARAMS`. LN1, LN2 and the attention
+    are numpy pairs (`layer_norm`/`layer_norm_vjp`, `multi_head_attention`),
+    so attention keeps one derivation and recomputes its weights in the
+    backward pass. The backward pass also recomputes LN2's output and the
+    GELU output from the saved normalized input and pre-activation. Weight
     gradients reduce over every row of every leading axis.
     """
     weights = tuple(scope[n] for n in BLOCK_PARAMS)
-    g1, c1, *_, g2, c2, w1, b1, w2, b2 = (w.data for w in weights)
+    g1, c1, *attn, g2, c2, w1, b1, w2, b2 = (w.data for w in weights)
     h1, xhat1, inv1 = layer_norm(x.data, g1, c1)
-    h1t = Tensor(h1, requires_grad=True)  # lets the attention op hand back its VJP
-    att = multi_head_attention(h1t, h1t, h1t, heads, scope.scoped("attn"))
-    y = x.data + att.data
+    att, att_vjp = multi_head_attention(h1, h1, h1, heads, attn)
+    y = x.data + att
     h2, xhat2, inv2 = layer_norm(y, g2, c2)
     u = h2 @ w1 + b1
     cdf = gelu_cdf(u)
@@ -112,7 +110,7 @@ def run_block(x: Tensor, scope, heads: int) -> Tensor:
         du = (g @ w2.T) * gelu_slope(u, cdf)
         dy_ln, dg2, dc2 = layer_norm_vjp(du @ w1.T, g2, xhat2, inv2)
         dy = g + dy_ln
-        dq, dk, dv, dwq, dwk, dwv, dwo, dbo = att._vjp(dy)
+        dq, dk, dv, dwq, dwk, dwv, dwo, dbo = att_vjp(dy)
         dx_ln, dg1, dc1 = layer_norm_vjp(dq + dk + dv, g1, xhat1, inv1)
         dw1 = _rows(xhat2 * g2 + c2).T @ _rows(du)
         dw2 = _rows(u * cdf).T @ _rows(g)

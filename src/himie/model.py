@@ -94,14 +94,18 @@ def compute_features(doc: Document, params: ParamTree, cfg: ModelConfig, *,
     has_text = doc.modality_mask != "no_text"
     has_video = doc.modality_mask != "no_video" and doc.n_frames > 0
     n_g = doc.n_frames
+    fuse = use_dffm and n_g > 0  # fusion reads both sides' levels; nothing else reads any
     mm = params.scoped("mmcm")
+
+    def encoded(per_layer: list[Tensor]) -> LevelFeatures:
+        return bucket_levels(per_layer) if fuse else LevelFeatures(None, per_layer[-1])
 
     text_lv: LevelFeatures | None = None
     img_lv: LevelFeatures | None = None
     if has_text:
-        text_lv = bucket_levels(encode_text(doc.tokens, params.scoped("encoder.text"), cfg))
+        text_lv = encoded(encode_text(doc.tokens, params.scoped("encoder.text"), cfg))
     if has_video:
-        img_lv = bucket_levels(encode_frames(doc.frames, params.scoped("encoder.frames"), cfg))
+        img_lv = encoded(encode_frames(doc.frames, params.scoped("encoder.frames"), cfg))
 
     if text_lv is None:
         if use_mmcm and img_lv is not None:
@@ -115,17 +119,12 @@ def compute_features(doc: Document, params: ParamTree, cfg: ModelConfig, *,
             img_lv = blank((n_g, cfg.n_p, cfg.d_h))
 
     dffm = params.scoped("dffm")
-    if not use_dffm:
-        h_text = text_lv.base
-        h_frames = tmean(img_lv.base, axis=1) if img_lv is not None else None
-    elif img_lv is None:
-        # nothing on the image side at all: only the base mixing path remains
-        h_text = matmul(text_lv.base, dffm["mix.g2x.base"])
-        h_frames = None
-    else:
-        h_text = fuse_g_to_x(text_lv, img_lv, dffm, cfg, rng, kl_acc)
-        h_frames = fuse_x_to_g(img_lv, text_lv, dffm, cfg, rng, kl_acc)
-    return h_text, h_frames
+    if fuse:
+        return (fuse_g_to_x(text_lv, img_lv, dffm, cfg, rng, kl_acc),
+                fuse_x_to_g(img_lv, text_lv, dffm, cfg, rng, kl_acc))
+    if use_dffm:  # nothing on the image side at all: only the base mixing path remains
+        return matmul(text_lv.base, dffm["mix.g2x.base"]), None
+    return text_lv.base, (tmean(img_lv.base, axis=1) if img_lv is not None else None)
 
 
 @dataclass

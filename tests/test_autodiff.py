@@ -14,6 +14,7 @@ from himie import autodiff as ad
 from himie.autodiff import (ConfigError, ParamTree, ShapeError, Tensor,
                             conv1d_seq, gradcheck, matmul, multi_head_attention,
                             pool_matrix, pool_windows)
+from conftest import attention_node
 
 
 def test_matmul_examples():
@@ -120,7 +121,7 @@ def test_attention_single_key_broadcasts_value():
     q = Tensor(rng.normal(size=(5, d)))
     k = Tensor(rng.normal(size=(1, d)))
     v = Tensor(rng.normal(size=(1, d)))
-    out = multi_head_attention(q, k, v, 2, p).data
+    out = attention_node(q, k, v, 2, p).data
     want = (v.data @ p["wv"].data) @ p["wo"].data + p["bo"].data
     for row in out:
         assert np.allclose(row, want.ravel(), atol=1e-12)
@@ -133,7 +134,7 @@ def test_attention_zero_values_give_output_bias():
     q = Tensor(rng.normal(size=(3, d)))
     k = Tensor(rng.normal(size=(4, d)))
     v = Tensor(np.zeros((4, d)))
-    out = multi_head_attention(q, k, v, 4, p).data
+    out = attention_node(q, k, v, 4, p).data
     assert np.allclose(out, np.broadcast_to(p["bo"].data, out.shape), atol=1e-15)
 
 
@@ -144,7 +145,7 @@ def test_attention_uniform_scores_average_values():
     q = Tensor(rng.normal(size=(3, d)))
     k = Tensor(np.ones((6, d)))  # constant keys -> uniform attention
     v = Tensor(rng.normal(size=(6, d)))
-    out = multi_head_attention(q, k, v, 1, p).data
+    out = attention_node(q, k, v, 1, p).data
     assert np.allclose(out, np.broadcast_to(v.data.mean(axis=0), out.shape), atol=1e-12)
 
 
@@ -152,7 +153,7 @@ def test_attention_head_mismatch_is_config_error():
     p = _mha_params(6, np.random.default_rng(6))
     x = Tensor(np.zeros((2, 6)))
     with pytest.raises(ConfigError):
-        multi_head_attention(x, x, x, 4, p)
+        attention_node(x, x, x, 4, p)
 
 
 def test_attention_batched_matches_each_slice():
@@ -162,10 +163,10 @@ def test_attention_batched_matches_each_slice():
     q = rng.normal(size=(3, 5, d))
     k = rng.normal(size=(3, 7, d))
     v = rng.normal(size=(3, 7, d))
-    out = multi_head_attention(Tensor(q), Tensor(k), Tensor(v), 2, p).data
+    out = attention_node(Tensor(q), Tensor(k), Tensor(v), 2, p).data
     assert out.shape == (3, 5, d)
     for b in range(3):
-        want = multi_head_attention(Tensor(q[b]), Tensor(k[b]), Tensor(v[b]), 2, p).data
+        want = attention_node(Tensor(q[b]), Tensor(k[b]), Tensor(v[b]), 2, p).data
         assert np.max(np.abs(out[b] - want)) < 1e-12
 
 
@@ -173,7 +174,7 @@ def test_attention_is_one_tape_node():
     rng = np.random.default_rng(9)
     p = _mha_params(4, rng)
     x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    out = multi_head_attention(x, x, x, 2, p)
+    out = attention_node(x, x, x, 2, p)
     assert out._parents == (x, x, x, p["wq"], p["wk"], p["wv"], p["wo"], p["bo"])
 
 
@@ -182,13 +183,13 @@ def test_attention_batch_axes_must_agree():
     q = Tensor(np.zeros((2, 3, 4)))
     kv = Tensor(np.zeros((3, 5, 4)))
     with pytest.raises(ShapeError, match="batch axes"):
-        multi_head_attention(q, kv, kv, 2, p)
+        attention_node(q, kv, kv, 2, p)
     with pytest.raises(ShapeError, match="rank"):
-        multi_head_attention(q, Tensor(np.zeros((5, 4))), Tensor(np.zeros((5, 4))), 2, p)
+        attention_node(q, Tensor(np.zeros((5, 4))), Tensor(np.zeros((5, 4))), 2, p)
     per_entry = {n: Tensor(np.zeros((3, 4, 4))) for n in ("wq", "wk", "wv", "wo")}
     per_entry["bo"] = Tensor(np.zeros((3, 1, 4)))
     with pytest.raises(ShapeError, match="leading axes"):
-        multi_head_attention(q, q, q, 2, per_entry)
+        attention_node(q, q, q, 2, per_entry)
 
 
 def reference_attention(q, k, v, heads, w, g):
@@ -253,10 +254,9 @@ def test_attention_equals_allocating_reference_bitwise(q_shape, k_shape, w_lead)
     w["bo"] = rng.normal(size=w_lead + ((1, 32) if w_lead else (32,)))
     g = rng.normal(size=q_shape)
     ref_out, ref_grads = reference_attention(q, k, v, 4, w, g)
-    out = multi_head_attention(Tensor(q, requires_grad=True), Tensor(k), Tensor(v), 4,
-                               {n: Tensor(a) for n, a in w.items()})
-    assert out.data.tobytes() == ref_out.tobytes()
-    grads = out._vjp(g)
+    out, vjp = multi_head_attention(q, k, v, 4, [w[n] for n in ("wq", "wk", "wv", "wo", "bo")])
+    assert out.tobytes() == ref_out.tobytes()
+    grads = vjp(g)
     assert len(grads) == 8
     for i, (got, want) in enumerate(zip(grads, ref_grads)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), i
@@ -558,19 +558,19 @@ OPS = {
                                     ("b", (2, 1, 2), "any")]),
     "avg_pool_down": (lambda a: Tensor(pool_matrix(7, 3)) @ a["x"], [("x", (7, 4), "any")]),
     "avg_pool_up": (lambda a: Tensor(pool_matrix(4, 9)) @ a["x"], [("x", (4, 4), "any")]),
-    "attention": (lambda a: multi_head_attention(
+    "attention": (lambda a: attention_node(
         a["q"], a["k"], a["v"], 2,
         {"wq": a["wq"], "wk": a["wk"], "wv": a["wv"], "wo": a["wo"], "bo": a["bo"]}),
         [("q", (3, 4), "any"), ("k", (5, 4), "any"), ("v", (5, 4), "any"),
          ("wq", (4, 4), "any"), ("wk", (4, 4), "any"), ("wv", (4, 4), "any"),
          ("wo", (4, 4), "any"), ("bo", (4,), "any")]),
-    "attention_batched": (lambda a: multi_head_attention(
+    "attention_batched": (lambda a: attention_node(
         a["q"], a["k"], a["v"], 2,
         {"wq": a["wq"], "wk": a["wk"], "wv": a["wv"], "wo": a["wo"], "bo": a["bo"]}),
         [("q", (2, 3, 4), "any"), ("k", (2, 5, 4), "any"), ("v", (2, 5, 4), "any"),
          ("wq", (4, 4), "any"), ("wk", (4, 4), "any"), ("wv", (4, 4), "any"),
          ("wo", (4, 4), "any"), ("bo", (4,), "any")]),
-    "attention_batched_weights": (lambda a: multi_head_attention(
+    "attention_batched_weights": (lambda a: attention_node(
         a["q"], a["k"], a["v"], 2,
         {"wq": a["wq"], "wk": a["wk"], "wv": a["wv"], "wo": a["wo"], "bo": a["bo"]}),
         [("q", (2, 3, 4), "any"), ("k", (2, 5, 4), "any"), ("v", (2, 5, 4), "any"),

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from himie.autodiff import (ConfigError, ParamTree, Tensor, add, gelu, gradcheck,
-                            matmul, multi_head_attention, reshape, texp, tmean)
+                            matmul, reshape, texp, tmean)
 from himie.config import GenConfig, ModelConfig
 from himie.dffm import LEVELS, MIX_LEVEL_INIT, fuse_g_to_x, fuse_x_to_g, init_dffm, vae_encode
 from himie.encoders import LevelFeatures
 from himie.model import forward, init_params
 from himie.synth import generate
+from conftest import attention_node
 
 CFG = ModelConfig(d_h=8, n_l=6, heads=2, n_p=4, d_in=3, d_vae=4, max_frames=4,
                   vocab=64, max_len=32)
@@ -87,7 +88,7 @@ def reference_level(q_base, kv, scope, cfg, noise, kl_acc):
     zq = reference_encode(q_base, enc, eq, kl_acc)
     zk = reference_encode(matmul(kv, scope["wk"]), enc, ek, kl_acc)
     zv = reference_encode(matmul(kv, scope["wv"]), enc, ev, kl_acc)
-    h = add(zq, multi_head_attention(zq, zk, zv, cfg.heads, scope.scoped("attn")))
+    h = add(zq, attention_node(zq, zk, zv, cfg.heads, scope.scoped("attn")))
     ffn = scope.scoped("ffn")
     f = add(h, add(matmul(gelu(add(matmul(h, ffn["w1"]), ffn["b1"])), ffn["w2"]), ffn["b2"]))
     return add(matmul(f, scope["dec.w"]), scope["dec.b"])

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from himie.autodiff import (ConfigError, ParamTree, ShapeError, Tensor, add, gelu,
-                            gradcheck, matmul, multi_head_attention)
+                            gradcheck, matmul)
 from himie.config import ModelConfig
 from himie.encoders import (
     BLOCK_PARAMS,
@@ -17,6 +17,7 @@ from himie.encoders import (
     run_block,
     token_ids,
 )
+from conftest import attention_node
 
 CFG = ModelConfig(d_h=8, n_l=6, heads=2, n_p=4, d_in=3, d_vae=4, vocab=64, max_len=32)
 
@@ -200,7 +201,7 @@ def composed_layer_norm(x, gain, bias, eps=1e-5):
 def composed_block(x, scope, heads):
     """The block as separate tape ops, each with its own VJP: the oracle."""
     h = composed_layer_norm(x, scope["ln1.g"], scope["ln1.b"])
-    x = add(x, multi_head_attention(h, h, h, heads, scope.scoped("attn")))
+    x = add(x, attention_node(h, h, h, heads, scope.scoped("attn")))
     h = composed_layer_norm(x, scope["ln2.g"], scope["ln2.b"])
     ffn = scope.scoped("ffn")
     h = add(matmul(gelu(add(matmul(h, ffn["w1"]), ffn["b1"])), ffn["w2"]), ffn["b2"])

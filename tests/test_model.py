@@ -5,9 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from himie.autodiff import ConfigError, ParamTree, gradcheck
+from himie.autodiff import ConfigError, ParamTree, Tensor, gradcheck
 from himie.config import GenConfig, LossConfig, ModelConfig
-from himie.data import Document, Entity, Region, Relation
+from himie.data import Document, Entity, Region, Relation, assign_modality_regime
 from himie.model import check_params, compute_features, forward, init_params, predict
 from himie.synth import generate
 
@@ -228,6 +228,51 @@ class TestForward:
 
         report = gradcheck(loss, p, samples=60, seed=7, prefixes=("mmcm", "dffm"))
         assert report.ok(1e-4), report.worst()
+
+
+def unreachable_nodes(docs, cfg, monkeypatch) -> int:
+    """Tape nodes that `forward` records over `docs` and that no path of
+    `_parents` from the document's `loss` reaches."""
+    p = init_params(cfg, 0)
+    make_result = Tensor._result
+    recorded: list[Tensor] = []
+
+    def recording(data, parents, vjp):
+        out = make_result(data, parents, vjp)
+        if out.requires_grad:
+            recorded.append(out)
+        return out
+
+    monkeypatch.setattr(Tensor, "_result", staticmethod(recording))
+    rng = np.random.default_rng(0)
+    dead = 0
+    for doc in docs:
+        recorded.clear()
+        seen, stack = set(), [forward(doc, p, cfg, rng=rng).loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        dead += sum(id(t) not in seen for t in recorded)
+    return dead
+
+
+class TestTape:
+    DOCS = assign_modality_regime(generate(dataclasses.replace(GEN, docs=24), CFG),
+                                  (1 / 3, 1 / 3, 1 / 3), seed=0).documents
+
+    @pytest.mark.parametrize("over", [
+        {}, {"dffm_enabled": False}, {"mmcm_enabled": False},
+        {"vae_mode": "sample", "kl_weight": 0.05}],
+        ids=["default", "dffm_off", "mmcm_off", "sample_kl"])
+    def test_every_recorded_node_reaches_the_loss(self, monkeypatch, over):
+        assert {d.modality_mask for d in self.DOCS} == {"full", "no_text", "no_video"}
+        assert unreachable_nodes(self.DOCS, dataclasses.replace(CFG, **over), monkeypatch) == 0
+
+    def test_every_recorded_node_reaches_the_loss_without_frames(self, monkeypatch):
+        docs = [dataclasses.replace(d, frames=[], regions=[]) for d in self.DOCS[:12]]
+        assert unreachable_nodes(docs, CFG, monkeypatch) == 0
 
 
 class TestPredict:
