@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, index_rows, matmul, sigmoid, tabs, tmean
+from .autodiff import NumericError, Tensor, add, index_rows, matmul, sigmoid, tabs, tmean
 from .config import LossConfig, ModelConfig
 from .data import Document, Entity, Region
 
@@ -196,10 +196,18 @@ def crf_nll(h_text: Tensor, gold_ids, scope, tagset: TagSet) -> Tensor:
     return Tensor._result(log_z - score, (emis, trans, start, end), vjp)
 
 
+def finite(what: str, a: np.ndarray) -> np.ndarray:
+    """`a` itself; NumericError naming `what` when an entry is NaN or infinite."""
+    if not np.isfinite(a).all():
+        raise NumericError(f"{what} are not finite")
+    return a
+
+
 def crf_decode(h_text, scope, tagset: TagSet) -> list[int]:
-    """Viterbi with lowest-index tie-break, then BIO repair."""
+    """Viterbi with lowest-index tie-break, then BIO repair; NumericError when
+    the emission logits are not finite."""
     h = h_text.data if isinstance(h_text, Tensor) else np.asarray(h_text)
-    emis = h @ scope["emission"].data
+    emis = finite("entity emission logits", h @ scope["emission"].data)
     trans = scope["trans"].data
     start = scope["start"].data
     end = scope["end"].data
@@ -279,11 +287,13 @@ def grounding_boxes(h_frames: Tensor, scope) -> Tensor:
 
 
 def grounding_predict(h_frames: Tensor, scope, grounding_types) -> list[Region]:
-    """One region per frame whose type is not NONE, in frame order."""
-    boxes = grounding_boxes(h_frames, scope)
-    labels = np.argmax(grounding_type_logits(h_frames, scope).data, axis=1)  # ties -> NONE
+    """One region per frame whose type is not NONE, in frame order; NumericError
+    when the type logits or the boxes are not finite."""
+    boxes = finite("grounding boxes", grounding_boxes(h_frames, scope).data)
+    logits = finite("grounding type logits", grounding_type_logits(h_frames, scope).data)
+    labels = np.argmax(logits, axis=1)  # ties -> NONE
     return [Region(i, grounding_types[k - 1], *box)
-            for i, (k, box) in enumerate(zip(labels.tolist(), boxes.data.tolist())) if k != 0]
+            for i, (k, box) in enumerate(zip(labels.tolist(), boxes.tolist())) if k != 0]
 
 
 # -- losses -------------------------------------------------------------------

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ConfigError, ParamTree, Tensor, matmul, no_grad, tmean
+from .autodiff import ConfigError, NumericError, ParamTree, Tensor, matmul, no_grad, tmean
 from .config import LossConfig, ModelConfig
 from .data import Corpus, Document, Entity, Region, Relation
 from .dffm import fuse_g_to_x, fuse_x_to_g, init_dffm
 from .encoders import (LevelFeatures, bucket_levels, encode_frames,
                        encode_text, init_frame_encoder, init_text_encoder)
 from .heads import (TagSet, chain_reprs, compute_losses, crf_decode, decode_chains,
-                    entity_reprs, grounding_predict, init_heads, pair_logit_matrix,
+                    entity_reprs, finite, grounding_predict, init_heads, pair_logit_matrix,
                     spans_from_tags, total_loss)
 from .mmcm import blank, construct_image_from_text, construct_text_from_image, init_mmcm
 
@@ -171,12 +171,26 @@ def predict(doc: Document, params: ParamTree, cfg: ModelConfig, *,
     pairs come from the decoded entity spans and the decoded coreference partition.
     Inference hands the VAE no stream, so it takes the mean latent; it records no tape.
     Label ties go to the lowest index (no link, no relation, no region).
+    Raises NumericError naming the document when the fused features or a
+    head's logits are not finite; numpy's floating-point warnings are off
+    inside, so that error is the one report of a non-finite value.
     """
     if pair_mode not in ("gold-pairs", "predicted-pairs"):
         raise ValueError(f"unknown pair_mode {pair_mode!r}")
+    try:
+        with np.errstate(all="ignore"):
+            return _predict(doc, params, cfg, pair_mode)
+    except NumericError as e:
+        raise NumericError(f"document {doc.id}: {e}") from None
+
+
+def _predict(doc: Document, params: ParamTree, cfg: ModelConfig, pair_mode: str) -> Prediction:
     heads = params.scoped("heads")
     tagset = TagSet.for_types(cfg.entity_types)
     h_text, h_frames = compute_features(doc, params, cfg)
+    finite("fused text features", h_text.data)
+    if h_frames is not None:
+        finite("fused frame features", h_frames.data)
 
     tags = crf_decode(h_text, heads.scoped("crf"), tagset)
     decoded_entities = spans_from_tags(tags, tagset)
@@ -186,7 +200,8 @@ def predict(doc: Document, params: ParamTree, cfg: ModelConfig, *,
     reprs = entity_reprs(h_text, pair_entities)
     positive: list[tuple[int, int]] = []
     if pairs:
-        links = np.argmax(pair_logit_matrix(reprs, pairs, heads.scoped("coref")).data, axis=1)
+        logits = pair_logit_matrix(reprs, pairs, heads.scoped("coref")).data
+        links = np.argmax(finite("coreference logits", logits), axis=1)
         positive = [p for p, k in zip(pairs, links.tolist()) if k == 1]
     chains = decode_chains(len(pair_entities), positive)
 
@@ -195,7 +210,8 @@ def predict(doc: Document, params: ParamTree, cfg: ModelConfig, *,
     cpairs = [(i, j) for i in range(len(rel_chains)) for j in range(len(rel_chains)) if i != j]
     if cpairs:
         ch = chain_reprs(reprs, rel_chains)
-        labels = np.argmax(pair_logit_matrix(ch, cpairs, heads.scoped("rel")).data, axis=1)
+        logits = pair_logit_matrix(ch, cpairs, heads.scoped("rel")).data
+        labels = np.argmax(finite("relation logits", logits), axis=1)
         relations = [Relation(i, j, cfg.relation_types[k - 1])
                      for (i, j), k in zip(cpairs, labels.tolist()) if k != 0]
 

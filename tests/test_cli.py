@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -555,6 +556,30 @@ class TestMalformedCheckpoint:
         save_checkpoint(str(path), params, RunConfig(model=SMALL), 0)
         err = self._eval_error(path, capsys)
         assert "non-finite value in parameter heads.crf.emission" in err
+
+    @pytest.mark.parametrize("scale", [1e50, 1e300])
+    def test_overflowing_weights_are_a_numeric_error(self, tmp_path, capsys, scale):
+        # scaled weights stay finite, so they load, but the activations overflow:
+        # eval leaves with exit 2, one line, no numpy warning and no report
+        cfg = write_cfg(tmp_path)
+        corpus, ckpt, report = (tmp_path / n for n in ("corpus.jsonl", "model.ckpt", "report.json"))
+        assert main(["gen", "--config", cfg, "--out", str(corpus)]) == 0
+        assert main(["train", "--config", cfg, "--corpus", str(corpus), "--out", str(ckpt)]) == 0
+        params, run, step, rng_state = load_checkpoint(str(ckpt))
+        for _name, t in params.items():
+            t.data *= scale
+        save_checkpoint(str(ckpt), params, run, step, rng_state)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                         "--out", str(report)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("numeric error: document ") and err.count("\n") == 1, err
+        assert "not finite" in err
+        assert [str(w.message) for w in caught] == []
+        assert not report.exists()
 
     def test_header_without_config(self, tmp_path, capsys):
         blob = json.dumps({"manifest": [], "step": 0}).encode("utf-8")

@@ -1,11 +1,12 @@
 """Full-model assembly: routing per modality regime, gradient isolation,
 prediction structure, and loss finiteness."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from himie.autodiff import ConfigError, ParamTree, Tensor, gradcheck
+from himie.autodiff import ConfigError, NumericError, ParamTree, Tensor, gradcheck
 from himie.config import GenConfig, LossConfig, ModelConfig
 from himie.data import Document, Entity, Region, Relation, assign_modality_regime
 from himie.model import check_params, compute_features, forward, init_params, predict
@@ -355,6 +356,20 @@ class TestPredict:
         assert pred.coref_pairs == [] and pred.chains == [[0], [1], [2]]
         pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
         assert pred.relations == [Relation(i, j, CFG.relation_types[0]) for i, j in pairs]
+
+    @pytest.mark.parametrize("weight,what", [
+        ("encoder.text.block5.ffn.w2", "fused text features"),
+        ("heads.crf.emission", "entity emission logits"),
+        ("heads.coref.w", "coreference logits"),
+        ("heads.rel.w", "relation logits"),
+        ("heads.gro.type.w", "grounding type logits")])
+    def test_non_finite_values_are_a_numeric_error_naming_the_document(self, weight, what):
+        p = init_params(CFG, 0)
+        p[weight].data.flat[0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would fail the test
+            with pytest.raises(NumericError, match=f"^document m0: {what} are not finite$"):
+                predict(small_doc(n_frames=2), p, CFG)
 
     def test_inference_deterministic_even_in_sample_mode(self):
         cfg = dataclasses.replace(CFG, vae_mode="sample")
