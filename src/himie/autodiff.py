@@ -22,6 +22,11 @@ outside (the optimizer binds each parameter to its view of one flat gradient
 buffer) or a copy made when the first gradient reaches it. VJPs may hand the
 same array to several parents, so no VJP output is ever written in place.
 
+`layer_norm` and `multi_head_attention` are numpy pairs, not tape ops: arrays
+in, the output and its VJP out. A caller on the tape records the node itself,
+as `encoders.run_block` does for a whole block and `dffm.fuse_levels` for one
+attention node.
+
 A VJP returns `None` for a parent that carries no gradient where skipping
 its product saves work (`add`, `mul`, `matmul`); `backward` sends only to
 parents with `requires_grad`, so the leaves get the same gradients either way.

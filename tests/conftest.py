@@ -8,7 +8,6 @@ def attention_node(q, k, v, heads, weights) -> Tensor:
     """`multi_head_attention` recorded as one tape node, as `dffm.fuse_levels`
     records it: parents (q, k, v, wq, wk, wv, wo, bo), where `weights` maps
     each of the five names to a Tensor."""
-    q, k, v = (x if isinstance(x, Tensor) else Tensor(x) for x in (q, k, v))
     w = tuple(weights[n] for n in ("wq", "wk", "wv", "wo", "bo"))
     out, vjp = multi_head_attention(q.data, k.data, v.data, heads, [t.data for t in w])
     return Tensor._result(out, (q, k, v) + w, vjp)
