@@ -7,10 +7,10 @@ direction runs as one pass over the levels read as [3, N, d_h]: K/V get a
 d_h x d_h projection, all three of Q/K/V pass through the level's VAE encoder
 into the d_vae latent space, attention and a GELU FFN run in latent space with
 residuals, and the level's decoder maps back to d_h. The attention is the
-numpy pair `multi_head_attention`, recorded here as one tape node. The three level outputs
-and the base feature are mixed by learned d_h x d_h weights. The image
-direction additionally mean-pools patches per frame and adds a learned frame
-position embedding.
+numpy pair `multi_head_attention`, recorded here as one tape node. The three
+level outputs and the base feature are mixed by learned d_h x d_h weights.
+The image direction additionally mean-pools patches per frame and adds a
+learned frame position embedding.
 
 The stream decides the latent: handed the run's seeded stream, the VAE draws
 the reparameterized latent from it; handed none, it returns the mean head.
