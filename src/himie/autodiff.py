@@ -22,10 +22,10 @@ outside (the optimizer binds each parameter to its view of one flat gradient
 buffer) or a copy made when the first gradient reaches it. VJPs may hand the
 same array to several parents, so no VJP output is ever written in place.
 
-`layer_norm` and `multi_head_attention` are numpy pairs, not tape ops: arrays
-in, the output and its VJP out. A caller on the tape records the node itself,
-as `encoders.run_block` does for a whole block and `dffm.fuse_levels` for one
-attention node.
+`layer_norm`, `multi_head_attention` and `feed_forward` (the exact-erf GELU
+FFN) are numpy pairs, not tape ops: arrays in, the output and its VJP out. A
+caller on the tape records the node itself, as `encoders.run_block` does for
+a whole block and `dffm.fuse_levels` for one attention node and one FFN node.
 
 A VJP returns `None` for a parent that carries no gradient where skipping
 its product saves work (`add`, `mul`, `matmul`); `backward` sends only to
@@ -318,13 +318,6 @@ def gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return np.add(cdf, out, out=out)
 
 
-def gelu(a) -> Tensor:
-    """Exact-erf GELU."""
-    a = _t(a)
-    cdf = gelu_cdf(a.data)
-    return Tensor._result(a.data * cdf, (a,), lambda g: (g * gelu_slope(a.data, cdf),))
-
-
 def tabs(a) -> Tensor:
     # subgradient 0 at the kink
     a = _t(a)
@@ -479,6 +472,24 @@ def pool_matrix(L: int, T: int) -> np.ndarray:
     return inside / (end - start)[:, None]
 
 
+def _tr(w: np.ndarray) -> np.ndarray:
+    return np.swapaxes(w, -1, -2)
+
+
+def _wgrad(x: np.ndarray, dy: np.ndarray, batched: bool) -> np.ndarray:
+    """d(x @ w)/dw for the output gradient dy, summed over the rows that share w."""
+    if batched:
+        return _tr(x) @ dy
+    return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+
+
+def _bgrad(dy: np.ndarray, batched: bool) -> np.ndarray:
+    """d(y + b)/db for the output gradient dy, summed over the rows that share b."""
+    if batched:
+        return dy.sum(axis=-2, keepdims=True)
+    return dy.reshape(-1, dy.shape[-1]).sum(axis=0)
+
+
 def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, weights) -> tuple:
     """Scaled dot-product attention with per-head projections, a numpy pair
     like `layer_norm`: returns (out, vjp), where vjp(g) gives the gradients of
@@ -534,30 +545,47 @@ def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int
     merged = merge(ctx)
     out = merged @ wo + bo
 
-    def wgrad(x, dy):  # d(x @ w)/dw summed over the rows that share w
-        if batched:
-            return np.swapaxes(x, -1, -2) @ dy
-        return x.reshape(-1, d).T @ dy.reshape(-1, d)
-
-    def tr(w):
-        return np.swapaxes(w, -1, -2)
-
     def vjp(g):
         attn = Qh @ KhT  # the forward's weights again, by the same in-place chain
         np.multiply(attn, scale, out=attn)
         np.subtract(attn, row_max, out=attn)
         np.exp(attn, out=attn)
         np.divide(attn, row_sum, out=attn)
-        dbo = g.sum(axis=-2, keepdims=True) if batched else g.reshape(-1, d).sum(axis=0)
-        dctx = split(g @ tr(wo))
+        dctx = split(g @ _tr(wo))
         dscores = dctx @ np.swapaxes(Vh, -1, -2)  # dattn, turned into dscores in place
         dvh = np.swapaxes(attn, -1, -2) @ dctx
         np.subtract(dscores, (dctx * ctx).sum(axis=-1, keepdims=True), out=dscores)
         np.multiply(attn, dscores, out=dscores)
         np.multiply(dscores, scale, out=dscores)
         dQ, dK, dV = merge(dscores @ Kh), merge(np.swapaxes(dscores, -1, -2) @ Qh), merge(dvh)
-        return (dQ @ tr(wq), dK @ tr(wk), dV @ tr(wv),
-                wgrad(q, dQ), wgrad(k, dK), wgrad(v, dV), wgrad(merged, g), dbo)
+        return (dQ @ _tr(wq), dK @ _tr(wk), dV @ _tr(wv), _wgrad(q, dQ, batched),
+                _wgrad(k, dK, batched), _wgrad(v, dV, batched), _wgrad(merged, g, batched),
+                _bgrad(g, batched))
+
+    return out, vjp
+
+
+def feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+                 b2: np.ndarray) -> tuple:
+    """The exact-erf GELU feed-forward gelu(x @ w1 + b1) @ w2 + b2, a numpy
+    pair like `multi_head_attention`: returns (out, vjp), where vjp(g) gives
+    the gradients of (x, w1, b1, w2, b2) for the output gradient g.
+
+    x: [..., L, d]. The weights are shared (w1 [d, h], b1 [h], w2 [h, d],
+    b2 [d]) or one set per batch entry, whose leading axes equal x's batch
+    axes (w1 [..., d, h], biases [..., 1, h] and [..., 1, d]); weight
+    gradients reduce as in `multi_head_attention`. The backward pass
+    recomputes the GELU output from the saved pre-activation and its Phi.
+    """
+    batched = w1.ndim > 2
+    u = x @ w1 + b1
+    cdf = gelu_cdf(u)
+    out = (u * cdf) @ w2 + b2
+
+    def vjp(g):
+        du = (g @ _tr(w2)) * gelu_slope(u, cdf)
+        return (du @ _tr(w1), _wgrad(x, du, batched), _bgrad(du, batched),
+                _wgrad(u * cdf, g, batched), _bgrad(g, batched))
 
     return out, vjp
 

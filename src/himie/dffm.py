@@ -6,11 +6,12 @@ stacked along a leading level axis of 3 like every level weight, so a
 direction runs as one pass over the levels read as [3, N, d_h]: K/V get a
 d_h x d_h projection, all three of Q/K/V pass through the level's VAE encoder
 into the d_vae latent space, attention and a GELU FFN run in latent space with
-residuals, and the level's decoder maps back to d_h. The attention is the
-numpy pair `multi_head_attention`, recorded here as one tape node. The three
-level outputs and the base feature are mixed by learned d_h x d_h weights.
-The image direction additionally mean-pools patches per frame and adds a
-learned frame position embedding.
+residuals, and the level's decoder maps back to d_h. The attention and the
+FFN are the numpy pairs `multi_head_attention` and `feed_forward`, the
+derivations the encoder blocks run too, each recorded here as one tape node.
+The three level outputs and the base feature are mixed by learned d_h x d_h
+weights. The image direction additionally mean-pools patches per frame and
+adds a learned frame position embedding.
 
 The stream decides the latent: handed the run's seeded stream, the VAE draws
 the reparameterized latent from it; handed none, it returns the mean head.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (ConfigError, Tensor, add, gelu, matmul,
+from .autodiff import (ConfigError, Tensor, add, feed_forward, matmul,
                        multi_head_attention, reshape, texp, tmean, tsum)
 from .config import ModelConfig
 from .encoders import LEVELS, LevelFeatures
@@ -89,8 +90,9 @@ def fuse_levels(q_base: Tensor, kv_levels: Tensor, scope, cfg: ModelConfig,
     weights = tuple(scope[f"attn.{n}"] for n in ("wq", "wk", "wv", "wo", "bo"))
     out, vjp = multi_head_attention(zq.data, zk.data, zv.data, cfg.heads, [w.data for w in weights])
     h = add(zq, Tensor._result(out, (zq, zk, zv) + weights, vjp))
-    ffn = scope.scoped("ffn")
-    f = add(h, add(matmul(gelu(add(matmul(h, ffn["w1"]), ffn["b1"])), ffn["w2"]), ffn["b2"]))
+    weights = tuple(scope[f"ffn.{n}"] for n in ("w1", "b1", "w2", "b2"))
+    out, vjp = feed_forward(h.data, *(w.data for w in weights))
+    f = add(h, Tensor._result(out, (h,) + weights, vjp))
     return add(matmul(f, scope["dec.w"]), scope["dec.b"])
 
 

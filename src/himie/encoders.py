@@ -4,7 +4,8 @@ Both encoders are small pre-LN transformer stacks that return every block
 output, so downstream fusion can average non-overlapping thirds of the layers
 into low/mid/high level features, stacked along a leading level axis of 3;
 the final block output is the base feature.
-Each block is one tape node with a hand-derived VJP (see `run_block`).
+Each block is one tape node (see `run_block`) whose VJP chains the numpy
+pairs of `autodiff`, and the level bucketing is one more (see `bucket_levels`).
 
 Tokens are mapped to ids by a stable hash bucket (crc32 mod vocab), which is
 also what the synthetic generator plants its signal in: a surface form always
@@ -17,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ConfigError, ShapeError, Tensor, add, concat, gelu_cdf,
-                       gelu_slope, index_rows, layer_norm, layer_norm_vjp, matmul,
-                       multi_head_attention, reshape, tmean)
+from .autodiff import (ConfigError, ShapeError, Tensor, add, feed_forward, index_rows,
+                       layer_norm, layer_norm_vjp, matmul, multi_head_attention)
 from .config import ModelConfig
 
 
@@ -43,13 +43,29 @@ LEVELS = ("low", "mid", "high")  # names of the level axis, in depth order
 
 
 def bucket_levels(per_layer: list[Tensor]) -> LevelFeatures:
-    """Mean the first/middle/last third of block outputs (1-indexed thirds)."""
+    """Mean the first/middle/last third of block outputs (1-indexed thirds).
+
+    The levels are one tape node over the block outputs: level k is the sum
+    of its m blocks, added in depth order, times 1/m, and its VJP hands each
+    of those blocks g[k] * (1/m).
+    """
     n_l = len(per_layer)
     if n_l < 3 or n_l % 3 != 0:
         raise ConfigError(f"level bucketing needs a layer count divisible by 3, got {n_l}")
-    shape = per_layer[0].data.shape
-    layers = reshape(concat(per_layer, axis=0), (len(LEVELS), n_l // 3) + shape)
-    return LevelFeatures(levels=tmean(layers, axis=1), base=per_layer[-1])
+    m = n_l // len(LEVELS)
+    scale = 1.0 / m
+    levels = np.empty((len(LEVELS),) + per_layer[0].data.shape)
+    for k, level in enumerate(levels):
+        np.copyto(level, per_layer[k * m].data)
+        for t in per_layer[k * m + 1:(k + 1) * m]:
+            np.add(level, t.data, out=level)
+    np.multiply(levels, scale, out=levels)
+
+    def vjp(g):
+        per_level = [g[k] * scale for k in range(len(LEVELS))]
+        return tuple(per_level[i // m] for i in range(n_l))
+
+    return LevelFeatures(Tensor._result(levels, tuple(per_layer), vjp), per_layer[-1])
 
 
 # -- transformer blocks ---------------------------------------------------
@@ -76,10 +92,6 @@ def init_block(scope, d_h: int, rng) -> None:
     ffn.add("b2", np.zeros(d_h))
 
 
-def _rows(a: np.ndarray) -> np.ndarray:
-    return a.reshape(-1, a.shape[-1])
-
-
 BLOCK_PARAMS = ("ln1.g", "ln1.b", "attn.wq", "attn.wk", "attn.wv", "attn.wo", "attn.bo",
                 "ln2.g", "ln2.b", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
 
@@ -87,14 +99,14 @@ BLOCK_PARAMS = ("ln1.g", "ln1.b", "attn.wq", "attn.wk", "attn.wv", "attn.wo", "a
 def run_block(x: Tensor, scope, heads: int) -> Tensor:
     """One pre-LN block over x [..., L, d] as a single tape node:
 
-        y = x + attn(LN1(x)),    out = y + gelu(LN2(y) @ w1 + b1) @ w2 + b2
+        y = x + attn(LN1(x)),    out = y + ffn(LN2(y))
 
-    Its parents are x and the 13 `BLOCK_PARAMS`. LN1, LN2 and the attention
-    are numpy pairs (`layer_norm`/`layer_norm_vjp`, `multi_head_attention`),
-    so attention keeps one derivation and recomputes its weights in the
-    backward pass. The backward pass also recomputes LN2's output and the
-    GELU output from the saved normalized input and pre-activation. Weight
-    gradients reduce over every row of every leading axis.
+    Its parents are x and the 13 `BLOCK_PARAMS`. LN1, LN2, the attention and
+    the GELU feed-forward are numpy pairs (`layer_norm`/`layer_norm_vjp`,
+    `multi_head_attention`, `feed_forward`), so each keeps one derivation,
+    shared with the fusion; attention recomputes its weights and the
+    feed-forward its GELU output in the backward pass. Weight gradients
+    reduce over every row of every leading axis.
     """
     weights = tuple(scope[n] for n in BLOCK_PARAMS)
     g1, c1, *attn, g2, c2, w1, b1, w2, b2 = (w.data for w in weights)
@@ -102,20 +114,16 @@ def run_block(x: Tensor, scope, heads: int) -> Tensor:
     att, att_vjp = multi_head_attention(h1, h1, h1, heads, attn)
     y = x.data + att
     h2, xhat2, inv2 = layer_norm(y, g2, c2)
-    u = h2 @ w1 + b1
-    cdf = gelu_cdf(u)
-    out = y + ((u * cdf) @ w2 + b2)
+    f, ffn_vjp = feed_forward(h2, w1, b1, w2, b2)
+    out = y + f
 
     def vjp(g):
-        du = (g @ w2.T) * gelu_slope(u, cdf)
-        dy_ln, dg2, dc2 = layer_norm_vjp(du @ w1.T, g2, xhat2, inv2)
+        dh2, dw1, db1, dw2, db2 = ffn_vjp(g)
+        dy_ln, dg2, dc2 = layer_norm_vjp(dh2, g2, xhat2, inv2)
         dy = g + dy_ln
         dq, dk, dv, dwq, dwk, dwv, dwo, dbo = att_vjp(dy)
         dx_ln, dg1, dc1 = layer_norm_vjp(dq + dk + dv, g1, xhat1, inv1)
-        dw1 = _rows(xhat2 * g2 + c2).T @ _rows(du)
-        dw2 = _rows(u * cdf).T @ _rows(g)
-        return (dy + dx_ln, dg1, dc1, dwq, dwk, dwv, dwo, dbo, dg2, dc2,
-                dw1, _rows(du).sum(axis=0), dw2, _rows(g).sum(axis=0))
+        return (dy + dx_ln, dg1, dc1, dwq, dwk, dwv, dwo, dbo, dg2, dc2, dw1, db1, dw2, db2)
 
     return Tensor._result(out, (x,) + weights, vjp)
 

@@ -17,6 +17,12 @@ contiguous run of the buffer. `adam_step` walks the buffers in blocks of
 `ADAM_BLOCK` scalars, each inside one group, and runs all the Adam terms on
 one block before the next, so the block's operands stay in L2 cache.
 
+The step loop runs with numpy's floating-point warnings off, as `predict`
+does: a diverging run stops at its first non-finite loss or gradient with one
+`NumericError`. On glibc, `train` first keeps the heap top resident
+(`keep_heap_top`), so the pages one step's freed graph leaves at the top of
+the heap stay mapped for the next step.
+
 Checkpoint layout: 8-byte little-endian header length, then a UTF-8 JSON
 header {manifest, config, step, rng_state} where the manifest lists (name,
 shape) in lexicographic name order, then the raw float64
@@ -24,6 +30,7 @@ little-endian row-major payload in manifest order.
 """
 from __future__ import annotations
 
+import ctypes
 import itertools
 import json
 import math
@@ -138,6 +145,26 @@ class StepRecord:
     components: dict[str, float]
 
 
+M_TOP_PAD = -2  # glibc's mallopt parameter: bytes kept free at the top of the heap
+HEAP_TOP_PAD = 16 << 20
+
+
+def keep_heap_top() -> None:
+    """Keep 16 MiB free at the top of this process's heap, where glibc's
+    `mallopt` exists; elsewhere do nothing.
+
+    Each backward pass frees the step's whole graph, so glibc would trim the
+    heap top and the next forward pass would fault those pages back in, about
+    1,000 minor faults per step on a many-frames document.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_TOP_PAD, HEAP_TOP_PAD)
+
+
 @dataclass
 class TrainResult:
     params: ParamTree
@@ -150,6 +177,7 @@ def train(cfg: RunConfig, corpus: Corpus,
           params: ParamTree | None = None) -> TrainResult:
     cfg.validate()
     check_compatible(corpus, cfg.model)
+    keep_heap_top()
     if params is None:
         params = init_params(cfg.model, cfg.seed)
     else:
@@ -160,20 +188,23 @@ def train(cfg: RunConfig, corpus: Corpus,
     log: list[StepRecord] = []
     step = 0
     n = len(corpus.documents)
-    for _epoch in range(cfg.epochs):
-        for idx in order_rng.permutation(n):
-            doc = corpus.documents[int(idx)]
-            step += 1
-            res = forward(doc, params, cfg.model, cfg.loss, rng=sample_rng)
-            total = float(res.loss.data)
-            if not np.isfinite(total):
-                raise NumericError(f"non-finite loss at step {step} on document {doc.id}")
-            state.grad.fill(0.0)
-            res.loss.backward()
-            adam_step(state, cfg.optim)
-            comps = {name: (float(v.data) if v is not None else 0.0)
-                     for name, v in res.losses.items()}
-            log.append(StepRecord(step, doc.id, total, comps))
+    # a diverging run reports its first non-finite loss or gradient as one
+    # NumericError, not as a numpy warning per overflowing operation
+    with np.errstate(all="ignore"):
+        for _epoch in range(cfg.epochs):
+            for idx in order_rng.permutation(n):
+                doc = corpus.documents[int(idx)]
+                step += 1
+                res = forward(doc, params, cfg.model, cfg.loss, rng=sample_rng)
+                total = float(res.loss.data)
+                if not np.isfinite(total):
+                    raise NumericError(f"non-finite loss at step {step} on document {doc.id}")
+                state.grad.fill(0.0)
+                res.loss.backward()
+                adam_step(state, cfg.optim)
+                comps = {name: (float(v.data) if v is not None else 0.0)
+                         for name, v in res.losses.items()}
+                log.append(StepRecord(step, doc.id, total, comps))
     return TrainResult(params, log, step, order_rng.bit_generator.state)
 
 

@@ -1,7 +1,14 @@
 """Shared test fixtures."""
 import pytest
 
-from himie.autodiff import Tensor, multi_head_attention
+from himie.autodiff import Tensor, feed_forward, gelu_cdf, gelu_slope, multi_head_attention
+
+
+def gelu(a: Tensor) -> Tensor:
+    """Exact-erf GELU as a tape op of its own, composed from `gelu_cdf` and
+    `gelu_slope`: the reference the `feed_forward` pair is checked against."""
+    cdf = gelu_cdf(a.data)
+    return Tensor._result(a.data * cdf, (a,), lambda g: (g * gelu_slope(a.data, cdf),))
 
 
 def attention_node(q, k, v, heads, weights) -> Tensor:
@@ -11,6 +18,14 @@ def attention_node(q, k, v, heads, weights) -> Tensor:
     w = tuple(weights[n] for n in ("wq", "wk", "wv", "wo", "bo"))
     out, vjp = multi_head_attention(q.data, k.data, v.data, heads, [t.data for t in w])
     return Tensor._result(out, (q, k, v) + w, vjp)
+
+
+def feed_forward_node(x, weights) -> Tensor:
+    """`feed_forward` recorded as one tape node, as `dffm.fuse_levels` records
+    it: parents (x, w1, b1, w2, b2), where `weights` maps each name to a Tensor."""
+    w = tuple(weights[n] for n in ("w1", "b1", "w2", "b2"))
+    out, vjp = feed_forward(x.data, *(t.data for t in w))
+    return Tensor._result(out, (x,) + w, vjp)
 
 
 @pytest.fixture

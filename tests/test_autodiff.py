@@ -14,7 +14,7 @@ from himie import autodiff as ad
 from himie.autodiff import (ConfigError, ParamTree, ShapeError, Tensor,
                             conv1d_seq, gradcheck, matmul, multi_head_attention,
                             pool_matrix, pool_windows)
-from conftest import attention_node
+from conftest import attention_node, feed_forward_node, gelu
 
 
 def test_matmul_examples():
@@ -465,7 +465,7 @@ def test_gradcheck_perturbed_passes_equal_recording_passes():
     taped = []
 
     def loss_fn():
-        out = (ad.gelu(x @ w) * ad.sigmoid(x)).sum()
+        out = (gelu(x @ w) * ad.sigmoid(x)).sum()
         taped.append(out.requires_grad)
         return out
 
@@ -500,8 +500,8 @@ def test_negation_is_a_scalar_mul_equal_to_numpy_bitwise(monkeypatch):
 def test_determinism_bitwise():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(5, 5))
-    a = ad.gelu(Tensor(x) @ Tensor(x)).sum(axis=-1).data
-    b = ad.gelu(Tensor(x.copy()) @ Tensor(x.copy())).sum(axis=-1).data
+    a = gelu(Tensor(x) @ Tensor(x)).sum(axis=-1).data
+    b = gelu(Tensor(x.copy()) @ Tensor(x.copy())).sum(axis=-1).data
     assert a.tobytes() == b.tobytes()
 
 
@@ -543,7 +543,7 @@ OPS = {
     "exp": (lambda a: ad.texp(a["x"]), [("x", (3, 3), "any")]),
     "sigmoid": (lambda a: ad.sigmoid(a["x"]), [("x", (3, 3), "any")]),
     "relu": (lambda a: ad.relu(a["x"]), [("x", (4, 4), "nokink")]),
-    "gelu": (lambda a: ad.gelu(a["x"]), [("x", (4, 4), "any")]),
+    "gelu": (lambda a: gelu(a["x"]), [("x", (4, 4), "any")]),
     "abs": (lambda a: ad.tabs(a["x"]), [("x", (4, 4), "nokink")]),
     "sum_axis": (lambda a: a["x"].sum(axis=0), [("x", (3, 4), "any")]),
     "mean_keepdims": (lambda a: a["x"].mean(axis=1, keepdims=True), [("x", (3, 4), "any")]),
@@ -576,6 +576,13 @@ OPS = {
         [("q", (2, 3, 4), "any"), ("k", (2, 5, 4), "any"), ("v", (2, 5, 4), "any"),
          ("wq", (2, 4, 4), "any"), ("wk", (2, 4, 4), "any"), ("wv", (2, 4, 4), "any"),
          ("wo", (2, 4, 4), "any"), ("bo", (2, 1, 4), "any")]),
+    "feed_forward": (lambda a: feed_forward_node(a["x"], a),
+                     [("x", (2, 3, 4), "any"), ("w1", (4, 6), "any"), ("b1", (6,), "any"),
+                      ("w2", (6, 4), "any"), ("b2", (4,), "any")]),
+    "feed_forward_batched_weights": (lambda a: feed_forward_node(a["x"], a),
+                                     [("x", (3, 2, 4), "any"), ("w1", (3, 4, 6), "any"),
+                                      ("b1", (3, 1, 6), "any"), ("w2", (3, 6, 4), "any"),
+                                      ("b2", (3, 1, 4), "any")]),
 }
 
 
@@ -595,6 +602,41 @@ def test_attention_gradcheck_catches_a_planted_error(plant_vjp_error, index):
     rep = _report(build, spec, seed=21, samples=48, prefixes=[name for name, _s, _k in spec])
     assert {e.name for e in rep.entries} == {name for name, _s, _k in spec}
     assert rep.ok(1e-4) is (index is None), rep.worst()
+
+
+@pytest.mark.parametrize("op", ["feed_forward", "feed_forward_batched_weights"])
+@pytest.mark.parametrize("index", [None] + list(range(5)),
+                         ids=["clean", "dx", "dw1", "db1", "dw2", "db2"])
+def test_feed_forward_gradcheck_catches_a_planted_error(plant_vjp_error, op, index):
+    # one prefix group per parent, so every parent is sampled
+    build, spec = OPS[op]
+    if index is not None:
+        plant_vjp_error("feed_forward", index)
+    rep = _report(build, spec, seed=22, samples=30, prefixes=[name for name, _s, _k in spec])
+    assert {e.name for e in rep.entries} == {name for name, _s, _k in spec}
+    assert rep.ok(1e-4) is (index is None), rep.worst()
+
+
+@pytest.mark.parametrize("spec", [
+    [("x", (3, 4), "any"), ("w1", (4, 6), "any"), ("b1", (6,), "any"),
+     ("w2", (6, 4), "any"), ("b2", (4,), "any")],
+    OPS["feed_forward_batched_weights"][1]], ids=["shared", "batched_weights"])
+def test_feed_forward_equals_composed_ops_bitwise(spec):
+    # the FFN as generic tape ops around the reference GELU, as the fusion
+    # composed it before the pair existed: same values and gradients to the
+    # bit wherever no weight is shared across leading axes, whose gradient
+    # the pair reduces over all rows at once
+    results = []
+    for fused in (True, False):
+        rng = np.random.default_rng(24)
+        a = {name: Tensor(rng.normal(size=shape), requires_grad=True) for name, shape, _k in spec}
+        if fused:
+            out = feed_forward_node(a["x"], a)
+        else:
+            out = matmul(gelu(matmul(a["x"], a["w1"]) + a["b1"]), a["w2"]) + a["b2"]
+        (out * Tensor(rng.normal(size=out.shape))).sum().backward()
+        results.append([out.data.tobytes()] + [t.grad.tobytes() for t in a.values()])
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("index", [None, 0, 1, 2], ids=["clean", "dx", "dkernel", "dbias"])

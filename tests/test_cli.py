@@ -10,7 +10,7 @@ import pytest
 
 from himie.autodiff import ParamTree
 from himie.cli import main
-from himie.config import GenConfig, ModelConfig, RunConfig, config_to_dict
+from himie.config import GenConfig, ModelConfig, OptimConfig, RunConfig, config_to_dict
 from himie.model import init_params
 from himie.trainer import load_checkpoint, save_checkpoint
 
@@ -179,6 +179,22 @@ class TestExitCodes:
                      "--tol", "1e-300"])
         assert code == 2
         assert "FAIL" in capsys.readouterr().out
+
+    def test_diverging_train_is_two_with_one_line(self, tmp_path, capsys):
+        # learning rates that blow the weights up: exit 2, one line, no numpy
+        # warning and no checkpoint
+        cfg = write_cfg(tmp_path, optim=OptimConfig(lr_encoder=1e30, lr_other=1e30), epochs=3)
+        corpus, ckpt = tmp_path / "corpus.jsonl", tmp_path / "model.ckpt"
+        assert main(["gen", "--config", cfg, "--out", str(corpus)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--config", cfg, "--corpus", str(corpus), "--out", str(ckpt)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("numeric error: ") and err.count("\n") == 1, err
+        assert [str(w.message) for w in caught] == []
+        assert not ckpt.exists()
 
     def test_gradcheck_documents_beyond_max_len_is_one(self, tmp_path, capsys):
         # gradcheck builds 12-16-token documents, which max_len=10 cannot run

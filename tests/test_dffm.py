@@ -5,14 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from himie.autodiff import (ConfigError, ParamTree, Tensor, add, gelu, gradcheck,
+from himie.autodiff import (ConfigError, ParamTree, Tensor, add, gradcheck,
                             matmul, reshape, texp, tmean)
 from himie.config import GenConfig, ModelConfig
 from himie.dffm import LEVELS, MIX_LEVEL_INIT, fuse_g_to_x, fuse_x_to_g, init_dffm, vae_encode
 from himie.encoders import LevelFeatures
 from himie.model import forward, init_params
 from himie.synth import generate
-from conftest import attention_node
+from conftest import attention_node, gelu
 
 CFG = ModelConfig(d_h=8, n_l=6, heads=2, n_p=4, d_in=3, d_vae=4, max_frames=4,
                   vocab=64, max_len=32)
@@ -327,6 +327,14 @@ class TestFusion:
         s = params.scoped("dffm")
         assert tape_ops(fuse_g_to_x(text, img, s, CFG), "multi_head_attention") == 1
         assert tape_ops(fuse_x_to_g(img, text, s, CFG), "multi_head_attention") == 1
+
+    def test_one_feed_forward_node_per_direction(self, params):
+        text = make_levels((4, CFG.d_h), 18)
+        img = make_levels((2, CFG.n_p, CFG.d_h), 19)
+        s = params.scoped("dffm")
+        for out in (fuse_g_to_x(text, img, s, CFG), fuse_x_to_g(img, text, s, CFG)):
+            assert tape_ops(out, "feed_forward") == 1
+            assert tape_ops(out, "gelu") == 0
 
 
 class TestGradients:

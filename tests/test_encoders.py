@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from himie.autodiff import (ConfigError, ParamTree, ShapeError, Tensor, add, gelu,
+from himie.autodiff import (ConfigError, ParamTree, ShapeError, Tensor, add,
                             gradcheck, matmul)
 from himie.config import ModelConfig
 from himie.encoders import (
@@ -17,7 +17,7 @@ from himie.encoders import (
     run_block,
     token_ids,
 )
-from conftest import attention_node
+from conftest import attention_node, gelu
 
 CFG = ModelConfig(d_h=8, n_l=6, heads=2, n_p=4, d_in=3, d_vae=4, vocab=64, max_len=32)
 
@@ -102,6 +102,24 @@ class TestBucketLevels:
         total.backward()
         for i, t in enumerate(layers):
             assert t.grad is not None and np.any(t.grad != 0), f"layer {i} got no gradient"
+
+    def test_one_node_over_the_block_outputs(self):
+        layers = [Tensor(np.ones((2, 2)), requires_grad=True) for _ in range(6)]
+        levels = bucket_levels(layers).levels
+        assert levels._parents == tuple(layers)
+        assert levels._vjp.__qualname__.split(".", 1)[0] == "bucket_levels"
+
+    @pytest.mark.parametrize("n_l", [3, 6, 9])
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)], ids=["tokens", "frames"])
+    def test_gradcheck(self, n_l, shape):
+        rng = np.random.default_rng(n_l)
+        p = ParamTree()
+        layers = [p.add(f"layer{i}", rng.normal(size=shape)) for i in range(n_l)]
+        w = rng.normal(size=(3,) + shape)
+        rep = gradcheck(lambda: (bucket_levels(layers).levels * Tensor(w)).sum(), p,
+                        eps=1e-5, samples=2 * n_l, seed=n_l)
+        assert {e.name for e in rep.entries} == set(p.names())
+        assert rep.ok(1e-4), rep.worst()
 
 
 class TestTextEncoder:

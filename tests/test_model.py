@@ -275,6 +275,30 @@ class TestTape:
         docs = [dataclasses.replace(d, frames=[], regions=[]) for d in self.DOCS[:12]]
         assert unreachable_nodes(docs, CFG, monkeypatch) == 0
 
+    def test_one_node_per_feed_forward_and_per_bucketing(self, monkeypatch):
+        # per fused document: one FFN node per fusion direction and one
+        # bucketing node per encoded side; no generic GELU node anywhere
+        p = init_params(CFG, 0)
+        made = []
+        make_result = Tensor._result
+
+        def counted(data, parents, vjp):
+            out = make_result(data, parents, vjp)
+            if out.requires_grad:
+                made.append(vjp.__qualname__.split(".", 1)[0])
+            return out
+
+        monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
+        rng = np.random.default_rng(0)
+        for doc in self.DOCS:
+            made.clear()
+            forward(doc, p, CFG, rng=rng)
+            assert doc.n_frames > 0
+            encoded = 1 if doc.modality_mask in ("no_text", "no_video") else 2
+            assert made.count("feed_forward") == 2, doc.modality_mask
+            assert made.count("bucket_levels") == encoded, doc.modality_mask
+            assert "gelu" not in made
+
 
 class TestPredict:
     def test_gold_mode_pair_universe(self):

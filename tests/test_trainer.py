@@ -3,6 +3,7 @@ import argparse
 import dataclasses
 import json
 import os
+import platform
 import struct
 import tempfile
 import tracemalloc
@@ -346,6 +347,21 @@ def test_training_holds_one_tape_at_a_time():
 
     one, three = peak(1), peak(3)
     assert three <= 1.05 * one, f"three steps peak at {three / one:.2f}x one step"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt(M_TOP_PAD) is glibc's")
+def test_training_keeps_the_heap_top_resident():
+    # each backward frees the step's graph; without the top pad glibc trims the
+    # heap and every step faults it back in (hundreds to thousands of minor faults)
+    import resource
+    cfg = RunConfig(gen=GenConfig(docs=6, tokens_per_doc=(24, 32), frames_per_doc=(12, 16),
+                                  seed=0), epochs=1, seed=0)
+    corpus = generate(cfg.gen, cfg.model)
+    train(cfg, corpus)  # warm-up: the heap reaches its working size
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    steps = train(cfg, corpus).step
+    per_step = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps
+    assert per_step < 100, f"{per_step:.0f} minor faults per step"
 
 
 class TestCompatibility:
