@@ -22,10 +22,11 @@ outside (the optimizer binds each parameter to its view of one flat gradient
 buffer) or a copy made when the first gradient reaches it. VJPs may hand the
 same array to several parents, so no VJP output is ever written in place.
 
-`layer_norm`, `multi_head_attention` and `feed_forward` (the exact-erf GELU
-FFN) are numpy pairs, not tape ops: arrays in, the output and its VJP out. A
-caller on the tape records the node itself, as `encoders.run_block` does for
-a whole block and `dffm.fuse_levels` for one attention node and one FFN node.
+`layer_norm`, `multi_head_attention`, `feed_forward` (the exact-erf GELU
+FFN) and `conv1d` are numpy pairs, not tape ops: arrays in, the output and
+its VJP out. A caller on the tape records the node itself, as
+`encoders.run_block` does for a whole block, `dffm.fuse_levels` for one
+attention node and one FFN node, and `mmcm` for one construction node.
 
 A VJP returns `None` for a parent that carries no gradient where skipping
 its product saves work (`add`, `mul`, `matmul`); `backward` sends only to
@@ -289,12 +290,6 @@ def sigmoid(a) -> Tensor:
     return Tensor._result(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
-def relu(a) -> Tensor:
-    a = _t(a)
-    mask = a.data > 0.0
-    return Tensor._result(a.data * mask, (a,), lambda g: (g * mask,))
-
-
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -352,18 +347,6 @@ def reshape(a, shape) -> Tensor:
     return Tensor._result(out, (a,), lambda g: (g.reshape(a.data.shape),))
 
 
-def concat(parts, axis=0) -> Tensor:
-    parts = [_t(p) for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.array(piece) for piece in np.split(g, splits, axis=axis))
-
-    return Tensor._result(out, tuple(parts), vjp)
-
-
 def _is_basic(key) -> bool:
     """Whether `key` is a basic index (ints, slices, `...`, `None`), which
     selects every element at most once."""
@@ -417,40 +400,6 @@ def layer_norm_vjp(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
     dx = inv * (dxhat - m1 - xhat * m2)
     axes = tuple(range(g.ndim - 1))
     return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
-
-
-def conv1d_seq(x, kernel, bias) -> Tensor:
-    """Same-length 1-D convolution over the sequence axis of x [..., L, d_in].
-
-    kernel: [w, d_in, d_out] with odd w, or [..., w, d_in, d_out] with leading
-    axes that broadcast against x's; bias broadcasts against [..., L, d_out].
-    Zero padding of w//2 rows on both ends keeps the output length L. The
-    output and both gradients are sums or stacks over the w shifted matmuls;
-    gradients of weights shared across leading entries reduce over them.
-    """
-    x, kernel, bias = _t(x), _t(kernel), _t(bias)
-    if x.data.ndim < 2 or kernel.data.ndim < 3:
-        raise ShapeError(f"conv1d_seq expects x [...,L,d_in], kernel [...,w,d_in,d_out]; got {x.data.shape}, {kernel.data.shape}")
-    w, d_in = kernel.data.shape[-3:-1]
-    if w % 2 != 1:
-        raise ConfigError(f"conv1d_seq kernel width must be odd, got {w}")
-    if x.data.shape[-1] != d_in:
-        raise ShapeError(f"conv1d_seq channel mismatch: x {x.data.shape} vs kernel {kernel.data.shape}")
-    L, pad = x.data.shape[-2], w // 2
-    xp = np.zeros(x.data.shape[:-2] + (L + 2 * pad, d_in))
-    xp[..., pad:pad + L, :] = x.data
-    taps = [xp[..., k:k + L, :] for k in range(w)]  # tap k reads rows l + k - pad
-    out = sum(tap @ kernel.data[..., k, :, :] for k, tap in enumerate(taps)) + bias.data
-
-    def vjp(g):
-        dk = np.stack([np.swapaxes(tap, -1, -2) @ g for tap in taps], axis=-3)
-        dxp = np.zeros(np.broadcast_shapes(xp.shape, g.shape[:-2] + xp.shape[-2:]))
-        for k in range(w):
-            dxp[..., k:k + L, :] += g @ np.swapaxes(kernel.data[..., k, :, :], -1, -2)
-        return (_unbroadcast(dxp[..., pad:pad + L, :], x.data.shape),
-                _unbroadcast(dk, kernel.data.shape), _unbroadcast(g, bias.data.shape))
-
-    return Tensor._result(out, (x, kernel, bias), vjp)
 
 
 def pool_windows(L: int, T: int) -> list[tuple[int, int]]:
@@ -586,6 +535,37 @@ def feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
         du = (g @ _tr(w2)) * gelu_slope(u, cdf)
         return (du @ _tr(w1), _wgrad(x, du, batched), _bgrad(du, batched),
                 _wgrad(u * cdf, g, batched), _bgrad(g, batched))
+
+    return out, vjp
+
+
+def conv1d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> tuple:
+    """Same-length 1-D convolution over the row axis of x [..., L, d_in], a
+    numpy pair like `feed_forward`: returns (out, vjp), where vjp(g) gives
+    the gradients of (x, kernel, bias) for the output gradient g.
+
+    For x [L, d_in] the kernel is [w, d_in, d_out] with odd w and the bias
+    [d_out]; for batched x there is one kernel and bias per batch entry,
+    whose leading axes equal x's batch axes ([..., w, d_in, d_out] and
+    [..., 1, d_out]). Zero padding of w//2 rows on both ends keeps the
+    output length L. The output and both gradients are sums or stacks over
+    the w shifted matmuls.
+    """
+    w, L = kernel.shape[-3], x.shape[-2]
+    if w % 2 != 1:
+        raise ConfigError(f"conv1d kernel width must be odd, got {w}")
+    pad = w // 2
+    xp = np.zeros(x.shape[:-2] + (L + 2 * pad, x.shape[-1]))
+    xp[..., pad:pad + L, :] = x
+    taps = [xp[..., k:k + L, :] for k in range(w)]  # tap k reads rows l + k - pad
+    out = sum(tap @ kernel[..., k, :, :] for k, tap in enumerate(taps)) + bias
+
+    def vjp(g):
+        dxp = np.zeros(xp.shape)
+        for k in range(w):
+            dxp[..., k:k + L, :] += g @ _tr(kernel[..., k, :, :])
+        return (dxp[..., pad:pad + L, :], np.stack([_tr(tap) @ g for tap in taps], axis=-3),
+                _bgrad(g, kernel.ndim > 3))
 
     return out, vjp
 

@@ -290,9 +290,13 @@ def chain_score_prf(c: ChainCounts) -> PRF:
 # mention-key frozensets so the chain-level intersection rule applies
 
 
+def _arguments_overlap(pred, gold) -> bool:
+    """Whether both arguments share a mention with gold's."""
+    return len(pred[0] & gold[0]) > 0 and len(pred[1] & gold[1]) > 0
+
+
 def relation_matches(pred, gold) -> bool:
-    return (pred[2] == gold[2] and len(pred[0] & gold[0]) > 0
-            and len(pred[1] & gold[1]) > 0)
+    return pred[2] == gold[2] and _arguments_overlap(pred, gold)
 
 
 def _relation_misses(gold: list, pred: list) -> list:
@@ -313,8 +317,7 @@ def _relation_misses(gold: list, pred: list) -> list:
 def score_relations(gold: list, pred: list) -> Scored:
     """Relation (tp, fp, fn) and errors: a miss that matches some gold instance
     on both arguments has the wrong type, any other miss is false."""
-    return _score(gold, pred, [any(len(pr[0] & gd[0]) > 0 and len(pr[1] & gd[1]) > 0
-                                   and pr[2] != gd[2] for gd in gold)
+    return _score(gold, pred, [any(_arguments_overlap(pr, gd) and pr[2] != gd[2] for gd in gold)
                                for pr in _relation_misses(gold, pred)],
                   ("rel_false", "rel_type"))
 

@@ -109,12 +109,12 @@ def compute_features(doc: Document, params: ParamTree, cfg: ModelConfig, *,
 
     if text_lv is None:
         if use_mmcm and img_lv is not None:
-            text_lv = construct_text_from_image(img_lv.base, mm, cfg, doc.n_tokens)
+            text_lv = construct_text_from_image(img_lv.base, mm, doc.n_tokens)
         else:
             text_lv = blank((doc.n_tokens, cfg.d_h))
     if img_lv is None and n_g > 0:
         if use_mmcm and has_text:
-            img_lv = construct_image_from_text(text_lv.base, mm, cfg, n_g, cfg.n_p)
+            img_lv = construct_image_from_text(text_lv.base, mm, n_g, cfg.n_p)
         else:
             img_lv = blank((n_g, cfg.n_p, cfg.d_h))
 
@@ -155,7 +155,6 @@ class Prediction:
     tags: list[int]
     entities: list[Entity]              # decoded spans, the entity-task output
     pair_entities: list[Entity]         # mention universe for coref/relations
-    coref_pairs: list[tuple[int, int]]
     chains: list[list[int]]             # partition of pair_entities
     rel_chains: list[list[int]]         # chain universe for relation triples
     relations: list[Relation]
@@ -217,5 +216,5 @@ def _predict(doc: Document, params: ParamTree, cfg: ModelConfig, pair_mode: str)
 
     regions = ([] if h_frames is None else
                grounding_predict(h_frames, heads.scoped("gro"), cfg.grounding_types))
-    return Prediction(tags, decoded_entities, pair_entities, positive, chains,
-                      rel_chains, relations, regions)
+    return Prediction(tags, decoded_entities, pair_entities, chains, rel_chains,
+                      relations, regions)

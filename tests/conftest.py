@@ -1,7 +1,9 @@
 """Shared test fixtures."""
+import numpy as np
 import pytest
 
-from himie.autodiff import Tensor, feed_forward, gelu_cdf, gelu_slope, multi_head_attention
+from himie.autodiff import (Tensor, conv1d, feed_forward, gelu_cdf, gelu_slope,
+                            multi_head_attention)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -26,6 +28,23 @@ def feed_forward_node(x, weights) -> Tensor:
     w = tuple(weights[n] for n in ("w1", "b1", "w2", "b2"))
     out, vjp = feed_forward(x.data, *(t.data for t in w))
     return Tensor._result(out, (x,) + w, vjp)
+
+
+def conv1d_node(x, kernel, bias) -> Tensor:
+    """`conv1d` recorded as one tape node: parents (x, kernel, bias)."""
+    out, vjp = conv1d(x.data, kernel.data, bias.data)
+    return Tensor._result(out, (x, kernel, bias), vjp)
+
+
+def conv1d_reference(x, k, b):
+    """Same-length convolution as a sum over windows, one output row at a time."""
+    w, pad, L = k.shape[-3], k.shape[-3] // 2, x.shape[-2]
+    out = np.zeros(np.broadcast_shapes(x.shape[:-2], k.shape[:-3]) + (L, k.shape[-1]))
+    for l in range(L):
+        for j in range(w):
+            if 0 <= l + j - pad < L:
+                out[..., l, :] += (x[..., [l + j - pad], :] @ k[..., j, :, :])[..., 0, :]
+    return out + b
 
 
 @pytest.fixture

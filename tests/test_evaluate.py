@@ -33,7 +33,7 @@ def small_gen(**over) -> GenConfig:
 
 def perfect_prediction(doc) -> Prediction:
     return Prediction(tags=[], entities=list(doc.entities),
-                      pair_entities=list(doc.entities), coref_pairs=[],
+                      pair_entities=list(doc.entities),
                       chains=[list(c) for c in doc.chains],
                       rel_chains=[list(c) for c in doc.chains],
                       relations=list(doc.relations),

@@ -275,9 +275,8 @@ class TestTape:
         docs = [dataclasses.replace(d, frames=[], regions=[]) for d in self.DOCS[:12]]
         assert unreachable_nodes(docs, CFG, monkeypatch) == 0
 
-    def test_one_node_per_feed_forward_and_per_bucketing(self, monkeypatch):
-        # per fused document: one FFN node per fusion direction and one
-        # bucketing node per encoded side; no generic GELU node anywhere
+    def node_kinds(self, monkeypatch):
+        """(document, the op kinds of the nodes its `forward` records) per document."""
         p = init_params(CFG, 0)
         made = []
         make_result = Tensor._result
@@ -293,11 +292,23 @@ class TestTape:
         for doc in self.DOCS:
             made.clear()
             forward(doc, p, CFG, rng=rng)
+            yield doc, made
+
+    def test_one_node_per_feed_forward_and_per_bucketing(self, monkeypatch):
+        # per fused document: one FFN node per fusion direction and one
+        # bucketing node per encoded side; no generic GELU node anywhere
+        for doc, made in self.node_kinds(monkeypatch):
             assert doc.n_frames > 0
             encoded = 1 if doc.modality_mask in ("no_text", "no_video") else 2
             assert made.count("feed_forward") == 2, doc.modality_mask
             assert made.count("bucket_levels") == encoded, doc.modality_mask
             assert "gelu" not in made
+
+    def test_one_node_per_construction(self, monkeypatch):
+        # a document missing a modality constructs it in one node
+        for doc, made in self.node_kinds(monkeypatch):
+            constructed = 0 if doc.modality_mask == "full" else 1
+            assert made.count("_construct") == constructed, doc.modality_mask
 
 
 class TestPredict:
@@ -377,7 +388,7 @@ class TestPredict:
                                                          Entity(3, 4, "LOC")],
                                   chains=[[0], [1], [2]])
         pred = predict(doc, p, CFG)
-        assert pred.coref_pairs == [] and pred.chains == [[0], [1], [2]]
+        assert pred.chains == [[0], [1], [2]]
         pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
         assert pred.relations == [Relation(i, j, CFG.relation_types[0]) for i, j in pairs]
 
