@@ -284,12 +284,6 @@ def texp(a) -> Tensor:
     return Tensor._result(out, (a,), lambda g: (g * out,))
 
 
-def sigmoid(a) -> Tensor:
-    a = _t(a)
-    out = 0.5 * (1.0 + np.tanh(0.5 * a.data))  # stable logistic
-    return Tensor._result(out, (a,), lambda g: (g * out * (1.0 - out),))
-
-
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -311,12 +305,6 @@ def gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     np.multiply(out, _INV_SQRT_2PI, out=out)
     np.multiply(x, out, out=out)
     return np.add(cdf, out, out=out)
-
-
-def tabs(a) -> Tensor:
-    # subgradient 0 at the kink
-    a = _t(a)
-    return Tensor._result(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
 
 
 # -- reductions and shape ops -------------------------------------------

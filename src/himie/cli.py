@@ -8,6 +8,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -25,6 +26,14 @@ from .trainer import (CheckpointError, load_checkpoint, save_checkpoint, save_st
 from . import synth
 
 
+def _output(path: str | None) -> str | None:
+    """`path` itself; a ConfigError naming it when its directory does not exist,
+    checked before a command loads or computes anything."""
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"cannot write {path}: directory {os.path.dirname(path)} does not exist")
+    return path
+
+
 def _cfg(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     if getattr(args, "seed", None) is not None:
@@ -36,11 +45,11 @@ def _cfg(args) -> RunConfig:
 
 def cmd_gen(args) -> int:
     cfg = _cfg(args)
-    corpus = synth.generate(cfg.gen, cfg.model)
-    corpus = assign_modality_regime(corpus, cfg.regime_fractions, cfg.seed)
-    out = args.out or cfg.corpus_path
+    out = _output(args.out or cfg.corpus_path)
     if not out:
         raise ConfigError("gen needs --out or corpus_path in the config")
+    corpus = synth.generate(cfg.gen, cfg.model)
+    corpus = assign_modality_regime(corpus, cfg.regime_fractions, cfg.seed)
     serialize_corpus(corpus, out)
     counts = {r: sum(1 for d in corpus.documents if d.modality_mask == r)
               for r in MODALITIES}
@@ -53,9 +62,10 @@ def cmd_train(args) -> int:
     corpus_path = args.corpus or cfg.corpus_path
     if not corpus_path:
         raise ConfigError("train needs --corpus or corpus_path in the config")
-    out = args.out or cfg.checkpoint_path
+    out = _output(args.out or cfg.checkpoint_path)
     if not out:
         raise ConfigError("train needs --out or checkpoint_path in the config")
+    _output(args.log)
     corpus = load_corpus(corpus_path)
     result = train(cfg, corpus)
     save_checkpoint(out, result.params, cfg, result.step, result.rng_state)
@@ -73,9 +83,9 @@ def cmd_eval(args) -> int:
     corpus_path = args.corpus or cfg.corpus_path
     if not corpus_path:
         raise ConfigError("eval needs --corpus or corpus_path in the config")
+    out = _output(args.out or cfg.report_path)
     corpus = load_corpus(corpus_path)
     report = evaluate(params, cfg, corpus)
-    out = args.out or cfg.report_path
     if out:
         save_report(out, report)
         print(f"report written to {out}")
@@ -127,7 +137,7 @@ def _sweep_values(axis: str, text: str) -> list:
 
 def cmd_sweep(args) -> int:
     cfg = _cfg(args)
-    if not args.out:
+    if not _output(args.out):
         raise ConfigError("sweep needs --out for the CSV table")
     values = _sweep_values(args.axis, args.values)
     if args.corpus or cfg.corpus_path:
@@ -157,6 +167,7 @@ def _fmt_section(name: str, sec: dict) -> list[str]:
 def cmd_report(args) -> int:
     # render everything before writing anything, so a file that is not a
     # report fails with one error line
+    _output(args.out)
     try:
         with open(args.report, "r", encoding="utf-8") as f:
             rep = json.load(f)

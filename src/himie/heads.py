@@ -13,11 +13,11 @@ Grounding, per frame: type logits over NONE + groundable types and a sigmoid
 
 `compute_losses` maps each loss name to a mean over its own count, or to None
 when the document has nothing to score for it; `total_loss` adds the present
-ones, weighted. Two losses are one tape node each, a numpy forward pass with a
-hand-derived backward pass: `crf_nll`, whose backward pass runs the alpha
-adjoint to the forward-backward marginals, and `cross_entropy_mean` (the
-coreference, relation and grounding-type losses), whose gradient is the
-softmax minus the one-hot target.
+ones, weighted. Every loss is one tape node whose parents are the features it
+reads and its head's weights, a numpy forward pass with a hand-derived
+backward pass: `crf_nll`, `cross_entropy_mean` (coreference, relations and
+grounding type), `box_l1_mean` (grounding boxes), and `total_loss` over them.
+Those nodes and inference read one `affine` (x @ w + b) and one `box_sigmoid`.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NumericError, Tensor, add, index_rows, matmul, sigmoid, tabs, tmean
+from .autodiff import NumericError, Tensor, index_rows, matmul
 from .config import LossConfig, ModelConfig
 from .data import Document, Entity, Region
 
@@ -148,8 +148,9 @@ def init_heads(scope, cfg: ModelConfig, rng) -> None:
 def crf_nll(h_text: Tensor, gold_ids, scope, tagset: TagSet) -> Tensor:
     """Sequence negative log-likelihood log Z - score(gold), as one tape node.
 
-    The forward pass runs the log-space alpha recursion and keeps alpha
-    [L, K]. The backward pass is derived by hand: w[t-1][i, j] is the
+    Parents (h_text, emission, trans, start, end). The forward pass runs the
+    log-space alpha recursion over the emissions h_text @ emission and keeps
+    alpha [L, K]. The backward pass is derived by hand: w[t-1][i, j] is the
     softmax weight of i in the log-sum-exp that gives alpha[t][j], and the
     alpha adjoints G[t-1] = w[t-1] @ G[t] from G[L-1] = softmax(alpha[L-1] +
     end) are the unary marginals. Gradients are the expected minus the gold
@@ -157,9 +158,8 @@ def crf_nll(h_text: Tensor, gold_ids, scope, tagset: TagSet) -> Tensor:
     """
     gold_ids = np.asarray(gold_ids, dtype=np.intp)
     check_bio(gold_ids, tagset)
-    emis = matmul(h_text, scope["emission"])
-    trans, start, end = scope["trans"], scope["start"], scope["end"]
-    e, tr = emis.data, trans.data
+    emission, trans, start, end = (scope[n] for n in ("emission", "trans", "start", "end"))
+    e, tr = h_text.data @ emission.data, trans.data
     L, K = e.shape
     steps = np.arange(L)
 
@@ -191,9 +191,10 @@ def crf_nll(h_text: Tensor, gold_ids, scope, tagset: TagSet) -> Tensor:
         d_end[gold_ids[-1]] -= 1.0
         d_trans = np.einsum("tij,tj->ij", w, G[1:])
         np.add.at(d_trans, (gold_ids[:-1], gold_ids[1:]), -1.0)
-        return g * d_emis, g * d_trans, g * d_emis[0], g * d_end
+        d_e = g * d_emis
+        return d_e @ emission.data.T, h_text.data.T @ d_e, g * d_trans, d_e[0], g * d_end
 
-    return Tensor._result(log_z - score, (emis, trans, start, end), vjp)
+    return Tensor._result(log_z - score, (h_text, emission, trans, start, end), vjp)
 
 
 def finite(what: str, a: np.ndarray) -> np.ndarray:
@@ -203,11 +204,10 @@ def finite(what: str, a: np.ndarray) -> np.ndarray:
     return a
 
 
-def crf_decode(h_text, scope, tagset: TagSet) -> list[int]:
-    """Viterbi with lowest-index tie-break, then BIO repair; NumericError when
-    the emission logits are not finite."""
-    h = h_text.data if isinstance(h_text, Tensor) else np.asarray(h_text)
-    emis = finite("entity emission logits", h @ scope["emission"].data)
+def crf_decode(h_text: np.ndarray, scope, tagset: TagSet) -> list[int]:
+    """Viterbi over the text features [L, d_h] with lowest-index tie-break,
+    then BIO repair; NumericError when the emission logits are not finite."""
+    emis = finite("entity emission logits", h_text @ scope["emission"].data)
     trans = scope["trans"].data
     start = scope["start"].data
     end = scope["end"].data
@@ -248,12 +248,21 @@ def chain_reprs(ent_reprs: Tensor, chains) -> Tensor:
     return matmul(Tensor(_mean_matrix(chains, ent_reprs.data.shape[0])), ent_reprs)
 
 
-def pair_logit_matrix(reprs: Tensor, pairs, scope) -> Tensor:
-    """Logits for each (a, b) pair from the Hadamard product of rows a and b."""
+def pair_features(reprs: Tensor, pairs) -> Tensor:
+    """The Hadamard product of rows a and b for each (a, b) pair."""
     ai = np.array([p[0] for p in pairs], dtype=np.intp)
     bi = np.array([p[1] for p in pairs], dtype=np.intp)
-    feats = index_rows(reprs, ai) * index_rows(reprs, bi)
-    return add(matmul(feats, scope["w"]), scope["b"])
+    return index_rows(reprs, ai) * index_rows(reprs, bi)
+
+
+def affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    """A head's logits x @ w + b."""
+    return x @ w.data + b.data
+
+
+def box_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The box head's logistic, in a stable tanh form: (cx, cy, w, h) in [0, 1]."""
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def decode_chains(n_entities: int, positive_pairs) -> list[list[int]]:
@@ -276,21 +285,12 @@ def decode_chains(n_entities: int, positive_pairs) -> list[list[int]]:
     return [sorted(groups[r]) for r in sorted(groups)]
 
 
-def grounding_type_logits(h_frames: Tensor, scope) -> Tensor:
-    """Type logits [n_g, n_types+1]; type 0 is NONE."""
-    return add(matmul(h_frames, scope["type.w"]), scope["type.b"])
-
-
-def grounding_boxes(h_frames: Tensor, scope) -> Tensor:
-    """Box sigmoid [n_g, 4], center format."""
-    return sigmoid(add(matmul(h_frames, scope["box.w"]), scope["box.b"]))
-
-
 def grounding_predict(h_frames: Tensor, scope, grounding_types) -> list[Region]:
     """One region per frame whose type is not NONE, in frame order; NumericError
     when the type logits or the boxes are not finite."""
-    boxes = finite("grounding boxes", grounding_boxes(h_frames, scope).data)
-    logits = finite("grounding type logits", grounding_type_logits(h_frames, scope).data)
+    h = h_frames.data
+    boxes = finite("grounding boxes", box_sigmoid(affine(h, scope["box.w"], scope["box.b"])))
+    logits = finite("grounding type logits", affine(h, scope["type.w"], scope["type.b"]))
     labels = np.argmax(logits, axis=1)  # ties -> NONE
     return [Region(i, grounding_types[k - 1], *box)
             for i, (k, box) in enumerate(zip(labels.tolist(), boxes.tolist())) if k != 0]
@@ -299,14 +299,15 @@ def grounding_predict(h_frames: Tensor, scope, grounding_types) -> list[Region]:
 # -- losses -------------------------------------------------------------------
 
 
-def cross_entropy_mean(logits: Tensor, targets) -> Tensor:
-    """Mean over rows of -log softmax(logits)[row, target], as one tape node.
+def cross_entropy_mean(feats: Tensor, w: Tensor, b: Tensor, targets) -> Tensor:
+    """Mean over rows of -log softmax(feats @ w + b)[row, target], as one tape
+    node with parents (feats, w, b).
 
-    The gradient is (softmax - one-hot) / n (Bridle 1990), so the backward
-    pass needs only the forward's exponentials and row sums.
+    The logit gradient d is (softmax - one-hot) / n (Bridle 1990), from the
+    forward's exponentials and row sums; the parents get d @ w.T, feats.T @ d, d.sum(0).
     """
     targets = np.asarray(targets, dtype=np.intp)
-    x = logits.data
+    x = affine(feats.data, w, b)
     n = x.shape[0]
     rows = np.arange(n)
     m = x.max(axis=-1, keepdims=True)
@@ -318,9 +319,26 @@ def cross_entropy_mean(logits: Tensor, targets) -> Tensor:
         gs = g * (1 / n)
         d = (e / s) * gs
         d[rows, targets] -= gs
-        return (d,)
+        return d @ w.data.T, feats.data.T @ d, d.sum(axis=0)
 
-    return Tensor._result(nll.sum() * (1 / n), (logits,), vjp)
+    return Tensor._result(nll.sum() * (1 / n), (feats, w, b), vjp)
+
+
+def box_l1_mean(h_frames: Tensor, scope, frames, gold) -> Tensor:
+    """Mean absolute error of the boxes of rows `frames` against `gold`, as one
+    tape node with parents (h_frames, box.w, box.b); subgradient 0 at the kink."""
+    w, b = scope["box.w"], scope["box.b"]
+    box = box_sigmoid(affine(h_frames.data, w, b))
+    diff = box[frames] + gold * -1.0
+    n = diff.size
+
+    def vjp(g):
+        dbox = np.zeros_like(box)
+        np.add.at(dbox, frames, np.sign(diff) * (g * (1 / n)))
+        dz = dbox * box * (1.0 - box)
+        return dz @ w.data.T, h_frames.data.T @ dz, dz.sum(axis=0)
+
+    return Tensor._result(np.abs(diff).sum() * (1 / n), (h_frames, w, b), vjp)
 
 
 def compute_losses(doc: Document, h_text: Tensor, h_frames: Tensor | None,
@@ -338,8 +356,8 @@ def compute_losses(doc: Document, h_text: Tensor, h_frames: Tensor | None,
         reprs = entity_reprs(h_text, doc.entities)
         chain_of = doc.chain_of()
         labels = [1 if chain_of[a] == chain_of[b] else 0 for a, b in pairs]
-        logits = pair_logit_matrix(reprs, pairs, scope.scoped("coref"))
-        losses["cha"] = cross_entropy_mean(logits, labels)
+        losses["cha"] = cross_entropy_mean(pair_features(reprs, pairs), scope["coref.w"],
+                                           scope["coref.b"], labels)
 
     # relations over all ordered gold chain pairs (NULL = 0); two chains
     # partition at least two entities, so `reprs` exists
@@ -357,8 +375,8 @@ def compute_losses(doc: Document, h_text: Tensor, h_frames: Tensor | None,
             for t in golds:
                 sample_pairs.append(p)
                 targets.append(t)
-        logits = pair_logit_matrix(ch, sample_pairs, scope.scoped("rel"))
-        losses["rel"] = cross_entropy_mean(logits, targets)
+        losses["rel"] = cross_entropy_mean(pair_features(ch, sample_pairs), scope["rel.w"],
+                                           scope["rel.b"], targets)
 
     # grounding: type CE on every frame (NONE when unannotated), box MAE on
     # annotated frames only
@@ -370,21 +388,22 @@ def compute_losses(doc: Document, h_text: Tensor, h_frames: Tensor | None,
         for rg in doc.regions:
             targets[rg.frame] = gtype_index[rg.type]
             gold_boxes[rg.frame] = rg.box()
-        losses["gro_t"] = cross_entropy_mean(grounding_type_logits(h_frames, gro), targets)
+        losses["gro_t"] = cross_entropy_mean(h_frames, gro["type.w"], gro["type.b"], targets)
         if gold_boxes:
             frames = sorted(gold_boxes)
-            pred = index_rows(grounding_boxes(h_frames, gro), np.array(frames, dtype=np.intp))
-            gold_arr = Tensor(np.array([gold_boxes[f] for f in frames]))
-            losses["gro_b"] = tmean(tabs(pred - gold_arr))
+            losses["gro_b"] = box_l1_mean(h_frames, gro, np.array(frames, dtype=np.intp),
+                                          np.array([gold_boxes[f] for f in frames]))
     return losses
 
 
 def total_loss(losses: dict[str, Tensor | None], alphas: LossConfig) -> Tensor:
+    """The weighted sum of the present losses, one tape node over them in order."""
     weights = {"ent": alphas.alpha_ent, "cha": alphas.alpha_cha,
                "rel": alphas.alpha_rel, "gro_t": alphas.alpha_gro_t,
                "gro_b": alphas.alpha_gro_b}
-    total = Tensor(0.0)
-    for name, value in losses.items():
-        if value is not None:
-            total = total + value * weights[name]
-    return total
+    present = [(value, weights[name]) for name, value in losses.items() if value is not None]
+    total = 0.0
+    for value, weight in present:
+        total = total + value.data * weight
+    return Tensor._result(total, [value for value, _ in present],
+                          lambda g: tuple(g * weight for _, weight in present))

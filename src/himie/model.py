@@ -21,8 +21,8 @@ from .data import Corpus, Document, Entity, Region, Relation
 from .dffm import fuse_g_to_x, fuse_x_to_g, init_dffm
 from .encoders import (LevelFeatures, bucket_levels, encode_frames,
                        encode_text, init_frame_encoder, init_text_encoder)
-from .heads import (TagSet, chain_reprs, compute_losses, crf_decode, decode_chains,
-                    entity_reprs, finite, grounding_predict, init_heads, pair_logit_matrix,
+from .heads import (TagSet, affine, chain_reprs, compute_losses, crf_decode, decode_chains,
+                    entity_reprs, finite, grounding_predict, init_heads, pair_features,
                     spans_from_tags, total_loss)
 from .mmcm import blank, construct_image_from_text, construct_text_from_image, init_mmcm
 
@@ -191,7 +191,7 @@ def _predict(doc: Document, params: ParamTree, cfg: ModelConfig, pair_mode: str)
     if h_frames is not None:
         finite("fused frame features", h_frames.data)
 
-    tags = crf_decode(h_text, heads.scoped("crf"), tagset)
+    tags = crf_decode(h_text.data, heads.scoped("crf"), tagset)
     decoded_entities = spans_from_tags(tags, tagset)
 
     pair_entities = list(doc.entities) if pair_mode == "gold-pairs" else decoded_entities
@@ -199,7 +199,7 @@ def _predict(doc: Document, params: ParamTree, cfg: ModelConfig, pair_mode: str)
     reprs = entity_reprs(h_text, pair_entities)
     positive: list[tuple[int, int]] = []
     if pairs:
-        logits = pair_logit_matrix(reprs, pairs, heads.scoped("coref")).data
+        logits = affine(pair_features(reprs, pairs).data, heads["coref.w"], heads["coref.b"])
         links = np.argmax(finite("coreference logits", logits), axis=1)
         positive = [p for p, k in zip(pairs, links.tolist()) if k == 1]
     chains = decode_chains(len(pair_entities), positive)
@@ -209,7 +209,7 @@ def _predict(doc: Document, params: ParamTree, cfg: ModelConfig, pair_mode: str)
     cpairs = [(i, j) for i in range(len(rel_chains)) for j in range(len(rel_chains)) if i != j]
     if cpairs:
         ch = chain_reprs(reprs, rel_chains)
-        logits = pair_logit_matrix(ch, cpairs, heads.scoped("rel")).data
+        logits = affine(pair_features(ch, cpairs).data, heads["rel.w"], heads["rel.b"])
         labels = np.argmax(finite("relation logits", logits), axis=1)
         relations = [Relation(i, j, cfg.relation_types[k - 1])
                      for (i, j), k in zip(cpairs, labels.tolist()) if k != 0]

@@ -47,6 +47,21 @@ def conv1d_reference(x, k, b):
     return out + b
 
 
+def count_tape_nodes(monkeypatch) -> list:
+    """Record the op kind of every node the tape builds from now on."""
+    made = []
+    make_result = Tensor._result
+
+    def counted(data, parents, vjp):
+        out = make_result(data, parents, vjp)
+        if out.requires_grad:
+            made.append(vjp.__qualname__.split(".", 1)[0])
+        return out
+
+    monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
+    return made
+
+
 @pytest.fixture
 def plant_vjp_error(monkeypatch):
     """plant(kind, index): scale output `index` of the VJP of every op `kind`

@@ -105,7 +105,7 @@ def test_criterion_02_crf_matches_enumeration():
         # continuous random scores make the argmax unique with certainty;
         # the decoder repairs BIO afterwards, so repair the reference too
         best = [int(t) for t in paths[int(np.argmax(scores))]]
-        assert crf_decode(h, scope, tagset) == repair_bio(best, tagset)
+        assert crf_decode(h.data, scope, tagset) == repair_bio(best, tagset)
     print(f"[criterion 2] PASS: 100 instances, log Z max err {worst:.2e} < 1e-8, "
           f"all Viterbi paths identical")
 

@@ -13,7 +13,8 @@ from scipy.special import erf
 from himie import autodiff as ad
 from himie.autodiff import (ConfigError, ParamTree, ShapeError, Tensor, conv1d, gradcheck,
                             matmul, multi_head_attention, pool_matrix, pool_windows)
-from conftest import attention_node, conv1d_node, conv1d_reference, feed_forward_node, gelu
+from conftest import (attention_node, conv1d_node, conv1d_reference, count_tape_nodes,
+                      feed_forward_node, gelu)
 
 
 def test_matmul_examples():
@@ -402,21 +403,6 @@ def test_forward_losses_stay_readable_after_backward():
     assert all(v._parents == () for v in res.losses.values() if v is not None)
 
 
-def count_tape_nodes(monkeypatch) -> list:
-    """Record the op kind of every node the tape builds from now on."""
-    made = []
-    make_result = Tensor._result
-
-    def counted(data, parents, vjp):
-        out = make_result(data, parents, vjp)
-        if out.requires_grad:
-            made.append(vjp.__qualname__.split(".", 1)[0])
-        return out
-
-    monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
-    return made
-
-
 class TestNoGrad:
     def test_records_nothing_and_keeps_values(self, monkeypatch):
         x = Tensor(np.random.default_rng(12).normal(size=(3, 4)), requires_grad=True)
@@ -449,7 +435,7 @@ def test_gradcheck_perturbed_passes_equal_recording_passes():
     taped = []
 
     def loss_fn():
-        out = (gelu(x @ w) * ad.sigmoid(x)).sum()
+        out = (gelu(x @ w) * ad.texp(x)).sum()
         taped.append(out.requires_grad)
         return out
 
@@ -500,11 +486,8 @@ def _report(build, n_params_spec, seed, samples=50, prefixes=None):
     rng = np.random.default_rng(seed)
     params = ParamTree()
     arrays = {}
-    for name, shape, kind in n_params_spec:
-        a = rng.normal(size=shape)
-        if kind == "nokink":
-            a = a + 0.05 * np.sign(a) + (a == 0) * 0.05
-        arrays[name] = params.add(name, a)
+    for name, shape, _kind in n_params_spec:
+        arrays[name] = params.add(name, rng.normal(size=shape))
     w_cache = {}
 
     def loss_fn():
@@ -525,9 +508,7 @@ OPS = {
     "matmul": (lambda a: a["x"] @ a["y"], [("x", (3, 4), "any"), ("y", (4, 2), "any")]),
     "matmul_batched": (lambda a: a["x"] @ a["y"], [("x", (2, 3, 4), "any"), ("y", (2, 4, 2), "any")]),
     "exp": (lambda a: ad.texp(a["x"]), [("x", (3, 3), "any")]),
-    "sigmoid": (lambda a: ad.sigmoid(a["x"]), [("x", (3, 3), "any")]),
     "gelu": (lambda a: gelu(a["x"]), [("x", (4, 4), "any")]),
-    "abs": (lambda a: ad.tabs(a["x"]), [("x", (4, 4), "nokink")]),
     "sum_axis": (lambda a: a["x"].sum(axis=0), [("x", (3, 4), "any")]),
     "mean_keepdims": (lambda a: a["x"].mean(axis=1, keepdims=True), [("x", (3, 4), "any")]),
     "reshape": (lambda a: a["x"].reshape(2, 6), [("x", (3, 4), "any")]),

@@ -94,7 +94,7 @@ class TestPipeline:
         assert main(["gradcheck", "--config", cfg, "--samples", "20"]) == 0
         assert "OK" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("index", [None, 2, 3], ids=["clean", "dstart", "dend"])
+    @pytest.mark.parametrize("index", [None, 3, 4], ids=["clean", "dstart", "dend"])
     def test_gradcheck_default_checks_every_name(self, tmp_path, capsys, plant_vjp_error,
                                                  index):
         # a 1e-3 error in a CRF boundary score reaches only that parameter,
@@ -434,11 +434,12 @@ class TestBadInput:
 
 
 class TestOutputPathFirst:
-    """Without an output path, train and sweep refuse before any training."""
+    """Without an output path, or with one in a missing directory, a command
+    refuses before it loads or computes anything."""
 
     @staticmethod
     def _refuse(*args, **kwargs):
-        raise AssertionError("trained without an output path")
+        raise AssertionError("worked without a writable output path")
 
     def test_train_without_out(self, tmp_path, capsys, monkeypatch):
         cfg = write_cfg(tmp_path)
@@ -454,6 +455,36 @@ class TestOutputPathFirst:
         assert main(["sweep", "--config", write_cfg(tmp_path), "--axis", "prompt_len",
                      "--values", "2,3"]) == 1
         assert "sweep needs --out" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["gen", "train", "train_log", "eval", "sweep", "report"])
+    def test_output_in_a_missing_directory(self, tmp_path, capsys, monkeypatch, command):
+        cfg = write_cfg(tmp_path)
+        corpus, ckpt = tmp_path / "corpus.jsonl", tmp_path / "model.ckpt"
+        report = tmp_path / "report.json"
+        assert main(["gen", "--config", cfg, "--out", str(corpus)]) == 0
+        save_checkpoint(str(ckpt), init_params(SMALL, 0), RunConfig(model=SMALL), 0)
+        if command == "report":
+            assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                         "--out", str(report)]) == 0
+        missing = str(tmp_path / "missing" / "out")
+        fresh = tmp_path / "fresh.ckpt"
+        argv = {"gen": ["gen", "--config", cfg, "--out", missing],
+                "train": ["train", "--config", cfg, "--corpus", str(corpus), "--out", missing],
+                "train_log": ["train", "--config", cfg, "--corpus", str(corpus),
+                              "--out", str(fresh), "--log", missing],
+                "eval": ["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                         "--out", missing],
+                "sweep": ["sweep", "--config", cfg, "--axis", "prompt_len", "--values", "2,3",
+                          "--out", missing],
+                "report": ["report", "--report", str(report), "--out", missing]}[command]
+        for work in ("himie.synth.generate", "himie.cli.load_corpus", "himie.cli.train",
+                     "himie.cli.evaluate", "himie.cli.sweep", "himie.cli.json.load"):
+            monkeypatch.setattr(work, self._refuse)
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = _one_error_line(capsys)
+        assert f"cannot write {missing}: directory " in err and ".tmp" not in err
+        assert not fresh.exists() and not (tmp_path / "missing").exists()
 
 
 class TestCheckpointParams:

@@ -4,11 +4,14 @@ import itertools
 import numpy as np
 import pytest
 
-from himie.autodiff import ParamTree, Tensor, add, gradcheck, matmul, reshape, tmean, tsum
+from himie.autodiff import (ParamTree, Tensor, add, gradcheck, index_rows, matmul, reshape,
+                            tmean, tsum)
 from himie.config import LossConfig, ModelConfig
 from himie.data import Document, Entity, Region, Relation
 from himie.heads import (
     TagSet,
+    affine,
+    box_l1_mean,
     check_bio,
     chain_reprs,
     compute_losses,
@@ -20,14 +23,16 @@ from himie.heads import (
     gold_tag_ids,
     grounding_predict,
     init_heads,
-    pair_logit_matrix,
+    pair_features,
     repair_bio,
     spans_from_tags,
     total_loss,
 )
+from conftest import count_tape_nodes
 
 CFG = ModelConfig(d_h=8, n_l=6, heads=2, n_p=4, d_in=3, d_vae=4, vocab=64, max_len=32)
 TAGS = TagSet.for_types(CFG.entity_types)
+LOSS_NAMES = ("ent", "cha", "rel", "gro_t", "gro_b")
 
 
 def head_params(seed=0) -> ParamTree:
@@ -68,11 +73,50 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
                           lambda g: (np.expand_dims(np.asarray(g), axis) * soft,))
 
 
-def reference_cross_entropy_mean(logits, targets):
-    """The mean softmax cross-entropy composed of generic tape ops: the oracle
-    for the fused node."""
+def sigmoid(a: Tensor) -> Tensor:
+    """The logistic in tanh form as a tape op of its own, for the composed references."""
+    out = 0.5 * (1.0 + np.tanh(0.5 * a.data))
+    return Tensor._result(out, (a,), lambda g: (g * out * (1.0 - out),))
+
+
+def tabs(a: Tensor) -> Tensor:
+    """|a| as a tape op of its own, subgradient 0 at the kink, for the composed references."""
+    return Tensor._result(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
+
+
+def reference_cross_entropy_mean(feats, w, b, targets):
+    """The linear layer and the mean softmax cross-entropy composed of generic
+    tape ops: the oracle for the fused node."""
+    logits = add(matmul(feats, w), b)
     n = logits.data.shape[0]
     return tmean(logsumexp(logits, axis=-1) - logits[np.arange(n), np.asarray(targets)])
+
+
+def reference_box_l1_mean(h_frames, scope, frames, gold):
+    """The box head's linear layer, sigmoid, row gather and mean absolute error
+    composed of generic tape ops: the oracle for the fused node."""
+    boxes = sigmoid(add(matmul(h_frames, scope["box.w"]), scope["box.b"]))
+    return tmean(tabs(index_rows(boxes, frames) - Tensor(gold)))
+
+
+def reference_total_loss(losses, alphas):
+    """The weighted loss sum as a chain of generic `mul` and `add` nodes."""
+    weights = {"ent": alphas.alpha_ent, "cha": alphas.alpha_cha, "rel": alphas.alpha_rel,
+               "gro_t": alphas.alpha_gro_t, "gro_b": alphas.alpha_gro_b}
+    total = Tensor(0.0)
+    for name, value in losses.items():
+        if value is not None:
+            total = total + value * weights[name]
+    return total
+
+
+def value_and_grad_bytes(make_params, build):
+    """The loss `build(p)` on fresh parameters `make_params()`, as bytes, and
+    the bytes of each gradient of 0.37 * loss (a non-unit upstream gradient)."""
+    p = make_params()
+    loss = build(p)
+    (loss * 0.37).backward()
+    return loss.data.tobytes(), {n: g.tobytes() for n, g in p.grads().items()}
 
 
 def reference_crf_nll(h_text, gold_ids, scope, tagset):
@@ -200,8 +244,8 @@ class TestCrf:
         crf["trans"].data[:] = rng.normal(size=(K, K))
         crf["start"].data[:] = rng.normal(size=K)
         crf["end"].data[:] = rng.normal(size=K)
-        h = Tensor(rng.normal(size=(L, CFG.d_h)))
-        emis = h.data @ crf["emission"].data
+        h = rng.normal(size=(L, CFG.d_h))
+        emis = h @ crf["emission"].data
 
         best, best_s = None, -np.inf
         idx = np.zeros(L, dtype=int)
@@ -226,8 +270,7 @@ class TestCrf:
 
     def test_all_ties_decode_to_outside(self):
         p = zero_crf(len(TAGS), CFG.d_h)
-        h = Tensor(np.zeros((4, CFG.d_h)))
-        assert crf_decode(h, p.scoped("crf"), TAGS) == [0, 0, 0, 0]
+        assert crf_decode(np.zeros((4, CFG.d_h)), p.scoped("crf"), TAGS) == [0, 0, 0, 0]
 
     def test_nll_rejects_invalid_gold(self):
         p = head_params()
@@ -271,20 +314,27 @@ class TestFusedCrf:
 
     def test_one_node_over_emissions_and_scores(self, monkeypatch):
         p, gold = random_crf(7, seed=1)
-        made = []
-        make_result = Tensor._result
-
-        def counted(data, parents, vjp):
-            made.append(vjp.__qualname__.split(".", 1)[0])
-            return make_result(data, parents, vjp)
-
-        monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
+        made = count_tape_nodes(monkeypatch)
         loss = crf_nll(p["h"], gold, p.scoped("crf"), TAGS)
-        monkeypatch.undo()
-        assert made == ["matmul", "crf_nll"]
-        emis, trans, start, end = loss._parents
-        assert (trans, start, end) == (p["crf.trans"], p["crf.start"], p["crf.end"])
-        assert emis._parents == (p["h"], p["crf.emission"])
+        assert made == ["crf_nll"]
+        assert loss._parents == tuple(p[n] for n in ("h", "crf.emission", "crf.trans",
+                                                     "crf.start", "crf.end"))
+
+    @pytest.mark.parametrize("L", [1, 2, 7, 200])
+    def test_equals_composed_ops_bitwise(self, L):
+        # the emission matmul as its own node, then the CRF over the emissions:
+        # crf_nll with an identity emission matrix, whose products are exact
+        # (the recursion itself is checked against the tape recursion above)
+        def over_emissions(h, gold, scope, tagset):
+            eye = {name: scope[name] for name in ("trans", "start", "end")}
+            eye["emission"] = Tensor(np.eye(len(tagset)))
+            return crf_nll(matmul(h, scope["emission"]), gold, eye, tagset)
+
+        gold = random_crf(L, seed=L)[1]
+        fused, composed = (value_and_grad_bytes(lambda: random_crf(L, seed=L)[0],
+                                                lambda p: fn(p["h"], gold, p.scoped("crf"), TAGS))
+                           for fn in (crf_nll, over_emissions))
+        assert fused == composed
 
     def test_large_emissions_stay_finite(self):
         p, gold = random_crf(50, seed=3, scale=1e3)
@@ -303,84 +353,172 @@ class TestFusedCrf:
                                                      "crf.end"}
         assert report.ok(1e-4), report.worst()
 
-    @pytest.mark.parametrize("index", [None, 0, 1, 2, 3],
-                             ids=["clean", "demis", "dtrans", "dstart", "dend"])
+    @pytest.mark.parametrize("index", [None, 0, 1, 2, 3, 4],
+                             ids=["clean", "dh", "demission", "dtrans", "dstart", "dend"])
     def test_gradcheck_catches_a_planted_error(self, plant_vjp_error, index):
-        # one prefix group per parent; the emission parent is the product
-        # h @ crf.emission, so its group holds both leaves
+        # every parent is a leaf of its own, so each name is a group
         p, gold = random_crf(7, seed=6)
         if index is not None:
             plant_vjp_error("crf_nll", index)
         report = gradcheck(lambda: crf_nll(p["h"], gold, p.scoped("crf"), TAGS),
-                           p, samples=40, seed=1,
-                           prefixes=["crf.trans", "crf.start", "crf.end"])
+                           p, samples=40, seed=1)
         assert {e.name for e in report.entries} == set(p.names())
         assert report.ok(1e-4) is (index is None), report.worst()
 
 
-def ce_case(name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Logits [n, C] and targets for one byte-equality case."""
+def ce_case(name: str) -> tuple[ParamTree, np.ndarray]:
+    """Features `f` [n, d], a head `w` [d, C] and `b` [C], and targets for one
+    byte-equality case."""
     rng = np.random.default_rng(len(name))
+    n, C = {"one_row": (1, 4), "tied_rows": (5, 3), "wide_range": (6, 5),
+            "repeated_targets": (8, 4)}.get(name, (7, 5))
+    f, w, b = rng.normal(size=(n, 3)), rng.normal(size=(3, C)), rng.normal(size=C)
+    targets = rng.integers(0, C, size=n)
     if name == "one_row":
-        return rng.normal(size=(1, 4)), np.array([2])
-    if name == "tied_rows":   # two equal rows, and rows whose entries all tie
-        x = rng.normal(size=(5, 3))
-        x[1] = x[0]
-        x[3:] = 1.5
-        return x, np.array([0, 0, 2, 1, 1])
-    if name == "wide_range":  # entries up to +-40
-        return rng.uniform(-40.0, 40.0, size=(6, 5)), rng.integers(0, 5, size=6)
+        targets = np.array([2])
+    if name == "tied_rows":   # two equal rows, and rows whose logits all tie
+        f[1] = f[0]
+        f[3:] = 0.0
+        b[:] = 1.5
+        targets = np.array([0, 0, 2, 1, 1])
+    if name == "wide_range":  # logits of several tens
+        w *= 20.0
     if name == "repeated_targets":
-        return rng.normal(size=(8, 4)) * 3.0, np.full(8, 3)
-    return rng.normal(size=(7, 5)), rng.integers(0, 5, size=7)
+        f *= 3.0
+        targets = np.full(8, 3)
+    p = ParamTree()
+    for key, value in (("f", f), ("w", w), ("b", b)):
+        p.add(key, value)
+    return p, targets
 
 
 class TestFusedCrossEntropy:
-    """`cross_entropy_mean` is one tape node; the composed ops are its oracle."""
-
-    @staticmethod
-    def value_and_grad(fn, x, targets):
-        """The loss and the gradient of 0.37 * loss (a non-unit upstream gradient)."""
-        logits = Tensor(x, requires_grad=True)
-        loss = fn(logits, targets)
-        (loss * 0.37).backward()
-        return loss.data, logits.grad
+    """`cross_entropy_mean` is one tape node over the features and the head's
+    linear layer; the composed ops are its oracle."""
 
     @pytest.mark.parametrize("case", ["random", "one_row", "tied_rows", "wide_range",
                                       "repeated_targets"])
     def test_equals_composed_ops_bitwise(self, case):
-        x, targets = ce_case(case)
-        value, grad = self.value_and_grad(cross_entropy_mean, x, targets)
-        ref_value, ref_grad = self.value_and_grad(reference_cross_entropy_mean, x, targets)
-        assert value.tobytes() == ref_value.tobytes()
-        assert grad.shape == x.shape and grad.tobytes() == ref_grad.tobytes()
+        targets = ce_case(case)[1]
+        fused, composed = (value_and_grad_bytes(lambda: ce_case(case)[0],
+                                                lambda p: fn(p["f"], p["w"], p["b"], targets))
+                           for fn in (cross_entropy_mean, reference_cross_entropy_mean))
+        assert sorted(fused[1]) == ["b", "f", "w"]
+        assert fused == composed
 
-    def test_one_node_over_the_logits(self, monkeypatch):
+    def test_one_node_over_features_and_head_weights(self, monkeypatch):
         rng = np.random.default_rng(2)
-        logits = matmul(Tensor(rng.normal(size=(4, 3)), requires_grad=True),
-                        Tensor(rng.normal(size=(3, 5))))
-        made = []
-        make_result = Tensor._result
-
-        def counted(data, parents, vjp):
-            made.append(vjp.__qualname__.split(".", 1)[0])
-            return make_result(data, parents, vjp)
-
-        monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
-        loss = cross_entropy_mean(logits, [0, 4, 4, 1])
-        monkeypatch.undo()
+        feats = matmul(Tensor(rng.normal(size=(4, 3)), requires_grad=True),
+                       Tensor(rng.normal(size=(3, 3))))
+        w, b = Tensor(rng.normal(size=(3, 5))), Tensor(rng.normal(size=5))
+        made = count_tape_nodes(monkeypatch)
+        loss = cross_entropy_mean(feats, w, b, [0, 4, 4, 1])
         assert made == ["cross_entropy_mean"]
-        assert loss._parents == (logits,)
+        assert loss._parents == (feats, w, b)
 
-    @pytest.mark.parametrize("index", [None, 0], ids=["clean", "dlogits"])
+    @pytest.mark.parametrize("index", [None, 0, 1, 2], ids=["clean", "dfeats", "dw", "db"])
     def test_gradcheck_catches_a_planted_error(self, plant_vjp_error, index):
-        rng = np.random.default_rng(5)
-        p = ParamTree()
-        x = p.add("x", rng.normal(size=(6, 4)) * 2.0)
-        targets = [0, 3, 3, 1, 3, 2]
+        p, targets = ce_case("random")
         if index is not None:
             plant_vjp_error("cross_entropy_mean", index)
-        report = gradcheck(lambda: cross_entropy_mean(x, targets), p, samples=24, seed=3)
+        report = gradcheck(lambda: cross_entropy_mean(p["f"], p["w"], p["b"], targets),
+                           p, samples=24, seed=3)
+        assert {e.name for e in report.entries} == {"f", "w", "b"}
+        assert report.ok(1e-4) is (index is None), report.worst()
+
+
+def box_case(name: str) -> tuple[ParamTree, np.ndarray, np.ndarray]:
+    """Frame features `h` [4, d_h] and a `gro` box head, the annotated frames
+    and their gold boxes, for one case."""
+    rng = np.random.default_rng(len(name) + 40)
+    p = ParamTree()
+    p.add("h", rng.normal(size=(4, CFG.d_h)))
+    p.add("gro.box.w", rng.normal(size=(CFG.d_h, 4)))
+    p.add("gro.box.b", rng.normal(size=4) * 0.1)
+    frames = {"one_frame": [2], "every_frame": [0, 1, 2, 3]}.get(name, [0, 2, 3])
+    gold = rng.uniform(0.05, 0.95, size=(len(frames), 4))
+    if name == "saturated":  # boxes at 0 or 1, where the sigmoid's slope vanishes
+        p["gro.box.b"].data[:] = [-40.0, 40.0, 0.0, 0.0]
+    return p, np.array(frames, dtype=np.intp), gold
+
+
+class TestFusedBox:
+    """`box_l1_mean` is one tape node over the frame features and the box
+    head; the composed ops are its oracle."""
+
+    @pytest.mark.parametrize("case", ["random", "one_frame", "every_frame", "saturated"])
+    def test_equals_composed_ops_bitwise(self, case):
+        _, frames, gold = box_case(case)
+        fused, composed = (value_and_grad_bytes(lambda: box_case(case)[0],
+                                                lambda p: fn(p["h"], p.scoped("gro"), frames, gold))
+                           for fn in (box_l1_mean, reference_box_l1_mean))
+        assert sorted(fused[1]) == ["gro.box.b", "gro.box.w", "h"]
+        assert fused == composed
+
+    def test_one_node_over_features_and_box_head(self, monkeypatch):
+        p, frames, gold = box_case("random")
+        made = count_tape_nodes(monkeypatch)
+        loss = box_l1_mean(p["h"], p.scoped("gro"), frames, gold)
+        assert made == ["box_l1_mean"]
+        assert loss._parents == (p["h"], p["gro.box.w"], p["gro.box.b"])
+
+    @pytest.mark.parametrize("index", [None, 0, 1, 2], ids=["clean", "dh", "dw", "db"])
+    def test_gradcheck_catches_a_planted_error(self, plant_vjp_error, index):
+        p, frames, gold = box_case("random")
+        if index is not None:
+            plant_vjp_error("box_l1_mean", index)
+        report = gradcheck(lambda: box_l1_mean(p["h"], p.scoped("gro"), frames, gold),
+                           p, samples=30, seed=2)
+        assert {e.name for e in report.entries} == set(p.names())
+        assert report.ok(1e-4) is (index is None), report.worst()
+
+
+def total_case(name: str) -> tuple[ParamTree, LossConfig]:
+    """Trainable scalar losses, named as `compute_losses` names them, and the
+    weights; a name without a parameter is an absent loss. With all five
+    present, 106 of the 120 orders of the terms give a different sum, so the
+    bitwise check pins the order."""
+    values = dict(zip(LOSS_NAMES, np.random.default_rng(0).uniform(0.1, 3.0, size=5)))
+    present = {"all": LOSS_NAMES, "two": ("ent", "gro_t"), "ent_only": ("ent",)}[name]
+    p = ParamTree()
+    for loss_name in present:
+        p.add(loss_name, values[loss_name])
+    alphas = LossConfig(alpha_ent=0.7, alpha_cha=1.3, alpha_rel=0.4, alpha_gro_t=2.5,
+                        alpha_gro_b=0.1)
+    return p, alphas
+
+
+def present_losses(p: ParamTree) -> dict:
+    """What `total_loss` reads: each loss name to its parameter, or None."""
+    return {name: p[name] if name in p else None for name in LOSS_NAMES}
+
+
+class TestFusedTotal:
+    """`total_loss` is one tape node over the present losses; a chain of generic
+    `mul` and `add` nodes is its oracle."""
+
+    @pytest.mark.parametrize("case", ["all", "two", "ent_only"])
+    def test_equals_composed_ops_bitwise(self, case):
+        alphas = total_case(case)[1]
+        fused, composed = (value_and_grad_bytes(lambda: total_case(case)[0],
+                                                lambda p: fn(present_losses(p), alphas))
+                           for fn in (total_loss, reference_total_loss))
+        assert fused == composed
+
+    def test_one_node_over_the_present_losses(self, monkeypatch):
+        p, alphas = total_case("two")
+        made = count_tape_nodes(monkeypatch)
+        total = total_loss(present_losses(p), alphas)
+        assert made == ["total_loss"]
+        assert total._parents == (p["ent"], p["gro_t"])
+
+    @pytest.mark.parametrize("index", [None] + list(range(5)),
+                             ids=["clean", "dent", "dcha", "drel", "dgro_t", "dgro_b"])
+    def test_gradcheck_catches_a_planted_error(self, plant_vjp_error, index):
+        p, alphas = total_case("all")
+        if index is not None:
+            plant_vjp_error("total_loss", index)
+        report = gradcheck(lambda: total_loss(present_losses(p), alphas), p)
         assert report.ok(1e-4) is (index is None), report.worst()
 
 
@@ -417,8 +555,9 @@ class TestPairHeads:
         p = head_params(seed=2)
         rng = np.random.default_rng(2)
         er = Tensor(rng.normal(size=(3, CFG.d_h)))
-        ab = pair_logit_matrix(er, [(0, 1)], p.scoped("heads.coref")).data
-        ba = pair_logit_matrix(er, [(1, 0)], p.scoped("heads.coref")).data
+        w, b = p["heads.coref.w"], p["heads.coref.b"]
+        ab = affine(pair_features(er, [(0, 1)]).data, w, b)
+        ba = affine(pair_features(er, [(1, 0)]).data, w, b)
         assert np.allclose(ab, ba, atol=1e-12)
 
     def test_decode_chains_transitive_closure(self):
@@ -490,13 +629,18 @@ class TestGrounding:
 
 
 class TestLosses:
+    @staticmethod
+    def _cross_entropy(logits, targets) -> float:
+        """The loss of `logits` themselves: an identity head without bias."""
+        n_cls = logits.shape[1]
+        return cross_entropy_mean(Tensor(logits), Tensor(np.eye(n_cls)), Tensor(np.zeros(n_cls)),
+                                  targets).data
+
     def test_cross_entropy_hand_value(self):
-        logits = Tensor(np.zeros((1, 2)))
-        assert abs(cross_entropy_mean(logits, [0]).data - np.log(2)) < 1e-12
+        assert abs(self._cross_entropy(np.zeros((1, 2)), [0]) - np.log(2)) < 1e-12
 
     def test_cross_entropy_mean_over_rows(self):
-        logits = Tensor(np.array([[0.0, 0.0], [10.0, 0.0]]))
-        v = cross_entropy_mean(logits, [0, 0]).data
+        v = self._cross_entropy(np.array([[0.0, 0.0], [10.0, 0.0]]), [0, 0])
         expect = (np.log(2) + np.log1p(np.exp(-10.0))) / 2
         assert abs(v - expect) < 1e-12
 
@@ -511,7 +655,7 @@ class TestLosses:
         p = head_params()
         h_text, h_frames = self._features(doc)
         losses = compute_losses(doc, h_text, h_frames, p.scoped("heads"), CFG)
-        assert list(losses) == ["ent", "cha", "rel", "gro_t", "gro_b"]
+        assert tuple(losses) == LOSS_NAMES
         for key, value in losses.items():
             assert value is not None and np.isfinite(value.data), key
 
@@ -572,8 +716,8 @@ class TestLosses:
         # (0,1) once per label, then (1,0) as NULL: a mean over three rows
         r1, r2 = (CFG.relation_types.index(t) + 1 for t in ("R1", "R2"))
         ch = chain_reprs(entity_reprs(h_text, doc.entities), doc.chains)
-        logits = pair_logit_matrix(ch, [(0, 1), (0, 1), (1, 0)], p.scoped("heads.rel"))
-        expect = cross_entropy_mean(logits, [r1, r2, 0])
+        feats = pair_features(ch, [(0, 1), (0, 1), (1, 0)])
+        expect = cross_entropy_mean(feats, p["heads.rel.w"], p["heads.rel.b"], [r1, r2, 0])
         assert losses["rel"].data.tobytes() == expect.data.tobytes()
 
     def test_total_loss_weights_components(self):
@@ -589,7 +733,7 @@ class TestLosses:
         assert abs(total - expect) < 1e-12
 
     def test_total_loss_empty_parts_is_zero(self):
-        losses = dict.fromkeys(("ent", "cha", "rel", "gro_t", "gro_b"))
+        losses = dict.fromkeys(LOSS_NAMES)
         assert total_loss(losses, LossConfig()).data == 0.0
 
     def test_loss_gradcheck_through_all_heads(self):

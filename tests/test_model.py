@@ -11,6 +11,7 @@ from himie.config import GenConfig, LossConfig, ModelConfig
 from himie.data import Document, Entity, Region, Relation, assign_modality_regime
 from himie.model import check_params, compute_features, forward, init_params, predict
 from himie.synth import generate
+from conftest import count_tape_nodes
 
 CFG = ModelConfig(d_h=8, n_l=6, heads=2, n_p=4, d_in=3, d_vae=4, prompt_len=3,
                   max_frames=8, vocab=64, max_len=64)
@@ -276,28 +277,20 @@ class TestTape:
         assert unreachable_nodes(docs, CFG, monkeypatch) == 0
 
     def node_kinds(self, monkeypatch):
-        """(document, the op kinds of the nodes its `forward` records) per document."""
+        """(document, the op kinds of the nodes its `forward` records, its
+        `ForwardResult`) per document."""
         p = init_params(CFG, 0)
-        made = []
-        make_result = Tensor._result
-
-        def counted(data, parents, vjp):
-            out = make_result(data, parents, vjp)
-            if out.requires_grad:
-                made.append(vjp.__qualname__.split(".", 1)[0])
-            return out
-
-        monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
+        made = count_tape_nodes(monkeypatch)
         rng = np.random.default_rng(0)
         for doc in self.DOCS:
             made.clear()
-            forward(doc, p, CFG, rng=rng)
-            yield doc, made
+            res = forward(doc, p, CFG, rng=rng)
+            yield doc, made, res
 
     def test_one_node_per_feed_forward_and_per_bucketing(self, monkeypatch):
         # per fused document: one FFN node per fusion direction and one
         # bucketing node per encoded side; no generic GELU node anywhere
-        for doc, made in self.node_kinds(monkeypatch):
+        for doc, made, _res in self.node_kinds(monkeypatch):
             assert doc.n_frames > 0
             encoded = 1 if doc.modality_mask in ("no_text", "no_video") else 2
             assert made.count("feed_forward") == 2, doc.modality_mask
@@ -306,9 +299,25 @@ class TestTape:
 
     def test_one_node_per_construction(self, monkeypatch):
         # a document missing a modality constructs it in one node
-        for doc, made in self.node_kinds(monkeypatch):
+        for doc, made, _res in self.node_kinds(monkeypatch):
             constructed = 0 if doc.modality_mask == "full" else 1
             assert made.count("_construct") == constructed, doc.modality_mask
+
+    def test_one_node_per_present_loss_and_one_for_the_total(self, monkeypatch):
+        # the heads record one loss node each, over their features and
+        # weights, and the total is one node over the present losses
+        loss_kind = {"ent": "crf_nll", "cha": "cross_entropy_mean", "rel": "cross_entropy_mean",
+                     "gro_t": "cross_entropy_mean", "gro_b": "box_l1_mean"}
+        head_kinds = set(loss_kind.values()) | {"total_loss"}
+        absent = set()
+        for doc, made, res in self.node_kinds(monkeypatch):
+            present = [name for name, value in res.losses.items() if value is not None]
+            absent |= set(res.losses) - set(present)
+            assert (sorted(k for k in made if k in head_kinds)
+                    == sorted([loss_kind[name] for name in present] + ["total_loss"]))
+            assert res.loss._vjp.__qualname__.startswith("total_loss.")
+            assert res.loss._parents == tuple(res.losses[name] for name in present)
+        assert absent  # some document lacks some loss
 
 
 class TestPredict:
