@@ -6,6 +6,12 @@ inputs carry no gradient short-circuit to plain constants, so unused branches
 (for example blank-filled modality features) never appear in the gradient
 support.
 
+The tape ops here are `add`, `mul`, `matmul`, `texp`, `tsum`, `tmean`,
+`reshape` and `index_rows`, the one gather (an embedding lookup, or a prefix
+of rows over `np.arange(n)`). The operator sugar is `+`, binary `-` and `*`,
+with `shape`; nothing else of numpy's array surface is mirrored. The fused
+nodes of the other modules record themselves through `Tensor._result`.
+
 Inside `with no_grad():` no operation records a tape: every result is a
 constant, so inference builds no parents, no VJP closures and no gradient
 support.
@@ -22,9 +28,9 @@ outside (the optimizer binds each parameter to its view of one flat gradient
 buffer) or a copy made when the first gradient reaches it. VJPs may hand the
 same array to several parents, so no VJP output is ever written in place.
 
-`layer_norm`, `multi_head_attention`, `feed_forward` (the exact-erf GELU
-FFN) and `conv1d` are numpy pairs, not tape ops: arrays in, the output and
-its VJP out. A caller on the tape records the node itself, as
+`layer_norm` (with `layer_norm_vjp`), `multi_head_attention`,
+`feed_forward` (the exact-erf GELU FFN) and `conv1d` are numpy pairs, not
+tape ops: arrays in, the output and its VJP out. A caller on the tape records the node itself, as
 `encoders.run_block` does for a whole block, `dffm.fuse_levels` for one
 attention node and one FFN node, and `mmcm` for one construction node.
 
@@ -111,14 +117,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable leaf.
 
@@ -176,39 +174,13 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(_t(other), mul(self, -1.0))
 
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'yes' if self.requires_grad else 'no'})"
@@ -310,22 +282,22 @@ def gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 # -- reductions and shape ops -------------------------------------------
 
 
-def tsum(a, axis=None, keepdims=False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = _t(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = a.data.sum(axis=axis)
 
     def vjp(g):
         g = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.data.shape).copy(),)
 
     return Tensor._result(out, (a,), vjp)
 
 
-def tmean(a, axis=None, keepdims=False) -> Tensor:
+def tmean(a, axis=None) -> Tensor:
     a = _t(a)
-    total = tsum(a, axis=axis, keepdims=keepdims)
+    total = tsum(a, axis=axis)
     return mul(total, total.data.size / a.data.size)  # 1/n, rounded as 1.0/n is
 
 
@@ -335,31 +307,19 @@ def reshape(a, shape) -> Tensor:
     return Tensor._result(out, (a,), lambda g: (g.reshape(a.data.shape),))
 
 
-def _is_basic(key) -> bool:
-    """Whether `key` is a basic index (ints, slices, `...`, `None`), which
-    selects every element at most once."""
-    parts = key if isinstance(key, tuple) else (key,)
-    return all(isinstance(k, (int, slice, type(None), type(Ellipsis))) for k in parts)
-
-
-def getitem(a, key) -> Tensor:
+def index_rows(a, idx) -> Tensor:
+    """Rows `idx` of `a` along its first axis: the tape's one gather, for an
+    embedding lookup or, over `np.arange(n)`, a prefix of rows. The VJP
+    scatter-adds, so a row gathered twice gets both gradients."""
     a = _t(a)
-    out = a.data[key]
+    idx = np.asarray(idx, dtype=np.intp)
 
     def vjp(g):
         buf = np.zeros_like(a.data)
-        if _is_basic(key):
-            buf[key] += g  # no repeats: one in-place add, equal to add.at to the bit
-        else:
-            np.add.at(buf, key, g)
+        np.add.at(buf, idx, g)
         return (buf,)
 
-    return Tensor._result(out, (a,), vjp)
-
-
-def index_rows(a, idx) -> Tensor:
-    """Row gather (embedding lookup); gradient scatter-adds duplicates."""
-    return getitem(a, (np.asarray(idx, dtype=np.intp),))
+    return Tensor._result(a.data[idx], (a,), vjp)
 
 
 # -- fused numeric kernels ----------------------------------------------
@@ -583,9 +543,6 @@ class ParamTree:
 
     def __contains__(self, name: str) -> bool:
         return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return sorted(self._params)

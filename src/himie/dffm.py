@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (ConfigError, Tensor, add, feed_forward, matmul,
+from .autodiff import (ConfigError, Tensor, add, feed_forward, index_rows, matmul,
                        multi_head_attention, reshape, texp, tmean, tsum)
 from .config import ModelConfig
 from .encoders import LEVELS, LevelFeatures
@@ -118,4 +118,4 @@ def fuse_x_to_g(image: LevelFeatures, text: LevelFeatures, scope, cfg: ModelConf
     fused = fuse_levels(q, text.levels, scope.scoped("x2g"), cfg, rng, kl_acc)
     out = _mix(q, fused, scope.scoped("mix.x2g"))
     pooled = tmean(reshape(out, (n_g, n_p, cfg.d_h)), axis=1)
-    return add(pooled, scope["pos"][:n_g])
+    return add(pooled, index_rows(scope["pos"], np.arange(n_g)))

@@ -163,7 +163,7 @@ def encode_text(tokens: list[str], scope, cfg: ModelConfig) -> list[Tensor]:
     if n_x > cfg.max_len:
         raise ShapeError(f"{n_x} tokens exceed max_len={cfg.max_len}")
     ids = token_ids(tokens, cfg.vocab)
-    x = add(index_rows(scope["tok_emb"], ids), scope["pos_emb"][:n_x])
+    x = add(index_rows(scope["tok_emb"], ids), index_rows(scope["pos_emb"], np.arange(n_x)))
     return run_blocks(x, scope, cfg)
 
 

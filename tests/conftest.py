@@ -13,6 +13,17 @@ def gelu(a: Tensor) -> Tensor:
     return Tensor._result(a.data * cdf, (a,), lambda g: (g * gelu_slope(a.data, cdf),))
 
 
+def getitem(a: Tensor, key) -> Tensor:
+    """`a.data[key]` for any numpy index as a tape op, its VJP a scatter-add
+    into zeros: the general indexing the composed reference graphs use."""
+    def vjp(g):
+        buf = np.zeros_like(a.data)
+        np.add.at(buf, key, g)
+        return (buf,)
+
+    return Tensor._result(a.data[key], (a,), vjp)
+
+
 def attention_node(q, k, v, heads, weights) -> Tensor:
     """`multi_head_attention` recorded as one tape node, as `dffm.fuse_levels`
     records it: parents (q, k, v, wq, wk, wv, wo, bo), where `weights` maps

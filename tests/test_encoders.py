@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from himie.autodiff import (ConfigError, ParamTree, ShapeError, Tensor, add,
-                            gradcheck, matmul)
+                            gradcheck, matmul, reshape, tmean, tsum)
 from himie.config import ModelConfig
 from himie.encoders import (
     BLOCK_PARAMS,
@@ -98,7 +98,7 @@ class TestBucketLevels:
     def test_gradient_reaches_all_layers(self):
         layers = [Tensor(np.ones((2, 2)), requires_grad=True) for _ in range(6)]
         lv = bucket_levels(layers)
-        total = (lv.levels.sum(axis=0) + lv.base).sum()
+        total = tsum(tsum(lv.levels, axis=0) + lv.base)
         total.backward()
         for i, t in enumerate(layers):
             assert t.grad is not None and np.any(t.grad != 0), f"layer {i} got no gradient"
@@ -116,7 +116,7 @@ class TestBucketLevels:
         p = ParamTree()
         layers = [p.add(f"layer{i}", rng.normal(size=shape)) for i in range(n_l)]
         w = rng.normal(size=(3,) + shape)
-        rep = gradcheck(lambda: (bucket_levels(layers).levels * Tensor(w)).sum(), p,
+        rep = gradcheck(lambda: tsum(bucket_levels(layers).levels * Tensor(w)), p,
                         eps=1e-5, samples=2 * n_l, seed=n_l)
         assert {e.name for e in rep.entries} == set(p.names())
         assert rep.ok(1e-4), rep.worst()
@@ -152,7 +152,7 @@ class TestTextEncoder:
 
     def test_gradient_reaches_block_weights(self, text_params):
         outs = encode_text(["a", "b"], text_params.scoped("encoder.text"), CFG)
-        outs[-1].sum().backward()
+        tsum(outs[-1]).backward()
         for name in ("encoder.text.block0.attn.wq", "encoder.text.block5.ffn.w1",
                      "encoder.text.tok_emb", "encoder.text.pos_emb"):
             assert np.any(text_params[name].grad != 0), name
@@ -198,7 +198,7 @@ class TestFrameEncoder:
 
     def test_gradient_reaches_projection(self, frame_params):
         outs = encode_frames(self._frames(1), frame_params.scoped("encoder.frames"), CFG)
-        outs[-1].sum().backward()
+        tsum(outs[-1]).backward()
         assert np.any(frame_params["encoder.frames.proj.w"].grad != 0)
         assert np.any(frame_params["encoder.frames.pos_emb"].grad != 0)
 
@@ -211,9 +211,14 @@ def rsqrt(a: Tensor) -> Tensor:
     return Tensor._result(out, (a,), lambda g: (-0.5 * g * out ** 3,))
 
 
+def mean_last(x: Tensor) -> Tensor:
+    """The mean over the last axis, kept as an axis of length one."""
+    return reshape(tmean(x, axis=-1), x.shape[:-1] + (1,))
+
+
 def composed_layer_norm(x, gain, bias, eps=1e-5):
-    xc = x - x.mean(axis=-1, keepdims=True)
-    return xc * rsqrt((xc * xc).mean(axis=-1, keepdims=True) + eps) * gain + bias
+    xc = x - mean_last(x)
+    return xc * rsqrt(mean_last(xc * xc) + eps) * gain + bias
 
 
 def composed_block(x, scope, heads):
@@ -240,7 +245,7 @@ def random_block(shape, seed):
 def block_value_and_grads(block, shape, seed):
     p, w = random_block(shape, seed)
     out = block(p["x"], p.scoped("blk"), 2)
-    (out * Tensor(w)).sum().backward()
+    tsum(out * Tensor(w)).backward()
     return out.data, p.grads()
 
 
@@ -265,7 +270,7 @@ class TestFusedBlock:
     @pytest.mark.parametrize("shape", [(2, 8), (1, CFG.n_p, 8)], ids=["2-tokens", "1-frame"])
     def test_gradcheck(self, shape):
         p, w = random_block(shape, seed=4)
-        rep = gradcheck(lambda: (run_block(p["x"], p.scoped("blk"), 2) * Tensor(w)).sum(),
+        rep = gradcheck(lambda: tsum(run_block(p["x"], p.scoped("blk"), 2) * Tensor(w)),
                         p, eps=1e-5, samples=80, seed=4)
         assert rep.ok(1e-4), rep.worst()
 
@@ -278,7 +283,7 @@ class TestFusedBlock:
             plant_vjp_error("run_block", index)
         p, w = random_block((2, 8), seed=4)
         prefixes = ["x"] + [f"blk.{n}" for n in BLOCK_PARAMS]
-        rep = gradcheck(lambda: (run_block(p["x"], p.scoped("blk"), 2) * Tensor(w)).sum(),
+        rep = gradcheck(lambda: tsum(run_block(p["x"], p.scoped("blk"), 2) * Tensor(w)),
                         p, eps=1e-5, samples=42, seed=4, prefixes=prefixes)
         assert {e.name for e in rep.entries} == set(prefixes)
         assert rep.ok(1e-4) is (index is None), rep.worst()

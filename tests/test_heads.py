@@ -28,7 +28,7 @@ from himie.heads import (
     spans_from_tags,
     total_loss,
 )
-from conftest import count_tape_nodes
+from conftest import count_tape_nodes, getitem
 
 CFG = ModelConfig(d_h=8, n_l=6, heads=2, n_p=4, d_in=3, d_vae=4, vocab=64, max_len=32)
 TAGS = TagSet.for_types(CFG.entity_types)
@@ -89,7 +89,7 @@ def reference_cross_entropy_mean(feats, w, b, targets):
     tape ops: the oracle for the fused node."""
     logits = add(matmul(feats, w), b)
     n = logits.data.shape[0]
-    return tmean(logsumexp(logits, axis=-1) - logits[np.arange(n), np.asarray(targets)])
+    return tmean(logsumexp(logits, axis=-1) - getitem(logits, (np.arange(n), np.asarray(targets))))
 
 
 def reference_box_l1_mean(h_frames, scope, frames, gold):
@@ -126,14 +126,15 @@ def reference_crf_nll(h_text, gold_ids, scope, tagset):
     L = emis.data.shape[0]
     trans, start, end = scope["trans"], scope["start"], scope["end"]
 
-    score = tsum(emis[np.arange(L), gold_ids]) + start[int(gold_ids[0])] + end[int(gold_ids[-1])]
+    score = (tsum(getitem(emis, (np.arange(L), gold_ids))) + getitem(start, int(gold_ids[0]))
+             + getitem(end, int(gold_ids[-1])))
     if L > 1:
-        score = score + tsum(trans[gold_ids[:-1], gold_ids[1:]])
+        score = score + tsum(getitem(trans, (gold_ids[:-1], gold_ids[1:])))
 
-    alpha = add(emis[0], start)
+    alpha = add(getitem(emis, 0), start)
     for t in range(1, L):
         prev = reshape(alpha, (len(tagset.tags), 1))
-        alpha = add(logsumexp(add(prev, trans), axis=0), emis[t])
+        alpha = add(logsumexp(add(prev, trans), axis=0), getitem(emis, t))
     log_z = logsumexp(add(alpha, end), axis=0)
     return log_z - score
 

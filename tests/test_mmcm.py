@@ -3,7 +3,7 @@ and the stacked-level pass against a per-level reference loop."""
 import numpy as np
 import pytest
 
-from himie.autodiff import ParamTree, Tensor, gradcheck, pool_matrix
+from himie.autodiff import ParamTree, Tensor, gradcheck, pool_matrix, tsum
 from himie.config import ModelConfig
 from himie.encoders import LEVELS
 from himie.mmcm import (
@@ -81,7 +81,7 @@ class TestAgainstPerLevelReference:
         assert covered == set(ref.names())
         assert sum(t.data.size for _, t in stacked.items()) == \
             sum(t.data.size for _, t in ref.items())
-        assert (len(stacked), len(ref)) == (10, 22)
+        assert (len(stacked.names()), len(ref.names())) == (10, 22)
 
     def test_both_directions_match_per_level_loop(self):
         stacked, ref = self._trees()
@@ -164,7 +164,7 @@ def test_gradient_reaches_prompts_and_convs(params):
     h = Tensor(np.random.default_rng(7).normal(size=(6, CFG.d_h)))
     lv = construct_image_from_text(h, params.scoped("mmcm"), n_g=2, n_p=CFG.n_p)
     params.zero_grad()
-    (lv.base * lv.base).sum().backward()
+    tsum(lv.base * lv.base).backward()
     assert np.any(params["mmcm.t2g.conv_in.k"].grad != 0)
     for name in ("mmcm.t2g.prompt", "mmcm.t2g.conv.k", "mmcm.t2g.conv.b"):
         for k in range(len(LEVELS)):
@@ -180,8 +180,8 @@ def test_gradcheck_both_directions(params):
         a = construct_image_from_text(src_t, params.scoped("mmcm"), 2, CFG.n_p)
         b = construct_text_from_image(src_g, params.scoped("mmcm"), 6)
         # weigh the levels unequally, so a swap between levels would show
-        return ((a.base * a.base).sum() + (b.base * b.base).sum()
-                + (a.levels * Tensor(w)).sum() + (b.levels * Tensor(w[..., 0])).sum())
+        return (tsum(a.base * a.base) + tsum(b.base * b.base)
+                + tsum(a.levels * Tensor(w)) + tsum(b.levels * Tensor(w[..., 0])))
 
     report = gradcheck(loss, params, samples=60, seed=3)
     assert report.ok(1e-4), report.worst()
@@ -208,7 +208,7 @@ def test_gradcheck_catches_a_planted_error(plant_vjp_error, index):
     def loss():
         a = construct_image_from_text(src_t, p.scoped("mmcm"), 2, CFG.n_p)
         b = construct_text_from_image(src_g, p.scoped("mmcm"), 6)
-        return (a.levels * Tensor(w)).sum() + (b.levels * Tensor(w[..., 0])).sum()
+        return tsum(a.levels * Tensor(w)) + tsum(b.levels * Tensor(w[..., 0]))
 
     rep = gradcheck(loss, p, seed=4)
     assert {e.name for e in rep.entries} == set(p.names())
