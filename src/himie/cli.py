@@ -77,13 +77,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    out = _output(args.out)
     params, cfg, _step, _rng = load_checkpoint(args.checkpoint)
     if args.config:
         cfg = load_config(args.config)
     corpus_path = args.corpus or cfg.corpus_path
     if not corpus_path:
         raise ConfigError("eval needs --corpus or corpus_path in the config")
-    out = _output(args.out or cfg.report_path)
+    out = out or _output(cfg.report_path)
     corpus = load_corpus(corpus_path)
     report = evaluate(params, cfg, corpus)
     if out:

@@ -477,8 +477,9 @@ class TestOutputPathFirst:
                 "sweep": ["sweep", "--config", cfg, "--axis", "prompt_len", "--values", "2,3",
                           "--out", missing],
                 "report": ["report", "--report", str(report), "--out", missing]}[command]
-        for work in ("himie.synth.generate", "himie.cli.load_corpus", "himie.cli.train",
-                     "himie.cli.evaluate", "himie.cli.sweep", "himie.cli.json.load"):
+        for work in ("himie.synth.generate", "himie.cli.load_checkpoint", "himie.cli.load_corpus",
+                     "himie.cli.train", "himie.cli.evaluate", "himie.cli.sweep",
+                     "himie.cli.json.load"):
             monkeypatch.setattr(work, self._refuse)
         capsys.readouterr()
         assert main(argv) == 1
