@@ -241,13 +241,14 @@ def score_chains(gold: list[set], pred: list[set]) -> tuple[ChainCounts, dict[st
     check_partition(gold)
     check_partition(pred)
     table = _overlaps(gold, pred)
-    # in (i, j) order, so B-cubed adds its nonzero terms in a dense double loop's order
+    # in (i, j) order, so each predicted chain's best gold is the lowest index on a tie;
+    # B-cubed's float sums are `math.fsum`, correctly rounded on every Python version
     cells = sorted((i, j, k) for i, row in enumerate(table) for j, k in row.items())
     # k shared mentions form one block of both chains, holding k - 1 common links
     counts = ChainCounts(float(sum(k - 1 for _, _, k in cells)),
-                         sum(k ** 2 / len(gold[i]) for i, _, k in cells),
+                         math.fsum(k ** 2 / len(gold[i]) for i, _, k in cells),
                          float(sum(len(g) for g in gold)),
-                         sum(k ** 2 / len(pred[j]) for _, j, k in cells),
+                         math.fsum(k ** 2 / len(pred[j]) for _, j, k in cells),
                          float(sum(len(p) for p in pred)),
                          _ceaf_phi(table, gold, pred), float(len(gold)), float(len(pred)))
     best: dict[int, tuple[int, int]] = {}   # predicted chain: (overlap, size of its best gold)
@@ -279,9 +280,9 @@ def ceaf_e_prf(c: ChainCounts) -> PRF:
 
 def chain_score_prf(c: ChainCounts) -> PRF:
     three = [muc_prf(c), b_cubed_prf(c), ceaf_e_prf(c)]
-    return PRF(sum(x.precision for x in three) / 3,
-               sum(x.recall for x in three) / 3,
-               sum(x.f1 for x in three) / 3)
+    return PRF(math.fsum(x.precision for x in three) / 3,
+               math.fsum(x.recall for x in three) / 3,
+               math.fsum(x.f1 for x in three) / 3)
 
 
 # -- relations ----------------------------------------------------------------

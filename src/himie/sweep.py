@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .autodiff import ConfigError
@@ -71,7 +72,9 @@ def sweep(base: RunConfig, corpus: Corpus, axis: str, values) -> list[SweepRow]:
 
 
 def summarize(rows: list[SweepRow]) -> list[dict]:
-    """Per-seed rows followed by mean and variance rows for each value."""
+    """Per-seed rows followed by mean and variance rows for each value; the
+    sums are `math.fsum`, so the table's bytes do not depend on the Python
+    version."""
     out: list[dict] = []
     by_value: dict[str, list[SweepRow]] = {}
     for r in rows:
@@ -80,10 +83,10 @@ def summarize(rows: list[SweepRow]) -> list[dict]:
         by_value.setdefault(r.value, []).append(r)
     for value, group in by_value.items():
         n = len(group)
-        mean = {t: sum(g.f1[t] for g in group) / n for t in TASKS}
-        mean["avg"] = sum(g.avg for g in group) / n
-        var = {t: sum((g.f1[t] - mean[t]) ** 2 for g in group) / n for t in TASKS}
-        var["avg"] = sum((g.avg - mean["avg"]) ** 2 for g in group) / n
+        mean = {t: math.fsum(g.f1[t] for g in group) / n for t in TASKS}
+        mean["avg"] = math.fsum(g.avg for g in group) / n
+        var = {t: math.fsum((g.f1[t] - mean[t]) ** 2 for g in group) / n for t in TASKS}
+        var["avg"] = math.fsum((g.avg - mean["avg"]) ** 2 for g in group) / n
         axis = group[0].axis
         out.append({"axis": axis, "value": value, "seed": "mean", **mean})
         out.append({"axis": axis, "value": value, "seed": "var", **var})

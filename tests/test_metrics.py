@@ -1,5 +1,8 @@
 """Scoring protocols vs hand fixtures and brute-force reference evaluators."""
+import functools
 import itertools
+import math
+import operator
 
 import numpy as np
 import pytest
@@ -116,6 +119,37 @@ class TestChainFixture:
         assert b.precision == 1.0 and abs(b.recall - 5.0 / 9.0) < 1e-12
 
 
+def left_to_right(values) -> float:
+    """The float sum in plain left-to-right order, as CPython 3.11's `sum` adds."""
+    return functools.reduce(operator.add, values)
+
+
+class TestCompensatedSums:
+    """Chain scores sum floats with `math.fsum`, so a report's bytes do not
+    depend on whether the interpreter's `sum` compensates (3.12) or not (3.11)."""
+
+    def test_b_cubed_numerators(self):
+        # ten terms 1**2 / 10 on the split side; the merged side's terms are whole
+        tens = [f"m{i}" for i in range(10)]
+        assert left_to_right([0.1] * 10) != math.fsum([0.1] * 10) == 1.0
+        split = score_chains([set(tens)], [{m} for m in tens])[0]
+        assert (split.b3_rn, split.b3_pn) == (1.0, 10.0)
+        merged = score_chains([{m} for m in tens], [set(tens)])[0]
+        assert (merged.b3_rn, merged.b3_pn) == (10.0, 1.0)
+
+    def test_chain_score_mean_of_three(self):
+        # MUC, B-cubed and CEAF-e each score 0.1, 0.2 and 0.3 on both sides
+        c = ChainCounts(muc_n=1.0, b3_rn=4.0, b3_rd=20.0, b3_pn=4.0, b3_pd=20.0,
+                        ceaf_phi=3.0, ceaf_ng=10.0, ceaf_np=10.0)
+        three = [muc_prf(c).precision, b_cubed_prf(c).precision, ceaf_e_prf(c).precision]
+        assert three == [0.1, 0.2, 0.3]
+        assert left_to_right(three) != math.fsum(three)
+        s = chain_score_prf(c)
+        assert s.precision == s.recall == math.fsum(three) / 3 == 0.19999999999999998
+        f1s = [muc_prf(c).f1, b_cubed_prf(c).f1, ceaf_e_prf(c).f1]
+        assert s.f1 == math.fsum(f1s) / 3
+
+
 class TestChainProperties:
     @pytest.mark.parametrize("seed", range(50))
     def test_perfect_prediction_scores_one(self, seed):
@@ -193,9 +227,10 @@ def muc_side_oracle(chains, other):
 
 
 def b_cubed_oracle(gold, pred):
-    """(recall numerator, precision numerator) over every gold x predicted pair."""
-    return (sum(len(g & p) ** 2 / len(g) for g in gold for p in pred),
-            sum(len(g & p) ** 2 / len(p) for g in gold for p in pred))
+    """(recall numerator, precision numerator) over every gold x predicted pair,
+    summed with `math.fsum` as the scorer sums, so the zero terms change nothing."""
+    return (math.fsum(len(g & p) ** 2 / len(g) for g in gold for p in pred),
+            math.fsum(len(g & p) ** 2 / len(p) for g in gold for p in pred))
 
 
 def chain_taxonomy_oracle(gold, pred):

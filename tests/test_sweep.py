@@ -1,5 +1,8 @@
 """Sweep mechanics: axis handling, row bookkeeping, CSV schema."""
 import csv
+import functools
+import math
+import operator
 
 import pytest
 
@@ -9,6 +12,7 @@ from himie.sweep import (
     AXES,
     N_SEEDS,
     TASKS,
+    SweepRow,
     point_config,
     ratio_fractions,
     save_sweep_csv,
@@ -112,6 +116,21 @@ class TestSweepRows:
         (mean_row,) = [t for t in summarize(rows)
                        if t["value"] == "2" and t["seed"] == "mean"]
         assert abs(mean_row["avg"] - expect) < 1e-12
+
+    def test_mean_and_variance_are_compensated_sums(self):
+        # these three scores add to a different float left to right, both
+        # themselves and their squared deviations from the mean
+        xs = [0.49, 0.86, 0.72]
+        rows = [SweepRow("prompt_len", "2", seed, {t: x for t in TASKS}, x)
+                for seed, x in enumerate(xs)]
+        mean, var = summarize(rows)[-2:]
+        want_mean = math.fsum(xs) / 3
+        want_var = math.fsum((x - want_mean) ** 2 for x in xs) / 3
+        assert (want_mean, want_var) == (0.69, 0.023266666666666668)
+        assert functools.reduce(operator.add, xs) / 3 != want_mean
+        assert functools.reduce(operator.add, [(x - want_mean) ** 2 for x in xs]) / 3 != want_var
+        for col in TASKS + ("avg",):
+            assert (mean[col], var[col]) == (want_mean, want_var), col
 
     def test_csv_schema(self, tmp_path):
         rows = self._rows(values=(2, 3))
