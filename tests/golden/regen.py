@@ -1,10 +1,11 @@
-"""The behaviour pin: what seven small runs through the CLI produce.
+"""The behaviour pin: what seven small runs and one sweep through the CLI produce.
 
 Each config runs `himie gen`, `train` and `eval` in both eval modes through
 `himie.cli.main` in a scratch directory. `observe` reduces a run to the corpus
 sha256, every step-log row, the L2 norm of each parameter group of the trained
 weights and both reports; `tests/test_golden.py` compares that against the
-JSON file of the same name in this directory.
+JSON file of the same name in this directory. `observe_sweep` runs `himie
+sweep` over MMCM on and off on CI's config and keeps every row of its table.
 
     python tests/golden/regen.py            # rewrite every pinned file
     python tests/golden/regen.py default    # rewrite one
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import csv
 import hashlib
 import io
 import json
@@ -48,6 +50,11 @@ CONFIGS = {
     "many_frames": {"gen": {"docs": 8, "tokens_per_doc": [24, 32], "frames_per_doc": [12, 16]}},
     "short_docs": {"gen": {"docs": 16, "tokens_per_doc": [3, 6]}},
 }
+# CI's config, swept over MMCM on and off by `observe_sweep`
+SWEEP = "sweep_mmcm_on_off"
+SWEEP_RUN = {"model": dict(BASE["model"], max_len=64),
+             "gen": {"docs": 3, "tokens_per_doc": [8, 12], "frames_per_doc": [1, 2]},
+             "epochs": 1}
 GROUPS = ("encoder.text", "encoder.frames", "dffm", "mmcm", "heads")
 EVAL_MODES = ("gold-pairs", "predicted-pairs")
 
@@ -93,6 +100,18 @@ def observe(name: str, workdir: Path) -> dict:
             "steps": steps, "param_norms": norms, "reports": reports}
 
 
+def observe_sweep(workdir: Path) -> dict:
+    """Every row of the sweep table, its score columns read as floats."""
+    run, table = workdir / "run.json", workdir / "sweep.csv"
+    run.write_text(json.dumps(SWEEP_RUN), encoding="utf-8")
+    _cli("sweep", "--config", str(run), "--axis", "mmcm_on_off", "--values", "on,off",
+         "--out", str(table))
+    with open(table, encoding="utf-8", newline="") as f:
+        rows = [{k: v if k in ("axis", "value", "seed") else float(v) for k, v in row.items()}
+                for row in csv.DictReader(f)]
+    return {"rows": rows}
+
+
 def pinned_path(name: str) -> Path:
     return HERE / f"{name}.json"
 
@@ -100,11 +119,11 @@ def pinned_path(name: str) -> Path:
 def regen(names) -> None:
     for name in names:
         with tempfile.TemporaryDirectory() as tmp:
-            pin = observe(name, Path(tmp))
+            pin = observe_sweep(Path(tmp)) if name == SWEEP else observe(name, Path(tmp))
         pinned_path(name).write_text(json.dumps(pin, indent=1, sort_keys=True) + "\n",
                                      encoding="utf-8")
         print(f"wrote {pinned_path(name)}")
 
 
 if __name__ == "__main__":
-    regen(sys.argv[1:] or list(CONFIGS))
+    regen(sys.argv[1:] or list(CONFIGS) + [SWEEP])

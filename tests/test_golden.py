@@ -1,4 +1,5 @@
-"""The behaviour pin: seven small CLI runs against the values in `tests/golden/`.
+"""The behaviour pin: seven small CLI runs and one sweep table against the
+values in `tests/golden/`.
 
 Hashes, strings and integer counts must match exactly and floats to a
 relative 1e-9, so a different BLAS build still passes while a change that
@@ -42,6 +43,12 @@ def test_runs_match_the_pin(name, tmp_path):
     want = json.loads(regen.pinned_path(name).read_text(encoding="utf-8"))
     got = regen.observe(name, tmp_path)
     bad = mismatches(got, want)
+    assert not bad, f"{len(bad)} values moved, first: {bad[:5]}"
+
+
+def test_sweep_matches_the_pin(tmp_path):
+    want = json.loads(regen.pinned_path(regen.SWEEP).read_text(encoding="utf-8"))
+    bad = mismatches(regen.observe_sweep(tmp_path), want)
     assert not bad, f"{len(bad)} values moved, first: {bad[:5]}"
 
 
