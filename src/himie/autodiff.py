@@ -30,9 +30,10 @@ same array to several parents, so no VJP output is ever written in place.
 
 `layer_norm` (with `layer_norm_vjp`), `multi_head_attention`,
 `feed_forward` (the exact-erf GELU FFN) and `conv1d` are numpy pairs, not
-tape ops: arrays in, the output and its VJP out. A caller on the tape records the node itself, as
-`encoders.run_block` does for a whole block, `dffm.fuse_levels` for one
-attention node and one FFN node, and `mmcm` for one construction node.
+tape ops: arrays in, the output and its VJP out. A caller on the tape
+records the node itself, as `encoders.run_block` does for a whole block,
+`dffm.fuse_levels` for one attention node and one FFN node, and `mmcm` for
+one construction node.
 
 A VJP returns `None` for a parent that carries no gradient where skipping
 its product saves work (`add`, `mul`, `matmul`); `backward` sends only to
