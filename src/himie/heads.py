@@ -1,15 +1,22 @@
 """Task heads over the fused features and the training loss assembly.
 
+This module is the one owner of every task's label layout: it builds the
+training targets and decodes the predictions, and the model only routes
+features and pair universes to it.
+
 Entity head: linear emissions into a linear-chain CRF (transition matrix plus
-start/end scores). Decoding is Viterbi with lowest-index tie-break, then BIO
-repair on the decoded tags.
+start/end scores) over integer BIO tags: 0 is O, and entity type k of
+`entity_types` has its B-tag at 2k + 1 and its I-tag at 2k + 2, so an I-tag t
+continues a span only after t - 1 or t. Decoding is Viterbi with lowest-index
+tie-break, then BIO repair on the decoded tags.
 
 Coreference: a binary classifier on the Hadamard product of the two mentions'
-mean-pooled span representations; chains are the union-find closure of the
-positive pairs. Relations: a (n_rel + 1)-way classifier (index 0 = NULL) on
-the Hadamard product of chain representations over all ordered chain pairs.
-Grounding, per frame: type logits over NONE + groundable types and a sigmoid
-(cx, cy, w, h) box.
+mean-pooled span representations over every unordered mention pair
+(`entity_pairs`); chains are the union-find closure of the positive pairs.
+Relations: a (n_rel + 1)-way classifier (index 0 = NULL, k + 1 = type k) on
+the Hadamard product of chain representations over every ordered chain pair
+(`chain_pairs`). Grounding, per frame: type logits over NONE + groundable
+types (the same layout) and a sigmoid (cx, cy, w, h) box.
 
 `compute_losses` maps each loss name to a mean over its own count, or to None
 when the document has nothing to score for it; `total_loss` adds the present
@@ -21,98 +28,58 @@ Those nodes and inference read one `affine` (x @ w + b) and one `box_sigmoid`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import NumericError, Tensor, index_rows, matmul
 from .config import LossConfig, ModelConfig
-from .data import Document, Entity, Region
+from .data import Document, Entity, Region, Relation
 
 
-# -- BIO tag set ----------------------------------------------------------
+# -- BIO tags (the layout is in the module docstring) -----------------------
 
 
-@dataclass(frozen=True)
-class TagSet:
-    tags: tuple[str, ...]
-
-    @classmethod
-    def for_types(cls, entity_types) -> "TagSet":
-        tags = ["O"]
-        for t in entity_types:
-            tags.extend((f"B-{t}", f"I-{t}"))
-        return cls(tuple(tags))
-
-    def __len__(self) -> int:
-        return len(self.tags)
-
-    def index(self, tag: str) -> int:
-        return self.tags.index(tag)
-
-    def begin(self, etype: str) -> int:
-        return self.index(f"B-{etype}")
-
-    def inside(self, etype: str) -> int:
-        return self.index(f"I-{etype}")
-
-    def type_of(self, idx: int) -> str | None:
-        tag = self.tags[idx]
-        return None if tag == "O" else tag[2:]
-
-    def is_begin(self, idx: int) -> bool:
-        return self.tags[idx].startswith("B-")
-
-    def is_inside(self, idx: int) -> bool:
-        return self.tags[idx].startswith("I-")
-
-
-def gold_tag_ids(doc: Document, tagset: TagSet) -> np.ndarray:
+def gold_tag_ids(doc: Document, entity_types) -> np.ndarray:
     ids = np.zeros(doc.n_tokens, dtype=np.intp)
     for e in doc.entities:
-        ids[e.start] = tagset.begin(e.type)
-        for t in range(e.start + 1, e.end):
-            ids[t] = tagset.inside(e.type)
+        begin = 2 * entity_types.index(e.type) + 1
+        ids[e.start] = begin
+        ids[e.start + 1:e.end] = begin + 1
     return ids
 
 
-def check_bio(ids, tagset: TagSet) -> None:
-    prev_type = None
-    for i, t in enumerate(ids):
-        t = int(t)
-        if tagset.is_inside(t):
-            if prev_type != tagset.type_of(t):
-                raise ValueError(f"invalid BIO sequence: {tagset.tags[t]} at {i} "
-                                 f"does not continue a {tagset.type_of(t)} span")
-        prev_type = tagset.type_of(t)
-
-
-def repair_bio(ids, tagset: TagSet) -> list[int]:
-    """Orphan I-t becomes B-t; everything else passes through."""
+def repair_bio(ids) -> list[int]:
+    """An orphan I-tag t, one that follows neither t - 1 nor t, becomes its
+    B-tag t - 1; everything else passes through."""
     out = []
-    prev_type = None
+    prev = 0
     for t in ids:
         t = int(t)
-        if tagset.is_inside(t) and prev_type != tagset.type_of(t):
-            t = tagset.begin(tagset.type_of(t))
+        if t and t % 2 == 0 and prev not in (t - 1, t):
+            t -= 1
         out.append(t)
-        prev_type = tagset.type_of(t)
+        prev = t
     return out
 
 
-def spans_from_tags(ids, tagset: TagSet) -> list[Entity]:
+def check_bio(ids) -> None:
+    """ValueError at the first orphan I-tag of `ids`."""
+    for i, (t, fixed) in enumerate(zip(ids, repair_bio(ids))):
+        if t != fixed:
+            raise ValueError(f"invalid BIO sequence: I-tag {t} at {i} "
+                             f"does not continue a span of its type")
+
+
+def spans_from_tags(ids, entity_types) -> list[Entity]:
+    """One entity per B-tag, spanning the I-tags of its type that follow it."""
     ents = []
-    start, etype = None, None
+    start, begin = 0, 0  # the open span's first token and B-tag; 0 when none is open
     for i, t in enumerate(list(ids) + [0]):
         t = int(t)
-        cont = etype is not None and tagset.is_inside(t) and tagset.type_of(t) == etype
-        if cont:
+        if begin and t == begin + 1:
             continue
-        if etype is not None:
-            ents.append(Entity(start, i, etype))
-            start, etype = None, None
-        if t != 0 and tagset.is_begin(t):
-            start, etype = i, tagset.type_of(t)
+        if begin:
+            ents.append(Entity(start, i, entity_types[begin // 2]))
+        start, begin = i, t if t % 2 else 0
     return ents
 
 
@@ -120,8 +87,7 @@ def spans_from_tags(ids, tagset: TagSet) -> list[Entity]:
 
 
 def init_heads(scope, cfg: ModelConfig, rng) -> None:
-    tagset = TagSet.for_types(cfg.entity_types)
-    l_ent = len(tagset)
+    l_ent = 1 + 2 * len(cfg.entity_types)
     d = cfg.d_h
     s = 1.0 / np.sqrt(d)
     crf = scope.scoped("crf")
@@ -145,7 +111,7 @@ def init_heads(scope, cfg: ModelConfig, rng) -> None:
 # -- CRF --------------------------------------------------------------------
 
 
-def crf_nll(h_text: Tensor, gold_ids, scope, tagset: TagSet) -> Tensor:
+def crf_nll(h_text: Tensor, gold_ids, scope) -> Tensor:
     """Sequence negative log-likelihood log Z - score(gold), as one tape node.
 
     Parents (h_text, emission, trans, start, end). The forward pass runs the
@@ -157,7 +123,7 @@ def crf_nll(h_text: Tensor, gold_ids, scope, tagset: TagSet) -> Tensor:
     counts (Lafferty et al. 2001).
     """
     gold_ids = np.asarray(gold_ids, dtype=np.intp)
-    check_bio(gold_ids, tagset)
+    check_bio(gold_ids)
     emission, trans, start, end = (scope[n] for n in ("emission", "trans", "start", "end"))
     e, tr = h_text.data @ emission.data, trans.data
     L, K = e.shape
@@ -204,13 +170,11 @@ def finite(what: str, a: np.ndarray) -> np.ndarray:
     return a
 
 
-def crf_decode(h_text: np.ndarray, scope, tagset: TagSet) -> list[int]:
+def crf_decode(h_text: np.ndarray, scope) -> list[int]:
     """Viterbi over the text features [L, d_h] with lowest-index tie-break,
     then BIO repair; NumericError when the emission logits are not finite."""
     emis = finite("entity emission logits", h_text @ scope["emission"].data)
-    trans = scope["trans"].data
-    start = scope["start"].data
-    end = scope["end"].data
+    trans, start, end = (scope[n].data for n in ("trans", "start", "end"))
     L, K = emis.shape
     delta = start + emis[0]
     back = np.zeros((L, K), dtype=np.intp)
@@ -223,10 +187,20 @@ def crf_decode(h_text: np.ndarray, scope, tagset: TagSet) -> list[int]:
     for t in range(L - 1, 0, -1):
         path.append(int(back[t, path[-1]]))
     path.reverse()
-    return repair_bio(path, tagset)
+    return repair_bio(path)
 
 
 # -- pair heads ---------------------------------------------------------------
+
+
+def entity_pairs(n: int) -> list[tuple[int, int]]:
+    """The coreference pair universe over n mentions: every unordered pair, i < j."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def chain_pairs(n: int) -> list[tuple[int, int]]:
+    """The relation pair universe over n chains: every ordered pair, i != j."""
+    return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
 def _mean_matrix(groups, n: int) -> np.ndarray:
@@ -283,6 +257,32 @@ def decode_chains(n_entities: int, positive_pairs) -> list[list[int]]:
     for i in range(n_entities):
         groups.setdefault(find(i), []).append(i)
     return [sorted(groups[r]) for r in sorted(groups)]
+
+
+def coref_predict(ent_reprs: Tensor, scope) -> list[list[int]]:
+    """The chains of the mentions behind `ent_reprs`: the closure of the pairs
+    whose link logit wins; NumericError when the logits are not finite."""
+    n = ent_reprs.data.shape[0]
+    pairs = entity_pairs(n)
+    positive = []
+    if pairs:
+        logits = affine(pair_features(ent_reprs, pairs).data, scope["w"], scope["b"])
+        links = np.argmax(finite("coreference logits", logits), axis=1)  # ties -> no link
+        positive = [p for p, k in zip(pairs, links.tolist()) if k == 1]
+    return decode_chains(n, positive)
+
+
+def relation_predict(ent_reprs: Tensor, chains, scope, relation_types) -> list[Relation]:
+    """One relation per ordered chain pair whose label is not NULL; NumericError
+    when the logits are not finite."""
+    pairs = chain_pairs(len(chains))
+    if not pairs:
+        return []
+    feats = pair_features(chain_reprs(ent_reprs, chains), pairs)
+    labels = np.argmax(finite("relation logits", affine(feats.data, scope["w"], scope["b"])),
+                       axis=1)  # ties -> NULL
+    return [Relation(i, j, relation_types[k - 1])
+            for (i, j), k in zip(pairs, labels.tolist()) if k != 0]
 
 
 def grounding_predict(h_frames: Tensor, scope, grounding_types) -> list[Region]:
@@ -344,14 +344,12 @@ def box_l1_mean(h_frames: Tensor, scope, frames, gold) -> Tensor:
 def compute_losses(doc: Document, h_text: Tensor, h_frames: Tensor | None,
                    scope, cfg: ModelConfig) -> dict[str, Tensor | None]:
     losses: dict[str, Tensor | None] = dict.fromkeys(("ent", "cha", "rel", "gro_t", "gro_b"))
-    tagset = TagSet.for_types(cfg.entity_types)
     # entity: CRF sequence NLL, a mean over the token count
-    gold = gold_tag_ids(doc, tagset)
-    losses["ent"] = crf_nll(h_text, gold, scope.scoped("crf"), tagset) * (1.0 / doc.n_tokens)
+    gold = gold_tag_ids(doc, cfg.entity_types)
+    losses["ent"] = crf_nll(h_text, gold, scope.scoped("crf")) * (1.0 / doc.n_tokens)
 
     # coreference over all unordered gold entity pairs
-    n_e = len(doc.entities)
-    pairs = [(i, j) for i in range(n_e) for j in range(i + 1, n_e)]
+    pairs = entity_pairs(len(doc.entities))
     if pairs:
         reprs = entity_reprs(h_text, doc.entities)
         chain_of = doc.chain_of()
@@ -361,20 +359,14 @@ def compute_losses(doc: Document, h_text: Tensor, h_frames: Tensor | None,
 
     # relations over all ordered gold chain pairs (NULL = 0); two chains
     # partition at least two entities, so `reprs` exists
-    n_c = len(doc.chains)
-    cpairs = [(i, j) for i in range(n_c) for j in range(n_c) if i != j]
+    cpairs = chain_pairs(len(doc.chains))
     if cpairs:
         rel_of: dict[tuple[int, int], list[int]] = {}
-        rtype_index = {t: k + 1 for k, t in enumerate(cfg.relation_types)}
         for r in doc.relations:
-            rel_of.setdefault((r.sub, r.obj), []).append(rtype_index[r.type])
+            rel_of.setdefault((r.sub, r.obj), []).append(cfg.relation_types.index(r.type) + 1)
         ch = chain_reprs(reprs, doc.chains)
-        sample_pairs, targets = [], []
-        for p in cpairs:
-            golds = rel_of.get(p, [0])
-            for t in golds:
-                sample_pairs.append(p)
-                targets.append(t)
+        sample_pairs = [p for p in cpairs for _ in rel_of.get(p, [0])]
+        targets = [t for p in cpairs for t in rel_of.get(p, [0])]
         losses["rel"] = cross_entropy_mean(pair_features(ch, sample_pairs), scope["rel.w"],
                                            scope["rel.b"], targets)
 
@@ -382,11 +374,10 @@ def compute_losses(doc: Document, h_text: Tensor, h_frames: Tensor | None,
     # annotated frames only
     if h_frames is not None and doc.n_frames > 0:
         gro = scope.scoped("gro")
-        gtype_index = {t: k + 1 for k, t in enumerate(cfg.grounding_types)}
         targets = np.zeros(doc.n_frames, dtype=np.intp)
         gold_boxes = {}
         for rg in doc.regions:
-            targets[rg.frame] = gtype_index[rg.type]
+            targets[rg.frame] = cfg.grounding_types.index(rg.type) + 1
             gold_boxes[rg.frame] = rg.box()
         losses["gro_t"] = cross_entropy_mean(h_frames, gro["type.w"], gro["type.b"], targets)
         if gold_boxes:

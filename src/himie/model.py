@@ -21,9 +21,9 @@ from .data import Corpus, Document, Entity, Region, Relation
 from .dffm import fuse_g_to_x, fuse_x_to_g, init_dffm
 from .encoders import (LevelFeatures, bucket_levels, encode_frames,
                        encode_text, init_frame_encoder, init_text_encoder)
-from .heads import (TagSet, affine, chain_reprs, compute_losses, crf_decode, decode_chains,
-                    entity_reprs, finite, grounding_predict, init_heads, pair_features,
-                    spans_from_tags, total_loss)
+from .heads import (compute_losses, coref_predict, crf_decode, entity_reprs, finite,
+                    grounding_predict, init_heads, relation_predict, spans_from_tags,
+                    total_loss)
 from .mmcm import blank, construct_image_from_text, construct_text_from_image, init_mmcm
 
 
@@ -185,35 +185,19 @@ def predict(doc: Document, params: ParamTree, cfg: ModelConfig, *,
 
 def _predict(doc: Document, params: ParamTree, cfg: ModelConfig, pair_mode: str) -> Prediction:
     heads = params.scoped("heads")
-    tagset = TagSet.for_types(cfg.entity_types)
     h_text, h_frames = compute_features(doc, params, cfg)
     finite("fused text features", h_text.data)
     if h_frames is not None:
         finite("fused frame features", h_frames.data)
 
-    tags = crf_decode(h_text.data, heads.scoped("crf"), tagset)
-    decoded_entities = spans_from_tags(tags, tagset)
-
-    pair_entities = list(doc.entities) if pair_mode == "gold-pairs" else decoded_entities
-    pairs = [(i, j) for i in range(len(pair_entities)) for j in range(i + 1, len(pair_entities))]
+    tags = crf_decode(h_text.data, heads.scoped("crf"))
+    decoded_entities = spans_from_tags(tags, cfg.entity_types)
+    gold_pairs = pair_mode == "gold-pairs"
+    pair_entities = list(doc.entities) if gold_pairs else decoded_entities
     reprs = entity_reprs(h_text, pair_entities)
-    positive: list[tuple[int, int]] = []
-    if pairs:
-        logits = affine(pair_features(reprs, pairs).data, heads["coref.w"], heads["coref.b"])
-        links = np.argmax(finite("coreference logits", logits), axis=1)
-        positive = [p for p, k in zip(pairs, links.tolist()) if k == 1]
-    chains = decode_chains(len(pair_entities), positive)
-
-    rel_chains = [list(c) for c in doc.chains] if pair_mode == "gold-pairs" else chains
-    relations: list[Relation] = []
-    cpairs = [(i, j) for i in range(len(rel_chains)) for j in range(len(rel_chains)) if i != j]
-    if cpairs:
-        ch = chain_reprs(reprs, rel_chains)
-        logits = affine(pair_features(ch, cpairs).data, heads["rel.w"], heads["rel.b"])
-        labels = np.argmax(finite("relation logits", logits), axis=1)
-        relations = [Relation(i, j, cfg.relation_types[k - 1])
-                     for (i, j), k in zip(cpairs, labels.tolist()) if k != 0]
-
+    chains = coref_predict(reprs, heads.scoped("coref"))
+    rel_chains = [list(c) for c in doc.chains] if gold_pairs else chains
+    relations = relation_predict(reprs, rel_chains, heads.scoped("rel"), cfg.relation_types)
     regions = ([] if h_frames is None else
                grounding_predict(h_frames, heads.scoped("gro"), cfg.grounding_types))
     return Prediction(tags, decoded_entities, pair_entities, chains, rel_chains,

@@ -17,7 +17,7 @@ from himie.config import GenConfig, LossConfig, ModelConfig, RunConfig
 from himie.data import (assign_modality_regime, parse_corpus, serialize_corpus,
                         validate)
 from himie.evaluate import evaluate, reduce_stats, report_bytes, score_document
-from himie.heads import TagSet, crf_decode, crf_nll, repair_bio
+from himie.heads import crf_decode, crf_nll, repair_bio
 from himie.metrics import (PartitionError, b_cubed_prf, ceaf_e_prf,
                            chain_score_prf, iou, muc_prf, prf_from_counts,
                            relation_matches, score_chains, score_grounding,
@@ -67,8 +67,7 @@ def test_criterion_01_full_model_gradcheck():
 
 
 def test_criterion_02_crf_matches_enumeration():
-    tagset = TagSet.for_types(DESK.entity_types)
-    K = len(tagset)
+    K = 1 + 2 * len(DESK.entity_types)
     assert K == 9
     d = 4
     worst = 0.0
@@ -92,20 +91,20 @@ def test_criterion_02_crf_matches_enumeration():
             scores += trans[paths[:, :-1], paths[:, 1:]].sum(axis=1)
         log_z_enum = float(logsumexp(scores))
 
-        gold = repair_bio(rng.integers(0, K, size=L), tagset)
+        gold = repair_bio(rng.integers(0, K, size=L))
         gold_score = (start[gold[0]] + end[gold[-1]]
                       + emis[np.arange(L), gold].sum())
         if L > 1:
             g = np.asarray(gold)
             gold_score += trans[g[:-1], g[1:]].sum()
-        log_z_impl = float(crf_nll(h, gold, scope, tagset).data) + gold_score
+        log_z_impl = float(crf_nll(h, gold, scope).data) + gold_score
         worst = max(worst, abs(log_z_impl - log_z_enum))
         assert abs(log_z_impl - log_z_enum) < 1e-8
 
         # continuous random scores make the argmax unique with certainty;
         # the decoder repairs BIO afterwards, so repair the reference too
         best = [int(t) for t in paths[int(np.argmax(scores))]]
-        assert crf_decode(h.data, scope, tagset) == repair_bio(best, tagset)
+        assert crf_decode(h.data, scope) == repair_bio(best)
     print(f"[criterion 2] PASS: 100 instances, log Z max err {worst:.2e} < 1e-8, "
           f"all Viterbi paths identical")
 
@@ -299,7 +298,7 @@ def test_criterion_05_relation_counts_match_bruteforce():
 def test_criterion_06_overfit_eight_documents():
     cfg = RunConfig(gen=GenConfig(docs=8, seed=2), epochs=37, seed=2)
     corpus = generate(cfg.gen)
-    assert len(corpus) == 8
+    assert len(corpus.documents) == 8
     assert all(d.modality_mask == "full" for d in corpus.documents)
 
     t0 = time.monotonic()

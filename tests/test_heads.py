@@ -9,7 +9,6 @@ from himie.autodiff import (ParamTree, Tensor, add, gradcheck, index_rows, matmu
 from himie.config import LossConfig, ModelConfig
 from himie.data import Document, Entity, Region, Relation
 from himie.heads import (
-    TagSet,
     affine,
     box_l1_mean,
     check_bio,
@@ -31,7 +30,15 @@ from himie.heads import (
 from conftest import count_tape_nodes, getitem
 
 CFG = ModelConfig(d_h=8, n_l=6, heads=2, n_p=4, d_in=3, d_vae=4, vocab=64, max_len=32)
-TAGS = TagSet.for_types(CFG.entity_types)
+K = 1 + 2 * len(CFG.entity_types)  # O, then a B- and an I-tag per entity type
+
+
+def begin(etype: str) -> int:
+    return 2 * CFG.entity_types.index(etype) + 1
+
+
+def inside(etype: str) -> int:
+    return begin(etype) + 1
 LOSS_NAMES = ("ent", "cha", "rel", "gro_t", "gro_b")
 
 
@@ -119,7 +126,7 @@ def value_and_grad_bytes(make_params, build):
     return loss.data.tobytes(), {n: g.tobytes() for n, g in p.grads().items()}
 
 
-def reference_crf_nll(h_text, gold_ids, scope, tagset):
+def reference_crf_nll(h_text, gold_ids, scope):
     """The CRF loss as a per-token tape recursion: the oracle for the fused node."""
     gold_ids = np.asarray(gold_ids, dtype=np.intp)
     emis = matmul(h_text, scope["emission"])
@@ -133,7 +140,7 @@ def reference_crf_nll(h_text, gold_ids, scope, tagset):
 
     alpha = add(getitem(emis, 0), start)
     for t in range(1, L):
-        prev = reshape(alpha, (len(tagset.tags), 1))
+        prev = reshape(alpha, (K, 1))
         alpha = add(logsumexp(add(prev, trans), axis=0), getitem(emis, t))
     log_z = logsumexp(add(alpha, end), axis=0)
     return log_z - score
@@ -143,7 +150,6 @@ def random_crf(L: int, seed: int, scale: float = 1.0) -> tuple[ParamTree, np.nda
     """A trainable `h` [L, d_h] and a `crf` scope with random transitions and
     boundary scores, plus a random valid BIO gold sequence."""
     rng = np.random.default_rng(seed)
-    K = len(TAGS)
     p = ParamTree()
     p.add("h", rng.normal(size=(L, CFG.d_h)))
     c = p.scoped("crf")
@@ -151,7 +157,7 @@ def random_crf(L: int, seed: int, scale: float = 1.0) -> tuple[ParamTree, np.nda
     c.add("trans", rng.normal(size=(K, K)))
     c.add("start", rng.normal(size=K))
     c.add("end", rng.normal(size=K))
-    return p, np.asarray(repair_bio(rng.integers(0, K, size=L), TAGS))
+    return p, np.asarray(repair_bio(rng.integers(0, K, size=L)))
 
 
 def make_doc(**over) -> Document:
@@ -166,64 +172,72 @@ def make_doc(**over) -> Document:
 
 
 class TestTagSet:
+    """The integer tag set: O = 0, and type k has B at 2k + 1 and I at 2k + 2."""
+
     def test_layout(self):
-        ts = TagSet.for_types(("PER", "LOC"))
-        assert ts.tags == ("O", "B-PER", "I-PER", "B-LOC", "I-LOC")
-        assert ts.begin("LOC") == 3 and ts.inside("PER") == 2
-        assert ts.type_of(0) is None and ts.type_of(4) == "LOC"
-        assert ts.is_begin(1) and ts.is_inside(2) and not ts.is_begin(0)
+        types = ("PER", "LOC")
+        doc = make_doc(entities=[Entity(0, 2, "PER"), Entity(3, 5, "LOC")])
+        assert gold_tag_ids(doc, types).tolist() == [1, 2, 0, 3, 4, 0]
+        p = ParamTree()
+        init_heads(p, ModelConfig(entity_types=types, grounding_types=types),
+                   np.random.default_rng(0))
+        assert p["crf.trans"].shape == (5, 5)
 
     def test_gold_ids_roundtrip_through_spans(self):
         doc = make_doc()
-        ids = gold_tag_ids(doc, TAGS)
-        assert spans_from_tags(ids, TAGS) == doc.entities
+        ids = gold_tag_ids(doc, CFG.entity_types)
+        assert spans_from_tags(ids, CFG.entity_types) == doc.entities
 
     def test_gold_ids_layout(self):
         doc = make_doc()
-        ids = gold_tag_ids(doc, TAGS).tolist()
-        b, i = TAGS.begin("PER"), TAGS.inside("PER")
-        assert ids[:3] == [b, i, 0]
-        assert ids[3] == TAGS.begin("LOC") and ids[4] == 0
+        ids = gold_tag_ids(doc, CFG.entity_types).tolist()
+        assert ids[:3] == [begin("PER"), inside("PER"), 0]
+        assert ids[3] == begin("LOC") and ids[4] == 0
 
     def test_check_bio_rejects_orphan_inside(self):
         with pytest.raises(ValueError, match="BIO"):
-            check_bio([0, TAGS.inside("PER")], TAGS)
+            check_bio([0, inside("PER")])
         with pytest.raises(ValueError, match="BIO"):
-            check_bio([TAGS.begin("LOC"), TAGS.inside("PER")], TAGS)
+            check_bio([begin("LOC"), inside("PER")])
+        check_bio([begin("LOC"), inside("LOC"), inside("LOC"), 0])
 
     def test_repair_bio_promotes_orphans(self):
-        fixed = repair_bio([0, TAGS.inside("PER"), TAGS.inside("PER")], TAGS)
-        assert fixed == [0, TAGS.begin("PER"), TAGS.inside("PER")]
-        check_bio(fixed, TAGS)
+        fixed = repair_bio([0, inside("PER"), inside("PER"), inside("LOC")])
+        assert fixed == [0, begin("PER"), inside("PER"), begin("LOC")]
+        check_bio(fixed)
 
     def test_spans_adjacent_b_tags_split(self):
-        b = TAGS.begin("PER")
-        assert spans_from_tags([b, b], TAGS) == [Entity(0, 1, "PER"), Entity(1, 2, "PER")]
+        b = begin("PER")
+        assert spans_from_tags([b, b], CFG.entity_types) == [Entity(0, 1, "PER"),
+                                                             Entity(1, 2, "PER")]
 
     def test_span_ending_at_sequence_end(self):
-        b, i = TAGS.begin("ORG"), TAGS.inside("ORG")
-        assert spans_from_tags([0, b, i], TAGS) == [Entity(1, 3, "ORG")]
+        assert spans_from_tags([0, begin("ORG"), inside("ORG")], CFG.entity_types) == \
+            [Entity(1, 3, "ORG")]
+
+    def test_orphan_and_foreign_inside_tags_open_no_span(self):
+        ids = [inside("PER"), begin("LOC"), inside("PER"), inside("LOC")]
+        assert spans_from_tags(ids, CFG.entity_types) == [Entity(1, 2, "LOC")]
 
 
 class TestCrf:
     def test_zero_params_log_z_is_uniform(self):
         # all scores 0: Z = K^L so NLL = L log K exactly
-        K, L = len(TAGS), 2
+        L = 2
         p = zero_crf(K, CFG.d_h)
         h = Tensor(np.zeros((L, CFG.d_h)))
-        nll = crf_nll(h, [0, 0], p.scoped("crf"), TAGS)
+        nll = crf_nll(h, [0, 0], p.scoped("crf"))
         assert abs(nll.data - L * np.log(K)) < 1e-12
 
     @pytest.mark.parametrize("trial", range(20))
     def test_log_z_matches_enumeration(self, trial):
         rng = np.random.default_rng(trial)
-        K = len(TAGS)
         L = int(rng.integers(1, 6))
         p = head_params(seed=trial)
         h = Tensor(rng.normal(size=(L, CFG.d_h)))
         crf = p.scoped("heads.crf")
         # valid random BIO sequence via repair
-        gold = repair_bio(rng.integers(0, K, size=L), TAGS)
+        gold = repair_bio(rng.integers(0, K, size=L))
 
         emis = h.data @ crf["emission"].data
         trans, start, end = crf["trans"].data, crf["start"].data, crf["end"].data
@@ -231,13 +245,12 @@ class TestCrf:
         score = emis[np.arange(L), gold].sum() + start[gold[0]] + end[gold[-1]]
         score += trans[np.asarray(gold)[:-1], np.asarray(gold)[1:]].sum() if L > 1 else 0.0
 
-        nll = crf_nll(h, gold, crf, TAGS)
+        nll = crf_nll(h, gold, crf)
         assert abs(nll.data - (log_z - score)) < 1e-8
 
     @pytest.mark.parametrize("trial", range(20))
     def test_decode_matches_best_enumerated_path(self, trial):
         rng = np.random.default_rng(100 + trial)
-        K = len(TAGS)
         L = int(rng.integers(1, 5))
         p = head_params(seed=trial)
         crf = p.scoped("heads.crf")
@@ -267,17 +280,17 @@ class TestCrf:
             if k < 0:
                 break
 
-        assert crf_decode(h, crf, TAGS) == repair_bio(best, TAGS)
+        assert crf_decode(h, crf) == repair_bio(best)
 
     def test_all_ties_decode_to_outside(self):
-        p = zero_crf(len(TAGS), CFG.d_h)
-        assert crf_decode(np.zeros((4, CFG.d_h)), p.scoped("crf"), TAGS) == [0, 0, 0, 0]
+        p = zero_crf(K, CFG.d_h)
+        assert crf_decode(np.zeros((4, CFG.d_h)), p.scoped("crf")) == [0, 0, 0, 0]
 
     def test_nll_rejects_invalid_gold(self):
         p = head_params()
         h = Tensor(np.zeros((2, CFG.d_h)))
         with pytest.raises(ValueError, match="BIO"):
-            crf_nll(h, [0, TAGS.inside("PER")], p.scoped("heads.crf"), TAGS)
+            crf_nll(h, [0, inside("PER")], p.scoped("heads.crf"))
 
     def test_nll_gradcheck(self):
         p = head_params(seed=5)
@@ -285,8 +298,9 @@ class TestCrf:
         h = Tensor(rng.normal(size=(4, CFG.d_h)))
         gold = gold_tag_ids(make_doc(tokens=["a", "b", "c", "d"],
                                      entities=[Entity(0, 2, "PER")],
-                                     chains=[[0]], relations=[], regions=[]), TAGS)
-        report = gradcheck(lambda: crf_nll(h, gold, p.scoped("heads.crf"), TAGS),
+                                     chains=[[0]], relations=[], regions=[]),
+                            CFG.entity_types)
+        report = gradcheck(lambda: crf_nll(h, gold, p.scoped("heads.crf")),
                            p, samples=40, seed=2)
         assert report.ok(1e-4), report.worst()
 
@@ -298,7 +312,7 @@ class TestFusedCrf:
     def value_and_grads(fn, p, gold):
         """The loss and the gradients of 0.37 * loss (a non-unit upstream gradient)."""
         p.zero_grad()
-        loss = fn(p["h"], gold, p.scoped("crf"), TAGS)
+        loss = fn(p["h"], gold, p.scoped("crf"))
         (loss * 0.37).backward()
         return float(loss.data), {n: g.copy() for n, g in p.grads().items()}
 
@@ -316,7 +330,7 @@ class TestFusedCrf:
     def test_one_node_over_emissions_and_scores(self, monkeypatch):
         p, gold = random_crf(7, seed=1)
         made = count_tape_nodes(monkeypatch)
-        loss = crf_nll(p["h"], gold, p.scoped("crf"), TAGS)
+        loss = crf_nll(p["h"], gold, p.scoped("crf"))
         assert made == ["crf_nll"]
         assert loss._parents == tuple(p[n] for n in ("h", "crf.emission", "crf.trans",
                                                      "crf.start", "crf.end"))
@@ -326,14 +340,14 @@ class TestFusedCrf:
         # the emission matmul as its own node, then the CRF over the emissions:
         # crf_nll with an identity emission matrix, whose products are exact
         # (the recursion itself is checked against the tape recursion above)
-        def over_emissions(h, gold, scope, tagset):
+        def over_emissions(h, gold, scope):
             eye = {name: scope[name] for name in ("trans", "start", "end")}
-            eye["emission"] = Tensor(np.eye(len(tagset)))
-            return crf_nll(matmul(h, scope["emission"]), gold, eye, tagset)
+            eye["emission"] = Tensor(np.eye(K))
+            return crf_nll(matmul(h, scope["emission"]), gold, eye)
 
         gold = random_crf(L, seed=L)[1]
         fused, composed = (value_and_grad_bytes(lambda: random_crf(L, seed=L)[0],
-                                                lambda p: fn(p["h"], gold, p.scoped("crf"), TAGS))
+                                                lambda p: fn(p["h"], gold, p.scoped("crf")))
                            for fn in (crf_nll, over_emissions))
         assert fused == composed
 
@@ -348,7 +362,7 @@ class TestFusedCrf:
 
     def test_gradcheck_single_token_with_trainable_text(self):
         p, gold = random_crf(1, seed=4)
-        report = gradcheck(lambda: crf_nll(p["h"], gold, p.scoped("crf"), TAGS),
+        report = gradcheck(lambda: crf_nll(p["h"], gold, p.scoped("crf")),
                            p, samples=40, seed=0)
         assert {e.name for e in report.entries} >= {"h", "crf.emission", "crf.start",
                                                      "crf.end"}
@@ -361,7 +375,7 @@ class TestFusedCrf:
         p, gold = random_crf(7, seed=6)
         if index is not None:
             plant_vjp_error("crf_nll", index)
-        report = gradcheck(lambda: crf_nll(p["h"], gold, p.scoped("crf"), TAGS),
+        report = gradcheck(lambda: crf_nll(p["h"], gold, p.scoped("crf")),
                            p, samples=40, seed=1)
         assert {e.name for e in report.entries} == set(p.names())
         assert report.ok(1e-4) is (index is None), report.worst()
