@@ -181,7 +181,8 @@ def crf_decode(h_text: np.ndarray, scope) -> list[int]:
     for t in range(1, L):
         cand = delta[:, None] + trans  # [from, to]
         back[t] = np.argmax(cand, axis=0)  # first max = lowest from-index
-        delta = cand[back[t], np.arange(K)] + emis[t]
+        # a column's max is the value at its first argmax, NaN included
+        delta = np.maximum.reduce(cand, axis=0) + emis[t]
     last = int(np.argmax(delta + end))
     path = [last]
     for t in range(L - 1, 0, -1):
