@@ -85,9 +85,6 @@ class Document:
 class Corpus:
     documents: list[Document]
 
-    def __len__(self) -> int:
-        return len(self.documents)
-
 
 # -- validation ----------------------------------------------------------
 

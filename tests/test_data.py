@@ -118,7 +118,7 @@ class TestSerialization:
         path = tmp_path / "c.jsonl"
         serialize_corpus(corpus, path)
         back = load_corpus(path)
-        assert len(back) == 2
+        assert len(back.documents) == 2
         for a, b in zip(corpus.documents, back.documents):
             assert a.id == b.id and a.tokens == b.tokens
             assert a.entities == b.entities and a.chains == b.chains
@@ -138,7 +138,7 @@ class TestSerialization:
     def test_empty_file_is_empty_corpus(self, tmp_path):
         path = tmp_path / "e.jsonl"
         path.write_text("")
-        assert len(load_corpus(path)) == 0
+        assert len(load_corpus(path).documents) == 0
 
     def test_malformed_line_reports_line_number(self):
         good = serialize_corpus(Corpus([make_doc()])).rstrip("\n")

@@ -136,7 +136,7 @@ class TestReduce:
                                         (1 / 3, 1 / 3, 1 / 3), seed=0)
         report = reduce_stats(self._stats(corpus), "gold-pairs")
         counts = {r: report["regimes"][r]["n_documents"] for r in MODALITIES}
-        assert sum(counts.values()) == report["n_documents"] == len(corpus)
+        assert sum(counts.values()) == report["n_documents"] == len(corpus.documents)
 
     def test_order_independent_bytes(self):
         corpus = corpus_with_all_layers()
@@ -170,7 +170,7 @@ class TestEvaluate:
         report = evaluate(params, cfg, corpus)
         for task in ("ent", "cha", "rel", "gro"):
             assert 0.0 <= report[task]["f1"] <= 1.0
-        assert report["n_documents"] == len(corpus)
+        assert report["n_documents"] == len(corpus.documents)
 
     def test_report_bytes_deterministic(self):
         corpus = generate(small_gen(), SMALL)

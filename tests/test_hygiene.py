@@ -6,11 +6,11 @@ referred to outside its own body, every parameter is read in its function's
 body, and the package imports no third-party code beyond numpy and
 scipy.special.
 
-At run time, on the tape: the package is run end to end on a small model
-(training, both evaluation pair modes and a gradcheck, over the shapes the
-behaviour pin covers) under a `sys.setprofile` hook that records every
-function of `autodiff.py` it enters. Every function written there and bound
-at its top level or in one of its classes, dunders and property getters
+At run time: the package is run end to end on a small model (training and
+both evaluation pair modes over the shapes the behaviour pin covers, every CLI
+command and its error exits) under a `sys.setprofile` hook that records every
+function of the package it enters. Every function written in a module and
+bound at its top level or in one of its classes, dunders and property getters
 included, must be among them or in `UNREACHED_ALLOWED` with its reason. The
 static rule cannot see an unused dunder, or a method named like a numpy one
 (`sum`, `reshape`, `size`), since any array's call of that name counts as a
@@ -31,11 +31,11 @@ from pathlib import Path
 
 import pytest
 
-from himie import autodiff
 from himie.cli import main
 from himie.config import config_from_dict
 from himie.data import MODALITIES, Corpus
 from himie.evaluate import evaluate
+from himie.metrics import score_relations
 from himie.synth import generate
 from himie.trainer import train
 
@@ -211,11 +211,15 @@ def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
     assert out.stdout.split() == []
 
 
-# Members of `autodiff.py` that no run of the package enters, each with the
-# reason it stays.
+# Members of the package that no run of it enters, each with the reason it stays.
 UNREACHED_ALLOWED = {
     # pytest prints a Tensor through it when an assertion on one fails
-    "Tensor.__repr__",
+    "autodiff.Tensor.__repr__",
+    # the brute-force reference that recovers the generator's planted
+    # annotations from the raw inputs, and the bucket lookup only it reads: the
+    # synth and acceptance tests compare the model's output against it
+    "synth.oracle_predict",
+    "synth.type_of_bucket",
 }
 # CI's small model and corpus
 SMALL = {"model": {"d_h": 8, "n_l": 6, "heads": 2, "n_p": 4, "d_in": 3, "d_vae": 4,
@@ -251,13 +255,15 @@ def members(module) -> dict:
     return found
 
 
-def unreached_members(module, run) -> list[str]:
-    """The names in `members(module)` whose function `run()` never enters,
-    recorded by a `sys.setprofile` hook filtered to the module's file."""
+def unreached_members(modules, run) -> list[str]:
+    """`module.name` for each name in `members(module)`, over `modules`, whose
+    function `run()` never enters, recorded by a `sys.setprofile` hook filtered
+    to the modules' files."""
+    files = {m.__file__ for m in modules}
     entered = set()
 
     def hook(frame, event, _arg):
-        if event == "call" and frame.f_code.co_filename == module.__file__:
+        if event == "call" and frame.f_code.co_filename in files:
             entered.add(frame.f_code)
 
     sys.setprofile(hook)
@@ -265,7 +271,8 @@ def unreached_members(module, run) -> list[str]:
         run()
     finally:
         sys.setprofile(None)
-    return sorted(name for code, name in members(module).items() if code not in entered)
+    return sorted(f"{m.__name__.rsplit('.', 1)[-1]}.{name}" for m in modules
+                  for code, name in members(m).items() if code not in entered)
 
 
 def test_finds_an_unreached_member(tmp_path):
@@ -284,13 +291,15 @@ def test_finds_an_unreached_member(tmp_path):
     spec.loader.exec_module(mod)
     assert sorted(members(mod).values()) == ["K.__init__", "K.__neg__", "K.size", "K.used",
                                              "cached", "planted", "run"]
-    assert unreached_members(mod, mod.run) == ["K.__neg__", "K.size", "planted"]
+    assert unreached_members([mod], mod.run) == ["planted.K.__neg__", "planted.K.size",
+                                                 "planted.planted"]
 
 
 def run_the_package(tmp_path) -> None:
     """Train and evaluate in both pair modes on every pinned shape, each
-    document once per modality regime, then one `himie gradcheck` through
-    the CLI."""
+    document once per modality regime; run every CLI command on CI's config,
+    and the CLI's error exits on a bad command line, a malformed corpus line
+    and an invalid document; score one matching relation."""
     for switches in SHAPES:
         cfg = config_from_dict(dict(SMALL, model=dict(SMALL["model"], **switches)))
         docs = [dataclasses.replace(d, modality_mask=m)
@@ -301,13 +310,34 @@ def run_the_package(tmp_path) -> None:
         params = train(cfg, corpus).params
         for mode in ("gold-pairs", "predicted-pairs"):
             evaluate(params, dataclasses.replace(cfg, eval_mode=mode), corpus)
-    run = tmp_path / "run.json"
-    run.write_text(json.dumps(SMALL), encoding="utf-8")
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["gradcheck", "--config", str(run), "--samples", "1"]) == 0
+    run, corpus, ckpt, report = (str(tmp_path / name) for name in
+                                 ("run.json", "corpus.jsonl", "model.ckpt", "report.json"))
+    Path(run).write_text(json.dumps(SMALL), encoding="utf-8")
+    ok = (["gen", "--config", run, "--out", corpus],
+          ["train", "--config", run, "--corpus", corpus, "--out", ckpt,
+           "--log", str(tmp_path / "steps.jsonl")],
+          ["eval", "--checkpoint", ckpt, "--corpus", corpus, "--out", report],
+          ["report", "--report", report, "--out", str(tmp_path / "report.csv")],
+          ["sweep", "--config", run, "--axis", "missing_ratio", "--values", "0.5",
+           "--out", str(tmp_path / "sweep.csv")],
+          ["gradcheck", "--config", run, "--samples", "1"])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for argv in ok:
+            assert main(argv) == 0, argv
+        assert main(["train", "--config", run, "--seed", "abc"]) == 1
+        invalid = json.loads(Path(corpus).read_text(encoding="utf-8").splitlines()[0])
+        invalid["modality_mask"] = "none"
+        for text in ("{\n", json.dumps(invalid) + "\n"):
+            bad = tmp_path / "bad.jsonl"
+            bad.write_text(text, encoding="utf-8")
+            assert main(["eval", "--checkpoint", ckpt, "--corpus", str(bad)]) == 1
+    mention = frozenset({(0, 1)})
+    relation = (mention, mention, "works_for")
+    assert score_relations([relation], [relation])[0] == (1, 0, 0)
 
 
-def test_every_autodiff_member_is_reached(tmp_path):
+def test_every_member_is_reached(tmp_path):
+    package = [importlib.import_module(f"himie.{p.stem}") for p in SRC]
     # the allowlist must still be needed, so none of it outlives its reason
-    assert unreached_members(autodiff, lambda: run_the_package(tmp_path)) == \
+    assert unreached_members(package, lambda: run_the_package(tmp_path)) == \
         sorted(UNREACHED_ALLOWED)

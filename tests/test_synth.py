@@ -56,7 +56,7 @@ class TestGenerate:
     def test_doc_count_contract(self):
         cfg = GenConfig(docs=8, seed=0)
         corpus = generate(cfg)
-        assert len(corpus) == 8
+        assert len(corpus.documents) == 8
 
     def test_every_document_validates(self):
         corpus = generate(GenConfig(docs=12, seed=1))

@@ -273,7 +273,7 @@ class TestTrain:
         cfg = small_run(epochs=2)
         corpus = generate(cfg.gen, cfg.model)
         out = train(cfg, corpus)
-        assert out.step == 2 * len(corpus)
+        assert out.step == 2 * len(corpus.documents)
         assert len(out.log) == out.step
         assert all(np.isfinite(r.total) for r in out.log)
         assert {r.doc_id for r in out.log} == {d.id for d in corpus.documents}
@@ -282,8 +282,8 @@ class TestTrain:
         cfg = small_run(epochs=25)
         corpus = generate(cfg.gen, cfg.model)
         out = train(cfg, corpus)
-        first = np.mean([r.total for r in out.log[:len(corpus)]])
-        last = np.mean([r.total for r in out.log[-len(corpus):]])
+        first = np.mean([r.total for r in out.log[:len(corpus.documents)]])
+        last = np.mean([r.total for r in out.log[-len(corpus.documents):]])
         assert last < first * 0.5
 
     def test_non_finite_loss_aborts_with_step_info(self):
@@ -299,7 +299,7 @@ class TestTrain:
         corpus = generate(cfg.gen, cfg.model)
         first = train(cfg, corpus)
         resumed = train(cfg, corpus, params=first.params)
-        assert resumed.step == len(corpus)  # counts only its own steps
+        assert resumed.step == len(corpus.documents)  # counts only its own steps
 
     def test_given_params_updated_in_place(self):
         cfg = small_run(epochs=1)
@@ -404,7 +404,7 @@ class TestCompatibility:
         cfg.gen = dataclasses.replace(cfg.gen, entity_rate=0.4, relation_rate=0.8)
         corpus = generate(cfg.gen, cfg.model)
         assert {r.type for d in corpus.documents for r in d.relations} == {"works_for", "born_in"}
-        assert train(cfg, corpus).step == len(corpus)
+        assert train(cfg, corpus).step == len(corpus.documents)
 
     def test_custom_label_sets_accepted(self):
         # the generator draws every label from the model, so its corpus trains as is
@@ -416,7 +416,7 @@ class TestCompatibility:
         corpus = generate(cfg.gen, cfg.model)
         assert {e.type for d in corpus.documents for e in d.entities} <= set(model.entity_types)
         assert {g.type for d in corpus.documents for g in d.regions} == {"PERSON"}
-        assert train(cfg, corpus).step == len(corpus)
+        assert train(cfg, corpus).step == len(corpus.documents)
 
     def test_given_params_mismatch(self, monkeypatch):
         cfg = small_run()
