@@ -77,10 +77,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out = _output(args.out)
-    params, cfg, _step, _rng = load_checkpoint(args.checkpoint)
-    if args.config:
-        cfg = load_config(args.config)
+    cfg = load_config(args.config) if args.config else None
+    out = _output(args.out or (cfg.report_path if cfg else None))
+    params, saved, _step, _rng = load_checkpoint(args.checkpoint)
+    cfg = cfg or saved
     corpus_path = args.corpus or cfg.corpus_path
     if not corpus_path:
         raise ConfigError("eval needs --corpus or corpus_path in the config")

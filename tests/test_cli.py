@@ -456,7 +456,8 @@ class TestOutputPathFirst:
                      "--values", "2,3"]) == 1
         assert "sweep needs --out" in _one_error_line(capsys)
 
-    @pytest.mark.parametrize("command", ["gen", "train", "train_log", "eval", "sweep", "report"])
+    @pytest.mark.parametrize("command", ["gen", "train", "train_log", "eval", "eval_config",
+                                         "sweep", "report"])
     def test_output_in_a_missing_directory(self, tmp_path, capsys, monkeypatch, command):
         cfg = write_cfg(tmp_path)
         corpus, ckpt = tmp_path / "corpus.jsonl", tmp_path / "model.ckpt"
@@ -468,12 +469,16 @@ class TestOutputPathFirst:
                          "--out", str(report)]) == 0
         missing = str(tmp_path / "missing" / "out")
         fresh = tmp_path / "fresh.ckpt"
+        if command == "eval_config":
+            cfg = write_cfg(tmp_path, report_path=missing)
         argv = {"gen": ["gen", "--config", cfg, "--out", missing],
                 "train": ["train", "--config", cfg, "--corpus", str(corpus), "--out", missing],
                 "train_log": ["train", "--config", cfg, "--corpus", str(corpus),
                               "--out", str(fresh), "--log", missing],
                 "eval": ["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus),
                          "--out", missing],
+                "eval_config": ["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                                "--config", cfg],
                 "sweep": ["sweep", "--config", cfg, "--axis", "prompt_len", "--values", "2,3",
                           "--out", missing],
                 "report": ["report", "--report", str(report), "--out", missing]}[command]
