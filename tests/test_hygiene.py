@@ -256,9 +256,9 @@ def members(module) -> dict:
 
 
 def unreached_members(modules, run) -> list[str]:
-    """`module.name` for each name in `members(module)`, over `modules`, whose
-    function `run()` never enters, recorded by a `sys.setprofile` hook filtered
-    to the modules' files."""
+    """`module.member` for each of the `members` of `modules` whose function
+    `run()` never enters, recorded by a `sys.setprofile` hook filtered to the
+    modules' files."""
     files = {m.__file__ for m in modules}
     entered = set()
 
@@ -313,6 +313,7 @@ def run_the_package(tmp_path) -> None:
     run, corpus, ckpt, report = (str(tmp_path / name) for name in
                                  ("run.json", "corpus.jsonl", "model.ckpt", "report.json"))
     Path(run).write_text(json.dumps(SMALL), encoding="utf-8")
+    # the sweep's missing_ratio axis is the one that reads `ratio_fractions`
     ok = (["gen", "--config", run, "--out", corpus],
           ["train", "--config", run, "--corpus", corpus, "--out", ckpt,
            "--log", str(tmp_path / "steps.jsonl")],
