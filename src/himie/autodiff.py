@@ -33,7 +33,13 @@ same array to several parents, so no VJP output is ever written in place.
 tape ops: arrays in, the output and its VJP out. A caller on the tape
 records the node itself, as `encoders.run_block` does for a whole block,
 `dffm.fuse_levels` for one attention node and one FFN node, and `mmcm` for
-one construction node.
+one construction node. A pair's VJP keeps only what one matmul cannot
+rebuild: attention keeps q, k, v, the softmax row max and row sum and the
+merged context, and recomputes the per-head projections and the weights;
+the FFN keeps x and Phi(x @ w1 + b1), the exact-erf pass, and recomputes
+the pre-activation; `layer_norm_vjp` takes xhat and the inverse deviation;
+`conv1d` keeps its padded input. Every recomputation repeats the forward's
+operations, so the gradients are bitwise the same as from saved arrays.
 
 A VJP returns `None` for a parent that carries no gradient where skipping
 its product saves work (`add`, `mul`, `matmul`); `backward` sends only to
@@ -143,8 +149,8 @@ class Tensor:
                                    "ran; a tape supports one backward pass")
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
+            for p in node._parents:  # leaves get their gradients through `send`
+                if p._vjp is not None and p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
         # interior gradients live only until their VJP has run: none keeps a `.grad`
         held: dict[int, np.ndarray] = {}
@@ -160,7 +166,7 @@ class Tensor:
         send(self, np.ones_like(self.data))
         while order:  # popping drops the walk's reference to each finished node
             node = order.pop()
-            if node._vjp is None:  # a leaf: `send` has already written its grad
+            if node._vjp is None:  # a leaf root: `send` has already written its grad
                 continue
             g = held.pop(id(node), None)
             if g is not None:
@@ -196,10 +202,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
         return g
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+        g = np.add.reduce(g, axis=tuple(range(extra)))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
     if axes:
-        g = g.sum(axis=axes, keepdims=True)
+        g = np.add.reduce(g, axis=axes, keepdims=True)
     return g.reshape(shape)
 
 
@@ -241,8 +247,8 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape) if a.requires_grad else None
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) if b.requires_grad else None
+        ga = _unbroadcast(g @ _tr(b.data), a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(_tr(a.data) @ g, b.data.shape) if b.requires_grad else None
         return ga, gb
 
     return Tensor._result(out, (a, b), vjp)
@@ -332,9 +338,10 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
 
     Plain numpy; returns (out, xhat, inv), the last two for `layer_norm_vjp`.
     """
-    mu = x.mean(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d  # `x.mean(...)` to the bit
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     return xhat * gain + bias, xhat, inv
@@ -343,12 +350,13 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
 def layer_norm_vjp(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
                    inv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(dx, dgain, dbias) of `layer_norm` for the output gradient g."""
+    d = g.shape[-1]
     dxhat = g * gain
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+    m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
     dx = inv * (dxhat - m1 - xhat * m2)
     axes = tuple(range(g.ndim - 1))
-    return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+    return dx, np.add.reduce(g * xhat, axis=axes), np.add.reduce(g, axis=axes)
 
 
 def pool_windows(L: int, T: int) -> list[tuple[int, int]]:
@@ -371,7 +379,7 @@ def pool_matrix(L: int, T: int) -> np.ndarray:
 
 
 def _tr(w: np.ndarray) -> np.ndarray:
-    return np.swapaxes(w, -1, -2)
+    return w.swapaxes(-1, -2)
 
 
 def _wgrad(x: np.ndarray, dy: np.ndarray, batched: bool) -> np.ndarray:
@@ -384,8 +392,8 @@ def _wgrad(x: np.ndarray, dy: np.ndarray, batched: bool) -> np.ndarray:
 def _bgrad(dy: np.ndarray, batched: bool) -> np.ndarray:
     """d(y + b)/db for the output gradient dy, summed over the rows that share b."""
     if batched:
-        return dy.sum(axis=-2, keepdims=True)
-    return dy.reshape(-1, dy.shape[-1]).sum(axis=0)
+        return np.add.reduce(dy, axis=-2, keepdims=True)
+    return np.add.reduce(dy.reshape(-1, dy.shape[-1]), axis=0)
 
 
 def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, weights) -> tuple:
@@ -402,9 +410,12 @@ def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int
     gradients reduce over all rows in the first case and over the rows of
     each batch entry in the second.
 
-    The backward pass is derived by hand. As in FlashAttention (Dao et al.
-    2022) it recomputes the attention weights from the saved row max and row
-    sum, and gets the softmax term from rowsum(dC * C) per query.
+    The backward pass is derived by hand. It keeps q, k, v, the row max, the
+    row sum and the merged context, and recomputes the rest: the per-head
+    projections from q/k/v, one matmul each, and, as in FlashAttention (Dao
+    et al. 2022), the attention weights from the saved row max and row sum.
+    It gets the softmax term from rowsum(dC * C) per query, C read back from
+    the merged context.
     """
     if q.ndim < 2 or k.ndim != q.ndim or v.ndim != q.ndim:
         raise ShapeError(f"attention expects q/k/v of equal rank >= 2, got {q.shape}, {k.shape}, {v.shape}")
@@ -425,37 +436,37 @@ def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int
     scale = 1.0 / math.sqrt(dh)
 
     def split(x):  # [..., L, d] -> [..., heads, L, dh]
-        return np.swapaxes(x.reshape(x.shape[:-1] + (heads, dh)), -2, -3)
+        return x.reshape(x.shape[:-1] + (heads, dh)).swapaxes(-2, -3)
 
     def merge(x):  # [..., heads, L, dh] -> [..., L, d]
-        x = np.swapaxes(x, -2, -3)
+        x = x.swapaxes(-2, -3)
         return x.reshape(x.shape[:-2] + (d,))
 
     Qh, Kh, Vh = split(q @ wq), split(k @ wk), split(v @ wv)
-    KhT = np.swapaxes(Kh, -1, -2)
-    attn = Qh @ KhT  # [..., heads, Lq, Lk]; scaled, exponentiated and normalized in place
+    attn = Qh @ _tr(Kh)  # [..., heads, Lq, Lk]; softmaxed in place
     np.multiply(attn, scale, out=attn)
-    row_max = attn.max(axis=-1, keepdims=True)
+    row_max = np.maximum.reduce(attn, axis=-1, keepdims=True)
     np.subtract(attn, row_max, out=attn)
     np.exp(attn, out=attn)
-    row_sum = attn.sum(axis=-1, keepdims=True)
-    ctx = np.divide(attn, row_sum, out=attn) @ Vh  # [..., heads, Lq, dh]
-    merged = merge(ctx)
+    row_sum = np.add.reduce(attn, axis=-1, keepdims=True)
+    merged = merge(np.divide(attn, row_sum, out=attn) @ Vh)  # the context, [..., Lq, d]
     out = merged @ wo + bo
 
     def vjp(g):
-        attn = Qh @ KhT  # the forward's weights again, by the same in-place chain
+        Qh, Kh, Vh = split(q @ wq), split(k @ wk), split(v @ wv)
+        attn = Qh @ _tr(Kh)  # the forward's weights, by the same in-place chain
         np.multiply(attn, scale, out=attn)
         np.subtract(attn, row_max, out=attn)
         np.exp(attn, out=attn)
         np.divide(attn, row_sum, out=attn)
         dctx = split(g @ _tr(wo))
-        dscores = dctx @ np.swapaxes(Vh, -1, -2)  # dattn, turned into dscores in place
-        dvh = np.swapaxes(attn, -1, -2) @ dctx
-        np.subtract(dscores, (dctx * ctx).sum(axis=-1, keepdims=True), out=dscores)
+        dscores = dctx @ _tr(Vh)  # dattn, turned into dscores in place
+        dvh = _tr(attn) @ dctx
+        np.subtract(dscores, np.add.reduce(dctx * split(merged), axis=-1, keepdims=True),
+                    out=dscores)
         np.multiply(attn, dscores, out=dscores)
         np.multiply(dscores, scale, out=dscores)
-        dQ, dK, dV = merge(dscores @ Kh), merge(np.swapaxes(dscores, -1, -2) @ Qh), merge(dvh)
+        dQ, dK, dV = merge(dscores @ Kh), merge(_tr(dscores) @ Qh), merge(dvh)
         return (dQ @ _tr(wq), dK @ _tr(wk), dV @ _tr(wv), _wgrad(q, dQ, batched),
                 _wgrad(k, dK, batched), _wgrad(v, dV, batched), _wgrad(merged, g, batched),
                 _bgrad(g, batched))
@@ -473,7 +484,9 @@ def feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
     b2 [d]) or one set per batch entry, whose leading axes equal x's batch
     axes (w1 [..., d, h], biases [..., 1, h] and [..., 1, d]); weight
     gradients reduce as in `multi_head_attention`. The backward pass
-    recomputes the GELU output from the saved pre-activation and its Phi.
+    keeps x and Phi(u) and recomputes the pre-activation u = x @ w1 + b1,
+    one matmul, and from it the GELU output; the erf pass is the one step
+    it does not redo.
     """
     batched = w1.ndim > 2
     u = x @ w1 + b1
@@ -481,6 +494,7 @@ def feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
     out = (u * cdf) @ w2 + b2
 
     def vjp(g):
+        u = x @ w1 + b1
         du = (g @ _tr(w2)) * gelu_slope(u, cdf)
         return (du @ _tr(w1), _wgrad(x, du, batched), _bgrad(du, batched),
                 _wgrad(u * cdf, g, batched), _bgrad(g, batched))

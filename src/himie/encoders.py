@@ -104,9 +104,10 @@ def run_block(x: Tensor, scope, heads: int) -> Tensor:
     Its parents are x and the 13 `BLOCK_PARAMS`. LN1, LN2, the attention and
     the GELU feed-forward are numpy pairs (`layer_norm`/`layer_norm_vjp`,
     `multi_head_attention`, `feed_forward`), so each keeps one derivation,
-    shared with the fusion; attention recomputes its weights and the
-    feed-forward its GELU output in the backward pass. Weight gradients
-    reduce over every row of every leading axis.
+    shared with the fusion; the backward pass recomputes attention's
+    projections and weights and the feed-forward's pre-activation (see
+    `autodiff`). Weight gradients reduce over every row of every leading
+    axis.
     """
     weights = tuple(scope[n] for n in BLOCK_PARAMS)
     g1, c1, *attn, g2, c2, w1, b1, w2, b2 = (w.data for w in weights)

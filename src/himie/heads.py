@@ -176,16 +176,18 @@ def crf_decode(h_text: np.ndarray, scope) -> list[int]:
     emis = finite("entity emission logits", h_text @ scope["emission"].data)
     trans, start, end = (scope[n].data for n in ("trans", "start", "end"))
     L, K = emis.shape
-    delta = start + emis[0]
-    back = np.zeros((L, K), dtype=np.intp)
-    for t in range(1, L):
-        cand = delta[:, None] + trans  # [from, to]
-        back[t] = np.argmax(cand, axis=0)  # first max = lowest from-index
-        # a column's max is the value at its first argmax, NaN included
-        delta = np.maximum.reduce(cand, axis=0) + emis[t]
-    last = int(np.argmax(delta + end))
-    path = [last]
-    for t in range(L - 1, 0, -1):
+    deltas = np.empty((L, K))  # deltas[t, j]: best score of a path ending in tag j at t
+    np.add(start, emis[0], out=deltas[0])
+    cand = np.empty((K, K))
+    for prev, cur, e in zip(deltas[:-1, :, None], deltas[1:], emis[1:]):
+        np.add(prev, trans, out=cand)  # [from, to]
+        np.maximum.reduce(cand, axis=0, out=cur)
+        np.add(cur, e, out=cur)
+    # the loop's candidate sums again, all steps at once: back[t - 1, j] is the
+    # tag at t - 1 of the best path to tag j at t, the first max (lowest index)
+    back = np.argmax(deltas[:-1, :, None] + trans, axis=1)
+    path = [int(np.argmax(deltas[-1] + end))]
+    for t in range(L - 2, -1, -1):
         path.append(int(back[t, path[-1]]))
     path.reverse()
     return repair_bio(path)

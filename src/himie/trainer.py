@@ -12,6 +12,9 @@ straight into the buffer. A step zeroes it with one
 fill before the backward pass and updates all three in place, so
 `train(params=p)` updates the tensors of `p` itself.
 An array taken from `p[name].data` before `train` is not the one it updates.
+The gradient buffer lives only while `train` runs: `train` sets every
+tensor's `grad` to None before it returns, so a `TrainResult` (and the `p`
+of `train(params=p)`) keeps the values buffer but holds no gradients.
 All `encoder.*` names sort together, so each learning-rate group is a
 contiguous run of the buffer. `adam_step` walks the buffers in blocks of
 `ADAM_BLOCK` scalars, each inside one group, and runs all the Adam terms on
@@ -205,6 +208,8 @@ def train(cfg: RunConfig, corpus: Corpus,
                 comps = {name: (float(v.data) if v is not None else 0.0)
                          for name, v in res.losses.items()}
                 log.append(StepRecord(step, doc.id, total, comps))
+    for _name, t in params.items():  # drops the last views of the gradient buffer
+        t.grad = None
     return TrainResult(params, log, step, order_rng.bit_generator.state)
 
 

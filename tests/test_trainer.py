@@ -328,6 +328,34 @@ class TestTrain:
         for n in ref.params.names():
             assert again.params[n].data.tobytes() == ref.params[n].data.tobytes(), n
 
+    def test_trained_result_holds_no_gradient_buffer(self, monkeypatch):
+        # the gradient buffer lives only while `train` runs; the returned
+        # tree still takes every gradient use, and a second `train` rebinds it
+        cfg = small_run(epochs=1)
+        corpus = generate(cfg.gen, cfg.model)
+        out = train(cfg, corpus)
+        assert all(t.grad is None for _n, t in out.params.items())
+        out.params.zero_grad()
+        assert all(not g.any() for g in out.params.grads().values())
+        doc = corpus.documents[0]
+        report = gradcheck(lambda: forward(doc, out.params, cfg.model, cfg.loss).loss,
+                           out.params, samples=10, seed=0)
+        assert report.ok(), report.worst()
+
+        bound = []
+        real_init_adam = trainer.init_adam
+
+        def spy(params):
+            state = real_init_adam(params)
+            bound.extend(np.shares_memory(t.grad, state.grad) for _n, t in params.items())
+            return state
+
+        monkeypatch.setattr(trainer, "init_adam", spy)
+        again = train(cfg, corpus, params=out.params)
+        assert again.params is out.params and again.step == len(corpus.documents)
+        assert len(bound) == len(out.params.names()) and all(bound)
+        assert all(t.grad is None for _n, t in again.params.items())
+
 
 def test_training_holds_one_tape_at_a_time():
     # backward frees a step's tape, so the next forward never runs beside it:
