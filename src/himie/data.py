@@ -82,6 +82,17 @@ class Document:
 
 
 @dataclass
+class Prediction:
+    """One document's predicted layers, from the model or the synth oracle."""
+    entities: list[Entity]              # decoded spans, the entity-task output
+    pair_entities: list[Entity]         # mention universe for coref/relations
+    chains: list[list[int]]             # partition of pair_entities
+    rel_chains: list[list[int]]         # chain universe for relation triples
+    relations: list[Relation]
+    regions: list[Region]
+
+
+@dataclass
 class Corpus:
     documents: list[Document]
 

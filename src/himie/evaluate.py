@@ -2,6 +2,10 @@
 into a report with per-task scores, the error taxonomy, and per-regime
 sub-reports.
 
+`score_document` scores one `data.Prediction`, the model's or the synth
+oracle's, keying both sides' chains and relations by mention in `_keyed`;
+the report's prediction totals come from the summed counts.
+
 The reduction sorts partial stats by document id before summing, so the
 report is byte-identical no matter what order documents were scored in.
 """
@@ -12,46 +16,11 @@ from dataclasses import dataclass
 
 from .autodiff import ConfigError, ParamTree
 from .config import RunConfig
-from .data import MODALITIES, Corpus, Document, Entity, Region, replacing
-from .metrics import (ChainCounts, add_taxonomy, b_cubed_prf, ceaf_e_prf,
-                      chain_score_prf, empty_taxonomy, error_rates, mention_key,
-                      muc_prf, prf_from_counts, score_chains, score_entities,
-                      score_grounding, score_relations)
-from .model import Prediction, check_compatible, check_params, predict
-
-
-@dataclass
-class TaskOutputs:
-    """One side (gold or predicted) of a document's four task outputs."""
-    entities: list[Entity]
-    chains: list[set]
-    relations: list
-    regions: list[Region]
-
-
-def chains_to_keys(chains, entities) -> list[set]:
-    return [{mention_key(entities[i]) for i in c} for c in chains]
-
-
-def relation_triples(relations, chains, entities) -> list[tuple]:
-    keys = chains_to_keys(chains, entities)
-    return [(frozenset(keys[r.sub]), frozenset(keys[r.obj]), r.type) for r in relations]
-
-
-def gold_outputs(doc: Document) -> TaskOutputs:
-    return TaskOutputs(
-        entities=list(doc.entities),
-        chains=chains_to_keys(doc.chains, doc.entities),
-        relations=relation_triples(doc.relations, doc.chains, doc.entities),
-        regions=list(doc.regions))
-
-
-def pred_outputs(pred: Prediction) -> TaskOutputs:
-    return TaskOutputs(
-        entities=list(pred.entities),
-        chains=chains_to_keys(pred.chains, pred.pair_entities),
-        relations=relation_triples(pred.relations, pred.rel_chains, pred.pair_entities),
-        regions=list(pred.regions))
+from .data import MODALITIES, Corpus, Document, Entity, Prediction, replacing
+from .metrics import (ERROR_KEYS, ChainCounts, b_cubed_prf, ceaf_e_prf, chain_score_prf,
+                      error_rates, mention_key, muc_prf, prf_from_counts, score_chains,
+                      score_entities, score_grounding, score_relations)
+from .model import check_compatible, check_params, predict
 
 
 @dataclass
@@ -62,21 +31,29 @@ class DocStats:
     cha: ChainCounts
     rel: tuple[int, int, int]
     gro: tuple[int, int, int]
-    taxonomy: dict[str, int]
+    taxonomy: dict[str, int]   # the ERROR_KEYS
+
+
+def _keyed(entities: list[Entity], chains, rel_chains, relations) -> tuple[list, list]:
+    """`chains` as frozensets of their `entities`' mention keys, and `relations`
+    as (subject keys, object keys, type) triples over `rel_chains`."""
+    def keys(cs):
+        return [frozenset(mention_key(entities[i]) for i in c) for c in cs]
+    args = keys(rel_chains)
+    return keys(chains), [(args[r.sub], args[r.obj], r.type) for r in relations]
 
 
 def score_document(doc: Document, pred: Prediction) -> DocStats:
     """Each task's counts and taxonomy entries from its scorer's one match."""
-    gold, hyp = gold_outputs(doc), pred_outputs(pred)
-    ent, ent_err = score_entities(gold.entities, hyp.entities)
-    cha, cha_err = score_chains(gold.chains, hyp.chains)
-    rel, rel_err = score_relations(gold.relations, hyp.relations)
-    gro, gro_err = score_grounding(gold.regions, hyp.regions)
-    return DocStats(
-        doc_id=doc.id, regime=doc.modality_mask, ent=ent, cha=cha, rel=rel, gro=gro,
-        taxonomy={**ent_err, **cha_err, **rel_err, **gro_err,
-                  "ent_pred": len(hyp.entities), "cha_pred": len(hyp.chains),
-                  "rel_pred": len(hyp.relations), "gro_pred": len(hyp.regions)})
+    gold_chains, gold_rels = _keyed(doc.entities, doc.chains, doc.chains, doc.relations)
+    pred_chains, pred_rels = _keyed(pred.pair_entities, pred.chains, pred.rel_chains,
+                                    pred.relations)
+    ent, ent_err = score_entities(doc.entities, pred.entities)
+    cha, cha_err = score_chains(gold_chains, pred_chains)
+    rel, rel_err = score_relations(gold_rels, pred_rels)
+    gro, gro_err = score_grounding(doc.regions, pred.regions)
+    return DocStats(doc_id=doc.id, regime=doc.modality_mask, ent=ent, cha=cha, rel=rel,
+                    gro=gro, taxonomy={**ent_err, **cha_err, **rel_err, **gro_err})
 
 
 def _sum3(pairs) -> tuple[int, int, int]:
@@ -99,9 +76,10 @@ def _section(stats: list[DocStats]) -> dict:
     cha = chain_score_prf(cc)
     rel = prf_from_counts(*_sum3(s.rel for s in stats))
     gro = prf_from_counts(*_sum3(s.gro for s in stats))
-    tax = empty_taxonomy()
-    for s in stats:
-        tax = add_taxonomy(tax, s.taxonomy)
+    # each task's prediction total is its tp + fp; a chain's, its CEAF-e denominator
+    tax = {k: sum(s.taxonomy[k] for s in stats) for k in ERROR_KEYS}
+    tax.update(ent_pred=ent.tp + ent.fp, cha_pred=int(cc.ceaf_np),
+               rel_pred=rel.tp + rel.fp, gro_pred=gro.tp + gro.fp)
     avg = (ent.f1 + cha.f1 + rel.f1 + gro.f1) / 4.0
     return {
         "n_documents": len(stats),

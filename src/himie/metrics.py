@@ -382,15 +382,6 @@ def score_grounding(gold: list[Region], pred: list[Region]) -> Scored:
 
 ERROR_KEYS = ("ent_boundary", "ent_type", "cha_wrong_members", "cha_missing_members",
               "rel_false", "rel_type", "gro_boundary", "gro_type")
-PRED_KEYS = ("ent_pred", "cha_pred", "rel_pred", "gro_pred")
-
-
-def empty_taxonomy() -> dict[str, int]:
-    return {k: 0 for k in ERROR_KEYS + PRED_KEYS}
-
-
-def add_taxonomy(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
-    return {k: a[k] + b[k] for k in a}
 
 
 def error_rates(tax: dict[str, int]) -> dict[str, float]:

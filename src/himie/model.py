@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import ConfigError, NumericError, ParamTree, Tensor, matmul, no_grad, tmean
 from .config import LossConfig, ModelConfig
-from .data import Corpus, Document, Entity, Region, Relation
+from .data import Corpus, Document, Prediction
 from .dffm import fuse_g_to_x, fuse_x_to_g, init_dffm
 from .encoders import (LevelFeatures, bucket_levels, encode_frames,
                        encode_text, init_frame_encoder, init_text_encoder)
@@ -150,17 +150,6 @@ def forward(doc: Document, params: ParamTree, cfg: ModelConfig,
     return ForwardResult(losses, loss)
 
 
-@dataclass
-class Prediction:
-    tags: list[int]
-    entities: list[Entity]              # decoded spans, the entity-task output
-    pair_entities: list[Entity]         # mention universe for coref/relations
-    chains: list[list[int]]             # partition of pair_entities
-    rel_chains: list[list[int]]         # chain universe for relation triples
-    relations: list[Relation]
-    regions: list[Region]
-
-
 @no_grad()
 def predict(doc: Document, params: ParamTree, cfg: ModelConfig, *,
             pair_mode: str = "gold-pairs") -> Prediction:
@@ -190,8 +179,8 @@ def _predict(doc: Document, params: ParamTree, cfg: ModelConfig, pair_mode: str)
     if h_frames is not None:
         finite("fused frame features", h_frames.data)
 
-    tags = crf_decode(h_text.data, heads.scoped("crf"))
-    decoded_entities = spans_from_tags(tags, cfg.entity_types)
+    decoded_entities = spans_from_tags(crf_decode(h_text.data, heads.scoped("crf")),
+                                       cfg.entity_types)
     gold_pairs = pair_mode == "gold-pairs"
     pair_entities = list(doc.entities) if gold_pairs else decoded_entities
     reprs = entity_reprs(h_text, pair_entities)
@@ -200,5 +189,4 @@ def _predict(doc: Document, params: ParamTree, cfg: ModelConfig, pair_mode: str)
     relations = relation_predict(reprs, rel_chains, heads.scoped("rel"), cfg.relation_types)
     regions = ([] if h_frames is None else
                grounding_predict(h_frames, heads.scoped("gro"), cfg.grounding_types))
-    return Prediction(tags, decoded_entities, pair_entities, chains, rel_chains,
-                      relations, regions)
+    return Prediction(decoded_entities, pair_entities, chains, rel_chains, relations, regions)

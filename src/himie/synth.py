@@ -23,8 +23,9 @@ deterministic given the seed:
   noise, outside pure noise. One region per frame at most.
 
 `oracle_predict` recovers all four annotation layers from the raw inputs by
-brute force and reaches F1 = 1.0 on corpora from this generator, which makes
-it both the recoverability check and the perfect-prediction metrics fixture.
+brute force as a `data.Prediction` and reaches F1 = 1.0 on corpora from this
+generator, which makes it both the recoverability check and the
+perfect-prediction metrics fixture.
 """
 from __future__ import annotations
 
@@ -33,13 +34,12 @@ import math
 import string
 import struct
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import ConfigError
 from .config import GenConfig, ModelConfig
-from .data import Corpus, Document, Entity, Region, Relation
+from .data import Corpus, Document, Entity, Prediction, Region, Relation
 from .encoders import hash_bucket
 
 NOISE_SIGMA = 0.1
@@ -248,15 +248,7 @@ def generate(cfg: GenConfig, model: ModelConfig | None = None) -> Corpus:
 # -- brute-force recoverability oracle ------------------------------------
 
 
-@dataclass
-class OraclePrediction:
-    entities: list[Entity]
-    chains: list[list[int]]
-    relations: list[Relation]
-    regions: list[Region]
-
-
-def oracle_predict(doc: Document, cfg: GenConfig, model: ModelConfig) -> OraclePrediction:
+def oracle_predict(doc: Document, cfg: GenConfig, model: ModelConfig) -> Prediction:
     """Recover all four gold layers from raw tokens and patches alone."""
     # (i) entities: maximal runs of buckets owned by one type range
     tok_types = [type_of_bucket(hash_bucket(t, model.vocab), model) for t in doc.tokens]
@@ -313,4 +305,4 @@ def oracle_predict(doc: Document, cfg: GenConfig, model: ModelConfig) -> OracleP
                 i0, hc, j0, wc = best[2]
                 cx, cy, w, h = _box_coords(g, i0, hc, j0, wc)
                 regions.append(Region(fi, best[1], cx, cy, w, h))
-    return OraclePrediction(entities, chains, relations, regions)
+    return Prediction(entities, entities, chains, chains, relations, regions)

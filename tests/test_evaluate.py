@@ -6,17 +6,10 @@ import pytest
 
 from himie.autodiff import ConfigError
 from himie.config import GenConfig, ModelConfig, RunConfig
-from himie.data import MODALITIES, Corpus, assign_modality_regime
-from himie.evaluate import (
-    evaluate,
-    gold_outputs,
-    pred_outputs,
-    reduce_stats,
-    report_bytes,
-    score_document,
-)
-from himie.metrics import ERROR_KEYS, empty_taxonomy
-from himie.model import Prediction, init_params
+from himie.data import MODALITIES, Corpus, Prediction, Relation, assign_modality_regime
+from himie.evaluate import _keyed, evaluate, reduce_stats, report_bytes, score_document
+from himie.metrics import ERROR_KEYS, mention_key
+from himie.model import init_params
 from himie.synth import generate
 
 SMALL = ModelConfig(d_h=8, n_l=6, heads=2, n_p=4, d_in=3, d_vae=4, prompt_len=3,
@@ -32,7 +25,7 @@ def small_gen(**over) -> GenConfig:
 
 
 def perfect_prediction(doc) -> Prediction:
-    return Prediction(tags=[], entities=list(doc.entities),
+    return Prediction(entities=list(doc.entities),
                       pair_entities=list(doc.entities),
                       chains=[list(c) for c in doc.chains],
                       rel_chains=[list(c) for c in doc.chains],
@@ -79,21 +72,27 @@ class TestPerDocument:
             pred = perfect_prediction(doc)
             pred.entities = pred.entities + pred.entities[:1]   # one duplicate: one error
             s = score_document(doc, pred)
-            assert sorted(s.taxonomy) == sorted(empty_taxonomy())
-            assert (s.taxonomy["ent_pred"], s.taxonomy["cha_pred"], s.taxonomy["rel_pred"],
-                    s.taxonomy["gro_pred"]) == (len(pred.entities), len(doc.chains),
-                                                len(doc.relations), len(doc.regions))
+            assert sorted(s.taxonomy) == sorted(ERROR_KEYS)
             assert sum(s.taxonomy[k] for k in ERROR_KEYS) == s.ent[1] == len(doc.entities[:1])
+            counts = reduce_stats([s], "gold-pairs")["errors"]["counts"]
+            assert (counts["ent_pred"], counts["cha_pred"], counts["rel_pred"],
+                    counts["gro_pred"]) == (len(pred.entities), len(doc.chains),
+                                            len(doc.relations), len(doc.regions))
 
-    def test_gold_and_perfect_pred_outputs_agree(self):
+    def test_keyed_is_independent_of_the_mention_and_chain_order(self):
         corpus = corpus_with_all_layers()
         doc = max(corpus.documents, key=lambda d: len(d.relations))
-        g = gold_outputs(doc)
-        h = pred_outputs(perfect_prediction(doc))
-        assert g.entities == h.entities
-        assert g.chains == h.chains
-        assert sorted(map(repr, g.relations)) == sorted(map(repr, h.relations))
-        assert g.regions == h.regions
+        chains, relations = _keyed(doc.entities, doc.chains, doc.chains, doc.relations)
+        assert all(isinstance(c, frozenset) for c in chains)
+        assert sorted(map(sorted, chains)) == sorted(
+            sorted(mention_key(doc.entities[i]) for i in c) for c in doc.chains)
+        # the same layers over the entities and the relations' chains, both reversed
+        n, m = len(doc.entities), len(doc.chains)
+        flipped = [[n - 1 - i for i in c] for c in doc.chains]
+        again = _keyed(doc.entities[::-1], flipped, flipped[::-1],
+                       [Relation(m - 1 - r.sub, m - 1 - r.obj, r.type) for r in doc.relations])
+        assert again == (chains, relations)
+        assert relations and all(sub and obj for sub, obj, _ in relations)
 
 
 class TestReduce:

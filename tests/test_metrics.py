@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import operator
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,16 +12,13 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from himie.data import Entity, Region
-from himie.evaluate import TaskOutputs
 from himie.metrics import (
     ERROR_KEYS,
     ChainCounts,
     PartitionError,
-    add_taxonomy,
     b_cubed_prf,
     ceaf_e_prf,
     chain_score_prf,
-    empty_taxonomy,
     error_rates,
     iou,
     muc_prf,
@@ -580,12 +578,22 @@ class TestGrounding:
         assert fp == len(pred) - tp and fn == len(gold) - tp
 
 
+@dataclass
+class Layers:
+    """One side of a taxonomy case: each scorer's input, by the field name the
+    scorer is filed under."""
+    entities: list
+    chains: list
+    relations: list
+    regions: list
+
+
 class TestTaxonomy:
     SCORERS = {"entities": score_entities, "chains": score_chains,
                "relations": score_relations, "regions": score_grounding}
 
     def _gold(self):
-        return TaskOutputs(
+        return Layers(
             entities=[Entity(0, 2, "PER"), Entity(3, 4, "LOC")],
             chains=[{(0, 2, "PER")}, {(3, 4, "LOC")}],
             relations=[rel({(0, 2, "PER")}, {(3, 4, "LOC")}, "R1")],
@@ -606,7 +614,7 @@ class TestTaxonomy:
 
     def test_entity_boundary_vs_type(self):
         g = self._gold()
-        p = TaskOutputs(
+        p = Layers(
             entities=[Entity(0, 2, "ORG"), Entity(2, 4, "LOC")],
             chains=[], relations=[], regions=[])
         tax = self._taxonomy(g, p)
@@ -615,29 +623,29 @@ class TestTaxonomy:
 
     def test_chain_member_errors(self):
         g = self._gold()
-        merged = TaskOutputs([], [{(0, 2, "PER"), (3, 4, "LOC")}], [], [])
-        split = TaskOutputs([], [{(0, 2, "PER")}], [], [])
+        merged = Layers([], [{(0, 2, "PER"), (3, 4, "LOC")}], [], [])
+        split = Layers([], [{(0, 2, "PER")}], [], [])
         assert self._taxonomy(g, merged)["cha_wrong_members"] == 1
-        g2 = TaskOutputs([], [{(0, 2, "PER"), (3, 4, "LOC")}], [], [])
+        g2 = Layers([], [{(0, 2, "PER"), (3, 4, "LOC")}], [], [])
         assert self._taxonomy(g2, split)["cha_missing_members"] == 1
 
     def test_relation_type_vs_false(self):
         g = self._gold()
-        p_type = TaskOutputs([], [], [rel({(0, 2, "PER")}, {(3, 4, "LOC")}, "R2")], [])
-        p_false = TaskOutputs([], [], [rel({(9, 9, "X")}, {(8, 8, "Y")}, "R1")], [])
+        p_type = Layers([], [], [rel({(0, 2, "PER")}, {(3, 4, "LOC")}, "R2")], [])
+        p_false = Layers([], [], [rel({(9, 9, "X")}, {(8, 8, "Y")}, "R1")], [])
         assert self._taxonomy(g, p_type)["rel_type"] == 1
         assert self._taxonomy(g, p_false)["rel_false"] == 1
 
     def test_grounding_boundary_vs_type(self):
         g = self._gold()
-        p_t = TaskOutputs([], [], [], [box_region(0, "LOC", 0.5, 0.5, 0.4, 0.4)])
-        p_b = TaskOutputs([], [], [], [box_region(0, "PER", 0.1, 0.1, 0.1, 0.1)])
+        p_t = Layers([], [], [], [box_region(0, "LOC", 0.5, 0.5, 0.4, 0.4)])
+        p_b = Layers([], [], [], [box_region(0, "PER", 0.1, 0.1, 0.1, 0.1)])
         assert self._taxonomy(g, p_t)["gro_type"] == 1
         assert self._taxonomy(g, p_b)["gro_boundary"] == 1
 
     def test_one_error_per_bad_prediction(self):
         g = self._gold()
-        p = TaskOutputs(
+        p = Layers(
             entities=[Entity(0, 2, "ORG")],
             chains=[{(7, 8, "Q")}],
             relations=[rel({(1, 1, "Z")}, {(2, 2, "Z")}, "R9")],
@@ -654,8 +662,8 @@ class TestTaxonomy:
         # descending-IoU greedy took 0.46-0.50 (IoU 0.82) and stranded 0.54;
         # the far-off box is the one grounding error
         far = box_region(0, "PER", 0.1, 0.1, 0.1, 0.1)
-        gold = TaskOutputs([Entity(0, 2, "PER")], [], [], HAND_GOLD_BOXES)
-        pred = TaskOutputs([Entity(0, 2, "PER"), Entity(0, 2, "PER")], [], [],
+        gold = Layers([Entity(0, 2, "PER")], [], [], HAND_GOLD_BOXES)
+        pred = Layers([Entity(0, 2, "PER"), Entity(0, 2, "PER")], [], [],
                            HAND_PRED_BOXES + [far])
         assert score_grounding(gold.regions, HAND_PRED_BOXES)[0] == (2, 0, 0)
         assert score_grounding(gold.regions, pred.regions)[0] == (2, 1, 0)
@@ -693,10 +701,10 @@ class TestTaxonomy:
 
         for _ in range(30):
             n_frames = int(rng.integers(1, 4))
-            gold = TaskOutputs(entities(int(rng.integers(0, 5))), [],
+            gold = Layers(entities(int(rng.integers(0, 5))), [],
                                relations(int(rng.integers(0, 4))), regions(n_frames))
             pred_ents = entities(int(rng.integers(0, 5)))
-            pred = TaskOutputs(pred_ents + pred_ents[:int(rng.integers(0, 3))], [],
+            pred = Layers(pred_ents + pred_ents[:int(rng.integers(0, 3))], [],
                                relations(int(rng.integers(0, 4))), regions(n_frames))
             for task, field in [("ent", "entities"), ("rel", "relations"), ("gro", "regions")]:
                 counts, errors = self.SCORERS[field](getattr(gold, field), getattr(pred, field))
@@ -704,18 +712,12 @@ class TestTaxonomy:
                 assert self._errors(errors, task) == counts[1], (task, gold, pred)
 
     def test_rates(self):
-        tax = empty_taxonomy()
-        tax.update(ent_pred=4, ent_boundary=1, ent_type=1, gro_pred=2, gro_type=1)
+        tax = {"ent_boundary": 1, "ent_type": 1, "cha_wrong_members": 0,
+               "cha_missing_members": 0, "rel_false": 0, "rel_type": 0, "gro_boundary": 0,
+               "gro_type": 1, "ent_pred": 4, "cha_pred": 0, "rel_pred": 0, "gro_pred": 2}
         r = error_rates(tax)
         assert r["entity"] == 0.5 and r["grounding"] == 0.5
         assert r["relation"] == 0.0  # no predictions -> rate 0
-
-    def test_add_taxonomy(self):
-        a = empty_taxonomy()
-        a["ent_type"] = 2
-        b = empty_taxonomy()
-        b["ent_type"] = 3
-        assert add_taxonomy(a, b)["ent_type"] == 5
 
 
 class TestPermutationInvariance:

@@ -327,7 +327,6 @@ class TestPredict:
         pred = predict(doc, p, CFG, pair_mode="gold-pairs")
         assert pred.pair_entities == doc.entities
         assert pred.rel_chains == doc.chains
-        assert len(pred.tags) == doc.n_tokens
 
     def test_predicted_mode_pair_universe(self):
         p = init_params(CFG, 0)
@@ -383,8 +382,8 @@ class TestPredict:
             return out
 
         monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
-        pred = predict(small_doc(n_frames=2), p, CFG, pair_mode="predicted-pairs")
-        assert pred.tags and made and not any(made)
+        predict(small_doc(n_frames=2), p, CFG, pair_mode="predicted-pairs")
+        assert made and not any(made)
         assert forward(small_doc(), p, CFG).loss.requires_grad
 
     def test_tied_pair_logits_take_the_lowest_label(self):

@@ -1,5 +1,6 @@
 """Generator contracts: determinism, validity, and planted-signal recovery."""
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,9 +8,7 @@ import pytest
 from himie.autodiff import ConfigError
 from himie.config import GenConfig, ModelConfig
 from himie.data import serialize_corpus, validate
-from himie.evaluate import TaskOutputs, chains_to_keys, relation_triples, gold_outputs
-from himie.metrics import (chain_score_prf, prf_from_counts, score_chains,
-                           score_entities, score_grounding, score_relations)
+from himie.evaluate import _keyed, reduce_stats, score_document
 from himie.synth import (build_pools, generate, oracle_predict, type_directions,
                          type_of_bucket, type_ranges)
 from himie.encoders import hash_bucket
@@ -25,31 +24,12 @@ def used_labels(corpus) -> tuple[set, set, set]:
             {g.type for d in docs for g in d.regions})
 
 
-def oracle_outputs(doc, cfg, model=MODEL) -> TaskOutputs:
-    o = oracle_predict(doc, cfg, model)
-    return TaskOutputs(
-        entities=list(o.entities),
-        chains=chains_to_keys(o.chains, o.entities),
-        relations=relation_triples(o.relations, o.chains, o.entities),
-        regions=list(o.regions))
-
-
 def oracle_f1s(corpus, cfg, model=MODEL):
-    ent = rel = gro = (0, 0, 0)
-    from himie.metrics import ChainCounts
-    cc = ChainCounts()
-    for doc in corpus.documents:
-        gold = gold_outputs(doc)
-        hyp = oracle_outputs(doc, cfg, model)
-        e = score_entities(gold.entities, hyp.entities)[0]
-        r = score_relations(gold.relations, hyp.relations)[0]
-        g = score_grounding(gold.regions, hyp.regions)[0]
-        ent = tuple(a + b for a, b in zip(ent, e))
-        rel = tuple(a + b for a, b in zip(rel, r))
-        gro = tuple(a + b for a, b in zip(gro, g))
-        cc = cc + score_chains(gold.chains, hyp.chains)[0]
-    return (prf_from_counts(*ent).f1, chain_score_prf(cc).f1,
-            prf_from_counts(*rel).f1, prf_from_counts(*gro).f1)
+    """The four task F1s of the oracle's predictions, scored as `evaluate` scores
+    the model's."""
+    report = reduce_stats([score_document(doc, oracle_predict(doc, cfg, model))
+                           for doc in corpus.documents], "predicted-pairs")
+    return tuple(report[task]["f1"] for task in ("ent", "cha", "rel", "gro"))
 
 
 class TestGenerate:
@@ -193,12 +173,14 @@ class TestOracle:
         cfg = GenConfig(docs=6, entity_rate=0.05, relation_rate=0.05,
                         grounding_rate=0.1, chain_merge_prob=0.0, seed=29)
         for doc in generate(cfg).documents:
-            gold = gold_outputs(doc)
-            hyp = oracle_outputs(doc, cfg)
-            for layer in ("entities", "relations", "regions"):
-                assert sorted(map(repr, getattr(gold, layer))) == \
-                    sorted(map(repr, getattr(hyp, layer))), (doc.id, layer)
-            assert sorted(map(sorted, gold.chains)) == sorted(map(sorted, hyp.chains))
+            o = oracle_predict(doc, cfg, MODEL)
+            for layer in ("entities", "regions"):
+                assert sorted(map(repr, getattr(doc, layer))) == \
+                    sorted(map(repr, getattr(o, layer))), (doc.id, layer)
+            gold_chains, gold_rels = _keyed(doc.entities, doc.chains, doc.chains, doc.relations)
+            chains, rels = _keyed(o.pair_entities, o.chains, o.rel_chains, o.relations)
+            assert set(gold_chains) == set(chains) and len(gold_chains) == len(chains)
+            assert Counter(gold_rels) == Counter(rels), doc.id
 
     def test_oracle_uses_only_raw_inputs(self):
         # strip every annotation before prediction; scores must not change
