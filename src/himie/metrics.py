@@ -18,19 +18,15 @@ error count is its false positives.
 
 CEAF-e aligns gold and predicted chains one to one for the largest total
 phi4 (Luo 2005). Only the table's entries have phi4 > 0, so the alignment
-matches each connected component of them on its own: a component with one
-chain on either side takes its largest entry, a larger one runs Kuhn-Munkres
-on its dense block. The matched values are summed in the layout of a dense
-solver's `m[rows, cols].sum()`, which keeps the totals bitwise equal to its
-totals on the benchmark documents; where ties allow other matchings or other
-zero rows, the two agree within 1e-12.
+runs Kuhn-Munkres on the dense block of each connected component of them on
+its own. The total is the `math.fsum` of the matched values, the correctly
+rounded sum, so it does not depend on the order of the components or on
+where a dense solver would put its zero rows.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-
-import numpy as np
 
 from .data import Entity, Region
 
@@ -200,7 +196,7 @@ def _ceaf_phi(table: list[dict[int, int]], gold: list[set], pred: list[set]) -> 
             cols[j].append(i)
 
     # each connected component of the nonzero entries is matched on its own
-    matched = [0.0] * len(gold)
+    matched: list[float] = []
     seen: set[int] = set()
     for start in range(len(gold)):
         if start in seen or not rows[start]:
@@ -214,24 +210,9 @@ def _ceaf_phi(table: list[dict[int, int]], gold: list[set], pred: list[set]) -> 
                     comp_rows.update(new)
                     stack.extend(new)
         seen |= comp_rows
-        rs, cs = sorted(comp_rows), sorted(comp_cols)
-        if len(rs) == 1 or len(cs) == 1:
-            # one chain on either side: its largest entry is the whole matching
-            value, neg_row = max((v, -i) for i in rs for v in rows[i].values())
-            matched[-neg_row] = value
-        else:
-            block = [[rows[i].get(j, 0.0) for j in cs] for i in rs]
-            for r, c in _assign(block):
-                matched[rs[r]] = block[r][c]
-
-    if len(gold) > len(pred):
-        # a full assignment of a taller matrix covers len(pred) rows; keep the
-        # lowest unmatched rows at phi4 = 0, so numpy's pairwise sum adds the
-        # values in the order of a dense solver's `m[rows, cols].sum()`
-        unmatched = [i for i, v in enumerate(matched) if not v]
-        dropped = set(unmatched[len(pred) - len(gold) + len(unmatched):])
-        matched = [v for i, v in enumerate(matched) if i not in dropped]
-    return float(np.array(matched).sum())
+        block = [[rows[i].get(j, 0.0) for j in sorted(comp_cols)] for i in sorted(comp_rows)]
+        matched += [block[r][c] for r, c in _assign(block)]
+    return math.fsum(matched)
 
 
 def score_chains(gold: list[set], pred: list[set]) -> tuple[ChainCounts, dict[str, int]]:
