@@ -207,11 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="himie", description="hierarchical multimodal information extraction")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, corpus=False, seed=True):
+    def common(sp, corpus=False, seed=True, out=True):
         sp.add_argument("--config", help="path to a JSON run-config file")
         if seed:
             sp.add_argument("--seed", type=int, help="override config seed")
-        sp.add_argument("--out", help="output path")
+        if out:
+            sp.add_argument("--out", help="output path")
         if corpus:
             sp.add_argument("--corpus", help="corpus JSONL path (overrides config)")
 
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    common(sp)
+    common(sp, out=False)   # it writes nothing
     sp.add_argument("--samples", type=int,
                     help="scalars to check (default: one per parameter name)")
     sp.add_argument("--eps", type=float, default=1e-4)

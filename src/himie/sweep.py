@@ -61,9 +61,11 @@ def run_point(cfg: RunConfig, corpus: Corpus, seed: int) -> SweepRow:
 
 def sweep(base: RunConfig, corpus: Corpus, axis: str, values) -> list[SweepRow]:
     base.validate()
+    points = [(value, point_config(base, axis, value)) for value in values]
+    for _, cfg in points:   # every point is checked before the first training
+        cfg.validate()
     rows: list[SweepRow] = []
-    for value in values:
-        cfg = point_config(base, axis, value)
+    for value, cfg in points:
         for k in range(N_SEEDS):
             row = run_point(cfg, corpus, base.seed + k)
             row.axis, row.value = axis, str(value)

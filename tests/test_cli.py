@@ -204,13 +204,16 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "max_len=10" in err[0]
 
-    # an unknown flag, a bad int, a missing subcommand, and the seed that
-    # `eval` does not take
+    # an unknown flag, a bad int, a missing subcommand, the seed that `eval`
+    # does not take, and the output path that `gradcheck`, which writes nothing,
+    # does not take
     @pytest.mark.parametrize("argv,message", [
         (["train", "--bogus"], "unrecognized arguments: --bogus"),
         (["train", "--seed", "abc"], "himie train: argument --seed: invalid int value"),
         ([], "required: command"),
         (["eval", "--checkpoint", "m.ckpt", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["gradcheck", "--config", "run.json", "--out", "/no/such/dir/x.json"],
+         "unrecognized arguments: --out /no/such/dir/x.json"),
     ])
     def test_bad_command_line_is_one(self, capsys, argv, message):
         capsys.readouterr()
@@ -357,6 +360,22 @@ class TestBadInput:
     def test_gradcheck_preconditions(self, tmp_path, capsys, flag, value, fragment):
         assert main(["gradcheck", "--config", write_cfg(tmp_path), flag, value]) == 1
         assert fragment in _one_error_line(capsys)
+
+    # the first value is valid, so a sweep that checked each point only when it
+    # reached it would train three seeds before failing
+    @pytest.mark.parametrize("axis,values,fragment", [
+        ("mmcm_on_off", "on,bogus", "must be on/off, got 'bogus'"),
+        ("prompt_len", "2,0", "model.prompt_len must be >= 1, got 0"),
+        ("missing_ratio", "0.5,1.5", "missing ratio must be in [0, 1], got 1.5")])
+    def test_sweep_checks_every_point_before_training(self, tmp_path, capsys, monkeypatch,
+                                                      axis, values, fragment):
+        trained = []
+        monkeypatch.setattr("himie.sweep.train", lambda *args: trained.append(args))
+        capsys.readouterr()
+        assert main(["sweep", "--config", write_cfg(tmp_path), "--axis", axis,
+                     "--values", values, "--out", str(tmp_path / "bad.csv")]) == 1
+        assert fragment in _one_error_line(capsys)
+        assert trained == [] and not (tmp_path / "bad.csv").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_old_gen_shape_keys(self, tmp_path, capsys, command):
