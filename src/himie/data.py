@@ -382,8 +382,6 @@ def load_corpus(path: str | Path) -> Corpus:
 
 def regime_counts(n: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:
     """Largest-remainder apportionment of n documents over the three regimes."""
-    if min(fractions) < 0 or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"regime fractions must be non-negative and sum to 1, got {fractions}")
     floors = [int(n * f) for f in fractions]
     rem = n - sum(floors)
     order = sorted(range(3), key=lambda i: (-(n * fractions[i] - floors[i]), i))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (ConfigError, Tensor, add, feed_forward, index_rows, matmul,
+from .autodiff import (Tensor, add, feed_forward, index_rows, matmul,
                        multi_head_attention, reshape, texp, tmean, tsum)
 from .config import ModelConfig
 from .encoders import LEVELS, LevelFeatures
@@ -112,8 +112,6 @@ def fuse_x_to_g(image: LevelFeatures, text: LevelFeatures, scope, cfg: ModelConf
                 rng=None, kl_acc: list | None = None) -> Tensor:
     """Text-enriched per-frame feature [n_g, d_h]: fuse at patch level, pool, add positions."""
     n_g, n_p = image.base.data.shape[0], image.base.data.shape[1]
-    if n_g > cfg.max_frames:
-        raise ConfigError(f"{n_g} frames exceed max_frames={cfg.max_frames}")
     q = reshape(image.base, (n_g * n_p, cfg.d_h))
     fused = fuse_levels(q, text.levels, scope.scoped("x2g"), cfg, rng, kl_acc)
     out = _mix(q, fused, scope.scoped("mix.x2g"))

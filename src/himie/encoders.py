@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ConfigError, ShapeError, Tensor, add, feed_forward, index_rows,
-                       layer_norm, layer_norm_vjp, matmul, multi_head_attention)
+from .autodiff import (Tensor, add, feed_forward, index_rows, layer_norm, layer_norm_vjp,
+                       matmul, multi_head_attention)
 from .config import ModelConfig
 
 
@@ -50,8 +50,6 @@ def bucket_levels(per_layer: list[Tensor]) -> LevelFeatures:
     of those blocks g[k] * (1/m).
     """
     n_l = len(per_layer)
-    if n_l < 3 or n_l % 3 != 0:
-        raise ConfigError(f"level bucketing needs a layer count divisible by 3, got {n_l}")
     m = n_l // len(LEVELS)
     scale = 1.0 / m
     levels = np.empty((len(LEVELS),) + per_layer[0].data.shape)
@@ -158,13 +156,8 @@ def run_blocks(x: Tensor, scope, cfg: ModelConfig) -> list[Tensor]:
 
 def encode_text(tokens: list[str], scope, cfg: ModelConfig) -> list[Tensor]:
     """Per-block outputs [n_x, d_h] for one token sequence."""
-    n_x = len(tokens)
-    if n_x < 1:
-        raise ShapeError("encode_text needs at least one token")
-    if n_x > cfg.max_len:
-        raise ShapeError(f"{n_x} tokens exceed max_len={cfg.max_len}")
     ids = token_ids(tokens, cfg.vocab)
-    x = add(index_rows(scope["tok_emb"], ids), index_rows(scope["pos_emb"], np.arange(n_x)))
+    x = add(index_rows(scope["tok_emb"], ids), index_rows(scope["pos_emb"], np.arange(len(tokens))))
     return run_blocks(x, scope, cfg)
 
 
@@ -175,12 +168,6 @@ def encode_frames(frames: list[np.ndarray], scope, cfg: ModelConfig) -> list[Ten
     [n_g, n_p, d_h] batch; attention runs per frame over the leading axis,
     so no frame attends to another.
     """
-    if not frames:
-        raise ShapeError("encode_frames needs at least one frame")
-    for i, fr in enumerate(frames):
-        arr = np.asarray(fr)
-        if arr.shape != (cfg.n_p, cfg.d_in):
-            raise ShapeError(f"frame {i} has patch grid {arr.shape}, expected ({cfg.n_p}, {cfg.d_in})")
     x = add(add(matmul(Tensor(np.stack(frames)), scope["proj.w"]), scope["proj.b"]),
             scope["pos_emb"])
     return run_blocks(x, scope, cfg)

@@ -61,14 +61,6 @@ def repair_bio(ids) -> list[int]:
     return out
 
 
-def check_bio(ids) -> None:
-    """ValueError at the first orphan I-tag of `ids`."""
-    for i, (t, fixed) in enumerate(zip(ids, repair_bio(ids))):
-        if t != fixed:
-            raise ValueError(f"invalid BIO sequence: I-tag {t} at {i} "
-                             f"does not continue a span of its type")
-
-
 def spans_from_tags(ids, entity_types) -> list[Entity]:
     """One entity per B-tag, spanning the I-tags of its type that follow it."""
     ents = []
@@ -123,7 +115,6 @@ def crf_nll(h_text: Tensor, gold_ids, scope) -> Tensor:
     counts (Lafferty et al. 2001).
     """
     gold_ids = np.asarray(gold_ids, dtype=np.intp)
-    check_bio(gold_ids)
     emission, trans, start, end = (scope[n] for n in ("emission", "trans", "start", "end"))
     e, tr = h_text.data @ emission.data, trans.data
     L, K = e.shape

@@ -42,8 +42,9 @@ def init_params(cfg: ModelConfig, seed: int) -> ParamTree:
 def check_compatible(corpus: Corpus, cfg: ModelConfig) -> None:
     """Raise ConfigError unless a model built from `cfg` can run every document.
 
-    Train and eval call this before their first step, so an incompatible corpus
-    fails up front instead of at the first document that exercises the misfit.
+    This is the one owner of the corpus-to-model fit; the encoders, the fusion
+    and the heads below it do not check it again. Train, eval and gradcheck
+    call it before their first step, so an incompatible corpus fails up front.
     """
     docs = corpus.documents
     for kind, known, found in (
@@ -163,8 +164,6 @@ def predict(doc: Document, params: ParamTree, cfg: ModelConfig, *,
     head's logits are not finite; numpy's floating-point warnings are off
     inside, so that error is the one report of a non-finite value.
     """
-    if pair_mode not in ("gold-pairs", "predicted-pairs"):
-        raise ValueError(f"unknown pair_mode {pair_mode!r}")
     try:
         with np.errstate(all="ignore"):
             return _predict(doc, params, cfg, pair_mode)

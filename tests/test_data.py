@@ -245,7 +245,3 @@ class TestRegimes:
         assert sum(counts) == n
         for c, f in zip(counts, fr):
             assert abs(c - n * f) < 1.0 + 1e-9
-
-    def test_bad_fractions_rejected(self):
-        with pytest.raises(ValueError):
-            regime_counts(10, (0.5, 0.5, 0.5))

@@ -274,12 +274,6 @@ class TestFusion:
         out = fuse_x_to_g(img, text, params.scoped("dffm"), CFG)
         assert out.data.shape == (3, CFG.d_h)
 
-    def test_x2g_rejects_too_many_frames(self, params):
-        text = make_levels((5, CFG.d_h), 0)
-        img = make_levels((CFG.max_frames + 1, CFG.n_p, CFG.d_h), 1)
-        with pytest.raises(ConfigError, match="max_frames"):
-            fuse_x_to_g(img, text, params.scoped("dffm"), CFG)
-
     def test_identity_mixing_passthrough(self):
         # with zero level mixes the fused text equals base @ mix.base exactly
         p = ParamTree()

@@ -11,7 +11,6 @@ from himie.data import Document, Entity, Region, Relation
 from himie.heads import (
     affine,
     box_l1_mean,
-    check_bio,
     chain_reprs,
     compute_losses,
     crf_decode,
@@ -194,17 +193,10 @@ class TestTagSet:
         assert ids[:3] == [begin("PER"), inside("PER"), 0]
         assert ids[3] == begin("LOC") and ids[4] == 0
 
-    def test_check_bio_rejects_orphan_inside(self):
-        with pytest.raises(ValueError, match="BIO"):
-            check_bio([0, inside("PER")])
-        with pytest.raises(ValueError, match="BIO"):
-            check_bio([begin("LOC"), inside("PER")])
-        check_bio([begin("LOC"), inside("LOC"), inside("LOC"), 0])
-
     def test_repair_bio_promotes_orphans(self):
         fixed = repair_bio([0, inside("PER"), inside("PER"), inside("LOC")])
         assert fixed == [0, begin("PER"), inside("PER"), begin("LOC")]
-        check_bio(fixed)
+        assert repair_bio(fixed) == fixed
 
     def test_spans_adjacent_b_tags_split(self):
         b = begin("PER")
@@ -285,12 +277,6 @@ class TestCrf:
     def test_all_ties_decode_to_outside(self):
         p = zero_crf(K, CFG.d_h)
         assert crf_decode(np.zeros((4, CFG.d_h)), p.scoped("crf")) == [0, 0, 0, 0]
-
-    def test_nll_rejects_invalid_gold(self):
-        p = head_params()
-        h = Tensor(np.zeros((2, CFG.d_h)))
-        with pytest.raises(ValueError, match="BIO"):
-            crf_nll(h, [0, inside("PER")], p.scoped("heads.crf"))
 
     def test_nll_gradcheck(self):
         p = head_params(seed=5)

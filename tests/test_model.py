@@ -364,12 +364,6 @@ class TestPredict:
         pred = predict(small_doc(n_frames=0), p, CFG)
         assert pred.regions == []
 
-    def test_unknown_pair_mode_rejected(self):
-        p = init_params(CFG, 0)
-        for mode in ("oracle", "gold", "predicted"):   # only the eval_mode spellings
-            with pytest.raises(ValueError, match="pair_mode"):
-                predict(small_doc(), p, CFG, pair_mode=mode)
-
     def test_records_no_tape(self, monkeypatch):
         from himie.autodiff import Tensor
         p = init_params(CFG, 0)

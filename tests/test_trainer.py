@@ -15,7 +15,7 @@ from himie import cli, data, trainer
 from himie.autodiff import ConfigError, NumericError, ParamTree, gradcheck
 from himie.config import GenConfig, ModelConfig, OptimConfig, RunConfig
 from himie.data import Corpus, assign_modality_regime, serialize_corpus
-from himie.evaluate import save_report
+from himie.evaluate import evaluate, save_report
 from himie.metrics import ERROR_KEYS
 from himie.model import forward, init_params
 from himie.sweep import TASKS, SweepRow, save_sweep_csv
@@ -396,10 +396,14 @@ class TestCompatibility:
     """A corpus the model cannot run is refused before the first step."""
 
     def _refused(self, monkeypatch, cfg, corpus, match):
+        # check_compatible is the only guard of this fit, for train and evaluate alike
         calls = []
         monkeypatch.setattr(trainer, "forward", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr("himie.evaluate.predict", lambda *a, **k: calls.append(a))
         with pytest.raises(ConfigError, match=match):
             train(cfg, corpus)
+        with pytest.raises(ConfigError, match=match):
+            evaluate(init_params(cfg.model, 0), cfg, corpus)
         assert calls == []
 
     @pytest.mark.parametrize("fractions", [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)])
