@@ -61,6 +61,9 @@ def run_point(cfg: RunConfig, corpus: Corpus, seed: int) -> SweepRow:
 
 def sweep(base: RunConfig, corpus: Corpus, axis: str, values) -> list[SweepRow]:
     base.validate()
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"sweep values must differ; {value!r} is repeated")
     points = [(value, point_config(base, axis, value)) for value in values]
     for _, cfg in points:   # every point is checked before the first training
         cfg.validate()

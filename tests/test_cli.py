@@ -366,7 +366,8 @@ class TestBadInput:
     @pytest.mark.parametrize("axis,values,fragment", [
         ("mmcm_on_off", "on,bogus", "must be on/off, got 'bogus'"),
         ("prompt_len", "2,0", "model.prompt_len must be >= 1, got 0"),
-        ("missing_ratio", "0.5,1.5", "missing ratio must be in [0, 1], got 1.5")])
+        ("missing_ratio", "0.5,1.5", "missing ratio must be in [0, 1], got 1.5"),
+        ("prompt_len", "2,02", "sweep values must differ; 2 is repeated")])
     def test_sweep_checks_every_point_before_training(self, tmp_path, capsys, monkeypatch,
                                                       axis, values, fragment):
         trained = []
