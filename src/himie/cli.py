@@ -39,7 +39,7 @@ def _cfg(args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
         cfg.gen = dataclasses.replace(cfg.gen, seed=args.seed)
-    cfg.validate()
+        cfg.validate()
     return cfg
 
 

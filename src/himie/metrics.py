@@ -12,9 +12,11 @@ Each task has one scorer, `score_<task>(gold, pred) -> (counts, errors)`,
 which matches the task once and reads both its counts and its two taxonomy
 entries off that match. The chains' match is one sparse overlap table, built
 through a mention-to-chain map, that MUC, B-cubed, CEAF-e and the chain
-taxonomy all read. The other tasks' matchers return the predictions they
-leave unmatched, and the taxonomy classifies exactly these, so a task's
-error count is its false positives.
+taxonomy all read. The other tasks' matchers return what the taxonomy reads
+of each prediction they leave unmatched (the entity itself, or a relation's
+or region's error flag), so a task's error count is its false positives.
+Relations are matched in one scan of the gold list per prediction, which
+gives both its match and its flag.
 
 CEAF-e aligns gold and predicted chains one to one for the largest total
 phi4 (Luo 2005). Only the table's entries have phi4 > 0, so the alignment
@@ -272,25 +274,19 @@ def chain_score_prf(c: ChainCounts) -> PRF:
 # mention-key frozensets so the chain-level intersection rule applies
 
 
-def _arguments_overlap(pred, gold) -> bool:
-    """Whether both arguments share a mention with gold's."""
-    return len(pred[0] & gold[0]) > 0 and len(pred[1] & gold[1]) > 0
-
-
-def relation_matches(pred, gold) -> bool:
-    return pred[2] == gold[2] and _arguments_overlap(pred, gold)
-
-
-def _relation_misses(gold: list, pred: list) -> list:
-    """Predictions left unmatched by a greedy pass in prediction order; each
-    gold is consumed at most once."""
+def _relation_misses(gold: list, pred: list) -> list[bool]:
+    """One flag per prediction left unmatched by a greedy pass in prediction
+    order, each gold consumed at most once. One scan finds the golds whose two
+    arguments each share a mention with the prediction's; they give its match,
+    the first unused one of its type, and its flag: true when one has another type."""
     used = [False] * len(gold)
     misses = []
     for pr in pred:
-        hit = next((gi for gi, gd in enumerate(gold)
-                    if not used[gi] and relation_matches(pr, gd)), None)
+        near = [gi for gi, gd in enumerate(gold)
+                if not pr[0].isdisjoint(gd[0]) and not pr[1].isdisjoint(gd[1])]
+        hit = next((gi for gi in near if not used[gi] and gold[gi][2] == pr[2]), None)
         if hit is None:
-            misses.append(pr)
+            misses.append(any(gold[gi][2] != pr[2] for gi in near))
         else:
             used[hit] = True
     return misses
@@ -299,9 +295,7 @@ def _relation_misses(gold: list, pred: list) -> list:
 def score_relations(gold: list, pred: list) -> Scored:
     """Relation (tp, fp, fn) and errors: a miss that matches some gold instance
     on both arguments has the wrong type, any other miss is false."""
-    return _score(gold, pred, [any(_arguments_overlap(pr, gd) and pr[2] != gd[2] for gd in gold)
-                               for pr in _relation_misses(gold, pred)],
-                  ("rel_false", "rel_type"))
+    return _score(gold, pred, _relation_misses(gold, pred), ("rel_false", "rel_type"))
 
 
 # -- grounding ----------------------------------------------------------------

@@ -28,7 +28,6 @@ from .mmcm import blank, construct_image_from_text, construct_text_from_image, i
 
 
 def init_params(cfg: ModelConfig, seed: int) -> ParamTree:
-    cfg.validate()
     rng = np.random.default_rng(np.random.SeedSequence((seed, 41)))
     params = ParamTree()
     init_text_encoder(params.scoped("encoder.text"), cfg, rng)

@@ -50,30 +50,27 @@ class SweepRow:
     avg: float
 
 
-def run_point(cfg: RunConfig, corpus: Corpus, seed: int) -> SweepRow:
+def run_point(cfg: RunConfig, corpus: Corpus, axis: str, value, seed: int) -> SweepRow:
+    """The row of sweep point `cfg`, the `value` of `axis`, trained on `seed`."""
     cfg = dataclasses.replace(cfg, seed=seed)
     regimes = assign_modality_regime(corpus, cfg.regime_fractions, seed)
     result = train(cfg, regimes)
     report = evaluate(result.params, cfg, regimes)
-    return SweepRow("", "", seed,
+    return SweepRow(axis, str(value), seed,
                     {t: report[t]["f1"] for t in TASKS}, report["avg"])
 
 
 def sweep(base: RunConfig, corpus: Corpus, axis: str, values) -> list[SweepRow]:
-    base.validate()
+    """`N_SEEDS` rows per value of `axis`. Each point's config is validated, all
+    of them before the first training; `base` is checked only through them."""
     for i, value in enumerate(values):
         if value in values[:i]:
             raise ConfigError(f"sweep values must differ; {value!r} is repeated")
     points = [(value, point_config(base, axis, value)) for value in values]
-    for _, cfg in points:   # every point is checked before the first training
+    for _, cfg in points:
         cfg.validate()
-    rows: list[SweepRow] = []
-    for value, cfg in points:
-        for k in range(N_SEEDS):
-            row = run_point(cfg, corpus, base.seed + k)
-            row.axis, row.value = axis, str(value)
-            rows.append(row)
-    return rows
+    return [run_point(cfg, corpus, axis, value, base.seed + k)
+            for value, cfg in points for k in range(N_SEEDS)]
 
 
 def summarize(rows: list[SweepRow]) -> list[dict]:

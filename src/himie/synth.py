@@ -136,8 +136,6 @@ def generate(cfg: GenConfig, model: ModelConfig | None = None) -> Corpus:
     default-model RunConfig, as `perfbench/run.py` does.
     """
     model = ModelConfig() if model is None else model
-    cfg.validate()
-    model.validate()
     if model.vocab < 32:
         raise ConfigError(f"model.vocab must be >= 32 to generate a corpus, got {model.vocab}")
     buckets = model.vocab - model.vocab // 2

@@ -178,7 +178,6 @@ class TrainResult:
 
 def train(cfg: RunConfig, corpus: Corpus,
           params: ParamTree | None = None) -> TrainResult:
-    cfg.validate()
     check_compatible(corpus, cfg.model)
     keep_heap_top()
     if params is None:

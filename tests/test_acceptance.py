@@ -20,8 +20,8 @@ from himie.evaluate import evaluate, reduce_stats, report_bytes, score_document
 from himie.heads import crf_decode, crf_nll, repair_bio
 from himie.metrics import (PartitionError, b_cubed_prf, ceaf_e_prf,
                            chain_score_prf, iou, muc_prf, prf_from_counts,
-                           relation_matches, score_chains, score_grounding,
-                           score_relations, to_corners)
+                           score_chains, score_grounding, score_relations,
+                           to_corners)
 from himie.model import init_params, predict
 from himie.sweep import run_point, summarize, sweep
 from himie.synth import generate
@@ -252,6 +252,11 @@ def test_criterion_04_iou_oracle_and_threshold_matcher():
 # -- 5. relation matcher vs brute force ------------------------------------------
 
 
+def _relation_rule(pred, gold) -> bool:
+    # the README's rule: same type, and both arguments share a mention
+    return pred[2] == gold[2] and bool(pred[0] & gold[0]) and bool(pred[1] & gold[1])
+
+
 def test_criterion_05_relation_counts_match_bruteforce():
     # one mention block per gold keeps every prediction overlapping at most
     # one gold, where greedy matching provably attains the maximum
@@ -281,7 +286,7 @@ def test_criterion_05_relation_counts_match_bruteforce():
             used, cnt = set(), 0
             for gi in perm:
                 for pi in range(len(pred)):
-                    if pi not in used and relation_matches(pred[pi], gold[gi]):
+                    if pi not in used and _relation_rule(pred[pi], gold[gi]):
                         used.add(pi)
                         cnt += 1
                         break
@@ -323,7 +328,7 @@ def test_criterion_06_overfit_eight_documents():
 def _arm_mean(base: RunConfig, corpus, **model_over) -> float:
     cfg = dataclasses.replace(base, model=dataclasses.replace(base.model,
                                                               **model_over))
-    rows = [run_point(cfg, corpus, base.seed + k) for k in range(3)]
+    rows = [run_point(cfg, corpus, "", "", base.seed + k) for k in range(3)]
     return sum(r.avg for r in rows) / len(rows)
 
 

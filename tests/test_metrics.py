@@ -23,7 +23,6 @@ from himie.metrics import (
     iou,
     muc_prf,
     prf_from_counts,
-    relation_matches,
     score_chains,
     score_entities,
     score_grounding,
@@ -382,12 +381,42 @@ def rel(sub, obj, t):
     return (frozenset(sub), frozenset(obj), t)
 
 
+def arguments_overlap(pred, gold):
+    return bool(pred[0] & gold[0]) and bool(pred[1] & gold[1])
+
+
+def relation_rule(pred, gold):
+    # the README's rule: same type, and both arguments share a mention
+    return pred[2] == gold[2] and arguments_overlap(pred, gold)
+
+
+def two_scan_relations(gold, pred):
+    """Reference scorer: the greedy match in prediction order, then a second
+    scan of the gold list for each miss to file it under rel_type or rel_false."""
+    used, misses = [False] * len(gold), []
+    for pr in pred:
+        hit = next((gi for gi, gd in enumerate(gold)
+                    if not used[gi] and relation_rule(pr, gd)), None)
+        if hit is None:
+            misses.append(pr)
+        else:
+            used[hit] = True
+    wrong_type = sum(any(arguments_overlap(pr, gd) and pr[2] != gd[2] for gd in gold)
+                     for pr in misses)
+    tp = len(pred) - len(misses)
+    return ((tp, len(misses), len(gold) - tp),
+            {"rel_false": len(misses) - wrong_type, "rel_type": wrong_type})
+
+
 class TestRelations:
     def test_intersection_rule(self):
         gold = [rel({"a", "b"}, {"c"}, "R1")]
-        assert relation_matches(rel({"b"}, {"c", "d"}, "R1"), gold[0])
-        assert not relation_matches(rel({"x"}, {"c"}, "R1"), gold[0])
-        assert not relation_matches(rel({"a"}, {"c"}, "R2"), gold[0])
+        assert score_relations(gold, [rel({"b"}, {"c", "d"}, "R1")]) == \
+            ((1, 0, 0), {"rel_false": 0, "rel_type": 0})
+        assert score_relations(gold, [rel({"x"}, {"c"}, "R1")]) == \
+            ((0, 1, 1), {"rel_false": 1, "rel_type": 0})
+        assert score_relations(gold, [rel({"a"}, {"c"}, "R2")]) == \
+            ((0, 1, 1), {"rel_false": 0, "rel_type": 1})
 
     def test_counts_basic(self):
         gold = [rel({"a"}, {"b"}, "R1"), rel({"c"}, {"d"}, "R2")]
@@ -398,6 +427,34 @@ class TestRelations:
         gold = [rel({"a"}, {"b"}, "R1")]
         pred = [rel({"a"}, {"b"}, "R1"), rel({"a"}, {"b"}, "R1")]
         assert score_relations(gold, pred)[0] == (1, 1, 0)
+
+    def test_one_scan_equals_the_two_scan_reference(self):
+        # overlapping golds, which one gold per mention block never gives: a
+        # chain pair carrying two gold types, and a prediction whose arguments
+        # meet several golds of different types
+        universe = [f"m{i}" for i in range(5)]
+        totals = {"rel_false": 0, "rel_type": 0}
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+
+            def members():
+                return set(rng.choice(universe, size=int(rng.integers(1, 3)), replace=False))
+
+            sub, obj = members(), members()
+            gold = [rel(sub, obj, "R0"), rel(sub, obj, "R1")]
+            gold += [rel(members(), members(), f"R{int(rng.integers(0, 3))}")
+                     for _ in range(int(rng.integers(0, 4)))]
+            rng.shuffle(gold)
+            wide = rel(sub | members(), obj | members(), f"R{int(rng.integers(0, 3))}")
+            assert len({g[2] for g in gold if arguments_overlap(wide, g)}) >= 2
+            pred = [wide] + [rel(members(), members(), f"R{int(rng.integers(0, 3))}")
+                             for _ in range(int(rng.integers(0, 6)))]
+            rng.shuffle(pred)
+            scored = score_relations(gold, pred)
+            assert scored == two_scan_relations(gold, pred), seed
+            for k in totals:
+                totals[k] += scored[1][k]
+        assert min(totals.values()) > 0, totals
 
     @pytest.mark.parametrize("seed", range(30))
     def test_greedy_counts_match_bruteforce_maximum(self, seed):
@@ -422,7 +479,7 @@ class TestRelations:
             cnt = 0
             for gi in perm:
                 for pi in range(len(pred)):
-                    if pi not in used_p and relation_matches(pred[pi], gold[gi]):
+                    if pi not in used_p and relation_rule(pred[pi], gold[gi]):
                         used_p.add(pi)
                         cnt += 1
                         break

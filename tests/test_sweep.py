@@ -1,5 +1,6 @@
 """Sweep mechanics: axis handling, row bookkeeping, CSV schema."""
 import csv
+import dataclasses
 import functools
 import math
 import operator
@@ -98,6 +99,16 @@ class TestSweepRows:
         assert len(rows) == 2 * N_SEEDS
         assert {r.seed for r in rows} == {0, 1, 2}
         assert {r.value for r in rows} == {"2", "3"}
+
+    def test_axis_may_replace_the_base_s_only_invalid_field(self):
+        # the points are validated, not the base they are derived from
+        base = tiny_run(model=dataclasses.replace(SMALL, prompt_len=0))
+        with pytest.raises(ConfigError, match="prompt_len"):
+            base.validate()
+        rows = sweep(base, generate(base.gen, base.model), "prompt_len", [2])
+        assert len(rows) == N_SEEDS
+        assert [(r.axis, r.value, r.seed) for r in rows] == [("prompt_len", "2", k)
+                                                             for k in range(N_SEEDS)]
 
     def test_summary_appends_mean_and_var_rows(self):
         rows = self._rows(values=(2,))
