@@ -32,14 +32,18 @@ same array to several parents, so no VJP output is ever written in place.
 `feed_forward` (the exact-erf GELU FFN) and `conv1d` are numpy pairs, not
 tape ops: arrays in, the output and its VJP out. A caller on the tape
 records the node itself, as `encoders.run_block` does for a whole block,
-`dffm.fuse_levels` for one attention node and one FFN node, and `mmcm` for
-one construction node. A pair's VJP keeps only what one matmul cannot
-rebuild: attention keeps q, k, v, the softmax row max and row sum and the
+`dffm.fuse_levels` for one attention node and one FFN node (each VJP bound to
+the node's parents' data by `bind_inputs`), and `mmcm` for one construction
+node. A pair keeps only what it computed itself and one matmul cannot
+rebuild; the attention and FFN VJPs take their inputs again at backward time,
+`vjp(g, q, k, v)` and `vjp(g, x)`, as `layer_norm_vjp` takes xhat and the
+inverse deviation. Attention keeps the softmax row max and row sum and the
 merged context, and recomputes the per-head projections and the weights;
-the FFN keeps x and Phi(x @ w1 + b1), the exact-erf pass, and recomputes
-the pre-activation; `layer_norm_vjp` takes xhat and the inverse deviation;
-`conv1d` keeps its padded input. Every recomputation repeats the forward's
-operations, so the gradients are bitwise the same as from saved arrays.
+the FFN keeps Phi(x @ w1 + b1), the exact-erf pass, and recomputes the
+pre-activation; `conv1d` keeps its padded input. Every recomputation repeats
+the forward's operations, so the gradients are bitwise the same as from saved
+arrays. `matmul` with a bias is `x @ w + b` as one node, the bias added in
+place, so no product before its bias is ever a tape tensor.
 
 The pairs and `matmul` trust their callers' shapes, which the config and
 `model.check_compatible` check once; attention alone checks q's and k's batch
@@ -50,11 +54,11 @@ its product saves work (`add`, `mul`, `matmul`); `backward` sends only to
 parents with `requires_grad`, so the leaves get the same gradients either way.
 
 In-place rule: an op or VJP writes in place (`out=`, `+=`) only into arrays it
-allocated itself, and never writes to an array after handing it out, whether
-saved for the backward pass, returned or passed on. The attention softmax
-chain and the GELU helpers run in one buffer each this way, so their
-temporaries stay in cache and their results equal the allocating formulas
-to the bit.
+allocated itself, and never writes to an array after handing it to anything
+that keeps it, whether saved for the backward pass, returned or passed on.
+The attention softmax chain, the GELU helpers, the FFN's hidden arrays and
+every bias add run in their product's buffer this way, so their temporaries
+stay in cache and their results equal the allocating formulas to the bit.
 
 All operations are deterministic (identical inputs give bitwise identical
 outputs) and map finite inputs to finite outputs. `gradcheck` compares the
@@ -242,16 +246,27 @@ def mul(a, b) -> Tensor:
     return Tensor._result(out, (a, b), vjp)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, bias=None) -> Tensor:
+    """a @ b, or with `bias` the affine map a @ b + bias as one node: the bias
+    is added in place into the product, so the product before it is never a
+    tape tensor. The bias must broadcast to the product's shape."""
     a, b = _t(a), _t(b)
     out = a.data @ b.data
+    if bias is None:
+        parents = (a, b)
+    else:
+        bias = _t(bias)
+        np.add(out, bias.data, out=out)
+        parents = (a, b, bias)
 
     def vjp(g):
         ga = _unbroadcast(g @ _tr(b.data), a.data.shape) if a.requires_grad else None
         gb = _unbroadcast(_tr(a.data) @ g, b.data.shape) if b.requires_grad else None
-        return ga, gb
+        if bias is None:
+            return ga, gb
+        return ga, gb, _unbroadcast(g, bias.data.shape) if bias.requires_grad else None
 
-    return Tensor._result(out, (a, b), vjp)
+    return Tensor._result(out, parents, vjp)
 
 
 # -- elementwise nonlinearities -----------------------------------------
@@ -333,10 +348,13 @@ def index_rows(a, idx) -> Tensor:
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-               eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
-    Plain numpy; returns (out, xhat, inv), the last two for `layer_norm_vjp`.
+    Plain numpy; returns (out, xhat, mu, inv): `layer_norm_vjp` reads xhat and
+    inv, and a caller that keeps only mu and inv rebuilds xhat bitwise as
+    `(x - mu) * inv` and out as `xhat * gain + bias`, this function's own
+    expressions.
     """
     d = x.shape[-1]
     mu = np.add.reduce(x, axis=-1, keepdims=True) / d  # `x.mean(...)` to the bit
@@ -344,7 +362,7 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    return xhat * gain + bias, xhat, inv
+    return xhat * gain + bias, xhat, mu, inv
 
 
 def layer_norm_vjp(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
@@ -357,6 +375,18 @@ def layer_norm_vjp(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
     dx = inv * (dxhat - m1 - xhat * m2)
     axes = tuple(range(g.ndim - 1))
     return dx, np.add.reduce(g * xhat, axis=axes), np.add.reduce(g, axis=axes)
+
+
+def bind_inputs(vjp, *inputs):
+    """The one-argument VJP of a tape node over a pair whose VJP takes its
+    inputs at backward time: g -> vjp(g, *inputs). The inputs are the node's
+    parents' data, which the tape holds anyway, and the result carries the
+    pair VJP's name, so the node keeps its op kind."""
+    def bound(g):
+        return vjp(g, *inputs)
+
+    bound.__qualname__ = vjp.__qualname__
+    return bound
 
 
 def pool_windows(L: int, T: int) -> list[tuple[int, int]]:
@@ -396,8 +426,9 @@ def _bgrad(dy: np.ndarray, batched: bool) -> np.ndarray:
 
 def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, weights) -> tuple:
     """Scaled dot-product attention with per-head projections, a numpy pair
-    like `layer_norm`: returns (out, vjp), where vjp(g) gives the gradients of
-    (q, k, v, wq, wk, wv, wo, bo) for the output gradient g.
+    like `layer_norm`: returns (out, vjp), where vjp(g, q, k, v) gives the
+    gradients of (q, k, v, wq, wk, wv, wo, bo) for the output gradient g. The
+    VJP takes the forward's inputs again, so the pair keeps none of them.
 
     q: [..., Lq, d], k/v: [..., Lk, d] with the same leading batch axes; each
     batch entry attends only within itself. Per-head q/k/v projections are
@@ -408,8 +439,8 @@ def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int
     gradients reduce over all rows in the first case and over the rows of
     each batch entry in the second.
 
-    The backward pass is derived by hand. It keeps q, k, v, the row max, the
-    row sum and the merged context, and recomputes the rest: the per-head
+    The backward pass is derived by hand. It keeps the row max, the row sum
+    and the merged context, and recomputes the rest: the per-head
     projections from q/k/v, one matmul each, and, as in FlashAttention (Dao
     et al. 2022), the attention weights from the saved row max and row sum.
     It gets the softmax term from rowsum(dC * C) per query, C read back from
@@ -440,9 +471,10 @@ def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int
     np.exp(attn, out=attn)
     row_sum = np.add.reduce(attn, axis=-1, keepdims=True)
     merged = merge(np.divide(attn, row_sum, out=attn) @ Vh)  # the context, [..., Lq, d]
-    out = merged @ wo + bo
+    out = merged @ wo
+    np.add(out, bo, out=out)
 
-    def vjp(g):
+    def vjp(g, q, k, v):
         Qh, Kh, Vh = split(q @ wq), split(k @ wk), split(v @ wv)
         attn = Qh @ _tr(Kh)  # the forward's weights, by the same in-place chain
         np.multiply(attn, scale, out=attn)
@@ -467,27 +499,34 @@ def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int
 def feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
                  b2: np.ndarray) -> tuple:
     """The exact-erf GELU feed-forward gelu(x @ w1 + b1) @ w2 + b2, a numpy
-    pair like `multi_head_attention`: returns (out, vjp), where vjp(g) gives
+    pair like `multi_head_attention`: returns (out, vjp), where vjp(g, x) gives
     the gradients of (x, w1, b1, w2, b2) for the output gradient g.
 
     x: [..., L, d]. The weights are shared (w1 [d, h], b1 [h], w2 [h, d],
     b2 [d]) or one set per batch entry, whose leading axes equal x's batch
     axes (w1 [..., d, h], biases [..., 1, h] and [..., 1, d]); weight
     gradients reduce as in `multi_head_attention`. The backward pass
-    keeps x and Phi(u) and recomputes the pre-activation u = x @ w1 + b1,
-    one matmul, and from it the GELU output; the erf pass is the one step
-    it does not redo.
+    keeps Phi(u) alone and recomputes the pre-activation u = x @ w1 + b1 from
+    the x it is handed, one matmul, and from it the GELU output; the erf pass
+    is the one step it does not redo. Both passes add each bias in place into
+    its product, and the VJP turns g @ w2.T into du and u into the GELU
+    output in place, so it holds at most three [..., L, h] arrays beside Phi(u).
     """
     batched = w1.ndim > 2
-    u = x @ w1 + b1
+    u = x @ w1
+    np.add(u, b1, out=u)
     cdf = gelu_cdf(u)
-    out = (u * cdf) @ w2 + b2
+    out = np.multiply(u, cdf, out=u) @ w2
+    np.add(out, b2, out=out)
 
-    def vjp(g):
-        u = x @ w1 + b1
-        du = (g @ _tr(w2)) * gelu_slope(u, cdf)
+    def vjp(g, x):
+        u = x @ w1
+        np.add(u, b1, out=u)
+        du = g @ _tr(w2)
+        np.multiply(du, gelu_slope(u, cdf), out=du)
+        act = np.multiply(u, cdf, out=u)  # the GELU output, once the slope is taken
         return (du @ _tr(w1), _wgrad(x, du, batched), _bgrad(du, batched),
-                _wgrad(u * cdf, g, batched), _bgrad(g, batched))
+                _wgrad(act, g, batched), _bgrad(g, batched))
 
     return out, vjp
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (Tensor, add, feed_forward, index_rows, matmul,
+from .autodiff import (Tensor, add, bind_inputs, feed_forward, index_rows, matmul,
                        multi_head_attention, reshape, texp, tmean, tsum)
 from .config import ModelConfig
 from .encoders import LEVELS, LevelFeatures
@@ -31,13 +31,15 @@ def vae_encode(x: Tensor, scope, rng=None, kl_acc: list | None = None) -> Tensor
     """Latent of `x`: a reparameterized draw from `rng` when a stream is given,
     else the mean head.
 
-    The log-variance head runs only when the draw or `kl_acc` reads it; with
-    `kl_acc`, KL(q || N(0, I)) averaged over latent elements is appended to it.
+    Each head is one biased `matmul` node, so the tape keeps no product
+    before its bias. The log-variance head runs only when the draw or `kl_acc`
+    reads it; with `kl_acc`, KL(q || N(0, I)) averaged over latent elements
+    is appended to it.
     """
-    mean = add(matmul(x, scope["mean.w"]), scope["mean.b"])
+    mean = matmul(x, scope["mean.w"], scope["mean.b"])
     if rng is None and kl_acc is None:
         return mean
-    log_var = add(matmul(x, scope["logvar.w"]), scope["logvar.b"])
+    log_var = matmul(x, scope["logvar.w"], scope["logvar.b"])
     if kl_acc is not None:
         kl_acc.append(tmean(-0.5 * (1.0 + log_var - mean * mean - texp(log_var))))
     if rng is None:
@@ -81,7 +83,12 @@ def fuse_levels(q_base: Tensor, kv_levels: Tensor, scope, cfg: ModelConfig,
                 rng=None, kl_acc: list | None = None) -> Tensor:
     """Latent cross-attention of [Nq, d_h] against every level of the other
     side's [3, *shape, d_h], read as [3, Nk, d_h], at once, each level with its
-    own weights: [3, Nq, d_h]."""
+    own weights: [3, Nq, d_h].
+
+    The attention node and the FFN node hand their pair VJPs the parents'
+    data (the latents zq, zk, zv; the attention residual h), which the tape
+    holds anyway, so neither pair keeps its inputs; the decoder is one biased
+    `matmul` node."""
     kv_levels = reshape(kv_levels, (len(LEVELS), -1, cfg.d_h))
     enc = scope.scoped("enc")
     zq = vae_encode(q_base, enc, rng, kl_acc)
@@ -89,11 +96,12 @@ def fuse_levels(q_base: Tensor, kv_levels: Tensor, scope, cfg: ModelConfig,
     zv = vae_encode(matmul(kv_levels, scope["wv"]), enc, rng, kl_acc)
     weights = tuple(scope[f"attn.{n}"] for n in ("wq", "wk", "wv", "wo", "bo"))
     out, vjp = multi_head_attention(zq.data, zk.data, zv.data, cfg.heads, [w.data for w in weights])
-    h = add(zq, Tensor._result(out, (zq, zk, zv) + weights, vjp))
+    h = add(zq, Tensor._result(out, (zq, zk, zv) + weights,
+                               bind_inputs(vjp, zq.data, zk.data, zv.data)))
     weights = tuple(scope[f"ffn.{n}"] for n in ("w1", "b1", "w2", "b2"))
     out, vjp = feed_forward(h.data, *(w.data for w in weights))
-    f = add(h, Tensor._result(out, (h,) + weights, vjp))
-    return add(matmul(f, scope["dec.w"]), scope["dec.b"])
+    f = add(h, Tensor._result(out, (h,) + weights, bind_inputs(vjp, h.data)))
+    return matmul(f, scope["dec.w"], scope["dec.b"])
 
 
 def _mix(base: Tensor, fused: Tensor, mix) -> Tensor:

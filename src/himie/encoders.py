@@ -102,25 +102,32 @@ def run_block(x: Tensor, scope, heads: int) -> Tensor:
     Its parents are x and the 13 `BLOCK_PARAMS`. LN1, LN2, the attention and
     the GELU feed-forward are numpy pairs (`layer_norm`/`layer_norm_vjp`,
     `multi_head_attention`, `feed_forward`), so each keeps one derivation,
-    shared with the fusion; the backward pass recomputes attention's
-    projections and weights and the feed-forward's pre-activation (see
-    `autodiff`). Weight gradients reduce over every row of every leading
-    axis.
+    shared with the fusion. The node keeps LN1's mean and inverse deviation,
+    LN2's normalized input and inverse deviation, and what the two pairs keep
+    (attention's row statistics and merged context, the FFN's Phi(u)). Its
+    VJP rebuilds LN1's normalized input from x, which the tape holds as a
+    parent, and both LN outputs by `layer_norm`'s own expressions, and hands
+    them to the pair VJPs, which recompute attention's projections and
+    weights and the feed-forward's pre-activation (see `autodiff`); so the
+    gradients are bitwise those of saved arrays. Weight gradients reduce over
+    every row of every leading axis.
     """
     weights = tuple(scope[n] for n in BLOCK_PARAMS)
     g1, c1, *attn, g2, c2, w1, b1, w2, b2 = (w.data for w in weights)
-    h1, xhat1, inv1 = layer_norm(x.data, g1, c1)
+    h1, _, mu1, inv1 = layer_norm(x.data, g1, c1)
     att, att_vjp = multi_head_attention(h1, h1, h1, heads, attn)
     y = x.data + att
-    h2, xhat2, inv2 = layer_norm(y, g2, c2)
+    h2, xhat2, _, inv2 = layer_norm(y, g2, c2)
     f, ffn_vjp = feed_forward(h2, w1, b1, w2, b2)
     out = y + f
 
     def vjp(g):
-        dh2, dw1, db1, dw2, db2 = ffn_vjp(g)
+        dh2, dw1, db1, dw2, db2 = ffn_vjp(g, xhat2 * g2 + c2)
         dy_ln, dg2, dc2 = layer_norm_vjp(dh2, g2, xhat2, inv2)
         dy = g + dy_ln
-        dq, dk, dv, dwq, dwk, dwv, dwo, dbo = att_vjp(dy)
+        xhat1 = (x.data - mu1) * inv1
+        h1 = xhat1 * g1 + c1
+        dq, dk, dv, dwq, dwk, dwv, dwo, dbo = att_vjp(dy, h1, h1, h1)
         dx_ln, dg1, dc1 = layer_norm_vjp(dq + dk + dv, g1, xhat1, inv1)
         return (dy + dx_ln, dg1, dc1, dwq, dwk, dwv, dwo, dbo, dg2, dc2, dw1, db1, dw2, db2)
 
@@ -168,6 +175,5 @@ def encode_frames(frames: list[np.ndarray], scope, cfg: ModelConfig) -> list[Ten
     [n_g, n_p, d_h] batch; attention runs per frame over the leading axis,
     so no frame attends to another.
     """
-    x = add(add(matmul(Tensor(np.stack(frames)), scope["proj.w"]), scope["proj.b"]),
-            scope["pos_emb"])
+    x = add(matmul(Tensor(np.stack(frames)), scope["proj.w"], scope["proj.b"]), scope["pos_emb"])
     return run_blocks(x, scope, cfg)

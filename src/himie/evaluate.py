@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .autodiff import ConfigError, ParamTree
+from .autodiff import ParamTree
 from .config import RunConfig
 from .data import MODALITIES, Corpus, Document, Entity, Prediction, replacing
 from .metrics import (ERROR_KEYS, ChainCounts, b_cubed_prf, ceaf_e_prf, chain_score_prf,
@@ -105,8 +105,6 @@ def reduce_stats(stats: list[DocStats], mode: str) -> dict:
 
 
 def evaluate(params: ParamTree, cfg: RunConfig, corpus: Corpus) -> dict:
-    if not corpus.documents:
-        raise ConfigError("cannot evaluate an empty corpus")
     check_compatible(corpus, cfg.model)
     check_params(params, cfg.model)
     stats = [score_document(doc, predict(doc, params, cfg.model, pair_mode=cfg.eval_mode))

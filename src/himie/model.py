@@ -41,11 +41,14 @@ def init_params(cfg: ModelConfig, seed: int) -> ParamTree:
 def check_compatible(corpus: Corpus, cfg: ModelConfig) -> None:
     """Raise ConfigError unless a model built from `cfg` can run every document.
 
-    This is the one owner of the corpus-to-model fit; the encoders, the fusion
-    and the heads below it do not check it again. Train, eval and gradcheck
-    call it before their first step, so an incompatible corpus fails up front.
+    This is the one owner of the corpus-to-model fit, an empty corpus
+    included; the encoders, the fusion and the heads below it do not check it
+    again. Train, eval and gradcheck call it before their first step, so an
+    incompatible corpus fails up front.
     """
     docs = corpus.documents
+    if not docs:
+        raise ConfigError("cannot run the model on an empty corpus")
     for kind, known, found in (
             ("entity", cfg.entity_types, {e.type for d in docs for e in d.entities}),
             ("relation", cfg.relation_types, {r.type for d in docs for r in d.relations}),

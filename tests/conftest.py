@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from himie.autodiff import (Tensor, conv1d, feed_forward, gelu_cdf, gelu_slope,
+from himie.autodiff import (Tensor, bind_inputs, conv1d, feed_forward, gelu_cdf, gelu_slope,
                             multi_head_attention)
 
 
@@ -30,7 +30,7 @@ def attention_node(q, k, v, heads, weights) -> Tensor:
     each of the five names to a Tensor."""
     w = tuple(weights[n] for n in ("wq", "wk", "wv", "wo", "bo"))
     out, vjp = multi_head_attention(q.data, k.data, v.data, heads, [t.data for t in w])
-    return Tensor._result(out, (q, k, v) + w, vjp)
+    return Tensor._result(out, (q, k, v) + w, bind_inputs(vjp, q.data, k.data, v.data))
 
 
 def feed_forward_node(x, weights) -> Tensor:
@@ -38,7 +38,7 @@ def feed_forward_node(x, weights) -> Tensor:
     it: parents (x, w1, b1, w2, b2), where `weights` maps each name to a Tensor."""
     w = tuple(weights[n] for n in ("w1", "b1", "w2", "b2"))
     out, vjp = feed_forward(x.data, *(t.data for t in w))
-    return Tensor._result(out, (x,) + w, vjp)
+    return Tensor._result(out, (x,) + w, bind_inputs(vjp, x.data))
 
 
 def conv1d_node(x, kernel, bias) -> Tensor:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -221,7 +222,7 @@ def test_attention_equals_allocating_reference_bitwise(q_shape, k_shape, w_lead)
     ref_out, ref_grads = reference_attention(q, k, v, 4, w, g)
     out, vjp = multi_head_attention(q, k, v, 4, [w[n] for n in ("wq", "wk", "wv", "wo", "bo")])
     assert out.tobytes() == ref_out.tobytes()
-    grads = vjp(g)
+    grads = vjp(g, q, k, v)
     assert len(grads) == 8
     for i, (got, want) in enumerate(zip(grads, ref_grads)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), i
@@ -252,6 +253,54 @@ def test_vjp_skips_constant_operand(op, constant):
             ad.mul: lambda: (g * b, (g * a).sum(axis=(0, 1))),
             matmul: lambda: (g @ b.T, (np.swapaxes(a, -1, -2) @ g).sum(axis=0))}[op]()
     assert grads[1 - constant].tobytes() == want[1 - constant].tobytes()
+
+
+@pytest.mark.parametrize("x_shape,w_shape,b_shape", [
+    ((5, 4), (4, 3), (3,)),
+    ((2, 5, 4), (4, 3), (3,)),
+    ((5, 4), (3, 4, 3), (3, 1, 3)),
+    ((3, 5, 4), (3, 4, 3), (3, 1, 3)),
+], ids=["2d-shared", "batched-shared", "2d-per-level", "batched-per-level"])
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x-param", "x-constant"])
+def test_biased_matmul_equals_matmul_then_add_bitwise(x_shape, w_shape, b_shape, x_grad):
+    # one node in place of two, with the same value and all three gradients
+    results = []
+    for fused in (True, False):
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.normal(size=x_shape), requires_grad=x_grad)
+        w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+        b = Tensor(rng.normal(size=b_shape), requires_grad=True)
+        out = matmul(x, w, b) if fused else ad.add(matmul(x, w), b)
+        tsum(out * Tensor(rng.normal(size=out.shape))).backward()
+        results.append([out.data.tobytes()] + [None if t.grad is None else t.grad.tobytes()
+                                               for t in (x, w, b)])
+    assert results[0] == results[1]
+    assert (results[0][1] is None) is not x_grad
+
+
+def test_feed_forward_vjp_holds_three_hidden_arrays():
+    # u takes its bias in place, du is g @ w2.T times the slope in place and
+    # the GELU output overwrites u: beside the saved Phi(u) the VJP holds u,
+    # du and the slope at once. Per-level [3, L, h] arrays above numpy's
+    # 256 KiB temporary-elision size and shared [L, h] ones below it.
+    rng = np.random.default_rng(17)
+    for lead, w_lead, b_shape in (((3, 256), (3,), lambda n: (3, 1, n)),
+                                  ((64,), (), lambda n: (n,))):
+        d, h = 16, 64
+        x, g = rng.normal(size=lead + (d,)), rng.normal(size=lead + (d,))
+        w = (rng.normal(size=w_lead + (d, h)), rng.normal(size=b_shape(h)),
+             rng.normal(size=w_lead + (h, d)), rng.normal(size=b_shape(d)))
+        _out, vjp = ad.feed_forward(x, *w)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            grads = vjp(g, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(grads) == 5
+        hidden = math.prod(lead) * h * 8
+        assert peak <= 3.25 * hidden, f"{lead}: peak {peak / hidden:.2f} hidden arrays"
 
 
 def test_param_tree_order_and_duplicates():
@@ -474,6 +523,9 @@ OPS = {
     "matmul": (lambda a: matmul(a["x"], a["y"]), [("x", (3, 4), "any"), ("y", (4, 2), "any")]),
     "matmul_batched": (lambda a: matmul(a["x"], a["y"]),
                        [("x", (2, 3, 4), "any"), ("y", (2, 4, 2), "any")]),
+    "matmul_bias_per_level": (lambda a: matmul(a["x"], a["y"], a["b"]),
+                              [("x", (3, 4), "any"), ("y", (3, 4, 2), "any"),
+                               ("b", (3, 1, 2), "any")]),
     "exp": (lambda a: ad.texp(a["x"]), [("x", (3, 3), "any")]),
     "gelu": (lambda a: gelu(a["x"]), [("x", (4, 4), "any")]),
     "sum_axis": (lambda a: tsum(a["x"], axis=0), [("x", (3, 4), "any")]),

@@ -11,8 +11,8 @@ both evaluation pair modes over the shapes the behaviour pin covers, every CLI
 command and its error exits) under a `sys.setprofile` hook that records every
 function of the package it enters. Every function written in a module and
 bound at its top level or in one of its classes, dunders and property getters
-included, must be among them or in `UNREACHED_ALLOWED` with its reason. The
-static rule cannot see an unused dunder, or a method named like a numpy one
+included, must be among them or in `UNREACHED_ALLOWED` with its reason, and
+`matmul` must run both with and without its bias. The static rule cannot see an unused dunder, or a method named like a numpy one
 (`sum`, `reshape`, `size`), since any array's call of that name counts as a
 use.
 """
@@ -255,16 +255,18 @@ def members(module) -> dict:
     return found
 
 
-def unreached_members(modules, run) -> list[str]:
+def unreached_members(modules, run, on_call=None) -> list[str]:
     """`module.member` for each of the `members` of `modules` whose function
     `run()` never enters, recorded by a `sys.setprofile` hook filtered to the
-    modules' files."""
+    modules' files; the hook hands each such call's frame to `on_call`."""
     files = {m.__file__ for m in modules}
     entered = set()
 
     def hook(frame, event, _arg):
         if event == "call" and frame.f_code.co_filename in files:
             entered.add(frame.f_code)
+            if on_call is not None:
+                on_call(frame)
 
     sys.setprofile(hook)
     try:
@@ -339,6 +341,15 @@ def run_the_package(tmp_path) -> None:
 
 def test_every_member_is_reached(tmp_path):
     package = [importlib.import_module(f"himie.{p.stem}") for p in SRC]
+    # `matmul` is two forms of one node, a @ b and a @ b + bias: both must run
+    matmul_code = importlib.import_module("himie.autodiff").matmul.__code__
+    biased = set()
+
+    def on_call(frame):
+        if frame.f_code is matmul_code:
+            biased.add(frame.f_locals["bias"] is not None)
+
     # the allowlist must still be needed, so none of it outlives its reason
-    assert unreached_members(package, lambda: run_the_package(tmp_path)) == \
+    assert unreached_members(package, lambda: run_the_package(tmp_path), on_call) == \
         sorted(UNREACHED_ALLOWED)
+    assert biased == {False, True}

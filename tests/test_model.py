@@ -1,13 +1,14 @@
 """Full-model assembly: routing per modality regime, gradient isolation,
 prediction structure, and loss finiteness."""
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from himie.autodiff import ConfigError, NumericError, ParamTree, Tensor, gradcheck
-from himie.config import GenConfig, LossConfig, ModelConfig
+from himie.config import GenConfig, LossConfig, ModelConfig, RunConfig
 from himie.data import Document, Entity, Region, Relation, assign_modality_regime
 from himie.model import check_params, compute_features, forward, init_params, predict
 from himie.synth import generate
@@ -275,6 +276,29 @@ class TestTape:
     def test_every_recorded_node_reaches_the_loss_without_frames(self, monkeypatch):
         docs = [dataclasses.replace(d, frames=[], regions=[]) for d in self.DOCS[:12]]
         assert unreachable_nodes(docs, CFG, monkeypatch) == 0
+
+    def test_a_forward_pass_keeps_little_alive(self):
+        # the most bytes alive after `forward` on any document of the
+        # train_many_frames benchmark corpus (default model, seed 0; its
+        # largest is a `full` document of 30 tokens and 15 frames): 7.68 MB
+        # while every block kept both LN outputs and LN1's normalized input
+        # and each `x @ w + b` kept its product before the bias, 5.86 MB since
+        cfg = RunConfig(seed=0)
+        gen = dataclasses.replace(cfg.gen, docs=24, tokens_per_doc=(24, 32),
+                                  frames_per_doc=(12, 16), seed=0)
+        docs = assign_modality_regime(generate(gen), cfg.regime_fractions, 0).documents
+        params = init_params(cfg.model, 0)
+        most = 0
+        for doc in docs:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                res = forward(doc, params, cfg.model, cfg.loss)
+                most = max(most, tracemalloc.get_traced_memory()[0] - base)
+            finally:
+                tracemalloc.stop()
+            del res
+        assert most < 6.4e6, f"{most / 1e6:.2f} MB alive after a forward pass"
 
     def node_kinds(self, monkeypatch):
         """(document, the op kinds of the nodes its `forward` records, its
