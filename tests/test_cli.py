@@ -430,26 +430,17 @@ class TestBadInput:
         assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus)]) == 1
         assert f"document {doc_id} has no tokens" in _one_error_line(capsys)
 
-    def test_train_empty_corpus(self, tmp_path, capsys, monkeypatch):
-        corpus = tmp_path / "empty.jsonl"
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_empty_corpus_before_any_step(self, tmp_path, capsys, monkeypatch, command):
+        corpus, out = tmp_path / "empty.jsonl", tmp_path / "out"
         corpus.write_text("", encoding="utf-8")
         monkeypatch.setattr("himie.trainer.forward", self._refuse)
+        axis = ["--axis", "prompt_len", "--values", "2,3"] if command == "sweep" else []
         capsys.readouterr()
-        assert main(["train", "--config", write_cfg(tmp_path), "--corpus", str(corpus),
-                     "--out", str(tmp_path / "m.ckpt")]) == 1
+        assert main([command, "--config", write_cfg(tmp_path), "--corpus", str(corpus),
+                     "--out", str(out)] + axis) == 1
         assert "empty corpus" in _one_error_line(capsys)
-        assert not (tmp_path / "m.ckpt").exists()
-
-    def test_sweep_empty_corpus(self, tmp_path, capsys, monkeypatch):
-        corpus = tmp_path / "empty.jsonl"
-        corpus.write_text("", encoding="utf-8")
-        monkeypatch.setattr("himie.trainer.forward", self._refuse)
-        capsys.readouterr()
-        assert main(["sweep", "--config", write_cfg(tmp_path), "--corpus", str(corpus),
-                     "--axis", "prompt_len", "--values", "2,3",
-                     "--out", str(tmp_path / "sweep.csv")]) == 1
-        assert "empty corpus" in _one_error_line(capsys)
-        assert not (tmp_path / "sweep.csv").exists()
+        assert not out.exists()
 
     def _mismatched(self, tmp_path):
         """A corpus of 4x3 patch grids and a config whose model expects 16x8."""

@@ -12,9 +12,9 @@ command and its error exits) under a `sys.setprofile` hook that records every
 function of the package it enters. Every function written in a module and
 bound at its top level or in one of its classes, dunders and property getters
 included, must be among them or in `UNREACHED_ALLOWED` with its reason, and
-`matmul` must run both with and without its bias. The static rule cannot see an unused dunder, or a method named like a numpy one
-(`sum`, `reshape`, `size`), since any array's call of that name counts as a
-use.
+`matmul` must run both with and without its bias. The static rule cannot see
+an unused dunder, or a method named like a numpy one (`sum`, `reshape`,
+`size`), since any array's call of that name counts as a use.
 """
 import ast
 import contextlib

@@ -281,8 +281,9 @@ class TestTape:
         # the most bytes alive after `forward` on any document of the
         # train_many_frames benchmark corpus (default model, seed 0; its
         # largest is a `full` document of 30 tokens and 15 frames): 7.68 MB
-        # while every block kept both LN outputs and LN1's normalized input
-        # and each `x @ w + b` kept its product before the bias, 5.86 MB since
+        # when every block kept both LN outputs and LN1's normalized input
+        # and each `x @ w + b` kept its product before the bias, 5.86 MB
+        # without them
         cfg = RunConfig(seed=0)
         gen = dataclasses.replace(cfg.gen, docs=24, tokens_per_doc=(24, 32),
                                   frames_per_doc=(12, 16), seed=0)
